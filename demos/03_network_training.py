@@ -28,20 +28,34 @@ print("loss: epoch 0:", round(history[0], 4),
       " epoch 150:", round(history[150], 4),
       " epoch 299:", round(history[-1], 4))
 
-# multi-instance semantics: patient risk is the max branch score
-params = result.params
-ex = examples[1]
-branch = nnet.forward_branch(params, ex.patches[0], "infer")
-risk = nnet.forward_scan(params, ex, "infer")
-print("single unmasked branch:", round(branch, 4), "== scan risk:", round(risk, 4))
+# multi-instance semantics: a bag's risk is the max of its branch scores,
+# and one batch-invariant pass scores the whole bag
+params, stats = result.params, result.metadata_stats
+bag = [examples[1].patches[0], examples[0].patches[0], examples[3].patches[0]]
+planes = np.stack([p.planes for p in bag])
+meta = stats.standardize(np.stack([p.metadata for p in bag]))
+
+
+def bag_risk(planes, meta):
+    segments = np.zeros(len(planes), dtype=np.int64)
+    return float(nnet.score_bags(params, planes, meta, segments, 1, "infer").data[0])
+
+
+singles = [bag_risk(planes[i:i + 1], meta[i:i + 1]) for i in range(len(bag))]
+risk = bag_risk(planes, meta)
+print("branch scores one at a time:", [round(s, 4) for s in singles])
+print("bag risk in one pass:", round(risk, 4), " exactly their max:", risk == max(singles))
+
+# scoring a scan goes through the same path, once per ensemble member
+scan = ScanExample(scan_id="bag", patches=bag + [NodulePatch.empty(5) for _ in range(7)],
+                   label=1)
+ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, stats)])
+print("ensemble_predict gives the same risk:", nnet.ensemble_predict(ensemble, scan) == risk)
 
 # persistence: the weight file round-trips bit-exactly
 import tempfile
-from pathlib import Path
 
 with tempfile.TemporaryDirectory() as td:
-    path = Path(td) / "toy.lrnn"
-    nnet.save_params(params, path, result.metadata_stats)
-    reloaded = nnet.load_params(path)
-    print("save/load risk identical:",
-          nnet.forward_scan(reloaded, ex, "infer") == risk)
+    nnet.save_ensemble(ensemble, td)
+    reloaded = nnet.load_ensemble(td)
+    print("save/load risk identical:", nnet.ensemble_predict(reloaded, scan) == risk)

@@ -19,12 +19,11 @@ from .nnet import (
     NNetConfig,
     NNetParams,
     ensemble_predict,
-    forward_branch,
-    forward_scan,
     init_params,
     kfold_train,
     load_params,
     save_params,
+    score_bags,
     train,
 )
 from .pancan import PanCanFeatures, PanCanWeights, nodule_score, patient_score
@@ -52,9 +51,9 @@ __all__ = [
     "PhantomSpec", "ScanExample", "ScoredCohort", "Tensor", "Volume",
     "adam_step", "auc", "backward", "build_scan_example", "crop28",
     "ensemble_predict", "errors", "evaluate", "extract_cube", "fileio",
-    "forward_branch", "forward_scan", "generate", "init_params", "kfold_train",
-    "load_params", "nnet", "nodule_score", "normalize_hu", "pancan",
-    "patient_score", "permutation_test_auc", "preprocess", "resample_isotropic",
-    "roc_curve", "save_params", "select_top_nodules", "synthdata", "tensor",
+    "generate", "init_params", "kfold_train", "load_params", "nnet",
+    "nodule_score", "normalize_hu", "pancan", "patient_score",
+    "permutation_test_auc", "preprocess", "resample_isotropic", "roc_curve",
+    "save_params", "score_bags", "select_top_nodules", "synthdata", "tensor",
     "train", "triplanar",
 ]

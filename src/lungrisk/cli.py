@@ -44,7 +44,12 @@ def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("LUNGRISK_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ConfigError(f"LUNGRISK_THREADS must be an integer, got {env!r}") from None
 
 
 def _volume_path(data_dir: Path, scan_id: str) -> Path:
@@ -135,6 +140,7 @@ def _train_config_from_args(args) -> nnet.NNetConfig:
 
 
 def cmd_train(args) -> int:
+    n_threads = _threads(args)
     data_dir = Path(args.data)
     config = _train_config_from_args(args)
     labels = fileio.read_labels_csv(data_dir / "labels.csv")
@@ -149,7 +155,7 @@ def cmd_train(args) -> int:
         raise DataConsistencyError(f"scan list entries without labels: {missing}")
 
     examples = _build_examples(data_dir, scan_ids, candidates, labels, "train",
-                               config.seed, config.metadata_dim, _threads(args))
+                               config.seed, config.metadata_dim, n_threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.folds == 1:
@@ -173,6 +179,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
+    n_threads = _threads(args)
     model_dir = Path(args.model)
     data_dir = Path(args.data)
     ensemble = nnet.load_ensemble(model_dir)
@@ -186,8 +193,7 @@ def cmd_score(args) -> int:
     for sid in scan_ids:
         _volume_path(data_dir, sid)  # fail fast with an explicit missing-volume error
     examples = _build_examples(data_dir, scan_ids, candidates, {}, "infer",
-                               0, metadata_dim, _threads(args), allow_raw=True)
-    n_threads = _threads(args)
+                               0, metadata_dim, n_threads, allow_raw=True)
     if n_threads == 1:
         risks = [nnet.ensemble_predict(ensemble, ex) for ex in examples]
     else:

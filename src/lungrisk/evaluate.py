@@ -11,7 +11,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, DataConsistencyError, DegenerateCohortError, PairingError
 
@@ -104,11 +103,24 @@ def auc(c: ScoredCohort) -> float:
 
 
 def _auc_rows(score_rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Midrank AUC of each row of `score_rows` against shared labels."""
+    """Midrank AUC of each row of `score_rows` against shared labels.
+
+    Tied scores share the mean of the 1-based ranks they span. Midranks are
+    exact half-integers, so the positives' rank sum is exact in float64.
+    """
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
-    ranks = rankdata(score_rows, method="average", axis=1)
-    pos_rank_sum = ranks[:, labels == 1].sum(axis=1)
+    order = np.argsort(score_rows, axis=1)
+    ordered = np.take_along_axis(score_rows, order, axis=1)
+    pos = np.arange(labels.size)
+    starts = np.ones(ordered.shape, dtype=bool)       # a tie group starts here
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ends = np.roll(starts, -1, axis=1)                # ... or ends here
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, pos, pos[-1])[:, ::-1], axis=1)[:, ::-1]
+    # a midrank is (first + last) / 2 + 1; sum twice the 0-based ones in integers
+    twice_midranks = ((first + last) * labels[order]).sum(axis=1)
+    pos_rank_sum = twice_midranks / 2.0 + n_pos
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -170,8 +182,14 @@ def _threshold_sweep(c: ScoredCohort):
     return thresholds, sens, spec
 
 
+def _check_target(name: str, value: float):
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"target {name} must lie in [0,1], got {value}")
+
+
 def sensitivity_at_specificity(c: ScoredCohort, target_specificity: float = 0.80) -> float:
     """Sensitivity at the smallest threshold whose specificity meets the target."""
+    _check_target("specificity", target_specificity)
     thresholds, sens, spec = _threshold_sweep(c)
     ok = np.flatnonzero(spec >= target_specificity)
     return float(sens[ok[0]])
@@ -179,6 +197,7 @@ def sensitivity_at_specificity(c: ScoredCohort, target_specificity: float = 0.80
 
 def specificity_at_sensitivity(c: ScoredCohort, target_sensitivity: float = 0.84) -> float:
     """Specificity at the largest threshold whose sensitivity meets the target."""
+    _check_target("sensitivity", target_sensitivity)
     thresholds, sens, spec = _threshold_sweep(c)
     ok = np.flatnonzero(sens >= target_sensitivity)
     return float(spec[ok[-1]])

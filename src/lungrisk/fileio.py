@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataConsistencyError, FormatError
+from .errors import DataConsistencyError, FormatError, NumericError
 from .preprocess import NoduleCandidate, Volume
 
 _ELEMENT_TYPES = {
@@ -173,7 +173,11 @@ def read_labels_csv(path) -> dict[str, int]:
         if reader.fieldnames is None or {"scan_id", "label"} - set(reader.fieldnames):
             raise FormatError(f"label file {path} must carry scan_id,label columns")
         for row in reader:
-            value = int(row["label"])
+            try:
+                value = int(row["label"])
+            except ValueError:
+                raise FormatError(f"label for {row['scan_id']!r} in {path} is not an integer: "
+                                  f"{row['label']!r}") from None
             if value not in (0, 1):
                 raise FormatError(f"label for {row['scan_id']!r} must be 0 or 1, got {value}")
             if row["scan_id"] in out:
@@ -199,5 +203,13 @@ def read_scores_csv(path) -> dict[str, float]:
         for row in reader:
             if row["scan_id"] in out:
                 raise DataConsistencyError(f"duplicate scan_id {row['scan_id']!r} in {path}")
-            out[row["scan_id"]] = float(row["score"])
+            try:
+                value = float(row["score"])
+            except ValueError:
+                raise FormatError(f"score for {row['scan_id']!r} in {path} is not a number: "
+                                  f"{row['score']!r}") from None
+            if not np.isfinite(value):
+                raise NumericError(f"score for {row['scan_id']!r} in {path} is not finite: "
+                                   f"{row['score']!r}")
+            out[row["scan_id"]] = value
     return out

@@ -41,7 +41,6 @@ from .preprocess import (
     crop28,
     metadata_stats_from_examples,
     normalize_hu,
-    standardize_example,
     triplanar,
 )
 
@@ -200,37 +199,17 @@ def _forward_patch_batch(params: NNetParams, planes: np.ndarray, metadata: np.nd
     return score
 
 
-def forward_branch(params: NNetParams, patch, mode: str,
-                   rng: np.random.Generator | None = None,
-                   trace: list | None = None) -> float:
-    """Score one unmasked nodule patch in (0,1)."""
-    if patch.masked:
-        raise ConfigError("forward_branch on a masked patch violates its contract")
-    score = _forward_patch_batch(params, patch.planes[None], patch.metadata[None],
-                                 mode, rng, trace=trace)
-    return float(score.data[0])
+def score_bags(params: NNetParams, planes: np.ndarray, metadata: np.ndarray,
+               segments: np.ndarray, n_bags: int, mode: str,
+               rng: np.random.Generator | None = None) -> tz.Tensor:
+    """Risk of each bag: the max branch score over the patches of its segment.
 
-
-def forward_scan(params: NNetParams, example: ScanExample, mode: str = "infer",
-                 rng: np.random.Generator | None = None) -> float:
-    """Patient risk: max of branch scores over unmasked patches.
-
-    All-masked examples score 0.0 and raise a ZeroNoduleWarning. Inference
-    scores each patch independently so the result is exactly invariant to
-    patch order and batch composition; train mode batches the patches so
-    batch-norm statistics cover the whole bag.
+    Train and inference share this path. In infer mode every layer scores a
+    patch independently of the rest of the batch, so a bag's risk is
+    exactly the max of its patches' one-at-a-time scores, in any order.
     """
-    unmasked = [p for p in example.patches if not p.masked]
-    if not unmasked:
-        warnings.warn(f"scan {example.scan_id!r} has no unmasked nodules; risk set to 0.0",
-                      ZeroNoduleWarning, stacklevel=2)
-        return 0.0
-    if mode == "infer":
-        return max(forward_branch(params, p, "infer") for p in unmasked)
-    planes = np.stack([p.planes for p in unmasked])
-    meta = np.stack([p.metadata for p in unmasked])
-    scores = _forward_patch_batch(params, planes, meta, mode, rng)
-    return float(scores.data.max())
+    scores = _forward_patch_batch(params, planes, metadata, mode, rng)
+    return tz.segment_max(scores, segments, n_bags)
 
 
 def shape_manifest(metadata_dim: int = 5) -> list[tuple[str, tuple]]:
@@ -264,7 +243,9 @@ class TrainResult:
 
 def _gather_batch(examples: list[ScanExample], meta_rows: list[np.ndarray],
                   mode: str, rng, projection: str):
-    """Stack patch planes/metadata for a batch; returns arrays plus segments."""
+    """Stack the unmasked patches (which lead each patch list) of a batch of
+    scans; returns planes, metadata, segment ids and labels, or None when
+    every scan is all-masked. Train mode re-crops from the stored cubes."""
     planes, meta, segments, labels = [], [], [], []
     scan_slot = 0
     for ex, rows in zip(examples, meta_rows):
@@ -327,8 +308,7 @@ def train(config: NNetConfig, dataset: list[ScanExample],
             if batch is None:
                 continue
             planes, meta, segments, labels = batch
-            scores = _forward_patch_batch(params, planes, meta, "train", rng)
-            risks = tz.segment_max(scores, segments, labels.size)
+            risks = score_bags(params, planes, meta, segments, labels.size, "train", rng)
             loss = tz.bce_loss(risks, labels)
             params.zero_grad()
             grads = tz.backward(loss, params=learnable)
@@ -396,14 +376,22 @@ def kfold_train(config: NNetConfig, dataset: list[ScanExample], k: int = 5,
 
 
 def ensemble_predict(ensemble: FoldEnsemble, example: ScanExample) -> float:
-    """Mean of member infer-mode risks; expects raw (unstandardized) metadata."""
+    """Mean of member infer-mode risks; expects raw (unstandardized) metadata.
+
+    Each member scores the scan's unmasked patches in one call. All-masked
+    examples score 0.0 and raise a ZeroNoduleWarning.
+    """
     if example.metadata_standardized:
         raise ConfigError("ensemble_predict standardizes per member; pass raw examples")
-    if example.n_unmasked == 0:
+    raw_rows = np.stack([p.metadata for p in example.patches])
+    batch = _gather_batch([example], [raw_rows], "infer", None, "slice")
+    if batch is None:
         warnings.warn(f"scan {example.scan_id!r} has no unmasked nodules; risk set to 0.0",
                       ZeroNoduleWarning, stacklevel=2)
         return 0.0
-    risks = [forward_scan(m.params, standardize_example(example, m.metadata_stats), "infer")
+    planes, raw_meta, segments, _ = batch
+    risks = [float(score_bags(m.params, planes, m.metadata_stats.standardize(raw_meta),
+                              segments, 1, "infer").data[0])
              for m in ensemble.members]
     return float(np.mean(risks))
 
@@ -478,7 +466,15 @@ def _read_weight_arrays(path) -> dict[str, np.ndarray]:
 
 
 def load_params(path) -> NNetParams:
-    arrays = _read_weight_arrays(path)
+    return _params_from_arrays(_read_weight_arrays(path), path)
+
+
+def load_metadata_stats(path) -> MetadataStats | None:
+    """Metadata statistics stored alongside the weights, if any."""
+    return _metadata_stats_from_arrays(_read_weight_arrays(path))
+
+
+def _params_from_arrays(arrays: dict[str, np.ndarray], path) -> NNetParams:
     try:
         metadata_dim = int(arrays["config.metadata_dim"][0])
         dropout_rate = float(arrays["config.dropout_rate"][0])
@@ -506,9 +502,7 @@ def load_params(path) -> NNetParams:
     return params
 
 
-def load_metadata_stats(path) -> MetadataStats | None:
-    """Metadata statistics stored alongside the weights, if any."""
-    arrays = _read_weight_arrays(path)
+def _metadata_stats_from_arrays(arrays: dict[str, np.ndarray]) -> MetadataStats | None:
     if "meta_stats.mean" not in arrays:
         return None
     return MetadataStats(mean=arrays["meta_stats.mean"], std=arrays["meta_stats.std"])
@@ -528,10 +522,11 @@ def load_ensemble(directory) -> FoldEnsemble:
         raise ConfigError(f"no fold*.lrnn weight files in {directory}")
     members = []
     for p in paths:
-        stats = load_metadata_stats(p)
+        arrays = _read_weight_arrays(p)
+        stats = _metadata_stats_from_arrays(arrays)
         if stats is None:
             raise VersionError(f"{p} lacks the metadata statistics of its training fold")
-        members.append(FoldMember(params=load_params(p), metadata_stats=stats))
+        members.append(FoldMember(params=_params_from_arrays(arrays, p), metadata_stats=stats))
     return FoldEnsemble(members=members)
 
 

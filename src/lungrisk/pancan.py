@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, NoNoduleError
+from .tensor import _sigmoid_raw
 
 NODULE_TYPES = ("nonsolid", "part_solid", "solid")
 
@@ -97,12 +98,7 @@ def nodule_score(f: PanCanFeatures, w: PanCanWeights) -> float:
         + w["upper_lobe"] * f.upper_lobe
         + w["spiculation"] * f.spiculation
     )
-    if z >= 0:
-        p = 1.0 / (1.0 + np.exp(-z))
-    else:
-        e = np.exp(z)
-        p = e / (1.0 + e)
-    return float(min(max(p, _SCORE_LO), _SCORE_HI))
+    return float(np.clip(_sigmoid_raw(z), _SCORE_LO, _SCORE_HI))
 
 
 def patient_score(nodules: list[PanCanFeatures], w: PanCanWeights, agg: str = "max") -> float:

@@ -127,9 +127,13 @@ class MetadataStats:
 
 
 def resample_isotropic(v: Volume) -> Volume:
-    """Trilinear resample onto a 1 mm grid; world positions are preserved."""
+    """Trilinear resample onto a 1 mm grid; world positions are preserved.
+
+    A volume already on the 1 mm grid is returned as it is, so the result
+    may share its voxels with the input.
+    """
     if v.spacing == (1.0, 1.0, 1.0):
-        return Volume(v.voxels.copy(), (1.0, 1.0, 1.0), v.origin)
+        return v
     out_dims = tuple(int(np.floor(n * s + 0.5)) for n, s in zip(v.dims, v.spacing))
     coords = [np.arange(d, dtype=np.float64) / s for d, s in zip(out_dims, v.spacing)]
     out = _trilinear_gather(v.voxels, coords)
@@ -293,17 +297,3 @@ def metadata_stats_from_examples(examples: list[ScanExample]) -> MetadataStats:
     mat = np.stack(rows)
     std = mat.std(axis=0)
     return MetadataStats(mean=mat.mean(axis=0), std=np.where(std < 1e-9, 1.0, std))
-
-
-def standardize_example(ex: ScanExample, stats: MetadataStats) -> ScanExample:
-    """Copy of `ex` with standardized metadata (masked slots stay zero)."""
-    if ex.metadata_standardized:
-        raise ConfigError(f"example {ex.scan_id!r} is already standardized")
-    patches = [
-        NodulePatch(planes=p.planes, metadata=np.zeros_like(p.metadata), masked=True)
-        if p.masked else
-        NodulePatch(planes=p.planes, metadata=stats.standardize(p.metadata), masked=False)
-        for p in ex.patches
-    ]
-    return ScanExample(scan_id=ex.scan_id, patches=patches, label=ex.label,
-                       cubes=ex.cubes, metadata_standardized=True)

@@ -250,3 +250,50 @@ def test_pancan_missing_weight_key_is_usage_error(small_data, tmp_path, capsys):
                 small_data / "pancan_features.csv", "--out", tmp_path / "s.csv"])
     assert code == cli.EXIT_USAGE
     assert "diameter_mm" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# bad input ends in a documented exit code and a one-line message
+
+GOOD_SCORES = {"a": "0.2", "b": "0.7", "c": "0.4", "d": "0.9"}
+GOOD_LABELS = {"a": "0", "b": "1", "c": "0", "d": "1"}
+
+
+def write_csv(path, column, rows):
+    path.write_text(f"scan_id,{column}\n" + "".join(f"{k},{v}\n" for k, v in rows.items()))
+    return path
+
+
+@pytest.mark.parametrize("command, bad_scores, bad_labels, flags, env, expected", [
+    pytest.param("eval", {}, {"b": "x"}, [], {}, cli.EXIT_IO, id="eval-label-not-integer"),
+    pytest.param("compare", {}, {"c": "0.5"}, [], {}, cli.EXIT_IO,
+                 id="compare-label-not-integer"),
+    pytest.param("eval", {"b": "high"}, {}, [], {}, cli.EXIT_IO, id="eval-score-not-number"),
+    pytest.param("eval", {"b": "nan"}, {}, [], {}, cli.EXIT_NUMERIC, id="eval-score-nan"),
+    pytest.param("eval", {"a": "-inf"}, {}, [], {}, cli.EXIT_NUMERIC, id="eval-score-minus-inf"),
+    pytest.param("compare", {"d": "inf"}, {}, [], {}, cli.EXIT_NUMERIC, id="compare-score-inf"),
+    pytest.param("eval", {}, {}, ["--spec", "1.5"], {}, cli.EXIT_USAGE, id="eval-spec-above-one"),
+    pytest.param("eval", {}, {}, ["--spec", "-0.1"], {}, cli.EXIT_USAGE, id="eval-spec-negative"),
+    pytest.param("eval", {}, {}, ["--sens", "1.5"], {}, cli.EXIT_USAGE, id="eval-sens-above-one"),
+    pytest.param("eval", {}, {}, ["--sens", "nan"], {}, cli.EXIT_USAGE, id="eval-sens-nan"),
+    pytest.param("score", {}, {}, [], {"LUNGRISK_THREADS": "two"}, cli.EXIT_USAGE,
+                 id="score-threads-not-integer"),
+])
+def test_bad_input_exits_with_documented_code(command, bad_scores, bad_labels, flags, env,
+                                              expected, tmp_path, monkeypatch, capsys, request):
+    scores = write_csv(tmp_path / "scores.csv", "score", {**GOOD_SCORES, **bad_scores})
+    labels = write_csv(tmp_path / "labels.csv", "label", {**GOOD_LABELS, **bad_labels})
+    if command == "eval":
+        argv = ["eval", "--scores", scores, "--labels", labels]
+    elif command == "compare":
+        other = write_csv(tmp_path / "other.csv", "score", GOOD_SCORES)
+        argv = ["compare", "--a", scores, "--b", other, "--labels", labels,
+                "--perms", 10, "--seed", 0]
+    else:
+        argv = ["score", "--model", request.getfixturevalue("small_model"),
+                "--data", request.getfixturevalue("small_data"), "--out", tmp_path / "out.csv"]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert run(argv + flags) == expected
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -125,6 +125,18 @@ def test_auc_dual_oracle_random_cohorts():
         assert abs(a - ev.trapezoid_auc(ev.roc_curve(c))) < 1e-12
 
 
+def test_auc_rows_heavy_ties_match_pair_count():
+    # permutation-test shaped input: many rows over a handful of score levels
+    rng = np.random.default_rng(321)
+    for levels in (1, 2, 3, 5):
+        labels = rng.integers(0, 2, size=40)
+        labels[:2] = [0, 1]
+        rows = rng.integers(0, levels, size=(25, 40)) / 4.0
+        got = ev._auc_rows(rows, labels)
+        want = [auc_pair_count(cohort(row, labels)) for row in rows]
+        assert got.tolist() == want
+
+
 def test_auc_invariant_under_increasing_transform():
     rng = np.random.default_rng(5)
     c = random_cohort(rng, 80)

@@ -64,7 +64,29 @@ def test_init_bn_identity():
 
 
 # ---------------------------------------------------------------------------
-# forward_branch / forward_scan
+# score_bags / ensemble_predict
+
+IDENTITY_STATS = MetadataStats(mean=np.zeros(5), std=np.ones(5))
+
+
+def bag_risk(p, patches):
+    """Infer-mode risk of one bag, all patches scored in one call."""
+    planes = np.stack([patch.planes for patch in patches])
+    meta = np.stack([patch.metadata for patch in patches])
+    segments = np.zeros(len(patches), dtype=np.int64)
+    return float(nnet.score_bags(p, planes, meta, segments, 1, "infer").data[0])
+
+
+def branch_score(p, patch):
+    return bag_risk(p, [patch])
+
+
+def scan_risk(p, ex):
+    """Risk through the `lungrisk score` path: a one-member ensemble whose
+    metadata statistics leave standardized metadata as it is."""
+    raw = ScanExample(scan_id=ex.scan_id, patches=ex.patches, label=ex.label)
+    ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(p, IDENTITY_STATS)])
+    return nnet.ensemble_predict(ensemble, raw)
 
 
 def test_zero_head_scores_half():
@@ -72,14 +94,14 @@ def test_zero_head_scores_half():
     p.tensors["dense_out.weights"].data[:] = 0.0
     p.tensors["dense_out.bias"].data[:] = 0.0
     patch = random_patch(np.random.default_rng(0))
-    assert nnet.forward_branch(p, patch, "infer") == 0.5
+    assert branch_score(p, patch) == 0.5
 
 
 def test_branch_score_in_unit_interval():
     rng = np.random.default_rng(1)
     p = small_params(3)
     for _ in range(5):
-        s = nnet.forward_branch(p, random_patch(rng), "infer")
+        s = branch_score(p, random_patch(rng))
         assert 0.0 < s < 1.0
 
 
@@ -87,42 +109,57 @@ def test_branch_infer_bit_stable():
     rng = np.random.default_rng(2)
     p = small_params(4, dropout=0.5)
     patch = random_patch(rng)
-    assert nnet.forward_branch(p, patch, "infer") == nnet.forward_branch(p, patch, "infer")
+    assert branch_score(p, patch) == branch_score(p, patch)
 
 
-def test_branch_rejects_masked_patch():
+def test_masked_patch_planes_never_scored():
+    rng = np.random.default_rng(3)
     p = small_params()
-    with pytest.raises(ConfigError):
-        nnet.forward_branch(p, NodulePatch.empty(5), "infer")
+    ex = random_example(rng, 2)
+    garbage = [NodulePatch(planes=rng.random((3, 28, 28)), metadata=rng.normal(size=5),
+                           masked=True) for _ in range(8)]
+    noisy = ScanExample(scan_id="s0", patches=ex.patches[:2] + garbage, label=1)
+    assert scan_risk(p, noisy) == scan_risk(p, ex)
 
 
 def test_scan_risk_is_max_of_branches():
     rng = np.random.default_rng(3)
     p = small_params(5)
     ex = random_example(rng, 3)
-    branch_scores = [nnet.forward_branch(p, patch, "infer")
-                     for patch in ex.patches if not patch.masked]
-    assert nnet.forward_scan(p, ex, "infer") == max(branch_scores)
+    branch_scores = [branch_score(p, patch) for patch in ex.patches if not patch.masked]
+    assert scan_risk(p, ex) == max(branch_scores)
+
+
+def test_score_bags_scores_each_bag_independently():
+    rng = np.random.default_rng(9)
+    p = small_params(10)
+    bags = [[random_patch(rng) for _ in range(n)] for n in (3, 1, 5)]
+    flat = [patch for bag in bags for patch in bag]
+    planes = np.stack([patch.planes for patch in flat])
+    meta = np.stack([patch.metadata for patch in flat])
+    segments = np.repeat(np.arange(3), [3, 1, 5])
+    risks = nnet.score_bags(p, planes, meta, segments, 3, "infer").data
+    assert risks.tolist() == [max(branch_score(p, patch) for patch in bag) for bag in bags]
 
 
 def test_scan_permutation_invariant():
     rng = np.random.default_rng(4)
     p = small_params(6)
     ex = random_example(rng, 4)
-    risk = nnet.forward_scan(p, ex, "infer")
+    risk = scan_risk(p, ex)
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(4)
         patches = [ex.patches[i] for i in perm] + ex.patches[4:]
         shuffled = ScanExample(scan_id="s0", patches=patches, label=1,
                                metadata_standardized=True)
-        assert nnet.forward_scan(p, shuffled, "infer") == risk
+        assert scan_risk(p, shuffled) == risk
 
 
 def test_scan_all_masked_warns_and_scores_zero():
     p = small_params()
     ex = random_example(np.random.default_rng(5), 0)
     with pytest.warns(ZeroNoduleWarning):
-        assert nnet.forward_scan(p, ex, "infer") == 0.0
+        assert scan_risk(p, ex) == 0.0
 
 
 def test_masked_patch_is_noop_and_new_patch_maxes():
@@ -131,30 +168,30 @@ def test_masked_patch_is_noop_and_new_patch_maxes():
     for _ in range(20):
         n = int(rng.integers(1, 9))
         ex = random_example(rng, n)
-        risk = nnet.forward_scan(p, ex, "infer")
+        risk = scan_risk(p, ex)
         new_patch = random_patch(rng)
         grown = ScanExample(
             scan_id="s0",
             patches=[*ex.patches[:n], new_patch, *[NodulePatch.empty(5)] * (9 - n)],
             label=1, metadata_standardized=True)
-        new_score = nnet.forward_branch(p, new_patch, "infer")
-        assert abs(nnet.forward_scan(p, grown, "infer") - max(risk, new_score)) < 1e-12
+        assert scan_risk(p, grown) == max(risk, branch_score(p, new_patch))
 
 
 def test_weight_sharing_perturbation_moves_all_branches():
     rng = np.random.default_rng(8)
     p = small_params(9)
     ex = random_example(rng, 3)
-    before = [nnet.forward_branch(p, patch, "infer") for patch in ex.patches[:3]]
+    before = [branch_score(p, patch) for patch in ex.patches[:3]]
     p.tensors["conv1.kernels"].data += 0.35
-    after = [nnet.forward_branch(p, patch, "infer") for patch in ex.patches[:3]]
+    after = [branch_score(p, patch) for patch in ex.patches[:3]]
     assert all(a != b for a, b in zip(after, before))
 
 
 def test_shape_trace_matches_manifest():
     p = small_params()
+    patch = random_patch(np.random.default_rng(0))
     trace = []
-    nnet.forward_branch(p, random_patch(np.random.default_rng(0)), "infer", trace=trace)
+    nnet._forward_patch_batch(p, patch.planes[None], patch.metadata[None], "infer", trace=trace)
     assert trace == nnet.shape_manifest(metadata_dim=5)
 
 
@@ -278,8 +315,7 @@ def test_ensemble_mean_and_identical_members():
     ens = nnet.FoldEnsemble(members=[nnet.FoldMember(params, stats)] * 5)
     ex = random_example(rng, 2)
     ex.metadata_standardized = False  # raw input contract
-    single = nnet.forward_scan(params, nnet.standardize_example(ex, stats), "infer")
-    assert nnet.ensemble_predict(ens, ex) == single
+    assert nnet.ensemble_predict(ens, ex) == bag_risk(params, ex.patches[:2])
 
 
 def test_ensemble_rejects_standardized_example():
@@ -320,7 +356,7 @@ def test_save_load_inference_identical(tmp_path):
     path = tmp_path / "model.lrnn"
     nnet.save_params(p, path)
     loaded = nnet.load_params(path)
-    assert nnet.forward_scan(loaded, ex, "infer") == nnet.forward_scan(p, ex, "infer")
+    assert scan_risk(loaded, ex) == scan_risk(p, ex)
 
 
 def test_corrupted_byte_raises_checksum_error(tmp_path):
@@ -370,6 +406,20 @@ def test_ensemble_save_load_round_trip(tmp_path):
     ex = random_example(rng, 2)
     ex.metadata_standardized = False
     assert nnet.ensemble_predict(back, ex) == nnet.ensemble_predict(ens, ex)
+
+
+def test_load_ensemble_reads_each_file_once(tmp_path, monkeypatch):
+    stats = MetadataStats(mean=np.zeros(5), std=np.ones(5))
+    members = [nnet.FoldMember(small_params(seed), stats) for seed in (23, 24)]
+    nnet.save_ensemble(nnet.FoldEnsemble(members=members), tmp_path)
+    reads = []
+    read = nnet._read_weight_arrays
+    monkeypatch.setattr(nnet, "_read_weight_arrays", lambda path: reads.append(path) or read(path))
+    back = nnet.load_ensemble(tmp_path)
+    assert sorted(reads) == [tmp_path / "fold0.lrnn", tmp_path / "fold1.lrnn"]
+    np.testing.assert_array_equal(back.members[1].params.tensors["dense1.weights"].data,
+                                  members[1].params.tensors["dense1.weights"].data)
+    np.testing.assert_array_equal(back.members[1].metadata_stats.std, stats.std)
 
 
 # ---------------------------------------------------------------------------

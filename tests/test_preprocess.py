@@ -295,12 +295,10 @@ def test_metadata_standardization_round_trip():
              cand(6.0, conf=0.9, center=(32.0, 30.0, 28.0))]
     ex = pp.build_scan_example(v, cands, 1, "train", rng=np.random.default_rng(0))
     stats = pp.metadata_stats_from_examples([ex])
-    std = pp.standardize_example(ex, stats)
-    rows = np.stack([p.metadata for p in std.patches if not p.masked])
+    raw = np.stack([p.metadata for p in ex.patches if not p.masked])
+    rows = stats.standardize(raw)
     np.testing.assert_allclose(rows.mean(axis=0), 0.0, atol=1e-12)
-    assert std.metadata_standardized
-    with pytest.raises(ConfigError):
-        pp.standardize_example(std, stats)
+    np.testing.assert_allclose(rows * stats.std + stats.mean, raw, atol=1e-12)
 
 
 def test_metadata_dim6_requires_sphericity():

@@ -152,12 +152,6 @@ def test_bn_infer_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_bn_explicit_batch_stats_override():
-    bn = make_bn(1)
-    out = T.batch_norm(t([[2.0], [4.0]]), bn, "train", batch_stats=([0.0], [1.0]))
-    np.testing.assert_allclose(out.data.ravel(), [2.0, 4.0], rtol=1e-4)
-
-
 # ---------------------------------------------------------------------------
 # dense / relu / sigmoid
 
@@ -176,6 +170,16 @@ def test_dense_identity_weights():
 def test_dense_hand_value():
     out = T.dense(t([1.0, 2.0]), t([[1.0, 0.0], [0.0, 2.0]]), t([1.0, 1.0]))
     np.testing.assert_allclose(out.data, [2.0, 5.0])
+
+
+def test_dense_rows_independent_of_batch_size():
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(40, 6272))
+    w, b = t(rng.normal(size=(6272, 64))), t(rng.normal(size=64))
+    one_at_a_time = np.stack([T.dense(t(row[None]), w, b).data[0] for row in x])
+    for n in (2, 3, 10, 40):
+        assert np.array_equal(T.dense(t(x[:n]), w, b).data, one_at_a_time[:n])
+    assert np.array_equal(T.dense(t(x[0]), w, b).data, one_at_a_time[0])
 
 
 def test_dense_dim_mismatch():
@@ -439,6 +443,24 @@ def test_gradcheck_concat_flatten():
     b = t(rng.uniform(-1, 1, size=(2, 2)))
     labels = rng.integers(0, 2, size=(2, 5)).astype(float)
     _gradcheck(lambda: _bce_head(T.concat(T.flatten(a), b), labels), {"a": a, "b": b})
+
+
+def test_gradcheck_skips_exactly_the_coordinates_that_straddle_a_kink():
+    x = t([0.3, -4e-6, 0.7, 2e-6, -0.5])       # entries 1 and 3 lie within h of relu's kink
+    labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+
+    def loss_fn():
+        return T.bce_loss(T.sigmoid(T.relu(x)), labels)
+
+    errs = T.finite_difference_check(loss_fn, {"x": x}, h=1e-5)
+    assert errs["x"] > 1e-2
+    # with the two straddling entries skipped the rest match to rounding
+    errs = T.finite_difference_check(loss_fn, {"x": x}, h=1e-5, skip_kinks=True)
+    assert errs["x"] < 1e-8
+    kinked = t([1e-6, -3e-6])
+    with pytest.raises(NumericError):
+        T.finite_difference_check(lambda: T.bce_loss(T.sigmoid(T.relu(kinked)), labels[:2]),
+                                  {"x": kinked}, h=1e-5, skip_kinks=True)
 
 
 # ---------------------------------------------------------------------------
