@@ -1,9 +1,10 @@
 """Command-line entry point: simulate | train | score | eval | compare | pancan.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data consistency,
-4 I/O or file format, 5 numeric failure. Every command that draws random
-numbers requires an explicit --seed; reruns with identical arguments
-produce byte-identical primary outputs.
+4 I/O or file format (a fold worker that dies without its result included),
+5 numeric failure, and 1 for a broken internal invariant, which is a bug.
+Every command that draws random numbers requires an explicit --seed; reruns
+with identical arguments produce byte-identical primary outputs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from . import fileio, nnet, pancan, synthdata
 from .errors import (
     ConfigError,
     DataConsistencyError,
+    FoldWorkerError,
     FormatError,
     LungRiskError,
     NumericError,
@@ -158,12 +160,7 @@ def cmd_train(args) -> int:
                                config.seed, config.metadata_dim, n_threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.folds == 1:
-        result = nnet.train(config, examples)
-        ensemble = nnet.FoldEnsemble(members=[
-            nnet.FoldMember(result.params, result.metadata_stats, result.loss_history)])
-    else:
-        ensemble = nnet.kfold_train(config, examples, k=args.folds)
+    ensemble = nnet.kfold_train(config, examples, k=args.folds)
     nnet.save_ensemble(ensemble, out)
     with open(out / "training_loss.csv", "w", newline="") as fh:
         fh.write("fold,epoch,loss\n")
@@ -351,7 +348,7 @@ def main(argv=None) -> int:
     except DataConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FormatError, OSError) as exc:
+    except (FormatError, FoldWorkerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except NumericError as exc:

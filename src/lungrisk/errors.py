@@ -29,7 +29,13 @@ class TruncatedFileError(FormatError):
     """File ends before its declared payload does."""
 
 
-class OutOfBoundsError(LungRiskError):
+class DataConsistencyError(LungRiskError):
+    """Input data disagree with each other or cannot support the computation
+    asked of them (candidates without labels, a candidate outside its volume,
+    a one-class cohort)."""
+
+
+class OutOfBoundsError(DataConsistencyError):
     """Requested region lies entirely outside the volume."""
 
 
@@ -45,20 +51,20 @@ class NumericError(LungRiskError):
     """Non-finite value encountered where finite numbers are required."""
 
 
-class PairingError(LungRiskError):
+class PairingError(DataConsistencyError):
     """Two cohorts passed to a paired test do not share scans/labels."""
 
 
-class DegenerateCohortError(LungRiskError):
+class DegenerateCohortError(DataConsistencyError):
     """Cohort lacks one of the two classes needed for ROC statistics."""
 
 
-class NoNoduleError(LungRiskError):
+class NoNoduleError(DataConsistencyError):
     """Patient-level aggregation over an empty nodule list."""
 
 
-class DataConsistencyError(LungRiskError):
-    """Cross-file references disagree (e.g. candidates without labels)."""
+class FoldWorkerError(LungRiskError):
+    """A fold-training worker process ended without returning its result."""
 
 
 class ZeroNoduleWarning(UserWarning):

@@ -177,7 +177,7 @@ def extract_cube(v: Volume, center, side: int = CUBE_SIDE) -> np.ndarray:
     stop = start + side
     if np.any(stop <= 0) or np.any(start >= np.asarray(v.dims)):
         raise OutOfBoundsError(
-            f"cube around {tuple(np.asarray(center, dtype=float))} lies outside the volume")
+            f"cube around {tuple(float(c) for c in center)} lies outside the volume")
     block = np.full((side, side, side), AIR_HU)
     src_lo = np.maximum(start, 0)
     src_hi = np.minimum(stop, v.dims)

@@ -34,18 +34,21 @@ class Tensor:
     """A node in the reverse-mode graph wrapping a contiguous float64 array.
 
     Leaf tensors (parameters, inputs) have no parents; op results carry a
-    closure that scatters the incoming gradient to their parents.
+    closure that scatters the incoming gradient to their parents. A tensor
+    made with `requires_grad=False` (an input nothing differentiates with
+    respect to) never holds a gradient, and ops may skip computing it.
     """
 
-    __slots__ = ("data", "grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "name", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), backward=None, name=None):
+    def __init__(self, data, parents=(), backward=None, name=None, requires_grad=True):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.grad = None
         self.name = name
+        self.requires_grad = requires_grad
         self._parents = tuple(parents)
         self._backward = backward
 
@@ -58,6 +61,8 @@ class Tensor:
         return self.data.size
 
     def accumulate(self, g):
+        if not self.requires_grad:
+            return
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
         else:
@@ -165,6 +170,8 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         gmat = gd.transpose(1, 0, 2, 3).reshape(o, n * h * w)
         kernels.accumulate((gmat @ cols.T).reshape(o, c, 3, 3))
         bias.accumulate(gd.sum(axis=(0, 2, 3)))
+        if not x.requires_grad:
+            return
         gcols = _im2col(gd)                         # (O*9, NHW)
         kflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * 9)
         dx = (kflip @ gcols).reshape(c, n, h, w).transpose(1, 0, 2, 3)
@@ -174,10 +181,12 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
 
 def _bn_axes(shape, channels):
-    # Channel axis is 1 for feature maps (N,C,H,W) / (C,H,W 'promoted'), and
-    # the last axis for flat (N,F) activations.
+    # Channel axis is 1 for feature maps (N,C,H,W), 0 for a single map
+    # (C,H,W), and the last axis for flat (N,F) activations.
     if len(shape) == 4 and shape[1] == channels:
         return (0, 2, 3), (1, channels, 1, 1), "nchw"
+    if len(shape) == 3 and shape[0] == channels:
+        return (1, 2), (channels, 1, 1), "chw"
     if len(shape) == 2 and shape[1] == channels:
         return (0,), (1, channels), "nc"
     raise DimensionError(f"cannot batch-normalize shape {shape} with {channels} channels")

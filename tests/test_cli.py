@@ -1,10 +1,15 @@
 import hashlib
+import os
+import struct
+import subprocess
+import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lungrisk import cli, fileio, pancan
+from lungrisk import cli, fileio, nnet, pancan
 from lungrisk.pancan import placeholder_weights_path
 
 
@@ -105,6 +110,59 @@ def test_train_data_consistency_error_lists_offenders(small_data, tmp_path, caps
     assert dropped in capsys.readouterr().err
 
 
+def test_train_fold_lacking_a_class_is_usage_error(small_data, tmp_path, capsys):
+    # one positive scan: the fold holding it out trains on negatives alone
+    labels = fileio.read_labels_csv(small_data / "labels.csv")
+    positive = min(sid for sid, label in labels.items() if label == 1)
+    negatives = sorted(sid for sid, label in labels.items() if label == 0)[:5]
+    scans = tmp_path / "scans.txt"
+    scans.write_text("\n".join([positive] + negatives) + "\n")
+    code = run(["train", "--data", small_data, "--folds", 2, "--epochs", 1, "--seed", 1,
+                "--scans", scans, "--out", tmp_path / "m"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "both classes" in err and err.count("\n") == 1, err
+
+
+def test_train_worker_death_is_one_line_io_error(small_data, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(nnet, "_WORKER_ENTRY", "import os; os._exit(9)")
+    code = run(["train", "--data", small_data, "--folds", 2, "--epochs", 1, "--seed", 1,
+                "--out", tmp_path / "m"])
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "fold worker exited with status 9" in err and err.count("\n") == 1, err
+
+
+# Run as a child: `pin` limits it to one CPU before anything is imported.
+TRAIN_CHILD = """
+import os, sys
+if sys.argv[1] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from lungrisk import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_train_bytes_do_not_depend_on_blas_threads_or_cpus(small_data, tmp_path):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    outputs = []
+    for tag, pin, blas in [("blas1", "all", {"OPENBLAS_NUM_THREADS": "1"}),
+                           ("default", "all", {}), ("one-cpu", "pin", {})]:
+        model = tmp_path / tag
+        subprocess.run([sys.executable, "-c", TRAIN_CHILD, pin, "train", "--data", str(small_data),
+                        "--folds", "3", "--epochs", "3", "--batch-size", "8", "--seed", "1",
+                        "--out", str(model)], env={**env, **blas}, check=True, timeout=600,
+                       stdout=subprocess.DEVNULL)
+        outputs.append({p.name: p.read_bytes() for p in sorted(model.iterdir())})
+    assert sorted(outputs[0]) == ["fold0.lrnn", "fold1.lrnn", "fold2.lrnn",
+                                  "resolved_config.txt", "training_loss.csv"]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
 def test_train_config_file_with_flag_override(small_data, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("epochs=1\ndropout_rate=0.5\nbatch_size=8\n")
@@ -160,6 +218,55 @@ def test_score_checksum_failure_is_io_error(small_data, small_model, tmp_path):
                 "--out", tmp_path / "s.csv"]) == cli.EXIT_IO
 
 
+def test_score_candidate_outside_volume_is_data_error(small_data, small_model, tmp_path, capsys):
+    data = tmp_path / "moved"
+    data.mkdir()
+    (data / "volumes").symlink_to(small_data / "volumes")
+    (data / "labels.csv").symlink_to(small_data / "labels.csv")
+    lines = (small_data / "candidates.csv").read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[1] = "5000.0"
+    (data / "candidates.csv").write_text("\n".join([lines[0], ",".join(fields)] + lines[2:]) + "\n")
+    code = run(["score", "--model", small_model, "--data", data, "--out", tmp_path / "s.csv"])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "(5000.0, " in err and "np." not in err and err.count("\n") == 1, err
+
+
+def _set_dims(blob: bytes, name: str, dims) -> bytes:
+    """A weight file whose manifest gives array `name` the shape `dims`
+    (same rank), with its checksum recomputed."""
+    blob = bytearray(blob[:-4])
+    off = len(nnet.WEIGHTS_MAGIC) + 6
+    while True:
+        (name_len,) = struct.unpack_from("<H", blob, off)
+        entry = blob[off + 2:off + 2 + name_len].decode()
+        off += 2 + name_len
+        ndim = blob[off]
+        if entry == name:
+            assert ndim == len(dims)
+            struct.pack_into(f"<{ndim}i", blob, off + 1, *dims)
+            return bytes(blob) + struct.pack("<I", zlib.crc32(bytes(blob)))
+        off += 1 + 4 * ndim
+
+
+@pytest.mark.parametrize("name, dims", [
+    pytest.param("conv1.bias", (-1,), id="minus-one"),
+    pytest.param("conv1.bias", (-8,), id="negative"),
+    pytest.param("dense2.weights", (-64, -64), id="two-negatives"),
+])
+def test_score_weight_manifest_with_negative_dims_is_format_error(
+        name, dims, small_data, small_model, tmp_path, capsys):
+    model = tmp_path / "model"
+    model.mkdir()
+    (model / "fold0.lrnn").write_bytes(_set_dims((small_model / "fold0.lrnn").read_bytes(),
+                                                 name, dims))
+    code = run(["score", "--model", model, "--data", small_data, "--out", tmp_path / "s.csv"])
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "negative dimension" in err and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------------------
 # eval / compare / pancan
 
@@ -192,7 +299,7 @@ def test_eval_degenerate_cohort_diagnostic(tmp_path, capsys):
     fileio.write_scores_csv(tmp_path / "s.csv", {"a": 0.5, "b": 0.6})
     fileio.write_labels_csv(tmp_path / "l.csv", {"a": 1, "b": 1})
     code = run(["eval", "--scores", tmp_path / "s.csv", "--labels", tmp_path / "l.csv"])
-    assert code == 1
+    assert code == cli.EXIT_DATA
     assert "both classes" in capsys.readouterr().err
 
 
@@ -272,6 +379,8 @@ def write_csv(path, column, rows):
     pytest.param("eval", {"b": "nan"}, {}, [], {}, cli.EXIT_NUMERIC, id="eval-score-nan"),
     pytest.param("eval", {"a": "-inf"}, {}, [], {}, cli.EXIT_NUMERIC, id="eval-score-minus-inf"),
     pytest.param("compare", {"d": "inf"}, {}, [], {}, cli.EXIT_NUMERIC, id="compare-score-inf"),
+    pytest.param("compare", {"e": "0.5"}, {"e": "1"}, [], {}, cli.EXIT_DATA,
+                 id="compare-different-scans"),
     pytest.param("eval", {}, {}, ["--spec", "1.5"], {}, cli.EXIT_USAGE, id="eval-spec-above-one"),
     pytest.param("eval", {}, {}, ["--spec", "-0.1"], {}, cli.EXIT_USAGE, id="eval-spec-negative"),
     pytest.param("eval", {}, {}, ["--sens", "1.5"], {}, cli.EXIT_USAGE, id="eval-sens-above-one"),

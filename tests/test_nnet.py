@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from lungrisk import nnet, tensor as tz
 from lungrisk.errors import (
     ChecksumError,
     ConfigError,
+    FoldWorkerError,
     TruncatedFileError,
     VersionError,
     ZeroNoduleWarning,
@@ -300,6 +303,53 @@ def test_kfold_train_sizes_and_determinism():
     for m1, m2 in zip(ens.members, ens2.members):
         for name, tns in m1.params.learnable().items():
             np.testing.assert_array_equal(tns.data, m2.params.learnable()[name].data)
+
+
+def test_kfold_members_come_back_in_fold_order():
+    # five folds on fewer workers: member i holds the model of job i, which
+    # training in this process reproduces (up to BLAS summation order here)
+    rng = np.random.default_rng(6)
+    data = tiny_dataset(rng, n=10)
+    config = nnet.NNetConfig(dropout_rate=0.25, epochs=2, batch_size=4, seed=7)
+    ens = nnet.kfold_train(config, data, k=5)
+    seeds = np.random.SeedSequence(config.seed).generate_state(6)
+    folds = nnet.stratified_folds([ex.label for ex in data], 5, np.random.default_rng(seeds[5]))
+    for i, (member, holdout) in enumerate(zip(ens.members, folds)):
+        train_set = [ex for j, ex in enumerate(data) if j not in set(holdout.tolist())]
+        ref = nnet.train(replace(config, seed=int(seeds[i])), train_set)
+        np.testing.assert_array_equal(member.metadata_stats.mean, ref.metadata_stats.mean)
+        np.testing.assert_allclose(member.loss_history, ref.loss_history, rtol=1e-12)
+        assert all(t.grad is None for t in member.params.learnable().values())
+
+
+def test_kfold_one_fold_trains_on_everything_with_the_config_seed():
+    rng = np.random.default_rng(7)
+    data = tiny_dataset(rng, n=6)
+    config = nnet.NNetConfig(dropout_rate=0.0, epochs=2, batch_size=4, seed=8)
+    (member,) = nnet.kfold_train(config, data, k=1).members
+    ref = nnet.train(config, data)
+    np.testing.assert_allclose(member.loss_history, ref.loss_history, rtol=1e-12)
+
+
+def test_kfold_fold_error_keeps_its_class():
+    # one positive: fold 0 holds it, so fold 0 trains on negatives alone
+    rng = np.random.default_rng(8)
+    data = [ex for ex in tiny_dataset(rng, n=10) if ex.label == 0 or ex.scan_id == "s1"]
+    with pytest.raises(ConfigError, match="both classes"):
+        nnet.kfold_train(nnet.NNetConfig(epochs=1), data, k=2)
+
+
+@pytest.mark.parametrize("entry, expected", [
+    ("import os; os._exit(3)", "exited with status 3 before returning"),
+    ("import os, pickle, sys; pickle.load(sys.stdin.buffer); os._exit(4)",
+     "exited with status 4 before returning fold 0"),
+    ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)", "killed by signal 9"),
+], ids=["at-start", "after-the-dataset", "killed"])
+def test_kfold_worker_death_raises_fold_worker_error(entry, expected, monkeypatch):
+    monkeypatch.setattr(nnet, "_WORKER_ENTRY", entry)
+    rng = np.random.default_rng(9)
+    with pytest.raises(FoldWorkerError, match=expected):
+        nnet.kfold_train(nnet.NNetConfig(epochs=1), tiny_dataset(rng, n=6), k=3)
 
 
 def test_kfold_too_few_examples():

@@ -142,6 +142,26 @@ def test_bn_empty_batch_raises():
         T.batch_norm(t(np.zeros((0, 2))), bn, "train")
 
 
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_bn_single_map_matches_batch_of_one(mode):
+    # a channel-first (C,H,W) map normalizes as the (1,C,H,W) batch holding it
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(4, 3, 5))
+    labels = rng.integers(0, 2, size=x.shape).astype(float)
+    runs = []
+    for data in (x, x[None]):
+        bn = make_bn(4)
+        bn.running_mean[:] = [0.1, -0.2, 0.3, 0.0]
+        bn.running_var[:] = [1.0, 2.0, 0.5, 3.0]
+        xt = t(data)
+        out = T.batch_norm(xt, bn, mode)
+        T.backward(_bce_head(out, labels.reshape(data.shape)))
+        runs.append((out.data.reshape(x.shape), xt.grad.reshape(x.shape), bn.gamma.grad,
+                     bn.beta.grad, bn.running_mean, bn.running_var))
+    for single, batched in zip(*runs):
+        np.testing.assert_array_equal(single, batched)
+
+
 def test_bn_infer_deterministic():
     bn = make_bn(4)
     bn.running_mean[:] = [0.1, -0.2, 0.3, 0.0]
@@ -363,6 +383,23 @@ def test_gradcheck_conv():
     b = t(rng.uniform(-1, 1, size=3))
     labels = rng.integers(0, 2, size=(3, 4, 5)).astype(float)
     _gradcheck(lambda: _bce_head(T.conv2d_same(x, k, b), labels), {"x": x, "k": k, "b": b})
+
+
+def test_conv_input_without_requires_grad_gets_no_gradient():
+    # kernel and bias gradients do not depend on whether dx is computed
+    rng = np.random.default_rng(13)
+    xd = rng.uniform(-1, 1, size=(3, 2, 5, 5))
+    kd = rng.uniform(-1, 1, size=(4, 2, 3, 3))
+    bd = rng.uniform(-1, 1, size=4)
+    labels = rng.integers(0, 2, size=(3, 4, 5, 5)).astype(float)
+    grads = {}
+    for requires_grad in (True, False):
+        x, k, b = T.Tensor(xd, requires_grad=requires_grad), t(kd), t(bd)
+        T.backward(_bce_head(T.conv2d_same(x, k, b), labels))
+        grads[requires_grad] = (x.grad, k.grad, b.grad)
+    assert grads[True][0] is not None and grads[False][0] is None
+    np.testing.assert_array_equal(grads[False][1], grads[True][1])
+    np.testing.assert_array_equal(grads[False][2], grads[True][2])
 
 
 def test_gradcheck_bn_train():
