@@ -32,16 +32,16 @@ print("loss: epoch 0:", round(history[0], 4),
 # and one batch-invariant pass scores the whole bag
 params, stats = result.params, result.metadata_stats
 bag = [examples[1].patches[0], examples[0].patches[0], examples[3].patches[0]]
-planes = np.stack([p.planes for p in bag])
+planes = np.stack([p.planes for p in bag], axis=1)     # channel-major (3, P, 28, 28)
 meta = stats.standardize(np.stack([p.metadata for p in bag]))
 
 
 def bag_risk(planes, meta):
-    segments = np.zeros(len(planes), dtype=np.int64)
+    segments = np.zeros(planes.shape[1], dtype=np.int64)
     return float(nnet.score_bags(params, planes, meta, segments, 1, "infer").data[0])
 
 
-singles = [bag_risk(planes[i:i + 1], meta[i:i + 1]) for i in range(len(bag))]
+singles = [bag_risk(planes[:, i:i + 1], meta[i:i + 1]) for i in range(len(bag))]
 risk = bag_risk(planes, meta)
 print("branch scores one at a time:", [round(s, 4) for s in singles])
 print("bag risk in one pass:", round(risk, 4), " exactly their max:", risk == max(singles))

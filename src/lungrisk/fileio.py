@@ -62,16 +62,31 @@ def read_volume_pair(header_path) -> Volume:
             continue
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
-    try:
-        if int(fields["NDims"]) != 3:
-            raise FormatError(f"expected NDims = 3 in {header_path}")
-        dims = tuple(int(x) for x in fields["DimSize"].split())
-        spacing = tuple(float(x) for x in fields["ElementSpacing"].split())
-        origin = tuple(float(x) for x in fields["Offset"].split())
-        element_type = fields["ElementType"]
-        data_file = fields["ElementDataFile"]
-    except KeyError as missing:
-        raise FormatError(f"volume header {header_path} lacks key {missing}") from None
+
+    def field(key):
+        if key not in fields:
+            raise FormatError(f"volume header {header_path} lacks key {key!r}")
+        return fields[key]
+
+    def numbers(key, kind, count=3):
+        try:
+            values = tuple(kind(x) for x in field(key).split())
+        except ValueError:
+            values = ()
+        if len(values) != count:
+            raise FormatError(f"{key} in {header_path} must be {count} number(s), "
+                              f"got {fields[key]!r}")
+        return values
+
+    if numbers("NDims", int, 1) != (3,):
+        raise FormatError(f"expected NDims = 3 in {header_path}")
+    dims = numbers("DimSize", int)
+    if min(dims) < 0:
+        raise FormatError(f"DimSize in {header_path} has a negative dimension {dims}")
+    spacing = numbers("ElementSpacing", float)
+    origin = numbers("Offset", float)
+    element_type = field("ElementType")
+    data_file = field("ElementDataFile")
     if element_type not in _ELEMENT_TYPES:
         raise FormatError(f"unsupported element type {element_type!r} in {header_path}")
     dtype = _ELEMENT_TYPES[element_type]
@@ -100,6 +115,8 @@ def read_volume_compact(path) -> Volume:
     magic, nx, ny, nz, sx, sy, sz, ox, oy, oz = _COMPACT_HEADER.unpack_from(blob)
     if magic != COMPACT_MAGIC:
         raise FormatError(f"{path} does not carry the LRVOL1 magic")
+    if min(nx, ny, nz) < 0:
+        raise FormatError(f"{path} has a negative dimension {(nx, ny, nz)}")
     expected = _COMPACT_HEADER.size + 2 * nx * ny * nz
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(blob)}")

@@ -25,6 +25,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import warnings
 import zlib
 from dataclasses import dataclass, field, replace
@@ -167,14 +168,17 @@ def init_params(config: NNetConfig, rng: np.random.Generator | None = None) -> N
 def _forward_patch_batch(params: NNetParams, planes: np.ndarray, metadata: np.ndarray,
                          mode: str, rng: np.random.Generator | None = None,
                          trace: list | None = None) -> tz.Tensor:
-    """Branch scores for a (P,3,28,28) patch stack; returns a (P,) tensor."""
+    """Branch scores for a channel-major (3,P,28,28) patch stack; returns a
+    (P,) tensor. Feature maps stay channel-major, (8,P,28,28), up to flatten."""
     p = params.tensors
     bn = params.bn
     rate = params.dropout_rate
 
     def record(name, t):
+        # one patch's shape: drop the patch axis, 1 in a (C,P,H,W) map, else 0
         if trace is not None:
-            trace.append((name, tuple(t.data.shape[1:])))
+            shape = t.data.shape
+            trace.append((name, shape[:1] + shape[2:] if len(shape) == 4 else shape[1:]))
         return t
 
     x = tz.Tensor(planes, requires_grad=False)
@@ -213,6 +217,7 @@ def score_bags(params: NNetParams, planes: np.ndarray, metadata: np.ndarray,
                segments: np.ndarray, n_bags: int, mode: str,
                rng: np.random.Generator | None = None) -> tz.Tensor:
     """Risk of each bag: the max branch score over the patches of its segment.
+    `planes` is a channel-major (3,P,28,28) stack, as `_gather_batch` builds.
 
     Train and inference share this path. In infer mode every layer scores a
     patch independently of the rest of the batch, so a bag's risk is
@@ -254,8 +259,9 @@ class TrainResult:
 def _gather_batch(examples: list[ScanExample], meta_rows: list[np.ndarray],
                   mode: str, rng, projection: str):
     """Stack the unmasked patches (which lead each patch list) of a batch of
-    scans; returns planes, metadata, segment ids and labels, or None when
-    every scan is all-masked. Train mode re-crops from the stored cubes."""
+    scans; returns channel-major (3,P,28,28) planes, metadata, segment ids
+    and labels, or None when every scan is all-masked. Train mode re-crops
+    from the stored cubes."""
     planes, meta, segments, labels = [], [], [], []
     scan_slot = 0
     for ex, rows in zip(examples, meta_rows):
@@ -274,7 +280,7 @@ def _gather_batch(examples: list[ScanExample], meta_rows: list[np.ndarray],
         scan_slot += 1
     if scan_slot == 0:
         return None
-    return (np.stack(planes), np.concatenate(meta), np.asarray(segments),
+    return (np.stack(planes, axis=1), np.concatenate(meta), np.asarray(segments),
             np.asarray(labels, dtype=np.float64))
 
 
@@ -401,6 +407,12 @@ def kfold_train(config: NNetConfig, dataset: list[ScanExample], k: int = 5,
 
 _WORKER_ENTRY = "from lungrisk.nnet import _serve_folds; _serve_folds()"
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# glibc malloc keeps freed blocks below 64 MB on its heap and trims the heap
+# only past 128 MB, so a train step reuses the previous step's activation
+# buffers instead of mapping fresh pages. On one fold of the `train`
+# workload (51 scans, 84 steps, 2-core VM, glibc 2.36): 4.35 -> 4.08 s,
+# 220k -> 20k minor faults, 0.57 -> 0.07 s system time, peak RSS 247 -> 246 MB.
+_REUSE_FREED_MEMORY = {"MALLOC_MMAP_THRESHOLD_": "67108864", "MALLOC_TRIM_THRESHOLD_": "134217728"}
 
 
 def _usable_cpus() -> int:
@@ -412,7 +424,7 @@ def _usable_cpus() -> int:
 def _worker_env() -> dict[str, str]:
     package_root = str(Path(__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-    return {**os.environ, **_ONE_BLAS_THREAD, "PYTHONPATH": path}
+    return {**os.environ, **_ONE_BLAS_THREAD, **_REUSE_FREED_MEMORY, "PYTHONPATH": path}
 
 
 def _train_in_workers(dataset: list[ScanExample], jobs: list[tuple]) -> list[TrainResult]:
@@ -469,9 +481,9 @@ def _train_in_workers(dataset: list[ScanExample], jobs: list[tuple]) -> list[Tra
 
     try:
         for _ in range(min(len(jobs), _usable_cpus())):
-            workers.append(subprocess.Popen([sys.executable, "-c", _WORKER_ENTRY],
-                                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                            env=_worker_env()))
+            workers.append(subprocess.Popen(
+                [sys.executable, "-c", _WORKER_ENTRY, str(os.getpid())],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=_worker_env()))
         for worker in workers:
             threads.append(threading.Thread(target=drive, args=(worker,)))
             threads[-1].start()
@@ -493,11 +505,21 @@ def _train_in_workers(dataset: list[ScanExample], jobs: list[tuple]) -> list[Tra
     return results
 
 
+def _exit_when_orphaned(parent: int):
+    # A parent killed by a signal cannot stop its workers; they notice here.
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
 def _serve_folds():
     """Fold-worker entry: read the dataset from stdin, then answer each
     (config, holdout) job with (True, TrainResult) or (False, LungRiskError)
-    on stdout, until stdin ends."""
+    on stdout, until stdin ends. The worker ends within about half a second
+    of the death of its parent, whose pid is its first argument, and quietly
+    if a reply finds the parent gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent stops its workers
+    threading.Thread(target=_exit_when_orphaned, args=(int(sys.argv[1]),), daemon=True).start()
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)           # a stray print must not corrupt the replies
     requests = sys.stdin.buffer
@@ -515,8 +537,11 @@ def _serve_folds():
         else:
             result.params.zero_grad()
             reply = (True, result)
-        pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
-        replies.flush()
+        try:
+            pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
+            replies.flush()
+        except BrokenPipeError:
+            os._exit(1)     # the parent is gone
 
 
 def ensemble_predict(ensemble: FoldEnsemble, example: ScanExample) -> float:

@@ -4,7 +4,8 @@ Only the operations the risk network needs are provided: 3x3 same-padded
 convolution, batch normalization, dense layers, relu/sigmoid, inverted
 dropout, residual addition, flatten/concat, a per-segment max used for the
 multi-instance pooling, and binary cross-entropy. Everything runs in 64-bit
-floats on numpy arrays.
+floats on numpy arrays. Feature maps are channel-major: one map is (C,H,W)
+and a batch of N maps is (C,N,H,W), so each channel is one contiguous block.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
 
@@ -128,31 +129,46 @@ class AdamState:
 # forward/backward ops
 
 
+# Offsets of a 3x3 tap along one axis, as (destination slice, source
+# slice, border index left at zero) within a zero-padded "same" window.
+_TAP_SLICES = (
+    (slice(1, None), slice(None, -1), 0),
+    (slice(None), slice(None), None),
+    (slice(None, -1), slice(1, None), -1),
+)
+
+
 def _im2col(arr: np.ndarray) -> np.ndarray:
-    """(N,C,H,W) -> (C*9, N*H*W) columns of all 3x3 taps over a zero-padded
-    input, filled tap by tap so every copy runs over long contiguous spans."""
-    n, c, h, w = arr.shape
-    padded = np.pad(arr, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    """(C,N,H,W) -> (C*9, N*H*W) columns of all 3x3 taps over a zero-padded
+    input. Each tap block is one slice assignment of the shifted input plus
+    its zeroed border row and column, so no padded copy or transpose is made."""
+    c, n, h, w = arr.shape
     cols = np.empty((c, 3, 3, n, h, w))
-    for i in range(3):
-        for j in range(3):
-            cols[:, i, j] = padded[:, :, i:i + h, j:j + w].transpose(1, 0, 2, 3)
+    for i, (dst_i, src_i, edge_i) in enumerate(_TAP_SLICES):
+        for j, (dst_j, src_j, edge_j) in enumerate(_TAP_SLICES):
+            tap = cols[:, i, j]
+            tap[:, :, dst_i, dst_j] = arr[:, :, src_i, src_j]
+            if edge_i is not None:
+                tap[:, :, edge_i] = 0.0
+            if edge_j is not None:
+                tap[:, :, :, edge_j] = 0.0
     return cols.reshape(c * 9, n * h * w)
 
 
 def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1 ("same" spatial size).
 
-    `x` is (C,H,W) or batched (N,C,H,W); `kernels` is (O,C,3,3), `bias` (O,).
+    `x` is one (C,H,W) map or a channel-major (C,N,H,W) batch; `kernels` is
+    (O,C,3,3), `bias` (O,). The output has the input's layout with O channels.
     """
     single = x.data.ndim == 3
-    xd = x.data[None] if single else x.data
+    xd = x.data[:, None] if single else x.data
     if xd.ndim != 4:
-        raise DimensionError(f"conv input must be (C,H,W) or (N,C,H,W), got {x.shape}")
+        raise DimensionError(f"conv input must be (C,H,W) or (C,N,H,W), got {x.shape}")
     k = kernels.data
     if k.ndim != 4 or k.shape[2:] != (3, 3):
         raise DimensionError(f"kernels must be (O,C,3,3), got {kernels.shape}")
-    n, c, h, w = xd.shape
+    c, n, h, w = xd.shape
     o = k.shape[0]
     if k.shape[1] != c:
         raise DimensionError(f"kernel channels {k.shape[1]} != input channels {c}")
@@ -162,33 +178,29 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     cols = _im2col(xd)                              # (C*9, NHW)
     out2d = k.reshape(o, c * 9) @ cols
     out2d += bias.data[:, None]
-    out = out2d.reshape(o, n, h, w).transpose(1, 0, 2, 3)
-    out = out[0] if single else out
+    out = out2d.reshape((o,) + x.data.shape[1:])
 
     def backward(g):
-        gd = g[None] if single else g
-        gmat = gd.transpose(1, 0, 2, 3).reshape(o, n * h * w)
+        gmat = g.reshape(o, n * h * w)
         kernels.accumulate((gmat @ cols.T).reshape(o, c, 3, 3))
-        bias.accumulate(gd.sum(axis=(0, 2, 3)))
+        bias.accumulate(gmat.sum(axis=1))
         if not x.requires_grad:
             return
-        gcols = _im2col(gd)                         # (O*9, NHW)
+        gcols = _im2col(gmat.reshape(o, n, h, w))   # (O*9, NHW)
         kflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * 9)
-        dx = (kflip @ gcols).reshape(c, n, h, w).transpose(1, 0, 2, 3)
-        x.accumulate(dx[0] if single else dx)
+        x.accumulate((kflip @ gcols).reshape(x.data.shape))
 
     return Tensor(out, parents=(x, kernels, bias), backward=backward)
 
 
 def _bn_axes(shape, channels):
-    # Channel axis is 1 for feature maps (N,C,H,W), 0 for a single map
-    # (C,H,W), and the last axis for flat (N,F) activations.
-    if len(shape) == 4 and shape[1] == channels:
-        return (0, 2, 3), (1, channels, 1, 1), "nchw"
-    if len(shape) == 3 and shape[0] == channels:
-        return (1, 2), (channels, 1, 1), "chw"
+    # A feature map, one (C,H,W) map or a channel-major (C,N,H,W) batch, is
+    # viewed as (C, M) with each channel's values in one contiguous row;
+    # flat (N,F) activations keep their channels on the last axis.
+    if len(shape) in (3, 4) and shape[0] == channels:
+        return (channels, -1), (channels, 1), "cm"
     if len(shape) == 2 and shape[1] == channels:
-        return (0,), (1, channels), "nc"
+        return shape, (1, channels), "mc"
     raise DimensionError(f"cannot batch-normalize shape {shape} with {channels} channels")
 
 
@@ -196,30 +208,33 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
     """Normalize per channel; train mode uses batch stats and updates the EMA."""
     _check_mode(mode)
     channels = state.gamma.size
-    axes, bshape, layout = _bn_axes(x.data.shape, channels)
+    view, bshape, layout = _bn_axes(x.data.shape, channels)
+    shape = x.data.shape
+    xd = x.data.reshape(view)
     gamma, beta = state.gamma, state.beta
     dot = f"{layout},{layout}->c"   # fused per-channel reductions
     red = f"{layout}->c"
 
     if mode == "infer":
         inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
-        xhat = (x.data - state.running_mean.reshape(bshape)) * inv.reshape(bshape)
+        xhat = (xd - state.running_mean.reshape(bshape)) * inv.reshape(bshape)
         out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
 
         def backward_infer(g):
+            g = g.reshape(view)
             gamma.accumulate(np.einsum(dot, g, xhat))
             beta.accumulate(np.einsum(red, g))
-            x.accumulate(g * (gamma.data * inv).reshape(bshape))
+            x.accumulate((g * (gamma.data * inv).reshape(bshape)).reshape(shape))
 
-        return Tensor(out, parents=(x, gamma, beta), backward=backward_infer)
+        return Tensor(out.reshape(shape), parents=(x, gamma, beta), backward=backward_infer)
 
-    m = int(np.prod([x.data.shape[a] for a in axes]))
+    m = xd.size // channels
     if m == 0:
         raise InvalidBatchError("batch normalization over an empty batch")
-    mu = np.einsum(red, x.data) / m
-    var = np.maximum(np.einsum(dot, x.data, x.data) / m - mu * mu, 0.0)
+    mu = np.einsum(red, xd) / m
+    var = np.maximum(np.einsum(dot, xd, xd) / m - mu * mu, 0.0)
     inv = 1.0 / np.sqrt(var + state.epsilon)
-    xc = x.data - mu.reshape(bshape)
+    xc = xd - mu.reshape(bshape)
     xhat = xc * inv.reshape(bshape)
     out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
 
@@ -229,6 +244,7 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
     state.running_var += (1.0 - state.momentum) * var
 
     def backward_train(g):
+        g = g.reshape(view)
         gamma.accumulate(np.einsum(dot, g, xhat))
         beta.accumulate(np.einsum(red, g))
         gxhat = g * gamma.data.reshape(bshape)
@@ -237,9 +253,9 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
         dx = gxhat * inv.reshape(bshape)
         dx += dvar.reshape(bshape) * (2.0 / m) * xc
         dx += dmu.reshape(bshape) / m
-        x.accumulate(dx)
+        x.accumulate(dx.reshape(shape))
 
-    return Tensor(out, parents=(x, gamma, beta), backward=backward_train)
+    return Tensor(out.reshape(shape), parents=(x, gamma, beta), backward=backward_train)
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -298,7 +314,11 @@ def _sigmoid_raw(z):
 
 
 def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: train-time zeroing with 1/(1-rate) rescale, identity at inference."""
+    """Inverted dropout: train-time zeroing with 1/(1-rate) rescale, identity at inference.
+
+    The mask of a channel-major (C,N,H,W) batch is drawn in patch-major
+    (N,C,H,W) order, so each patch's draws follow one another.
+    """
     _check_mode(mode)
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must lie in [0,1), got {rate}")
@@ -306,7 +326,11 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator | None =
         return x
     if rng is None:
         raise ConfigError("train-mode dropout needs an rng")
-    keep = rng.random(x.data.shape) >= rate
+    if x.data.ndim == 4:
+        c, n, h, w = x.data.shape
+        keep = np.ascontiguousarray((rng.random((n, c, h, w)) >= rate).transpose(1, 0, 2, 3))
+    else:
+        keep = rng.random(x.data.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     out = np.where(keep, x.data * scale, 0.0)
 
@@ -329,12 +353,19 @@ def residual_add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def flatten(x: Tensor) -> Tensor:
-    """Collapse all but the leading batch axis; 1-D stays 1-D."""
+    """Collapse all but the leading batch axis; 1-D stays 1-D. A channel-major
+    (C,N,H,W) batch becomes (N, C*H*W) rows, one patch's (C,H,W) map each."""
     shape = x.data.shape
-    out = x.data.reshape(shape[0], -1) if x.data.ndim > 1 else x.data
+    if x.data.ndim == 4:
+        out = x.data.transpose(1, 0, 2, 3).reshape(shape[1], -1)
+    else:
+        out = x.data.reshape(shape[0], -1) if x.data.ndim > 1 else x.data
 
     def backward(g):
-        x.accumulate(g.reshape(shape))
+        if len(shape) == 4:
+            x.accumulate(g.reshape(shape[1], shape[0], *shape[2:]).transpose(1, 0, 2, 3))
+        else:
+            x.accumulate(g.reshape(shape))
 
     return Tensor(out, parents=(x,), backward=backward)
 
@@ -453,29 +484,58 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
     return {name: t.grad for name, t in params.items()}
 
 
+# Adam walks each parameter in chunks of this many elements, small enough
+# that a chunk and its two scratch rows stay in cache.
+_ADAM_CHUNK = 8192
+
+
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; mutates `params` arrays in place."""
+    """One bias-corrected Adam update; mutates the (C-contiguous) `params`
+    arrays in place.
+
+    Each parameter is updated chunk by chunk through two scratch rows, with
+    the operations of
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
+    in that order, so the result has the bits of the whole-array expression
+    without its array-sized temporaries.
+    """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    row_a, row_b = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise DimensionError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
+        if not p.flags["C_CONTIGUOUS"]:
+            raise DimensionError(f"parameter {name!r} is not C-contiguous")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
         if name not in state.first_moment:
             state.first_moment[name] = np.zeros_like(p)
             state.second_moment[name] = np.zeros_like(p)
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        flat = [a.reshape(-1) for a in (p, g, state.first_moment[name], state.second_moment[name])]
+        for lo in range(0, p.size, _ADAM_CHUNK):
+            pc, gc, mc, vc = (a[lo:lo + _ADAM_CHUNK] for a in flat)
+            sa, sb = row_a[:pc.size], row_b[:pc.size]
+            np.multiply(gc, 1.0 - b1, out=sa)
+            mc *= b1
+            mc += sa
+            np.multiply(gc, gc, out=sa)
+            sa *= 1.0 - b2
+            vc *= b2
+            vc += sa
+            np.divide(mc, bc1, out=sa)
+            sa *= lr
+            np.divide(vc, bc2, out=sb)
+            np.sqrt(sb, out=sb)
+            sb += eps
+            sa /= sb
+            pc -= sa
     return params, state
 
 

@@ -87,7 +87,8 @@ def test_c1_gradient_correctness():
     # full network instances (8 of the 20), dropout disabled
     for i in range(8):
         params = nnet.init_params(nnet.NNetConfig(dropout_rate=0.0, seed=100 + i))
-        planes = rng.uniform(0, 1, size=(3, 3, 28, 28))
+        # three (3,28,28) patches, stacked channel-major
+        planes = rng.uniform(0, 1, size=(3, 3, 28, 28)).transpose(1, 0, 2, 3)
         meta = rng.normal(size=(3, 5))
         segments = np.array([0, 0, 1])
         labels = np.array([1.0, 0.0])
@@ -112,7 +113,7 @@ def test_c1_gradient_correctness():
 
 def _branch_score(params, patch):
     segments = np.zeros(1, dtype=np.int64)
-    return float(nnet.score_bags(params, patch.planes[None], patch.metadata[None],
+    return float(nnet.score_bags(params, patch.planes[:, None], patch.metadata[None],
                                  segments, 1, "infer").data[0])
 
 
@@ -120,7 +121,7 @@ def test_c2_architecture_conformance():
     for metadata_dim in (5, 6):
         params = nnet.init_params(nnet.NNetConfig(metadata_dim=metadata_dim, seed=0))
         rng = np.random.default_rng(0)
-        planes = rng.random((1, 3, 28, 28))
+        planes = rng.random((3, 1, 28, 28))
         meta = rng.normal(size=(1, metadata_dim))
         trace = []
         nnet._forward_patch_batch(params, planes, meta, "infer", trace=trace)

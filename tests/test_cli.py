@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
 import zlib
 from pathlib import Path
 
@@ -161,6 +164,55 @@ def test_train_bytes_do_not_depend_on_blas_threads_or_cpus(small_data, tmp_path)
                                   "resolved_config.txt", "training_loss.csv"]
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+def _children(pid):
+    try:
+        return [int(c) for c in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+    except FileNotFoundError:
+        return []
+
+
+def _alive(pid):
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="needs /proc/<pid>/task/<pid>/children")
+def test_train_workers_die_with_a_killed_parent(small_data, tmp_path):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    with open(tmp_path / "stderr", "w") as err:
+        parent = subprocess.Popen([sys.executable, "-c", TRAIN_CHILD, "all", "train", "--data",
+                                   str(small_data), "--folds", "2", "--epochs", "1000",
+                                   "--seed", "1", "--out", str(tmp_path / "m")],
+                                  env=env, stdout=subprocess.DEVNULL, stderr=err)
+    workers = []
+    try:
+        deadline = time.monotonic() + 120
+        while not workers and parent.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.1)
+            workers = _children(parent.pid)
+        assert workers, "train started no fold workers"
+        time.sleep(1.0)             # let the workers get into training
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_alive, workers))
+    finally:
+        parent.kill()
+        parent.wait()
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+    assert "Traceback" not in (tmp_path / "stderr").read_text()
 
 
 def test_train_config_file_with_flag_override(small_data, tmp_path):
@@ -366,30 +418,50 @@ GOOD_SCORES = {"a": "0.2", "b": "0.7", "c": "0.4", "d": "0.9"}
 GOOD_LABELS = {"a": "0", "b": "1", "c": "0", "d": "1"}
 
 
+# dims (-2, -1, 1) claim 2 voxels, which the 4 payload bytes match
+LRVOL_NEGATIVE_DIMS = struct.pack("<8s3i6d4x", b"LRVOL1\0\0", -2, -1, 1,
+                                  1.0, 1.0, 1.0, 0.0, 0.0, 0.0) + bytes(4)
+MHD_WORDY_NDIMS = (b"NDims = three\nDimSize = 2 2 2\nElementSpacing = 1 1 1\nOffset = 0 0 0\n"
+                   b"ElementType = MET_SHORT\nElementDataFile = v0.raw\n")
+
+
 def write_csv(path, column, rows):
     path.write_text(f"scan_id,{column}\n" + "".join(f"{k},{v}\n" for k, v in rows.items()))
     return path
 
 
-@pytest.mark.parametrize("command, bad_scores, bad_labels, flags, env, expected", [
-    pytest.param("eval", {}, {"b": "x"}, [], {}, cli.EXIT_IO, id="eval-label-not-integer"),
-    pytest.param("compare", {}, {"c": "0.5"}, [], {}, cli.EXIT_IO,
+@pytest.mark.parametrize("command, bad_scores, bad_labels, flags, env, volume, expected", [
+    pytest.param("eval", {}, {"b": "x"}, [], {}, None, cli.EXIT_IO,
+                 id="eval-label-not-integer"),
+    pytest.param("compare", {}, {"c": "0.5"}, [], {}, None, cli.EXIT_IO,
                  id="compare-label-not-integer"),
-    pytest.param("eval", {"b": "high"}, {}, [], {}, cli.EXIT_IO, id="eval-score-not-number"),
-    pytest.param("eval", {"b": "nan"}, {}, [], {}, cli.EXIT_NUMERIC, id="eval-score-nan"),
-    pytest.param("eval", {"a": "-inf"}, {}, [], {}, cli.EXIT_NUMERIC, id="eval-score-minus-inf"),
-    pytest.param("compare", {"d": "inf"}, {}, [], {}, cli.EXIT_NUMERIC, id="compare-score-inf"),
-    pytest.param("compare", {"e": "0.5"}, {"e": "1"}, [], {}, cli.EXIT_DATA,
+    pytest.param("eval", {"b": "high"}, {}, [], {}, None, cli.EXIT_IO,
+                 id="eval-score-not-number"),
+    pytest.param("eval", {"b": "nan"}, {}, [], {}, None, cli.EXIT_NUMERIC, id="eval-score-nan"),
+    pytest.param("eval", {"a": "-inf"}, {}, [], {}, None, cli.EXIT_NUMERIC,
+                 id="eval-score-minus-inf"),
+    pytest.param("compare", {"d": "inf"}, {}, [], {}, None, cli.EXIT_NUMERIC,
+                 id="compare-score-inf"),
+    pytest.param("compare", {"e": "0.5"}, {"e": "1"}, [], {}, None, cli.EXIT_DATA,
                  id="compare-different-scans"),
-    pytest.param("eval", {}, {}, ["--spec", "1.5"], {}, cli.EXIT_USAGE, id="eval-spec-above-one"),
-    pytest.param("eval", {}, {}, ["--spec", "-0.1"], {}, cli.EXIT_USAGE, id="eval-spec-negative"),
-    pytest.param("eval", {}, {}, ["--sens", "1.5"], {}, cli.EXIT_USAGE, id="eval-sens-above-one"),
-    pytest.param("eval", {}, {}, ["--sens", "nan"], {}, cli.EXIT_USAGE, id="eval-sens-nan"),
-    pytest.param("score", {}, {}, [], {"LUNGRISK_THREADS": "two"}, cli.EXIT_USAGE,
+    pytest.param("eval", {}, {}, ["--spec", "1.5"], {}, None, cli.EXIT_USAGE,
+                 id="eval-spec-above-one"),
+    pytest.param("eval", {}, {}, ["--spec", "-0.1"], {}, None, cli.EXIT_USAGE,
+                 id="eval-spec-negative"),
+    pytest.param("eval", {}, {}, ["--sens", "1.5"], {}, None, cli.EXIT_USAGE,
+                 id="eval-sens-above-one"),
+    pytest.param("eval", {}, {}, ["--sens", "nan"], {}, None, cli.EXIT_USAGE,
+                 id="eval-sens-nan"),
+    pytest.param("score", {}, {}, [], {"LUNGRISK_THREADS": "two"}, None, cli.EXIT_USAGE,
                  id="score-threads-not-integer"),
+    pytest.param("score", {}, {}, [], {}, ("v0.lrvol", LRVOL_NEGATIVE_DIMS), cli.EXIT_IO,
+                 id="score-lrvol-negative-dims"),
+    pytest.param("score", {}, {}, [], {}, ("v0.mhd", MHD_WORDY_NDIMS), cli.EXIT_IO,
+                 id="score-mhd-ndims-not-a-number"),
 ])
 def test_bad_input_exits_with_documented_code(command, bad_scores, bad_labels, flags, env,
-                                              expected, tmp_path, monkeypatch, capsys, request):
+                                              volume, expected, tmp_path, monkeypatch, capsys,
+                                              request):
     scores = write_csv(tmp_path / "scores.csv", "score", {**GOOD_SCORES, **bad_scores})
     labels = write_csv(tmp_path / "labels.csv", "label", {**GOOD_LABELS, **bad_labels})
     if command == "eval":
@@ -399,8 +471,19 @@ def test_bad_input_exits_with_documented_code(command, bad_scores, bad_labels, f
         argv = ["compare", "--a", scores, "--b", other, "--labels", labels,
                 "--perms", 10, "--seed", 0]
     else:
+        data = request.getfixturevalue("small_data")
+        if volume is not None:
+            # one scan, one candidate, and a volume file whose header is malformed
+            data = tmp_path / "data"
+            (data / "volumes").mkdir(parents=True)
+            name, content = volume
+            (data / "volumes" / name).write_bytes(content)
+            (data / "volumes" / "v0.raw").write_bytes(bytes(16))
+            write_csv(data / "labels.csv", "label", {"v0": "1"})
+            (data / "candidates.csv").write_text(
+                "scan_id,x_mm,y_mm,z_mm,radius_mm,confidence\nv0,1.0,1.0,1.0,2.0,0.9\n")
         argv = ["score", "--model", request.getfixturevalue("small_model"),
-                "--data", request.getfixturevalue("small_data"), "--out", tmp_path / "out.csv"]
+                "--data", data, "--out", tmp_path / "out.csv"]
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     assert run(argv + flags) == expected

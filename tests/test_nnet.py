@@ -74,7 +74,7 @@ IDENTITY_STATS = MetadataStats(mean=np.zeros(5), std=np.ones(5))
 
 def bag_risk(p, patches):
     """Infer-mode risk of one bag, all patches scored in one call."""
-    planes = np.stack([patch.planes for patch in patches])
+    planes = np.stack([patch.planes for patch in patches], axis=1)
     meta = np.stack([patch.metadata for patch in patches])
     segments = np.zeros(len(patches), dtype=np.int64)
     return float(nnet.score_bags(p, planes, meta, segments, 1, "infer").data[0])
@@ -138,7 +138,7 @@ def test_score_bags_scores_each_bag_independently():
     p = small_params(10)
     bags = [[random_patch(rng) for _ in range(n)] for n in (3, 1, 5)]
     flat = [patch for bag in bags for patch in bag]
-    planes = np.stack([patch.planes for patch in flat])
+    planes = np.stack([patch.planes for patch in flat], axis=1)
     meta = np.stack([patch.metadata for patch in flat])
     segments = np.repeat(np.arange(3), [3, 1, 5])
     risks = nnet.score_bags(p, planes, meta, segments, 3, "infer").data
@@ -194,7 +194,8 @@ def test_shape_trace_matches_manifest():
     p = small_params()
     patch = random_patch(np.random.default_rng(0))
     trace = []
-    nnet._forward_patch_batch(p, patch.planes[None], patch.metadata[None], "infer", trace=trace)
+    nnet._forward_patch_batch(p, patch.planes[:, None], patch.metadata[None], "infer",
+                              trace=trace)
     assert trace == nnet.shape_manifest(metadata_dim=5)
 
 
@@ -205,7 +206,8 @@ def test_shape_trace_matches_manifest():
 def test_full_network_gradient_check():
     rng = np.random.default_rng(10)
     p = small_params(11, dropout=0.0)
-    planes = rng.uniform(0, 1, size=(3, 3, 28, 28))
+    # three (3,28,28) patches, stacked channel-major
+    planes = rng.uniform(0, 1, size=(3, 3, 28, 28)).transpose(1, 0, 2, 3)
     meta = rng.normal(size=(3, 5))
     segments = np.array([0, 0, 1])
     labels = np.array([1.0, 0.0])
@@ -350,6 +352,14 @@ def test_kfold_worker_death_raises_fold_worker_error(entry, expected, monkeypatc
     rng = np.random.default_rng(9)
     with pytest.raises(FoldWorkerError, match=expected):
         nnet.kfold_train(nnet.NNetConfig(epochs=1), tiny_dataset(rng, n=6), k=3)
+
+
+def test_worker_env_sets_one_blas_thread_and_allocator_reuse():
+    env = nnet._worker_env()
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert env[key] == "1"
+    assert env["MALLOC_MMAP_THRESHOLD_"] == str(64 << 20)
+    assert env["MALLOC_TRIM_THRESHOLD_"] == str(128 << 20)
 
 
 def test_kfold_too_few_examples():

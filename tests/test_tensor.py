@@ -89,13 +89,31 @@ def test_conv_linearity(a, b):
 
 def test_conv_batched_matches_per_instance():
     rng = np.random.default_rng(9)
-    xb = rng.normal(size=(3, 2, 4, 4))
+    xb = rng.normal(size=(2, 3, 4, 4))          # channel-major: 2 channels, 3 maps
     k = t(rng.normal(size=(5, 2, 3, 3)))
     b = t(rng.normal(size=5))
     batched = T.conv2d_same(t(xb), k, b).data
     for i in range(3):
-        single = T.conv2d_same(t(xb[i]), k, b).data
-        np.testing.assert_array_equal(batched[i], single)
+        single = T.conv2d_same(t(xb[:, i]), k, b).data
+        np.testing.assert_array_equal(batched[:, i], single)
+
+
+def test_conv_and_infer_bn_on_channel_major_batch_match_single_maps():
+    # N == C: the shape alone cannot tell the channel axis from the patch axis
+    rng = np.random.default_rng(21)
+    xb = rng.normal(size=(4, 4, 6, 5))          # (C, N, H, W)
+    k = t(rng.normal(size=(4, 4, 3, 3)))
+    b = t(rng.normal(size=4))
+    bn = T.BatchNormState.create(4)
+    bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=4)
+    bn.beta.data[:] = rng.normal(size=4)
+    bn.running_mean[:] = rng.normal(size=4)
+    bn.running_var[:] = rng.uniform(0.5, 2.0, size=4)
+    conv = T.conv2d_same(t(xb), k, b).data
+    normed = T.batch_norm(t(xb), bn, "infer").data
+    for i in range(4):
+        np.testing.assert_array_equal(conv[:, i], T.conv2d_same(t(xb[:, i]), k, b).data)
+        np.testing.assert_array_equal(normed[:, i], T.batch_norm(t(xb[:, i]), bn, "infer").data)
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +162,12 @@ def test_bn_empty_batch_raises():
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_bn_single_map_matches_batch_of_one(mode):
-    # a channel-first (C,H,W) map normalizes as the (1,C,H,W) batch holding it
+    # a channel-first (C,H,W) map normalizes as the (C,1,H,W) batch holding it
     rng = np.random.default_rng(6)
     x = rng.normal(size=(4, 3, 5))
     labels = rng.integers(0, 2, size=x.shape).astype(float)
     runs = []
-    for data in (x, x[None]):
+    for data in (x, x[:, None]):
         bn = make_bn(4)
         bn.running_mean[:] = [0.1, -0.2, 0.3, 0.0]
         bn.running_var[:] = [1.0, 2.0, 0.5, 3.0]
@@ -166,7 +184,7 @@ def test_bn_infer_deterministic():
     bn = make_bn(4)
     bn.running_mean[:] = [0.1, -0.2, 0.3, 0.0]
     bn.running_var[:] = [1.0, 2.0, 0.5, 3.0]
-    x = np.random.default_rng(5).normal(size=(3, 4, 2, 2))
+    x = np.random.default_rng(5).normal(size=(4, 3, 2, 2))
     a = T.batch_norm(t(x), bn, "infer").data
     b = T.batch_norm(t(x), bn, "infer").data
     assert np.array_equal(a, b)
@@ -251,6 +269,18 @@ def test_dropout_monte_carlo_mean_preserved():
     samples = np.array([T.dropout(t([value]), 0.5, "train", rng).data[0] for _ in range(n)])
     se = samples.std(ddof=1) / np.sqrt(n)
     assert abs(samples.mean() - value) < 3.0 * se
+
+
+def test_dropout_on_channel_major_batch_keeps_the_patch_major_draws():
+    # every element is kept or zeroed as it is when the same data is laid
+    # out (N,C,H,W) and the mask drawn in that order
+    rng = np.random.default_rng(22)
+    patch_major = rng.normal(size=(4, 4, 3, 5))         # (N, C, H, W), N == C
+    x = t(np.ascontiguousarray(patch_major.transpose(1, 0, 2, 3)))
+    out = T.dropout(x, 0.4, "train", np.random.default_rng(5)).data.transpose(1, 0, 2, 3)
+    keep = np.random.default_rng(5).random(patch_major.shape) >= 0.4
+    assert 0 < keep.sum() < keep.size
+    np.testing.assert_array_equal(out, np.where(keep, patch_major * (1.0 / 0.6), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +393,24 @@ def test_adam_moments_decay_toward_zero():
     assert abs(state.first_moment["w"][0]) < m1
 
 
+@pytest.mark.parametrize("shape", [(1,), (8191,), (8192,), (8193,), (6272, 64)])
+def test_adam_chunks_equal_the_whole_array_expression(shape):
+    rng = np.random.default_rng(shape[0])
+    p = rng.normal(size=shape)
+    ref, m, v = p.copy(), np.zeros(shape), np.zeros(shape)
+    state = T.AdamState(learning_rate=1e-3)
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    for step in range(1, 4):
+        g = rng.normal(size=shape)
+        T.adam_step({"w": p}, {"w": g}, state)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        ref = ref - lr * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
+        np.testing.assert_array_equal(state.first_moment["w"], m)
+        np.testing.assert_array_equal(state.second_moment["w"], v)
+        np.testing.assert_array_equal(p, ref)
+
+
 # ---------------------------------------------------------------------------
 # gradient checks: every op against central finite differences (h=1e-5)
 
@@ -385,13 +433,26 @@ def test_gradcheck_conv():
     _gradcheck(lambda: _bce_head(T.conv2d_same(x, k, b), labels), {"x": x, "k": k, "b": b})
 
 
+def test_gradcheck_conv_and_bn_train_on_channel_major_batch():
+    rng = np.random.default_rng(23)
+    x = t(rng.uniform(-1, 1, size=(3, 3, 4, 4)))       # (C, N, H, W), N == C
+    k = t(rng.uniform(-1, 1, size=(3, 3, 3, 3)))
+    b = t(rng.uniform(-1, 1, size=3))
+    bn = make_bn(3)
+    bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=3)
+    bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=3)
+    labels = rng.integers(0, 2, size=(3, 3, 4, 4)).astype(float)
+    _gradcheck(lambda: _bce_head(T.batch_norm(T.conv2d_same(x, k, b), bn, "train"), labels),
+               {"x": x, "k": k, "b": b, "gamma": bn.gamma, "beta": bn.beta})
+
+
 def test_conv_input_without_requires_grad_gets_no_gradient():
     # kernel and bias gradients do not depend on whether dx is computed
     rng = np.random.default_rng(13)
-    xd = rng.uniform(-1, 1, size=(3, 2, 5, 5))
+    xd = rng.uniform(-1, 1, size=(2, 3, 5, 5))
     kd = rng.uniform(-1, 1, size=(4, 2, 3, 3))
     bd = rng.uniform(-1, 1, size=4)
-    labels = rng.integers(0, 2, size=(3, 4, 5, 5)).astype(float)
+    labels = rng.integers(0, 2, size=(4, 3, 5, 5)).astype(float)
     grads = {}
     for requires_grad in (True, False):
         x, k, b = T.Tensor(xd, requires_grad=requires_grad), t(kd), t(bd)
@@ -404,11 +465,11 @@ def test_conv_input_without_requires_grad_gets_no_gradient():
 
 def test_gradcheck_bn_train():
     rng = np.random.default_rng(12)
-    x = t(rng.uniform(-1, 1, size=(4, 3, 2, 2)))
+    x = t(rng.uniform(-1, 1, size=(3, 4, 2, 2)))
     bn = make_bn(3)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=3)
     bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=3)
-    labels = rng.integers(0, 2, size=(4, 3, 2, 2)).astype(float)
+    labels = rng.integers(0, 2, size=(3, 4, 2, 2)).astype(float)
     _gradcheck(lambda: _bce_head(T.batch_norm(x, bn, "train"), labels),
                {"x": x, "gamma": bn.gamma, "beta": bn.beta})
 
@@ -506,7 +567,7 @@ def test_gradcheck_skips_exactly_the_coordinates_that_straddle_a_kink():
 
 def test_ops_preserve_finiteness():
     rng = np.random.default_rng(20)
-    x = rng.uniform(-100, 100, size=(3, 2, 4, 4))
+    x = rng.uniform(-100, 100, size=(2, 3, 4, 4))
     k = rng.uniform(-10, 10, size=(5, 2, 3, 3))
     bn = make_bn(5)
     out = T.conv2d_same(t(x), t(k), t(rng.normal(size=5)))
