@@ -44,6 +44,6 @@ print("top-3 radii:", [c.radius_mm for c in chosen],
 
 example = pp.build_scan_example(iso, candidates, label=1, mode="train",
                                 rng=np.random.default_rng(7), scan_id="demo")
-print("scan example:", example.n_unmasked, "unmasked +",
-      10 - example.n_unmasked, "masked patches; planes",
+print("scan example:", len(example.patches), "nodule patches, radii",
+      [float(p.metadata[0]) for p in example.patches], "; planes",
       example.patches[0].planes.shape)

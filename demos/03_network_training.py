@@ -18,7 +18,6 @@ for i in range(8):
     planes = rng.random((3, 28, 28)) * 0.25 + 0.55 * label     # positives brighter
     meta = rng.normal(size=5) + np.r_[3.0 * label, np.zeros(4)]
     patches = [NodulePatch(planes=planes, metadata=meta)]
-    patches += [NodulePatch.empty(5) for _ in range(9)]
     examples.append(ScanExample(scan_id=f"toy{i}", patches=patches, label=label))
 
 config = nnet.NNetConfig(dropout_rate=0.0, epochs=300, batch_size=2, seed=3)
@@ -47,8 +46,7 @@ print("branch scores one at a time:", [round(s, 4) for s in singles])
 print("bag risk in one pass:", round(risk, 4), " exactly their max:", risk == max(singles))
 
 # scoring a scan goes through the same path, once per ensemble member
-scan = ScanExample(scan_id="bag", patches=bag + [NodulePatch.empty(5) for _ in range(7)],
-                   label=1)
+scan = ScanExample(scan_id="bag", patches=bag, label=1)
 ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, stats)])
 print("ensemble_predict gives the same risk:", nnet.ensemble_predict(ensemble, scan) == risk)
 

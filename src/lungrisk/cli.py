@@ -10,6 +10,7 @@ with identical arguments produce byte-identical primary outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -78,20 +79,24 @@ def _read_scan_list(path) -> list[str]:
     return ids
 
 
-def _build_examples(data_dir: Path, scan_ids: list[str], candidates, labels,
-                    mode: str, seed: int, metadata_dim: int, n_threads: int,
-                    allow_raw: bool = False):
+def _map_scans(fn, items, n_threads: int) -> list:
+    """[fn(x) for x in items], on n_threads threads when that is above 1."""
+    if n_threads == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def _build_examples(data_dir: Path, scan_ids: list[str], candidates, labels, mode: str,
+                    seed: int, metadata_dim: int, projection: str, n_threads: int):
     def build(scan_id):
         volume = _load_volume(data_dir, scan_id)
         return build_scan_example(
             volume, candidates.get(scan_id, []), labels.get(scan_id, 0), mode,
             rng=_scan_rng(seed, scan_id), metadata_dim=metadata_dim,
-            scan_id=scan_id, allow_raw_metadata=allow_raw)
+            projection=projection, scan_id=scan_id)
 
-    if n_threads == 1:
-        return [build(sid) for sid in scan_ids]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(build, scan_ids))
+    return _map_scans(build, scan_ids, n_threads)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +161,8 @@ def cmd_train(args) -> int:
     if missing:
         raise DataConsistencyError(f"scan list entries without labels: {missing}")
 
-    examples = _build_examples(data_dir, scan_ids, candidates, labels, "train",
-                               config.seed, config.metadata_dim, n_threads)
+    examples = _build_examples(data_dir, scan_ids, candidates, labels, "train", config.seed,
+                               config.metadata_dim, config.projection, n_threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ensemble = nnet.kfold_train(config, examples, k=args.folds)
@@ -167,10 +172,8 @@ def cmd_train(args) -> int:
         for fold, member in enumerate(ensemble.members):
             for epoch, loss in enumerate(member.loss_history):
                 fh.write(f"{fold},{epoch},{loss!r}\n")
-    resolved = "\n".join(f"{k}={getattr(config, k)}" for k in (
-        "dropout_rate", "metadata_dim", "learning_rate", "epochs", "batch_size",
-        "seed", "n_branches", "projection")) + f"\nfolds={args.folds}\n"
-    (out / "resolved_config.txt").write_text(resolved)
+    resolved = "".join(f"{k}={v}\n" for k, v in dataclasses.asdict(config).items())
+    (out / "resolved_config.txt").write_text(resolved + f"folds={args.folds}\n")
     print(f"trained {args.folds} fold(s) on {len(examples)} scans -> {out}")
     return 0
 
@@ -180,7 +183,6 @@ def cmd_score(args) -> int:
     model_dir = Path(args.model)
     data_dir = Path(args.data)
     ensemble = nnet.load_ensemble(model_dir)
-    metadata_dim = ensemble.members[0].params.metadata_dim
     candidates = fileio.read_candidates_csv(data_dir / "candidates.csv")
     if args.scans:
         scan_ids = _read_scan_list(args.scans)
@@ -189,13 +191,9 @@ def cmd_score(args) -> int:
         scan_ids = sorted(labels)
     for sid in scan_ids:
         _volume_path(data_dir, sid)  # fail fast with an explicit missing-volume error
-    examples = _build_examples(data_dir, scan_ids, candidates, {}, "infer",
-                               0, metadata_dim, n_threads, allow_raw=True)
-    if n_threads == 1:
-        risks = [nnet.ensemble_predict(ensemble, ex) for ex in examples]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            risks = list(pool.map(lambda ex: nnet.ensemble_predict(ensemble, ex), examples))
+    examples = _build_examples(data_dir, scan_ids, candidates, {}, "infer", 0,
+                               ensemble.metadata_dim, ensemble.projection, n_threads)
+    risks = _map_scans(lambda ex: nnet.ensemble_predict(ensemble, ex), examples, n_threads)
     scores = dict(zip(scan_ids, risks))
     fileio.write_scores_csv(args.out, scores)
     print(f"scored {len(scores)} scans -> {args.out}")

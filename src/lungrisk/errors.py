@@ -68,4 +68,4 @@ class FoldWorkerError(LungRiskError):
 
 
 class ZeroNoduleWarning(UserWarning):
-    """A scan with no unmasked nodules was scored with the 0.0 convention."""
+    """A scan without nodule patches was scored with the 0.0 convention."""

@@ -1,7 +1,8 @@
 """The deep-and-wide multi-instance risk network: build, train, persist, run.
 
-One shared convolutional/dense stack scores each of the ten nodule branches;
-the patient risk is the max over unmasked branch scores. Branch layout:
+One shared convolutional/dense stack scores each of a scan's (at most ten)
+nodule branches; the patient risk is the max over its branch scores. Branch
+layout:
 
     input (3,28,28)
       -> conv+BN+relu  x3        (main path, 8 channels each)
@@ -28,7 +29,7 @@ import threading
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,8 @@ FLAT_DIM = N_CHANNELS * CROP_SIDE * CROP_SIDE
 
 _BN_MAP_NAMES = ("bn_conv1", "bn_conv2", "bn_conv3", "bn_skip", "bn_merge", "bn_drop_map")
 _BN_VEC_NAMES = ("bn_fc1", "bn_drop_vec", "bn_fc2")
+# how LRNN1 files store the plane projection, as a float
+_PROJECTION_CODES = {"slice": 0.0, "mip": 1.0}
 
 
 @dataclass
@@ -72,7 +75,7 @@ class NNetConfig:
     batch_size: int = 32
     seed: int = 0
     n_branches: int = MAX_NODULES
-    projection: str = "slice"   # plane extraction used for train-time re-crops
+    projection: str = "slice"   # plane extraction; saved with the weights for scoring
 
     def __post_init__(self):
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -83,14 +86,18 @@ class NNetConfig:
             raise ConfigError(f"n_branches is fixed at {MAX_NODULES}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if self.projection not in _PROJECTION_CODES:
+            raise ConfigError(f"projection must be 'slice' or 'mip', got {self.projection!r}")
 
 
 class NNetParams:
-    """All learnable tensors and batch-norm states, shared across branches."""
+    """All learnable tensors and batch-norm states, shared across branches,
+    and the plane projection the model was trained on."""
 
     def __init__(self, metadata_dim: int, dropout_rate: float = 0.25):
         self.metadata_dim = metadata_dim
         self.dropout_rate = dropout_rate
+        self.projection = "slice"
         self.tensors: dict[str, tz.Tensor] = {}
         self.bn: dict[str, tz.BatchNormState] = {}
 
@@ -139,6 +146,7 @@ def init_params(config: NNetConfig, rng: np.random.Generator | None = None) -> N
     identity batch-norm; deterministic for a given seed."""
     rng = rng or np.random.default_rng(config.seed)
     params = NNetParams(config.metadata_dim, config.dropout_rate)
+    params.projection = config.projection
     fan_in = {
         "conv1.kernels": 3 * 9, "conv2.kernels": N_CHANNELS * 9,
         "conv3.kernels": N_CHANNELS * 9, "conv_skip.kernels": 3 * 9,
@@ -166,51 +174,31 @@ def init_params(config: NNetConfig, rng: np.random.Generator | None = None) -> N
 
 
 def _forward_patch_batch(params: NNetParams, planes: np.ndarray, metadata: np.ndarray,
-                         mode: str, rng: np.random.Generator | None = None,
-                         trace: list | None = None) -> tz.Tensor:
+                         mode: str, rng: np.random.Generator | None = None) -> tz.Tensor:
     """Branch scores for a channel-major (3,P,28,28) patch stack; returns a
     (P,) tensor. Feature maps stay channel-major, (8,P,28,28), up to flatten."""
     p = params.tensors
     bn = params.bn
     rate = params.dropout_rate
 
-    def record(name, t):
-        # one patch's shape: drop the patch axis, 1 in a (C,P,H,W) map, else 0
-        if trace is not None:
-            shape = t.data.shape
-            trace.append((name, shape[:1] + shape[2:] if len(shape) == 4 else shape[1:]))
-        return t
-
     x = tz.Tensor(planes, requires_grad=False)
-    record("input", x)
     h = tz.relu(tz.batch_norm(tz.conv2d_same(x, p["conv1.kernels"], p["conv1.bias"]),
                               bn["bn_conv1"], mode))
-    record("conv1", h)
     h = tz.relu(tz.batch_norm(tz.conv2d_same(h, p["conv2.kernels"], p["conv2.bias"]),
                               bn["bn_conv2"], mode))
-    record("conv2", h)
     h = tz.relu(tz.batch_norm(tz.conv2d_same(h, p["conv3.kernels"], p["conv3.bias"]),
                               bn["bn_conv3"], mode))
-    record("conv3", h)
     skip = tz.batch_norm(tz.conv2d_same(x, p["conv_skip.kernels"], p["conv_skip.bias"]),
                          bn["bn_skip"], mode)
-    record("conv_skip", skip)
     h = tz.batch_norm(tz.residual_add(h, skip), bn["bn_merge"], mode)
-    record("merge", h)
     h = tz.batch_norm(tz.dropout(h, rate, mode, rng), bn["bn_drop_map"], mode)
     h = tz.flatten(h)
-    record("flatten", h)
     h = tz.batch_norm(tz.dense(h, p["dense1.weights"], p["dense1.bias"]), bn["bn_fc1"], mode)
-    record("dense1", h)
     h = tz.batch_norm(tz.dropout(h, rate, mode, rng), bn["bn_drop_vec"], mode)
     h = tz.batch_norm(tz.dense(h, p["dense2.weights"], p["dense2.bias"]), bn["bn_fc2"], mode)
-    record("dense2", h)
     h = tz.concat(h, tz.Tensor(metadata, requires_grad=False))
-    record("concat", h)
     z = tz.dense(h, p["dense_out.weights"], p["dense_out.bias"])
-    score = tz.sigmoid(tz.reshape(z, (-1,)))
-    record("output", score)
-    return score
+    return tz.sigmoid(tz.reshape(z, (-1,)))
 
 
 def score_bags(params: NNetParams, planes: np.ndarray, metadata: np.ndarray,
@@ -227,24 +215,6 @@ def score_bags(params: NNetParams, planes: np.ndarray, metadata: np.ndarray,
     return tz.segment_max(scores, segments, n_bags)
 
 
-def shape_manifest(metadata_dim: int = 5) -> list[tuple[str, tuple]]:
-    """Expected per-branch activation shapes, for conformance checks."""
-    s = CROP_SIDE
-    return [
-        ("input", (3, s, s)),
-        ("conv1", (N_CHANNELS, s, s)),
-        ("conv2", (N_CHANNELS, s, s)),
-        ("conv3", (N_CHANNELS, s, s)),
-        ("conv_skip", (N_CHANNELS, s, s)),
-        ("merge", (N_CHANNELS, s, s)),
-        ("flatten", (FLAT_DIM,)),
-        ("dense1", (FC_UNITS,)),
-        ("dense2", (FC_UNITS,)),
-        ("concat", (FC_UNITS + metadata_dim,)),
-        ("output", ()),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -256,31 +226,27 @@ class TrainResult:
     loss_history: list[float]
 
 
-def _gather_batch(examples: list[ScanExample], meta_rows: list[np.ndarray],
-                  mode: str, rng, projection: str):
-    """Stack the unmasked patches (which lead each patch list) of a batch of
-    scans; returns channel-major (3,P,28,28) planes, metadata, segment ids
-    and labels, or None when every scan is all-masked. Train mode re-crops
-    from the stored cubes."""
+def _gather_batch(examples: list[ScanExample], mode: str, rng, projection: str):
+    """Stack the patches of a batch of scans; returns channel-major
+    (3,P,28,28) planes, raw metadata, segment ids and labels, or None when
+    no scan has a patch. Scans without patches are left out. Train mode
+    re-crops from the stored cubes."""
     planes, meta, segments, labels = [], [], [], []
-    scan_slot = 0
-    for ex, rows in zip(examples, meta_rows):
-        n = ex.n_unmasked
-        if n == 0:
+    for ex in examples:
+        if not ex.patches:
             continue
-        for j in range(n):
+        for j, patch in enumerate(ex.patches):
             if mode == "train" and ex.cubes is not None:
                 cube = crop28(ex.cubes[j], "train", rng)
                 planes.append(normalize_hu(triplanar(cube, projection)))
             else:
-                planes.append(ex.patches[j].planes)
-        meta.append(rows[:n])
-        segments.extend([scan_slot] * n)
+                planes.append(patch.planes)
+            meta.append(patch.metadata)
+        segments.extend([len(labels)] * len(ex.patches))
         labels.append(ex.label)
-        scan_slot += 1
-    if scan_slot == 0:
+    if not labels:
         return None
-    return (np.stack(planes, axis=1), np.concatenate(meta), np.asarray(segments),
+    return (np.stack(planes, axis=1), np.stack(meta), np.asarray(segments),
             np.asarray(labels, dtype=np.float64))
 
 
@@ -289,23 +255,17 @@ def train(config: NNetConfig, dataset: list[ScanExample],
     """Mini-batch Adam/BCE training with per-iteration random re-crops.
 
     Returns the trained parameters, the metadata statistics computed from
-    this dataset, and the mean per-epoch training loss.
+    this dataset, and the mean per-epoch training loss. Scans without
+    patches are skipped.
     """
     if not dataset:
         raise ConfigError("training needs a non-empty dataset")
     label_set = {ex.label for ex in dataset}
     if label_set != {0, 1}:
         raise ConfigError(f"training needs both classes, found labels {sorted(label_set)}")
-    if any(ex.metadata_standardized for ex in dataset):
-        raise ConfigError("training expects raw metadata; examples are already standardized")
 
     rng = rng or np.random.default_rng(config.seed)
     stats = metadata_stats_from_examples(dataset)
-    meta_rows = [
-        np.stack([stats.standardize(p.metadata) if not p.masked else p.metadata
-                  for p in ex.patches])
-        for ex in dataset
-    ]
     params = init_params(config, rng)
     learnable = params.learnable()
     adam = tz.AdamState(learning_rate=config.learning_rate)
@@ -318,13 +278,13 @@ def train(config: NNetConfig, dataset: list[ScanExample],
         epoch_loss = 0.0
         n_scored = 0
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            batch = _gather_batch([dataset[i] for i in idx], [meta_rows[i] for i in idx],
+            batch = _gather_batch([dataset[i] for i in order[start:start + config.batch_size]],
                                   "train", rng, config.projection)
             if batch is None:
                 continue
             planes, meta, segments, labels = batch
-            risks = score_bags(params, planes, meta, segments, labels.size, "train", rng)
+            risks = score_bags(params, planes, stats.standardize(meta), segments, labels.size,
+                               "train", rng)
             loss = tz.bce_loss(risks, labels)
             params.zero_grad()
             grads = tz.backward(loss, params=learnable)
@@ -353,9 +313,18 @@ class FoldEnsemble:
     def __post_init__(self):
         if not self.members:
             raise ConfigError("an ensemble needs at least one member")
-        dims = {m.params.metadata_dim for m in self.members}
-        if len(dims) != 1:
-            raise ConfigError(f"ensemble members disagree on metadata_dim: {dims}")
+        for attr in ("metadata_dim", "projection"):
+            values = {getattr(m.params, attr) for m in self.members}
+            if len(values) != 1:
+                raise ConfigError(f"ensemble members disagree on {attr}: {values}")
+
+    @property
+    def metadata_dim(self) -> int:
+        return self.members[0].params.metadata_dim
+
+    @property
+    def projection(self) -> str:
+        return self.members[0].params.projection
 
 
 def stratified_folds(labels: list[int], k: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -545,17 +514,15 @@ def _serve_folds():
 
 
 def ensemble_predict(ensemble: FoldEnsemble, example: ScanExample) -> float:
-    """Mean of member infer-mode risks; expects raw (unstandardized) metadata.
+    """Mean of member infer-mode risks; each member standardizes the raw
+    metadata with its own statistics.
 
-    Each member scores the scan's unmasked patches in one call. All-masked
-    examples score 0.0 and raise a ZeroNoduleWarning.
+    Each member scores the scan's patches in one call. An example without
+    patches scores 0.0 and raises a ZeroNoduleWarning.
     """
-    if example.metadata_standardized:
-        raise ConfigError("ensemble_predict standardizes per member; pass raw examples")
-    raw_rows = np.stack([p.metadata for p in example.patches])
-    batch = _gather_batch([example], [raw_rows], "infer", None, "slice")
+    batch = _gather_batch([example], "infer", None, ensemble.projection)
     if batch is None:
-        warnings.warn(f"scan {example.scan_id!r} has no unmasked nodules; risk set to 0.0",
+        warnings.warn(f"scan {example.scan_id!r} has no nodules; risk set to 0.0",
                       ZeroNoduleWarning, stacklevel=2)
         return 0.0
     planes, raw_meta, segments, _ = batch
@@ -577,6 +544,7 @@ def save_params(params: NNetParams, path, metadata_stats: MetadataStats | None =
     arrays = dict(params.arrays())
     arrays["config.metadata_dim"] = np.array([float(params.metadata_dim)])
     arrays["config.dropout_rate"] = np.array([float(params.dropout_rate)])
+    arrays["config.projection"] = np.array([_PROJECTION_CODES[params.projection]])
     if metadata_stats is not None:
         arrays["meta_stats.mean"] = metadata_stats.mean
         arrays["meta_stats.std"] = metadata_stats.std
@@ -646,13 +614,28 @@ def load_metadata_stats(path) -> MetadataStats | None:
     return _metadata_stats_from_arrays(_read_weight_arrays(path))
 
 
+def _config_entry(arrays: dict[str, np.ndarray], name: str, path,
+                  default: float | None = None) -> float:
+    """The one number a `config.*` entry holds; `default` if it is absent."""
+    if name not in arrays:
+        if default is None:
+            raise VersionError(f"{path}: weight file lacks entry {name!r}")
+        return default
+    value = arrays[name]
+    if value.size != 1 or not np.isfinite(value).all():
+        raise VersionError(f"{path}: entry {name!r} is not one finite number")
+    return float(value.reshape(()))
+
+
 def _params_from_arrays(arrays: dict[str, np.ndarray], path) -> NNetParams:
-    try:
-        metadata_dim = int(arrays["config.metadata_dim"][0])
-        dropout_rate = float(arrays["config.dropout_rate"][0])
-    except KeyError as missing:
-        raise VersionError(f"{path}: weight file lacks entry {missing}") from None
+    metadata_dim = int(_config_entry(arrays, "config.metadata_dim", path))
+    dropout_rate = _config_entry(arrays, "config.dropout_rate", path)
+    code = _config_entry(arrays, "config.projection", path, default=0.0)    # older files: slice
+    projection = {c: name for name, c in _PROJECTION_CODES.items()}.get(code)
+    if projection is None:
+        raise VersionError(f"{path}: unknown projection code {code!r}")
     params = NNetParams(metadata_dim, dropout_rate)
+    params.projection = projection
     for name, shape in _param_shapes(metadata_dim).items():
         if name not in arrays:
             raise VersionError(f"{path}: weight file lacks tensor {name!r}")
@@ -703,13 +686,10 @@ def load_ensemble(directory) -> FoldEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# key-value training-config files (keys mirror NNetConfig)
+# key-value training-config files: one key per NNetConfig field, parsed as
+# the type of the field's default
 
-_CONFIG_TYPES = {
-    "dropout_rate": float, "metadata_dim": int, "learning_rate": float,
-    "epochs": int, "batch_size": int, "seed": int, "n_branches": int,
-    "projection": str,
-}
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(NNetConfig)}
 
 
 def load_train_config(path, **overrides) -> NNetConfig:

@@ -5,7 +5,7 @@ World coordinates are millimetres; voxel arrays use (x, y, z) axis order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,48 +67,32 @@ class NoduleCandidate:
 
 @dataclass
 class NodulePatch:
-    """Network input for one nodule: three 28x28 planes plus metadata."""
+    """Network input for one nodule: three 28x28 planes plus raw metadata."""
 
     planes: np.ndarray       # (3, 28, 28) in [0,1]
     metadata: np.ndarray     # (radius, x, y, z, confidence[, sphericity])
-    masked: bool = False
-
-    @classmethod
-    def empty(cls, metadata_dim: int) -> "NodulePatch":
-        return cls(planes=np.zeros((3, CROP_SIDE, CROP_SIDE)),
-                   metadata=np.zeros(metadata_dim), masked=True)
 
 
 @dataclass
 class ScanExample:
-    """Exactly 10 patches (masked tail allowed) plus the volume-level label.
+    """A scan's nodule patches (0 to 10, largest first) plus its label.
 
-    `cubes` keeps the source 32^3 blocks for train-time re-cropping and is
-    None for inference-built examples. `metadata_standardized` records
-    whether training-set statistics were already applied.
+    The patches hold raw metadata; each model standardizes it with its own
+    training-set statistics. `cubes` keeps the source 32^3 blocks, one per
+    patch, for train-time re-cropping and is None for inference-built
+    examples.
     """
 
     scan_id: str
     patches: list[NodulePatch]
     label: int
     cubes: list[np.ndarray] | None = None
-    metadata_standardized: bool = False
 
     def __post_init__(self):
-        if len(self.patches) != MAX_NODULES:
-            raise DimensionError(f"a ScanExample holds exactly {MAX_NODULES} patches")
+        if len(self.patches) > MAX_NODULES:
+            raise DimensionError(f"a ScanExample holds at most {MAX_NODULES} patches")
         if self.label not in (0, 1):
             raise FormatError(f"label must be 0 or 1, got {self.label}")
-        seen_masked = False
-        for p in self.patches:
-            if p.masked:
-                seen_masked = True
-            elif seen_masked:
-                raise FormatError("unmasked patches must precede all masked ones")
-
-    @property
-    def n_unmasked(self) -> int:
-        return sum(1 for p in self.patches if not p.masked)
 
 
 @dataclass
@@ -251,49 +235,32 @@ def candidate_metadata(c: NoduleCandidate, metadata_dim: int) -> np.ndarray:
 
 def build_scan_example(v: Volume, candidates: list[NoduleCandidate], label: int,
                        mode: str, rng: np.random.Generator | None = None,
-                       metadata_stats: MetadataStats | None = None,
                        metadata_dim: int = 5, projection: str = "slice",
-                       scan_id: str = "", allow_raw_metadata: bool = False) -> ScanExample:
-    """Run the full per-scan pipeline and pack the fixed-shape example.
+                       scan_id: str = "") -> ScanExample:
+    """Run the full per-scan pipeline on the top nodules of a scan.
 
-    Composes resample -> select -> extract -> crop -> triplanar -> normalize.
-    Empty candidate lists yield an all-masked example. Train-mode examples
-    keep their 32^3 cubes so the training loop can re-draw crops. When
-    `metadata_stats` is None the metadata stays raw (training computes its
-    own statistics); inference callers must pass the model's stats unless
-    they opt into raw metadata explicitly (the fold ensemble standardizes
-    per member and does so).
+    Composes resample -> select -> extract -> crop -> triplanar -> normalize
+    for each of the (at most 10) selected candidates; no candidates give an
+    example without patches. Metadata stays raw. Train-mode examples keep
+    their 32^3 cubes so the training loop can re-draw crops.
     """
-    if mode == "infer" and metadata_stats is None and not allow_raw_metadata:
-        raise ConfigError("infer-mode examples need the training-set metadata statistics")
     iso = resample_isotropic(v)
-    chosen = select_top_nodules(candidates)
     patches: list[NodulePatch] = []
     cubes: list[np.ndarray] = []
-    for cand in chosen:
+    for cand in select_top_nodules(candidates):
         cube = extract_cube(iso, cand.center)
         planes = normalize_hu(triplanar(crop28(cube, mode, rng), projection))
-        meta = candidate_metadata(cand, metadata_dim)
-        if metadata_stats is not None:
-            meta = metadata_stats.standardize(meta)
-        patches.append(NodulePatch(planes=planes, metadata=meta, masked=False))
+        patches.append(NodulePatch(planes=planes, metadata=candidate_metadata(cand, metadata_dim)))
         cubes.append(cube)
-    while len(patches) < MAX_NODULES:
-        patches.append(NodulePatch.empty(metadata_dim))
-    return ScanExample(
-        scan_id=scan_id,
-        patches=patches,
-        label=label,
-        cubes=cubes if mode == "train" else None,
-        metadata_standardized=metadata_stats is not None,
-    )
+    return ScanExample(scan_id=scan_id, patches=patches, label=label,
+                       cubes=cubes if mode == "train" else None)
 
 
 def metadata_stats_from_examples(examples: list[ScanExample]) -> MetadataStats:
-    """Mean/std over all unmasked raw metadata rows; constant features get std 1."""
-    rows = [p.metadata for ex in examples for p in ex.patches if not p.masked]
+    """Mean/std over all raw metadata rows; constant features get std 1."""
+    rows = [p.metadata for ex in examples for p in ex.patches]
     if not rows:
-        raise ConfigError("cannot compute metadata statistics without unmasked nodules")
+        raise ConfigError("cannot compute metadata statistics without nodules")
     mat = np.stack(rows)
     std = mat.std(axis=0)
     return MetadataStats(mean=mat.mean(axis=0), std=np.where(std < 1e-9, 1.0, std))

@@ -117,15 +117,32 @@ def _branch_score(params, patch):
                                  segments, 1, "infer").data[0])
 
 
-def test_c2_architecture_conformance():
+def _layer_table(metadata_dim):
+    """Per-branch activation shapes of the architecture, layer by layer."""
+    return [
+        ("input", (3, 28, 28)),
+        ("conv1", (8, 28, 28)),
+        ("conv2", (8, 28, 28)),
+        ("conv3", (8, 28, 28)),
+        ("conv_skip", (8, 28, 28)),
+        ("merge", (8, 28, 28)),
+        ("flatten", (8 * 28 * 28,)),
+        ("dense1", (64,)),
+        ("dense2", (64,)),
+        ("concat", (64 + metadata_dim,)),
+        ("dense_out", (1,)),
+        ("output", ()),
+    ]
+
+
+def test_c2_architecture_conformance(layer_shapes):
     for metadata_dim in (5, 6):
         params = nnet.init_params(nnet.NNetConfig(metadata_dim=metadata_dim, seed=0))
         rng = np.random.default_rng(0)
         planes = rng.random((3, 1, 28, 28))
         meta = rng.normal(size=(1, metadata_dim))
-        trace = []
-        nnet._forward_patch_batch(params, planes, meta, "infer", trace=trace)
-        expected = nnet.shape_manifest(metadata_dim)
+        trace = layer_shapes(params, planes, meta)
+        expected = _layer_table(metadata_dim)
         assert trace == expected, f"trace {trace} != manifest {expected}"
         conv_shapes = [s for name, s in trace if name.startswith("conv")]
         assert conv_shapes == [(8, 28, 28)] * 4
@@ -155,9 +172,8 @@ def test_c3_multi_instance_invariants():
     ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, identity)])
 
     def scan_risk(patches):
-        # one batched call scores every unmasked patch of the scan
-        padded = patches + [NodulePatch.empty(5) for _ in range(10 - len(patches))]
-        return nnet.ensemble_predict(ensemble, ScanExample(scan_id="c", patches=padded, label=1))
+        # one batched call scores every patch of the scan
+        return nnet.ensemble_predict(ensemble, ScanExample(scan_id="c", patches=patches, label=1))
 
     sizes = set()
     for case in range(200):
@@ -175,7 +191,7 @@ def test_c3_multi_instance_invariants():
         # exact permutation invariance
         assert scan_risk([patches[i] for i in rng.permutation(n)]) == risk
 
-        # adding one unmasked patch: risk == max(old risk, new branch score)
+        # adding one patch: risk == max(old risk, new branch score)
         new_patch = NodulePatch(planes=rng.random((3, 28, 28)), metadata=rng.normal(size=5))
         assert scan_risk(patches + [new_patch]) == max(risk, _branch_score(params, new_patch))
     report(3, sizes == set(range(1, 10)),
@@ -291,7 +307,6 @@ def test_c7_overfit_sanity():
         planes = rng.random((3, 28, 28)) * 0.25 + 0.55 * label
         meta = rng.normal(size=5) + np.r_[3.0 * label, np.zeros(4)]
         patches = [NodulePatch(planes=planes, metadata=meta)]
-        patches += [NodulePatch.empty(5) for _ in range(9)]
         examples.append(ScanExample(scan_id=f"t{i}", patches=patches, label=label))
     config = nnet.NNetConfig(dropout_rate=0.0, learning_rate=1e-2, epochs=500,
                              batch_size=2, seed=77)

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from lungrisk import cli, fileio, nnet, pancan
+from lungrisk.errors import ZeroNoduleWarning
 from lungrisk.pancan import placeholder_weights_path
+from lungrisk.preprocess import build_scan_example
 
 
 def run(argv):
@@ -225,6 +227,24 @@ def test_train_config_file_with_flag_override(small_data, tmp_path):
     assert "dropout_rate=0.5" in resolved and "epochs=1" in resolved
 
 
+def test_train_and_score_a_cohort_with_a_zero_candidate_scan(small_data, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "volumes").symlink_to(small_data / "volumes")
+    (data / "labels.csv").symlink_to(small_data / "labels.csv")
+    lines = (small_data / "candidates.csv").read_text().splitlines()
+    bare = lines[1].split(",")[0]
+    kept = [line for line in lines if not line.startswith(bare + ",")]
+    (data / "candidates.csv").write_text("\n".join(kept) + "\n")
+    model = tmp_path / "m"
+    assert run(["train", "--data", data, "--folds", 2, "--epochs", 1, "--seed", 1,
+                "--out", model]) == 0
+    out = tmp_path / "s.csv"
+    with pytest.warns(ZeroNoduleWarning, match=bare):
+        assert run(["score", "--model", model, "--data", data, "--out", out]) == 0
+    assert fileio.read_scores_csv(out)[bare] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # score
 
@@ -283,6 +303,43 @@ def test_score_candidate_outside_volume_is_data_error(small_data, small_model, t
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert "(5000.0, " in err and "np." not in err and err.count("\n") == 1, err
+
+
+def test_score_uses_the_projection_the_model_was_trained_on(small_data, tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("projection=mip\nepochs=2\n")
+    model = tmp_path / "m"
+    assert run(["train", "--data", small_data, "--folds", 1, "--seed", 3,
+                "--config", cfg, "--out", model]) == 0
+    out = tmp_path / "s.csv"
+    assert run(["score", "--model", model, "--data", small_data, "--out", out]) == 0
+    scores = fileio.read_scores_csv(out)
+    ensemble = nnet.load_ensemble(model)
+    candidates = fileio.read_candidates_csv(small_data / "candidates.csv")
+
+    def predict(scan_id, projection):
+        volume = fileio.read_volume_compact(small_data / "volumes" / f"{scan_id}.lrvol")
+        example = build_scan_example(volume, candidates.get(scan_id, []), 0, "infer",
+                                     projection=projection, scan_id=scan_id)
+        return nnet.ensemble_predict(ensemble, example)
+
+    assert all(score == predict(sid, "mip") for sid, score in scores.items())
+    assert not any(score == predict(sid, "slice") for sid, score in scores.items())
+
+
+def test_score_unknown_projection_code_is_format_error(small_data, small_model, tmp_path,
+                                                       capsys, monkeypatch):
+    member = nnet.load_ensemble(small_model).members[0]
+    member.params.projection = "cubic"
+    monkeypatch.setitem(nnet._PROJECTION_CODES, "cubic", 2.0)
+    (tmp_path / "model").mkdir()
+    nnet.save_params(member.params, tmp_path / "model" / "fold0.lrnn", member.metadata_stats)
+    monkeypatch.undo()
+    code = run(["score", "--model", tmp_path / "model", "--data", small_data,
+                "--out", tmp_path / "s.csv"])
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "projection code 2.0" in err and err.count("\n") == 1, err
 
 
 def _set_dims(blob: bytes, name: str, dims) -> bytes:

@@ -16,15 +16,12 @@ from lungrisk.preprocess import MetadataStats, NodulePatch, ScanExample
 
 
 def random_patch(rng, metadata_dim=5):
-    return NodulePatch(planes=rng.random((3, 28, 28)),
-                       metadata=rng.normal(size=metadata_dim), masked=False)
+    return NodulePatch(planes=rng.random((3, 28, 28)), metadata=rng.normal(size=metadata_dim))
 
 
-def random_example(rng, n_unmasked, label=1, metadata_dim=5, scan_id="s0"):
-    patches = [random_patch(rng, metadata_dim) for _ in range(n_unmasked)]
-    patches += [NodulePatch.empty(metadata_dim) for _ in range(10 - n_unmasked)]
-    return ScanExample(scan_id=scan_id, patches=patches, label=label,
-                       metadata_standardized=True)
+def random_example(rng, n_patches, label=1, metadata_dim=5, scan_id="s0"):
+    patches = [random_patch(rng, metadata_dim) for _ in range(n_patches)]
+    return ScanExample(scan_id=scan_id, patches=patches, label=label)
 
 
 def small_params(rng_seed=0, metadata_dim=5, dropout=0.0):
@@ -86,10 +83,9 @@ def branch_score(p, patch):
 
 def scan_risk(p, ex):
     """Risk through the `lungrisk score` path: a one-member ensemble whose
-    metadata statistics leave standardized metadata as it is."""
-    raw = ScanExample(scan_id=ex.scan_id, patches=ex.patches, label=ex.label)
+    metadata statistics leave the metadata as it is."""
     ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(p, IDENTITY_STATS)])
-    return nnet.ensemble_predict(ensemble, raw)
+    return nnet.ensemble_predict(ensemble, ex)
 
 
 def test_zero_head_scores_half():
@@ -115,21 +111,11 @@ def test_branch_infer_bit_stable():
     assert branch_score(p, patch) == branch_score(p, patch)
 
 
-def test_masked_patch_planes_never_scored():
-    rng = np.random.default_rng(3)
-    p = small_params()
-    ex = random_example(rng, 2)
-    garbage = [NodulePatch(planes=rng.random((3, 28, 28)), metadata=rng.normal(size=5),
-                           masked=True) for _ in range(8)]
-    noisy = ScanExample(scan_id="s0", patches=ex.patches[:2] + garbage, label=1)
-    assert scan_risk(p, noisy) == scan_risk(p, ex)
-
-
 def test_scan_risk_is_max_of_branches():
     rng = np.random.default_rng(3)
     p = small_params(5)
     ex = random_example(rng, 3)
-    branch_scores = [branch_score(p, patch) for patch in ex.patches if not patch.masked]
+    branch_scores = [branch_score(p, patch) for patch in ex.patches]
     assert scan_risk(p, ex) == max(branch_scores)
 
 
@@ -152,9 +138,7 @@ def test_scan_permutation_invariant():
     risk = scan_risk(p, ex)
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(4)
-        patches = [ex.patches[i] for i in perm] + ex.patches[4:]
-        shuffled = ScanExample(scan_id="s0", patches=patches, label=1,
-                               metadata_standardized=True)
+        shuffled = ScanExample(scan_id="s0", patches=[ex.patches[i] for i in perm], label=1)
         assert scan_risk(p, shuffled) == risk
 
 
@@ -173,10 +157,7 @@ def test_masked_patch_is_noop_and_new_patch_maxes():
         ex = random_example(rng, n)
         risk = scan_risk(p, ex)
         new_patch = random_patch(rng)
-        grown = ScanExample(
-            scan_id="s0",
-            patches=[*ex.patches[:n], new_patch, *[NodulePatch.empty(5)] * (9 - n)],
-            label=1, metadata_standardized=True)
+        grown = ScanExample(scan_id="s0", patches=[*ex.patches, new_patch], label=1)
         assert scan_risk(p, grown) == max(risk, branch_score(p, new_patch))
 
 
@@ -190,13 +171,18 @@ def test_weight_sharing_perturbation_moves_all_branches():
     assert all(a != b for a, b in zip(after, before))
 
 
-def test_shape_trace_matches_manifest():
+def test_shape_trace_matches_manifest(layer_shapes):
+    manifest = [
+        ("input", (3, 28, 28)),
+        ("conv1", (8, 28, 28)), ("conv2", (8, 28, 28)), ("conv3", (8, 28, 28)),
+        ("conv_skip", (8, 28, 28)), ("merge", (8, 28, 28)),
+        ("flatten", (8 * 28 * 28,)), ("dense1", (64,)), ("dense2", (64,)),
+        ("concat", (64 + 5,)), ("dense_out", (1,)), ("output", ()),
+    ]
     p = small_params()
     patch = random_patch(np.random.default_rng(0))
-    trace = []
-    nnet._forward_patch_batch(p, patch.planes[:, None], patch.metadata[None], "infer",
-                              trace=trace)
-    assert trace == nnet.shape_manifest(metadata_dim=5)
+    trace = layer_shapes(p, patch.planes[:, None], patch.metadata[None])
+    assert trace == manifest
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +224,6 @@ def tiny_dataset(rng, n=8, metadata_dim=5):
         planes = rng.random((3, 28, 28)) * 0.2 + 0.6 * label
         meta = rng.normal(size=metadata_dim) + np.r_[3.0 * label, np.zeros(metadata_dim - 1)]
         patches = [NodulePatch(planes=planes, metadata=meta)]
-        patches += [NodulePatch.empty(metadata_dim) for _ in range(9)]
         out.append(ScanExample(scan_id=f"s{i}", patches=patches, label=label))
     return out
 
@@ -246,15 +231,6 @@ def tiny_dataset(rng, n=8, metadata_dim=5):
 def test_train_rejects_single_class():
     rng = np.random.default_rng(0)
     data = [ex for ex in tiny_dataset(rng) if ex.label == 1]
-    with pytest.raises(ConfigError):
-        nnet.train(nnet.NNetConfig(epochs=1), data)
-
-
-def test_train_rejects_standardized_input():
-    rng = np.random.default_rng(0)
-    data = tiny_dataset(rng)
-    for ex in data:
-        ex.metadata_standardized = True
     with pytest.raises(ConfigError):
         nnet.train(nnet.NNetConfig(epochs=1), data)
 
@@ -374,16 +350,7 @@ def test_ensemble_mean_and_identical_members():
     params = small_params(12)
     ens = nnet.FoldEnsemble(members=[nnet.FoldMember(params, stats)] * 5)
     ex = random_example(rng, 2)
-    ex.metadata_standardized = False  # raw input contract
     assert nnet.ensemble_predict(ens, ex) == bag_risk(params, ex.patches[:2])
-
-
-def test_ensemble_rejects_standardized_example():
-    stats = MetadataStats(mean=np.zeros(5), std=np.ones(5))
-    ens = nnet.FoldEnsemble(members=[nnet.FoldMember(small_params(), stats)])
-    ex = random_example(np.random.default_rng(7), 1)
-    with pytest.raises(ConfigError):
-        nnet.ensemble_predict(ens, ex)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +431,47 @@ def test_ensemble_save_load_round_trip(tmp_path):
     back = nnet.load_ensemble(tmp_path / "model")
     assert len(back.members) == 3
     ex = random_example(rng, 2)
-    ex.metadata_standardized = False
     assert nnet.ensemble_predict(back, ex) == nnet.ensemble_predict(ens, ex)
+
+
+def test_projection_round_trips_and_older_files_read_as_slice(tmp_path):
+    params = nnet.init_params(nnet.NNetConfig(projection="mip"))
+    assert params.projection == "mip"
+    path = tmp_path / "model.lrnn"
+    nnet.save_params(params, path)
+    assert nnet.load_params(path).projection == "mip"
+    arrays = nnet._read_weight_arrays(path)
+    np.testing.assert_array_equal(arrays["config.projection"], [1.0])
+    del arrays["config.projection"]
+    assert nnet._params_from_arrays(arrays, path).projection == "slice"
+    arrays["config.projection"] = np.array([2.0])
+    with pytest.raises(VersionError, match="projection"):
+        nnet._params_from_arrays(arrays, path)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("config.projection", np.zeros(0)),
+    ("config.projection", np.array([np.nan])),
+    ("config.metadata_dim", np.zeros(0)),
+    ("config.metadata_dim", np.array([np.nan])),
+    ("config.dropout_rate", np.zeros(2)),
+], ids=["empty-projection", "nan-projection", "empty-metadata-dim", "nan-metadata-dim",
+        "two-dropout-rates"])
+def test_malformed_config_entry_raises_version_error(name, value, tmp_path):
+    path = tmp_path / "model.lrnn"
+    nnet.save_params(small_params(), path)
+    arrays = {**nnet._read_weight_arrays(path), name: value}
+    with pytest.raises(VersionError, match=name):
+        nnet._params_from_arrays(arrays, path)
+
+
+def test_ensemble_rejects_members_of_different_projections():
+    stats = MetadataStats(mean=np.zeros(5), std=np.ones(5))
+    members = [nnet.FoldMember(nnet.init_params(nnet.NNetConfig(projection=proj)), stats)
+               for proj in ("slice", "mip")]
+    with pytest.raises(ConfigError, match="projection"):
+        nnet.FoldEnsemble(members=members)
+    assert nnet.FoldEnsemble(members=members[1:]).projection == "mip"
 
 
 def test_load_ensemble_reads_each_file_once(tmp_path, monkeypatch):
@@ -511,3 +517,10 @@ def test_config_validation():
         nnet.NNetConfig(metadata_dim=7)
     with pytest.raises(ConfigError):
         nnet.NNetConfig(n_branches=5)
+
+
+def test_config_rejects_unknown_projection(tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text("projection=cubic\n")
+    with pytest.raises(ConfigError, match="projection"):
+        nnet.load_train_config(path)

@@ -243,17 +243,16 @@ def volume_with_nodule(center=(30.0, 30.0, 30.0), dims=(64, 64, 64)):
 def test_build_zero_candidates_all_masked():
     v = volume_with_nodule()
     ex = pp.build_scan_example(v, [], label=0, mode="train", rng=np.random.default_rng(0))
-    assert len(ex.patches) == 10
-    assert all(p.masked for p in ex.patches)
-    assert ex.n_unmasked == 0
+    assert ex.patches == []
+    assert ex.cubes == []
 
 
 def test_build_single_candidate():
     v = volume_with_nodule()
     c = cand(4.0, conf=0.8, center=(30.0, 30.0, 30.0))
     ex = pp.build_scan_example(v, [c], label=1, mode="train", rng=np.random.default_rng(0))
-    assert ex.n_unmasked == 1
-    assert not ex.patches[0].masked and all(p.masked for p in ex.patches[1:])
+    assert len(ex.patches) == 1
+    np.testing.assert_array_equal(ex.patches[0].metadata, [4.0, 30.0, 30.0, 30.0, 0.8])
     assert ex.patches[0].planes.shape == (3, 28, 28)
     assert ex.patches[0].planes.min() >= 0.0 and ex.patches[0].planes.max() <= 1.0
     assert ex.cubes is not None and len(ex.cubes) == 1
@@ -262,14 +261,13 @@ def test_build_single_candidate():
 def test_build_infer_deterministic_and_needs_stats():
     v = volume_with_nodule()
     c = cand(4.0, center=(30.0, 30.0, 30.0))
-    stats = pp.MetadataStats(mean=np.zeros(5), std=np.ones(5))
-    a = pp.build_scan_example(v, [c], 1, "infer", metadata_stats=stats)
-    b = pp.build_scan_example(v, [c], 1, "infer", metadata_stats=stats)
+    a = pp.build_scan_example(v, [c], 1, "infer")
+    b = pp.build_scan_example(v, [c], 1, "infer")
     np.testing.assert_array_equal(a.patches[0].planes, b.patches[0].planes)
     np.testing.assert_array_equal(a.patches[0].metadata, b.patches[0].metadata)
     assert a.cubes is None
-    with pytest.raises(ConfigError):
-        pp.build_scan_example(v, [c], 1, "infer")
+    # no statistics: the metadata stays raw, each model standardizes it itself
+    np.testing.assert_array_equal(a.patches[0].metadata, pp.candidate_metadata(c, 5))
 
 
 def test_build_train_seeded_determinism():
@@ -285,8 +283,34 @@ def test_build_output_shape_invariant_to_candidate_count():
     for n in (0, 1, 3, 12):
         cands = [cand(4.0 + i, center=(30.0, 30.0, 30.0)) for i in range(n)]
         ex = pp.build_scan_example(v, cands, 0, "train", rng=np.random.default_rng(0))
-        assert len(ex.patches) == 10
+        assert len(ex.patches) <= 10
         assert all(p.planes.shape == (3, 28, 28) for p in ex.patches)
+        assert all(p.metadata.shape == (5,) for p in ex.patches)
+
+
+def test_build_keeps_the_top_candidates_only():
+    v = volume_with_nodule()
+    for n in (0, 1, 9, 10, 11, 15):
+        cands = [cand(2.0 + 0.5 * i, center=(30.0, 30.0, 30.0)) for i in range(n)]
+        for mode in ("train", "infer"):
+            ex = pp.build_scan_example(v, cands, 1, mode, rng=np.random.default_rng(0))
+            assert len(ex.patches) == min(n, 10)
+            radii = [p.metadata[0] for p in ex.patches]
+            assert radii == [c.radius_mm for c in pp.select_top_nodules(cands)]
+            if mode == "train":
+                assert len(ex.cubes) == len(ex.patches)
+
+
+def blank_patches(n):
+    return [pp.NodulePatch(planes=np.zeros((3, 28, 28)), metadata=np.zeros(5))
+            for _ in range(n)]
+
+
+def test_scan_example_holds_zero_to_ten_patches():
+    for n in (0, 1, 10):
+        assert len(pp.ScanExample(scan_id="s", patches=blank_patches(n), label=0).patches) == n
+    with pytest.raises(DimensionError):
+        pp.ScanExample(scan_id="s", patches=blank_patches(11), label=0)
 
 
 def test_metadata_standardization_round_trip():
@@ -295,7 +319,7 @@ def test_metadata_standardization_round_trip():
              cand(6.0, conf=0.9, center=(32.0, 30.0, 28.0))]
     ex = pp.build_scan_example(v, cands, 1, "train", rng=np.random.default_rng(0))
     stats = pp.metadata_stats_from_examples([ex])
-    raw = np.stack([p.metadata for p in ex.patches if not p.masked])
+    raw = np.stack([p.metadata for p in ex.patches])
     rows = stats.standardize(raw)
     np.testing.assert_allclose(rows.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(rows * stats.std + stats.mean, raw, atol=1e-12)
