@@ -42,8 +42,7 @@ chosen = pp.select_top_nodules(candidates, k=3)
 print("top-3 radii:", [c.radius_mm for c in chosen],
       "(ties broken by confidence)")
 
-example = pp.build_scan_example(iso, candidates, label=1, mode="train",
-                                rng=np.random.default_rng(7), scan_id="demo")
+example = pp.build_scan_example(iso, candidates, label=1, scan_id="demo")
 print("scan example:", len(example.patches), "nodule patches, radii",
       [float(p.metadata[0]) for p in example.patches], "; planes",
-      example.patches[0].planes.shape)
+      example.patches[0].planes.shape, "; kept cubes", example.cubes[0].shape)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,24 +33,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 EXIT_NUMERIC = 5
-
-
-def _scan_rng(seed: int, scan_id: str) -> np.random.Generator:
-    # one child seed per scan_id: parallel example building stays deterministic
-    digest = int.from_bytes(hashlib.sha256(scan_id.encode()).digest()[:8], "little")
-    return np.random.default_rng(np.random.SeedSequence([seed, digest]))
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("LUNGRISK_THREADS")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigError(f"LUNGRISK_THREADS must be an integer, got {env!r}") from None
 
 
 def _volume_path(data_dir: Path, scan_id: str) -> Path:
@@ -79,24 +59,11 @@ def _read_scan_list(path) -> list[str]:
     return ids
 
 
-def _map_scans(fn, items, n_threads: int) -> list:
-    """[fn(x) for x in items], on n_threads threads when that is above 1."""
-    if n_threads == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _build_examples(data_dir: Path, scan_ids: list[str], candidates, labels, mode: str,
-                    seed: int, metadata_dim: int, projection: str, n_threads: int):
-    def build(scan_id):
-        volume = _load_volume(data_dir, scan_id)
-        return build_scan_example(
-            volume, candidates.get(scan_id, []), labels.get(scan_id, 0), mode,
-            rng=_scan_rng(seed, scan_id), metadata_dim=metadata_dim,
-            projection=projection, scan_id=scan_id)
-
-    return _map_scans(build, scan_ids, n_threads)
+def _build_example(data_dir: Path, scan_id: str, candidates, label: int,
+                   metadata_dim: int, projection: str):
+    return build_scan_example(_load_volume(data_dir, scan_id), candidates.get(scan_id, []),
+                              label, metadata_dim=metadata_dim, projection=projection,
+                              scan_id=scan_id)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +114,6 @@ def _train_config_from_args(args) -> nnet.NNetConfig:
 
 
 def cmd_train(args) -> int:
-    n_threads = _threads(args)
     data_dir = Path(args.data)
     config = _train_config_from_args(args)
     labels = fileio.read_labels_csv(data_dir / "labels.csv")
@@ -161,8 +127,8 @@ def cmd_train(args) -> int:
     if missing:
         raise DataConsistencyError(f"scan list entries without labels: {missing}")
 
-    examples = _build_examples(data_dir, scan_ids, candidates, labels, "train", config.seed,
-                               config.metadata_dim, config.projection, n_threads)
+    examples = [_build_example(data_dir, sid, candidates, labels[sid], config.metadata_dim,
+                               config.projection) for sid in scan_ids]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ensemble = nnet.kfold_train(config, examples, k=args.folds)
@@ -179,7 +145,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    n_threads = _threads(args)
     model_dir = Path(args.model)
     data_dir = Path(args.data)
     ensemble = nnet.load_ensemble(model_dir)
@@ -191,10 +156,11 @@ def cmd_score(args) -> int:
         scan_ids = sorted(labels)
     for sid in scan_ids:
         _volume_path(data_dir, sid)  # fail fast with an explicit missing-volume error
-    examples = _build_examples(data_dir, scan_ids, candidates, {}, "infer", 0,
-                               ensemble.metadata_dim, ensemble.projection, n_threads)
-    risks = _map_scans(lambda ex: nnet.ensemble_predict(ensemble, ex), examples, n_threads)
-    scores = dict(zip(scan_ids, risks))
+    scores = {}
+    for sid in scan_ids:    # one example at a time: examples carry their 32^3 cubes
+        example = _build_example(data_dir, sid, candidates, 0, ensemble.metadata_dim,
+                                 ensemble.projection)
+        scores[sid] = nnet.ensemble_predict(ensemble, example)
     fileio.write_scores_csv(args.out, scores)
     print(f"scored {len(scores)} scans -> {args.out}")
     return 0
@@ -294,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metadata-dim", type=int, default=None)
     p.add_argument("--config", default=None, help="key-value training config file")
     p.add_argument("--scans", default=None, help="file listing scan_ids to train on")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score scans with a trained ensemble")
@@ -302,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--scans", default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("eval", help="ROC/AUC and operating-point report")

@@ -164,13 +164,17 @@ def read_candidates_csv(path) -> dict[str, list[NoduleCandidate]]:
         for row in reader:
             sph = row.get("sphericity") or None
             lr = row.get("lungrads") or None
-            cand = NoduleCandidate(
-                center=(float(row["x_mm"]), float(row["y_mm"]), float(row["z_mm"])),
-                radius_mm=float(row["radius_mm"]),
-                confidence=float(row["confidence"]),
-                sphericity=None if sph is None else float(sph),
-                lungrads_category=None if lr is None else int(lr),
-            )
+            try:
+                cand = NoduleCandidate(
+                    center=(float(row["x_mm"]), float(row["y_mm"]), float(row["z_mm"])),
+                    radius_mm=float(row["radius_mm"]),
+                    confidence=float(row["confidence"]),
+                    sphericity=None if sph is None else float(sph),
+                    lungrads_category=None if lr is None else int(lr),
+                )
+            except (TypeError, ValueError):
+                raise FormatError(f"candidate file {path}, line {reader.line_num}: "
+                                  f"a field is missing or not a number") from None
             out.setdefault(row["scan_id"], []).append(cand)
     return out
 

@@ -84,6 +84,9 @@ class NNetConfig:
             raise ConfigError(f"metadata_dim must be 5 or 6, got {self.metadata_dim}")
         if self.n_branches != MAX_NODULES:
             raise ConfigError(f"n_branches is fixed at {MAX_NODULES}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if self.projection not in _PROJECTION_CODES:
@@ -438,8 +441,8 @@ def _train_in_workers(dataset: list[ScanExample], jobs: list[tuple]) -> list[Tra
                     errors.append((i, payload))
                     stop()
         except (OSError, EOFError, pickle.UnpicklingError):
-            if not failed.is_set():
-                code = worker.wait()
+            code = worker.wait()
+            if not (failed.is_set() and code == -signal.SIGKILL):     # not killed by stop()
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 task = f"fold {i}" if i < len(jobs) else "a fold"
                 errors.append((i, FoldWorkerError(f"a fold worker {how} before returning {task}")))
@@ -636,24 +639,25 @@ def _params_from_arrays(arrays: dict[str, np.ndarray], path) -> NNetParams:
         raise VersionError(f"{path}: unknown projection code {code!r}")
     params = NNetParams(metadata_dim, dropout_rate)
     params.projection = projection
-    for name, shape in _param_shapes(metadata_dim).items():
+
+    def entry(name, shape):
         if name not in arrays:
-            raise VersionError(f"{path}: weight file lacks tensor {name!r}")
+            raise VersionError(f"{path}: weight file lacks entry {name!r}")
         if arrays[name].shape != shape:
-            raise VersionError(f"{path}: tensor {name!r} has shape {arrays[name].shape}, "
+            raise VersionError(f"{path}: entry {name!r} has shape {arrays[name].shape}, "
                                f"expected {shape}")
-        params.tensors[name] = tz.Tensor(arrays[name], name=name)
+        return arrays[name]
+
+    for name, shape in _param_shapes(metadata_dim).items():
+        params.tensors[name] = tz.Tensor(entry(name, shape), name=name)
     for bn_name in _BN_MAP_NAMES + _BN_VEC_NAMES:
-        channels = N_CHANNELS if bn_name in _BN_MAP_NAMES else FC_UNITS
-        state = tz.BatchNormState(
-            gamma=tz.Tensor(arrays[f"{bn_name}.gamma"], name=f"{bn_name}.gamma"),
-            beta=tz.Tensor(arrays[f"{bn_name}.beta"], name=f"{bn_name}.beta"),
-            running_mean=arrays[f"{bn_name}.running_mean"],
-            running_var=arrays[f"{bn_name}.running_var"],
+        width = (N_CHANNELS if bn_name in _BN_MAP_NAMES else FC_UNITS,)
+        params.bn[bn_name] = tz.BatchNormState(
+            gamma=tz.Tensor(entry(f"{bn_name}.gamma", width), name=f"{bn_name}.gamma"),
+            beta=tz.Tensor(entry(f"{bn_name}.beta", width), name=f"{bn_name}.beta"),
+            running_mean=entry(f"{bn_name}.running_mean", width),
+            running_var=entry(f"{bn_name}.running_var", width),
         )
-        if state.gamma.size != channels:
-            raise VersionError(f"{path}: batch-norm {bn_name!r} has wrong width")
-        params.bn[bn_name] = state
     return params
 
 
@@ -705,6 +709,10 @@ def load_train_config(path, **overrides) -> NNetConfig:
         key = key.strip()
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _CONFIG_TYPES[key](value.strip())
+        try:
+            values[key] = _CONFIG_TYPES[key](value.strip())
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: {key} must be of type "
+                              f"{_CONFIG_TYPES[key].__name__}, got {value.strip()!r}") from None
     values.update({k: v for k, v in overrides.items() if v is not None})
     return NNetConfig(**values)

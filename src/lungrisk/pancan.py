@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, NoNoduleError
+from .errors import ConfigError, FormatError, NoNoduleError, NumericError
 from .tensor import _sigmoid_raw
 
 NODULE_TYPES = ("nonsolid", "part_solid", "solid")
@@ -50,6 +50,9 @@ class PanCanFeatures:
     spiculation: bool
 
     def __post_init__(self):
+        if not np.isfinite([self.age, self.diameter_mm]).all():
+            raise NumericError(f"age and diameter_mm must be finite, got "
+                               f"{self.age!r} and {self.diameter_mm!r}")
         if self.sex not in ("male", "female"):
             raise FormatError(f"sex must be 'male' or 'female', got {self.sex!r}")
         if self.nodule_type not in NODULE_TYPES:
@@ -78,6 +81,10 @@ class PanCanWeights:
         extra = [k for k in self.values if k not in WEIGHT_KEYS]
         if extra:
             raise ConfigError(f"weight set has unknown keys {extra}")
+        bad = [k for k, v in {**self.values, "intercept": self.intercept}.items()
+               if not np.isfinite(v)]
+        if bad:
+            raise NumericError(f"weight set has non-finite values for {bad}")
 
     def __getitem__(self, key: str) -> float:
         return self.values[key]
@@ -137,7 +144,7 @@ def load_weights(path) -> PanCanWeights:
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-numeric value for {key!r}") from None
         if key == "version":
-            version = int(num)
+            version = num
         elif key == "intercept":
             intercept = num
         else:
@@ -145,7 +152,7 @@ def load_weights(path) -> PanCanWeights:
     if version is None:
         raise FormatError(f"{path}: weight file must declare a version")
     if version != WEIGHT_FILE_VERSION:
-        raise FormatError(f"{path}: unsupported weight file version {version}")
+        raise FormatError(f"{path}: unsupported weight file version {version!r}")
     return PanCanWeights(values=values, intercept=intercept)
 
 
@@ -185,17 +192,21 @@ def read_features_csv(path) -> dict[str, list[PanCanFeatures]]:
         if missing:
             raise FormatError(f"feature file {path} lacks columns {sorted(missing)}")
         for row in reader:
-            f = PanCanFeatures(
-                age=float(row["age"]),
-                sex=row["sex"],
-                family_history=bool(int(row["family_history"])),
-                emphysema=bool(int(row["emphysema"])),
-                nodule_count=int(row["nodule_count"]),
-                diameter_mm=float(row["diameter_mm"]),
-                nodule_type=row["nodule_type"],
-                upper_lobe=bool(int(row["upper_lobe"])),
-                spiculation=bool(int(row["spiculation"])),
-            )
+            try:
+                f = PanCanFeatures(
+                    age=float(row["age"]),
+                    sex=row["sex"],
+                    family_history=bool(int(row["family_history"])),
+                    emphysema=bool(int(row["emphysema"])),
+                    nodule_count=int(row["nodule_count"]),
+                    diameter_mm=float(row["diameter_mm"]),
+                    nodule_type=row["nodule_type"],
+                    upper_lobe=bool(int(row["upper_lobe"])),
+                    spiculation=bool(int(row["spiculation"])),
+                )
+            except (TypeError, ValueError):
+                raise FormatError(f"feature file {path}, line {reader.line_num}: "
+                                  f"a field is missing or not a number") from None
             out.setdefault(row["scan_id"], []).append(f)
     return out
 

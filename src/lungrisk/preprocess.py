@@ -59,8 +59,12 @@ class NoduleCandidate:
     def __post_init__(self):
         if not self.radius_mm > 0:
             raise FormatError(f"radius_mm must be positive, got {self.radius_mm}")
+        if not np.isfinite(self.center).all():
+            raise FormatError(f"center must be finite, got {tuple(map(float, self.center))}")
         if not np.isfinite(self.confidence):
             raise FormatError("confidence must be finite")
+        if self.sphericity is not None and not np.isfinite(self.sphericity):
+            raise FormatError("sphericity must be finite")
         if self.lungrads_category is not None and self.lungrads_category not in (2, 3, 4):
             raise FormatError(f"lungrads category must be 2, 3 or 4, got {self.lungrads_category}")
 
@@ -79,8 +83,8 @@ class ScanExample:
 
     The patches hold raw metadata; each model standardizes it with its own
     training-set statistics. `cubes` keeps the source 32^3 blocks, one per
-    patch, for train-time re-cropping and is None for inference-built
-    examples.
+    patch, for train-time re-cropping; every built example keeps them. A
+    hand-built example without cubes trains on its planes.
     """
 
     scan_id: str
@@ -234,26 +238,24 @@ def candidate_metadata(c: NoduleCandidate, metadata_dim: int) -> np.ndarray:
 
 
 def build_scan_example(v: Volume, candidates: list[NoduleCandidate], label: int,
-                       mode: str, rng: np.random.Generator | None = None,
                        metadata_dim: int = 5, projection: str = "slice",
                        scan_id: str = "") -> ScanExample:
     """Run the full per-scan pipeline on the top nodules of a scan.
 
-    Composes resample -> select -> extract -> crop -> triplanar -> normalize
-    for each of the (at most 10) selected candidates; no candidates give an
-    example without patches. Metadata stays raw. Train-mode examples keep
-    their 32^3 cubes so the training loop can re-draw crops.
+    Composes resample -> select -> extract -> center crop -> triplanar ->
+    normalize for each of the (at most 10) selected candidates; no
+    candidates give an example without patches. Metadata stays raw. The
+    example keeps its 32^3 cubes so the training loop can re-draw crops.
     """
     iso = resample_isotropic(v)
     patches: list[NodulePatch] = []
     cubes: list[np.ndarray] = []
     for cand in select_top_nodules(candidates):
         cube = extract_cube(iso, cand.center)
-        planes = normalize_hu(triplanar(crop28(cube, mode, rng), projection))
+        planes = normalize_hu(triplanar(crop28(cube, "infer"), projection))
         patches.append(NodulePatch(planes=planes, metadata=candidate_metadata(cand, metadata_dim)))
         cubes.append(cube)
-    return ScanExample(scan_id=scan_id, patches=patches, label=label,
-                       cubes=cubes if mode == "train" else None)
+    return ScanExample(scan_id=scan_id, patches=patches, label=label, cubes=cubes)
 
 
 def metadata_stats_from_examples(examples: list[ScanExample]) -> MetadataStats:

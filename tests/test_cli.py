@@ -260,16 +260,6 @@ def test_score_deterministic_and_in_range(small_data, small_model, tmp_path):
     assert all(0.0 <= v <= 1.0 for v in scores.values())
 
 
-def test_score_threads_do_not_change_results(small_data, small_model, tmp_path):
-    out1 = tmp_path / "t1.csv"
-    out4 = tmp_path / "t4.csv"
-    assert run(["score", "--model", small_model, "--data", small_data, "--out", out1,
-                "--threads", 1]) == 0
-    assert run(["score", "--model", small_model, "--data", small_data, "--out", out4,
-                "--threads", 4]) == 0
-    assert file_hash(out1) == file_hash(out4)
-
-
 def test_score_unknown_scan_id_is_explicit_error(small_data, small_model, tmp_path, capsys):
     scan_list = tmp_path / "scans.txt"
     scan_list.write_text("scan_00000\nno_such_scan\n")
@@ -319,7 +309,7 @@ def test_score_uses_the_projection_the_model_was_trained_on(small_data, tmp_path
 
     def predict(scan_id, projection):
         volume = fileio.read_volume_compact(small_data / "volumes" / f"{scan_id}.lrvol")
-        example = build_scan_example(volume, candidates.get(scan_id, []), 0, "infer",
+        example = build_scan_example(volume, candidates.get(scan_id, []), 0,
                                      projection=projection, scan_id=scan_id)
         return nnet.ensemble_predict(ensemble, example)
 
@@ -475,11 +465,24 @@ GOOD_SCORES = {"a": "0.2", "b": "0.7", "c": "0.4", "d": "0.9"}
 GOOD_LABELS = {"a": "0", "b": "1", "c": "0", "d": "1"}
 
 
+# a data directory of one scan with one candidate; a case overrides or adds files
+ONE_SCAN = {
+    "labels.csv": b"scan_id,label\nv0,1\n",
+    "candidates.csv": b"scan_id,x_mm,y_mm,z_mm,radius_mm,confidence\nv0,1.0,1.0,1.0,2.0,0.9\n",
+    "volumes/v0.raw": bytes(16),
+}
 # dims (-2, -1, 1) claim 2 voxels, which the 4 payload bytes match
 LRVOL_NEGATIVE_DIMS = struct.pack("<8s3i6d4x", b"LRVOL1\0\0", -2, -1, 1,
                                   1.0, 1.0, 1.0, 0.0, 0.0, 0.0) + bytes(4)
 MHD_WORDY_NDIMS = (b"NDims = three\nDimSize = 2 2 2\nElementSpacing = 1 1 1\nOffset = 0 0 0\n"
                    b"ElementType = MET_SHORT\nElementDataFile = v0.raw\n")
+FEATURES = (b"scan_id,age,sex,family_history,emphysema,nodule_count,diameter_mm,nodule_type,"
+            b"upper_lobe,spiculation\nv0,62.0,male,0,1,1,8.0,solid,1,0\n")
+WEIGHTS = placeholder_weights_path().read_bytes()
+
+
+def candidates_with(x_mm):
+    return ONE_SCAN["candidates.csv"].replace(b"v0,1.0,", b"v0," + x_mm + b",")
 
 
 def write_csv(path, column, rows):
@@ -487,62 +490,74 @@ def write_csv(path, column, rows):
     return path
 
 
-@pytest.mark.parametrize("command, bad_scores, bad_labels, flags, env, volume, expected", [
-    pytest.param("eval", {}, {"b": "x"}, [], {}, None, cli.EXIT_IO,
+@pytest.mark.parametrize("command, bad_scores, bad_labels, flags, files, expected", [
+    pytest.param("eval", {}, {"b": "x"}, [], {}, cli.EXIT_IO,
                  id="eval-label-not-integer"),
-    pytest.param("compare", {}, {"c": "0.5"}, [], {}, None, cli.EXIT_IO,
+    pytest.param("compare", {}, {"c": "0.5"}, [], {}, cli.EXIT_IO,
                  id="compare-label-not-integer"),
-    pytest.param("eval", {"b": "high"}, {}, [], {}, None, cli.EXIT_IO,
+    pytest.param("eval", {"b": "high"}, {}, [], {}, cli.EXIT_IO,
                  id="eval-score-not-number"),
-    pytest.param("eval", {"b": "nan"}, {}, [], {}, None, cli.EXIT_NUMERIC, id="eval-score-nan"),
-    pytest.param("eval", {"a": "-inf"}, {}, [], {}, None, cli.EXIT_NUMERIC,
+    pytest.param("eval", {"b": "nan"}, {}, [], {}, cli.EXIT_NUMERIC, id="eval-score-nan"),
+    pytest.param("eval", {"a": "-inf"}, {}, [], {}, cli.EXIT_NUMERIC,
                  id="eval-score-minus-inf"),
-    pytest.param("compare", {"d": "inf"}, {}, [], {}, None, cli.EXIT_NUMERIC,
+    pytest.param("compare", {"d": "inf"}, {}, [], {}, cli.EXIT_NUMERIC,
                  id="compare-score-inf"),
-    pytest.param("compare", {"e": "0.5"}, {"e": "1"}, [], {}, None, cli.EXIT_DATA,
+    pytest.param("compare", {"e": "0.5"}, {"e": "1"}, [], {}, cli.EXIT_DATA,
                  id="compare-different-scans"),
-    pytest.param("eval", {}, {}, ["--spec", "1.5"], {}, None, cli.EXIT_USAGE,
+    pytest.param("eval", {}, {}, ["--spec", "1.5"], {}, cli.EXIT_USAGE,
                  id="eval-spec-above-one"),
-    pytest.param("eval", {}, {}, ["--spec", "-0.1"], {}, None, cli.EXIT_USAGE,
+    pytest.param("eval", {}, {}, ["--spec", "-0.1"], {}, cli.EXIT_USAGE,
                  id="eval-spec-negative"),
-    pytest.param("eval", {}, {}, ["--sens", "1.5"], {}, None, cli.EXIT_USAGE,
+    pytest.param("eval", {}, {}, ["--sens", "1.5"], {}, cli.EXIT_USAGE,
                  id="eval-sens-above-one"),
-    pytest.param("eval", {}, {}, ["--sens", "nan"], {}, None, cli.EXIT_USAGE,
+    pytest.param("eval", {}, {}, ["--sens", "nan"], {}, cli.EXIT_USAGE,
                  id="eval-sens-nan"),
-    pytest.param("score", {}, {}, [], {"LUNGRISK_THREADS": "two"}, None, cli.EXIT_USAGE,
-                 id="score-threads-not-integer"),
-    pytest.param("score", {}, {}, [], {}, ("v0.lrvol", LRVOL_NEGATIVE_DIMS), cli.EXIT_IO,
+    pytest.param("score", {}, {}, [], {"volumes/v0.lrvol": LRVOL_NEGATIVE_DIMS}, cli.EXIT_IO,
                  id="score-lrvol-negative-dims"),
-    pytest.param("score", {}, {}, [], {}, ("v0.mhd", MHD_WORDY_NDIMS), cli.EXIT_IO,
+    pytest.param("score", {}, {}, [], {"volumes/v0.mhd": MHD_WORDY_NDIMS}, cli.EXIT_IO,
                  id="score-mhd-ndims-not-a-number"),
+    pytest.param("score", {}, {}, [], {"candidates.csv": candidates_with(b"abc")}, cli.EXIT_IO,
+                 id="score-candidate-x-not-number"),
+    pytest.param("score", {}, {}, [], {"candidates.csv": candidates_with(b"nan")}, cli.EXIT_IO,
+                 id="score-candidate-x-nan"),
+    pytest.param("train", {}, {}, [], {"train.cfg": b"epochs=abc\n"}, cli.EXIT_USAGE,
+                 id="train-config-epochs-not-number"),
+    pytest.param("train", {}, {}, ["--lr", "nan"], {"train.cfg": b""}, cli.EXIT_USAGE,
+                 id="train-lr-nan"),
+    pytest.param("train", {}, {}, [], {"train.cfg": b"learning_rate=inf\n"}, cli.EXIT_USAGE,
+                 id="train-config-lr-inf"),
+    pytest.param("pancan", {}, {}, [], {"features.csv": FEATURES.replace(b",0,1,", b",yes,1,")},
+                 cli.EXIT_IO, id="pancan-flag-not-integer"),
+    pytest.param("pancan", {}, {}, [], {"features.csv": FEATURES.replace(b"62.0", b"nan")},
+                 cli.EXIT_NUMERIC, id="pancan-age-nan"),
+    pytest.param("pancan", {}, {}, [], {"weights.txt": WEIGHTS + b"intercept=nan\n"},
+                 cli.EXIT_NUMERIC, id="pancan-intercept-nan"),
 ])
-def test_bad_input_exits_with_documented_code(command, bad_scores, bad_labels, flags, env,
-                                              volume, expected, tmp_path, monkeypatch, capsys,
-                                              request):
+def test_bad_input_exits_with_documented_code(command, bad_scores, bad_labels, flags, files,
+                                              expected, tmp_path, capsys, request):
     scores = write_csv(tmp_path / "scores.csv", "score", {**GOOD_SCORES, **bad_scores})
     labels = write_csv(tmp_path / "labels.csv", "label", {**GOOD_LABELS, **bad_labels})
+    data = tmp_path / "data"
+    for name, content in {**ONE_SCAN, "features.csv": FEATURES, "weights.txt": WEIGHTS,
+                          **files}.items():
+        (data / name).parent.mkdir(parents=True, exist_ok=True)
+        (data / name).write_bytes(content)
     if command == "eval":
         argv = ["eval", "--scores", scores, "--labels", labels]
     elif command == "compare":
         other = write_csv(tmp_path / "other.csv", "score", GOOD_SCORES)
         argv = ["compare", "--a", scores, "--b", other, "--labels", labels,
                 "--perms", 10, "--seed", 0]
+    elif command == "train":
+        argv = ["train", "--data", data, "--config", data / "train.cfg", "--seed", 0,
+                "--out", tmp_path / "model"]
+    elif command == "pancan":
+        argv = ["pancan", "--weights", data / "weights.txt", "--features", data / "features.csv",
+                "--out", tmp_path / "out.csv"]
     else:
-        data = request.getfixturevalue("small_data")
-        if volume is not None:
-            # one scan, one candidate, and a volume file whose header is malformed
-            data = tmp_path / "data"
-            (data / "volumes").mkdir(parents=True)
-            name, content = volume
-            (data / "volumes" / name).write_bytes(content)
-            (data / "volumes" / "v0.raw").write_bytes(bytes(16))
-            write_csv(data / "labels.csv", "label", {"v0": "1"})
-            (data / "candidates.csv").write_text(
-                "scan_id,x_mm,y_mm,z_mm,radius_mm,confidence\nv0,1.0,1.0,1.0,2.0,0.9\n")
         argv = ["score", "--model", request.getfixturevalue("small_model"),
-                "--data", data, "--out", tmp_path / "out.csv"]
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+                "--data", data if files else request.getfixturevalue("small_data"),
+                "--out", tmp_path / "out.csv"]
     assert run(argv + flags) == expected
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

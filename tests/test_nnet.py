@@ -465,6 +465,26 @@ def test_malformed_config_entry_raises_version_error(name, value, tmp_path):
         nnet._params_from_arrays(arrays, path)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("bn_fc1.gamma", None),
+    ("bn_conv1.running_mean", None),
+    ("bn_fc1.running_var", np.ones(nnet.FC_UNITS - 1)),
+    ("bn_conv2.beta", np.zeros((nnet.N_CHANNELS, 1))),
+    ("dense2.bias", None),
+], ids=["missing-gamma", "missing-running-mean", "short-running-var", "two-dim-beta",
+        "missing-dense-bias"])
+def test_malformed_array_entry_raises_version_error(name, value, tmp_path):
+    path = tmp_path / "model.lrnn"
+    nnet.save_params(small_params(), path)
+    arrays = nnet._read_weight_arrays(path)
+    if value is None:
+        del arrays[name]
+    else:
+        arrays[name] = value
+    with pytest.raises(VersionError, match=name):
+        nnet._params_from_arrays(arrays, path)
+
+
 def test_ensemble_rejects_members_of_different_projections():
     stats = MetadataStats(mean=np.zeros(5), std=np.ones(5))
     members = [nnet.FoldMember(nnet.init_params(nnet.NNetConfig(projection=proj)), stats)
@@ -517,6 +537,9 @@ def test_config_validation():
         nnet.NNetConfig(metadata_dim=7)
     with pytest.raises(ConfigError):
         nnet.NNetConfig(n_branches=5)
+    for lr in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            nnet.NNetConfig(learning_rate=lr)
 
 
 def test_config_rejects_unknown_projection(tmp_path):

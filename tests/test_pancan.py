@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lungrisk import pancan
-from lungrisk.errors import ConfigError, FormatError, NoNoduleError
+from lungrisk.errors import ConfigError, FormatError, NoNoduleError, NumericError
 
 
 def zero_weights(intercept=0.0):
@@ -139,6 +139,28 @@ def test_weight_file_future_version(tmp_path):
         pancan.load_weights(path)
 
 
+@pytest.mark.parametrize("line", ["version=nan", "version=inf", "version=1.5"])
+def test_weight_file_version_must_be_one(line, tmp_path):
+    path = tmp_path / "w.txt"
+    pancan.save_weights(zero_weights(), path)
+    path.write_text(path.read_text().replace("version=1", line))
+    with pytest.raises(FormatError, match="version"):
+        pancan.load_weights(path)
+
+
+def test_non_finite_weights_rejected(tmp_path):
+    with pytest.raises(NumericError, match="intercept"):
+        zero_weights(intercept=float("nan"))
+    values = {k: 0.0 for k in pancan.WEIGHT_KEYS}
+    with pytest.raises(NumericError, match="age"):
+        pancan.PanCanWeights(values={**values, "age": float("inf")})
+    path = tmp_path / "w.txt"
+    pancan.save_weights(zero_weights(), path)
+    path.write_text(path.read_text().replace("intercept=0.0", "intercept=nan"))
+    with pytest.raises(NumericError):
+        pancan.load_weights(path)
+
+
 def test_placeholder_weights_load():
     w = pancan.placeholder_weights()
     assert w["diameter_mm"] > 0 and w["spiculation"] > 0
@@ -153,3 +175,6 @@ def test_bad_feature_values_rejected():
         features(diameter_mm=0.0)
     with pytest.raises(FormatError):
         features(nodule_count=0)
+    for kw in (dict(age=float("nan")), dict(age=float("-inf")), dict(diameter_mm=float("nan"))):
+        with pytest.raises(NumericError):
+            features(**kw)

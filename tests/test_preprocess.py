@@ -194,6 +194,17 @@ def cand(radius, conf=0.5, center=(0.0, 0.0, 0.0)):
     return pp.NoduleCandidate(center=center, radius_mm=radius, confidence=conf)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("center", (np.nan, 1.0, 1.0)), ("center", (1.0, np.inf, 1.0)),
+    ("confidence", np.nan), ("sphericity", -np.inf), ("radius_mm", np.nan),
+])
+def test_candidate_rejects_non_finite_numbers(field, value):
+    good = dict(center=(1.0, 2.0, 3.0), radius_mm=4.0, confidence=0.5, sphericity=0.9)
+    pp.NoduleCandidate(**good)
+    with pytest.raises(FormatError, match=field):
+        pp.NoduleCandidate(**{**good, field: value})
+
+
 def test_select_takes_ten_largest():
     cands = [cand(r) for r in [3, 7, 1, 9, 4, 8, 2, 6, 5, 10, 11, 12]]
     out = pp.select_top_nodules(cands)
@@ -242,7 +253,7 @@ def volume_with_nodule(center=(30.0, 30.0, 30.0), dims=(64, 64, 64)):
 
 def test_build_zero_candidates_all_masked():
     v = volume_with_nodule()
-    ex = pp.build_scan_example(v, [], label=0, mode="train", rng=np.random.default_rng(0))
+    ex = pp.build_scan_example(v, [], label=0)
     assert ex.patches == []
     assert ex.cubes == []
 
@@ -250,7 +261,7 @@ def test_build_zero_candidates_all_masked():
 def test_build_single_candidate():
     v = volume_with_nodule()
     c = cand(4.0, conf=0.8, center=(30.0, 30.0, 30.0))
-    ex = pp.build_scan_example(v, [c], label=1, mode="train", rng=np.random.default_rng(0))
+    ex = pp.build_scan_example(v, [c], label=1)
     assert len(ex.patches) == 1
     np.testing.assert_array_equal(ex.patches[0].metadata, [4.0, 30.0, 30.0, 30.0, 0.8])
     assert ex.patches[0].planes.shape == (3, 28, 28)
@@ -261,28 +272,32 @@ def test_build_single_candidate():
 def test_build_infer_deterministic_and_needs_stats():
     v = volume_with_nodule()
     c = cand(4.0, center=(30.0, 30.0, 30.0))
-    a = pp.build_scan_example(v, [c], 1, "infer")
-    b = pp.build_scan_example(v, [c], 1, "infer")
+    a = pp.build_scan_example(v, [c], 1)
+    b = pp.build_scan_example(v, [c], 1)
     np.testing.assert_array_equal(a.patches[0].planes, b.patches[0].planes)
     np.testing.assert_array_equal(a.patches[0].metadata, b.patches[0].metadata)
-    assert a.cubes is None
+    np.testing.assert_array_equal(a.cubes[0], b.cubes[0])
     # no statistics: the metadata stays raw, each model standardizes it itself
     np.testing.assert_array_equal(a.patches[0].metadata, pp.candidate_metadata(c, 5))
 
 
-def test_build_train_seeded_determinism():
+@pytest.mark.parametrize("projection", ["slice", "mip"])
+def test_build_planes_are_the_center_crop_of_the_kept_cubes(projection):
     v = volume_with_nodule()
-    c = cand(4.0, center=(30.0, 30.0, 30.0))
-    a = pp.build_scan_example(v, [c], 1, "train", rng=np.random.default_rng(5))
-    b = pp.build_scan_example(v, [c], 1, "train", rng=np.random.default_rng(5))
-    np.testing.assert_array_equal(a.patches[0].planes, b.patches[0].planes)
+    cands = [cand(4.0, center=(30.0, 30.0, 30.0)), cand(3.0, center=(20.0, 33.0, 41.0))]
+    ex = pp.build_scan_example(v, cands, 1, projection=projection)
+    assert len(ex.cubes) == len(ex.patches) == 2
+    for patch, cube, c in zip(ex.patches, ex.cubes, pp.select_top_nodules(cands)):
+        np.testing.assert_array_equal(cube, pp.extract_cube(v, c.center))
+        np.testing.assert_array_equal(
+            patch.planes, pp.normalize_hu(pp.triplanar(pp.crop28(cube, "infer"), projection)))
 
 
 def test_build_output_shape_invariant_to_candidate_count():
     v = volume_with_nodule()
     for n in (0, 1, 3, 12):
         cands = [cand(4.0 + i, center=(30.0, 30.0, 30.0)) for i in range(n)]
-        ex = pp.build_scan_example(v, cands, 0, "train", rng=np.random.default_rng(0))
+        ex = pp.build_scan_example(v, cands, 0)
         assert len(ex.patches) <= 10
         assert all(p.planes.shape == (3, 28, 28) for p in ex.patches)
         assert all(p.metadata.shape == (5,) for p in ex.patches)
@@ -292,13 +307,11 @@ def test_build_keeps_the_top_candidates_only():
     v = volume_with_nodule()
     for n in (0, 1, 9, 10, 11, 15):
         cands = [cand(2.0 + 0.5 * i, center=(30.0, 30.0, 30.0)) for i in range(n)]
-        for mode in ("train", "infer"):
-            ex = pp.build_scan_example(v, cands, 1, mode, rng=np.random.default_rng(0))
-            assert len(ex.patches) == min(n, 10)
-            radii = [p.metadata[0] for p in ex.patches]
-            assert radii == [c.radius_mm for c in pp.select_top_nodules(cands)]
-            if mode == "train":
-                assert len(ex.cubes) == len(ex.patches)
+        ex = pp.build_scan_example(v, cands, 1)
+        assert len(ex.patches) == min(n, 10)
+        radii = [p.metadata[0] for p in ex.patches]
+        assert radii == [c.radius_mm for c in pp.select_top_nodules(cands)]
+        assert len(ex.cubes) == len(ex.patches)
 
 
 def blank_patches(n):
@@ -317,7 +330,7 @@ def test_metadata_standardization_round_trip():
     v = volume_with_nodule()
     cands = [cand(4.0, conf=0.2, center=(30.0, 30.0, 30.0)),
              cand(6.0, conf=0.9, center=(32.0, 30.0, 28.0))]
-    ex = pp.build_scan_example(v, cands, 1, "train", rng=np.random.default_rng(0))
+    ex = pp.build_scan_example(v, cands, 1)
     stats = pp.metadata_stats_from_examples([ex])
     raw = np.stack([p.metadata for p in ex.patches])
     rows = stats.standardize(raw)
@@ -329,4 +342,4 @@ def test_metadata_dim6_requires_sphericity():
     v = volume_with_nodule()
     c = cand(4.0, center=(30.0, 30.0, 30.0))
     with pytest.raises(ConfigError):
-        pp.build_scan_example(v, [c], 1, "train", rng=np.random.default_rng(0), metadata_dim=6)
+        pp.build_scan_example(v, [c], 1, metadata_dim=6)
