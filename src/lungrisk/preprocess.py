@@ -177,7 +177,10 @@ def extract_cube(v: Volume, center, side: int = CUBE_SIDE) -> np.ndarray:
 
 
 def crop28(cube: np.ndarray, mode: str, rng: np.random.Generator | None = None) -> np.ndarray:
-    """28^3 crop of a 32^3 cube: random offsets in train, center (2,2,2) at inference."""
+    """28^3 crop of a 32^3 cube: random offsets in train, center (2,2,2) at inference.
+
+    The crop is a view into `cube`, not a copy: writing to it writes to the cube.
+    """
     if cube.shape != (CUBE_SIDE,) * 3:
         raise DimensionError(f"crop28 expects a {CUBE_SIDE}^3 cube, got {cube.shape}")
     if mode == "train":
@@ -190,7 +193,7 @@ def crop28(cube: np.ndarray, mode: str, rng: np.random.Generator | None = None) 
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     return cube[off[0]:off[0] + CROP_SIDE,
                 off[1]:off[1] + CROP_SIDE,
-                off[2]:off[2] + CROP_SIDE].copy()
+                off[2]:off[2] + CROP_SIDE]
 
 
 def triplanar(cube: np.ndarray, projection: str = "slice") -> np.ndarray:

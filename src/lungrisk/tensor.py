@@ -62,10 +62,13 @@ class Tensor:
         return self.data.size
 
     def accumulate(self, g):
+        """Add `g` into `.grad`. The first gradient is kept, not copied, so
+        `g` must be an array no one else holds; a caller passing its own
+        incoming gradient, or a view of it, passes a copy."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, order="C")
+            self.grad = np.asarray(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -130,29 +133,26 @@ class AdamState:
 
 
 # Offsets of a 3x3 tap along one axis, as (destination slice, source
-# slice, border index left at zero) within a zero-padded "same" window.
+# slice) within a zero-padded "same" window. The destination leaves out the
+# border row or column that the padding would fill.
 _TAP_SLICES = (
-    (slice(1, None), slice(None, -1), 0),
-    (slice(None), slice(None), None),
-    (slice(None, -1), slice(1, None), -1),
+    (slice(1, None), slice(None, -1)),
+    (slice(None), slice(None)),
+    (slice(None, -1), slice(1, None)),
 )
 
 
-def _im2col(arr: np.ndarray) -> np.ndarray:
-    """(C,N,H,W) -> (C*9, N*H*W) columns of all 3x3 taps over a zero-padded
-    input. Each tap block is one slice assignment of the shifted input plus
-    its zeroed border row and column, so no padded copy or transpose is made."""
-    c, n, h, w = arr.shape
-    cols = np.empty((c, 3, 3, n, h, w))
-    for i, (dst_i, src_i, edge_i) in enumerate(_TAP_SLICES):
-        for j, (dst_j, src_j, edge_j) in enumerate(_TAP_SLICES):
-            tap = cols[:, i, j]
-            tap[:, :, dst_i, dst_j] = arr[:, :, src_i, src_j]
-            if edge_i is not None:
-                tap[:, :, edge_i] = 0.0
-            if edge_j is not None:
-                tap[:, :, :, edge_j] = 0.0
-    return cols.reshape(c * 9, n * h * w)
+def _im2col(arr: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns of all 3x3 taps of the (C,H,W) map `arr` over zero padding,
+    as (C*9, H*W). They are written into `cols`, a (C,3,3,H,W) buffer made by
+    np.zeros: each tap is one slice assignment of the shifted map, which
+    never touches the border rows and columns, so they stay zero and the
+    buffer can be reused for the next map without a padded copy."""
+    c, h, w = arr.shape
+    for i, (dst_i, src_i) in enumerate(_TAP_SLICES):
+        for j, (dst_j, src_j) in enumerate(_TAP_SLICES):
+            cols[:, i, j, dst_i, dst_j] = arr[:, src_i, src_j]
+    return cols.reshape(c * 9, h * w)
 
 
 def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -160,6 +160,13 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     `x` is one (C,H,W) map or a channel-major (C,N,H,W) batch; `kernels` is
     (O,C,3,3), `bias` (O,). The output has the input's layout with O channels.
+
+    The batch is unfolded one map at a time into a one-map column buffer:
+    each map's columns feed one GEMM written straight into its slot of the
+    output, and backward unfolds each map again rather than holding the
+    batch's columns. The columns stay cache-sized, and every GEMM has the
+    shape of a single-map call, so a map's output does not depend on the
+    batch it came in.
     """
     single = x.data.ndim == 3
     xd = x.data[:, None] if single else x.data
@@ -175,22 +182,34 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if bias.data.shape != (o,):
         raise DimensionError(f"bias must be ({o},), got {bias.shape}")
 
-    cols = _im2col(xd)                              # (C*9, NHW)
-    out2d = k.reshape(o, c * 9) @ cols
-    out2d += bias.data[:, None]
-    out = out2d.reshape((o,) + x.data.shape[1:])
+    kmat = k.reshape(o, c * 9)
+    cols = np.zeros((c, 3, 3, h, w))
+    out = np.empty((o, n, h, w))
+    out3 = out.reshape(o, n, h * w)
+    for p in range(n):
+        np.matmul(kmat, _im2col(xd[:, p], cols), out=out3[:, p])
+    out3 += bias.data[:, None, None]
 
     def backward(g):
-        gmat = g.reshape(o, n * h * w)
-        kernels.accumulate((gmat @ cols.T).reshape(o, c, 3, 3))
-        bias.accumulate(gmat.sum(axis=1))
+        g3 = g.reshape(o, n, h * w)
+        gk = np.zeros((o, c * 9))
+        for p in range(n):
+            gk += g3[:, p] @ _im2col(xd[:, p], cols).T
+        kernels.accumulate(gk.reshape(o, c, 3, 3))
+        bias.accumulate(g.reshape(o, -1).sum(axis=1))
         if not x.requires_grad:
             return
-        gcols = _im2col(gmat.reshape(o, n, h, w))   # (O*9, NHW)
         kflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * 9)
-        x.accumulate((kflip @ gcols).reshape(x.data.shape))
+        g4 = g.reshape(o, n, h, w)
+        gcols = np.zeros((o, 3, 3, h, w))
+        dx = np.empty((c, n, h, w))
+        dx3 = dx.reshape(c, n, h * w)
+        for p in range(n):
+            np.matmul(kflip, _im2col(g4[:, p], gcols), out=dx3[:, p])
+        x.accumulate(dx.reshape(x.data.shape))
 
-    return Tensor(out, parents=(x, kernels, bias), backward=backward)
+    return Tensor(out.reshape((o,) + x.data.shape[1:]), parents=(x, kernels, bias),
+                  backward=backward)
 
 
 def _bn_axes(shape, channels):
@@ -234,9 +253,10 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
     mu = np.einsum(red, xd) / m
     var = np.maximum(np.einsum(dot, xd, xd) / m - mu * mu, 0.0)
     inv = 1.0 / np.sqrt(var + state.epsilon)
-    xc = xd - mu.reshape(bshape)
-    xhat = xc * inv.reshape(bshape)
-    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    xhat = xd - mu.reshape(bshape)
+    xhat *= inv.reshape(bshape)
+    out = xhat * gamma.data.reshape(bshape)
+    out += beta.data.reshape(bshape)
 
     state.running_mean *= state.momentum
     state.running_mean += (1.0 - state.momentum) * mu
@@ -244,15 +264,17 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
     state.running_var += (1.0 - state.momentum) * var
 
     def backward_train(g):
+        # Closed form: dx = gamma*inv*(g - sum(g)/m - xhat*sum(g*xhat)/m),
+        # built from the two reductions gamma and beta need anyway.
         g = g.reshape(view)
-        gamma.accumulate(np.einsum(dot, g, xhat))
-        beta.accumulate(np.einsum(red, g))
-        gxhat = g * gamma.data.reshape(bshape)
-        dvar = np.einsum(dot, gxhat, xc) * (-0.5) * inv ** 3
-        dmu = -np.einsum(red, gxhat) * inv
-        dx = gxhat * inv.reshape(bshape)
-        dx += dvar.reshape(bshape) * (2.0 / m) * xc
-        dx += dmu.reshape(bshape) / m
+        dgamma = np.einsum(dot, g, xhat)
+        dbeta = np.einsum(red, g)
+        dx = xhat * (-dgamma / m).reshape(bshape)
+        dx += g
+        dx -= (dbeta / m).reshape(bshape)
+        dx *= (gamma.data * inv).reshape(bshape)
+        gamma.accumulate(dgamma)
+        beta.accumulate(dbeta)
         x.accumulate(dx.reshape(shape))
 
     return Tensor(out.reshape(shape), parents=(x, gamma, beta), backward=backward_train)
@@ -346,8 +368,8 @@ def residual_add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        a.accumulate(g)
-        b.accumulate(g)
+        a.accumulate(g.copy())
+        b.accumulate(g.copy())
 
     return Tensor(out, parents=(a, b), backward=backward)
 
@@ -363,9 +385,8 @@ def flatten(x: Tensor) -> Tensor:
 
     def backward(g):
         if len(shape) == 4:
-            x.accumulate(g.reshape(shape[1], shape[0], *shape[2:]).transpose(1, 0, 2, 3))
-        else:
-            x.accumulate(g.reshape(shape))
+            g = g.reshape(shape[1], shape[0], *shape[2:]).transpose(1, 0, 2, 3)
+        x.accumulate(g.reshape(shape).copy())
 
     return Tensor(out, parents=(x,), backward=backward)
 
@@ -375,7 +396,7 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     out = x.data.reshape(shape)
 
     def backward(g):
-        x.accumulate(g.reshape(old))
+        x.accumulate(g.reshape(old).copy())
 
     return Tensor(out, parents=(x,), backward=backward)
 
@@ -388,8 +409,8 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     out = np.concatenate([a.data, b.data], axis=-1)
 
     def backward(g):
-        a.accumulate(g[..., :na])
-        b.accumulate(g[..., na:])
+        a.accumulate(g[..., :na].copy())
+        b.accumulate(g[..., na:].copy())
 
     return Tensor(out, parents=(a, b), backward=backward)
 

@@ -317,14 +317,18 @@ def test_kfold_fold_error_keeps_its_class():
         nnet.kfold_train(nnet.NNetConfig(epochs=1), data, k=2)
 
 
-@pytest.mark.parametrize("entry, expected", [
-    ("import os; os._exit(3)", "exited with status 3 before returning"),
+@pytest.mark.parametrize("entry, expected, one_worker", [
+    ("import os; os._exit(3)", "exited with status 3 before returning", False),
+    # With two workers, the one holding job 1 could die first and stop the
+    # one holding job 0 before it fails: one worker takes job 0 for certain.
     ("import os, pickle, sys; pickle.load(sys.stdin.buffer); os._exit(4)",
-     "exited with status 4 before returning fold 0"),
-    ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)", "killed by signal 9"),
+     "exited with status 4 before returning fold 0", True),
+    ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)", "killed by signal 9", False),
 ], ids=["at-start", "after-the-dataset", "killed"])
-def test_kfold_worker_death_raises_fold_worker_error(entry, expected, monkeypatch):
+def test_kfold_worker_death_raises_fold_worker_error(entry, expected, one_worker, monkeypatch):
     monkeypatch.setattr(nnet, "_WORKER_ENTRY", entry)
+    if one_worker:
+        monkeypatch.setattr(nnet, "_usable_cpus", lambda: 1)
     rng = np.random.default_rng(9)
     with pytest.raises(FoldWorkerError, match=expected):
         nnet.kfold_train(nnet.NNetConfig(epochs=1), tiny_dataset(rng, n=6), k=3)

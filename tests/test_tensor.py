@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,65 @@ def test_conv_and_infer_bn_on_channel_major_batch_match_single_maps():
     for i in range(4):
         np.testing.assert_array_equal(conv[:, i], T.conv2d_same(t(xb[:, i]), k, b).data)
         np.testing.assert_array_equal(normed[:, i], T.batch_norm(t(xb[:, i]), bn, "infer").data)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 19])
+def test_conv_of_a_patch_batch_equals_the_per_map_conv_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    xb = rng.normal(size=(8, n, 28, 28))
+    k = t(rng.normal(size=(8, 8, 3, 3)))
+    b = t(rng.normal(size=8))
+    batched = T.conv2d_same(t(xb), k, b).data
+    for i in range(n):
+        np.testing.assert_array_equal(batched[:, i], T.conv2d_same(t(xb[:, i]), k, b).data)
+
+
+def _whole_batch_conv_reference(x, k, b, g):
+    """Forward and gradients of a same-padded 3x3 conv from one (C*9, N*H*W)
+    column matrix of the whole (C,N,H,W) batch, with a col2im scatter for dx."""
+    c, n, h, w = x.shape
+    o = k.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.stack([xp[:, :, i:i + h, j:j + w] for i in range(3) for j in range(3)], axis=1)
+    cols = cols.reshape(c * 9, n * h * w)
+    out = (k.reshape(o, c * 9) @ cols + b[:, None]).reshape(o, n, h, w)
+    gmat = g.reshape(o, n * h * w)
+    gk = (gmat @ cols.T).reshape(o, c, 3, 3)
+    gcols = (k.reshape(o, c * 9).T @ gmat).reshape(c, 3, 3, n, h, w)
+    dxp = np.zeros_like(xp)
+    for i in range(3):
+        for j in range(3):
+            dxp[:, :, i:i + h, j:j + w] += gcols[:, i, j]
+    return out, gk, gmat.sum(axis=1), dxp[:, :, 1:-1, 1:-1]
+
+
+def test_conv_gradients_match_a_whole_batch_im2col_reference():
+    rng = np.random.default_rng(31)
+    xd = rng.normal(size=(3, 5, 9, 7))
+    x, k, b = t(xd), t(rng.normal(size=(4, 3, 3, 3))), t(rng.normal(size=4))
+    g = rng.normal(size=(4, 5, 9, 7))
+    out = T.conv2d_same(x, k, b)
+    out._backward(g)
+    ref = _whole_batch_conv_reference(xd, k.data, b.data, g)
+    for got, want in zip((out.data, k.grad, b.grad, x.grad), ref):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_conv_forward_and_backward_hold_no_batch_sized_columns():
+    # The whole-batch column matrix alone is nine feature maps.
+    rng = np.random.default_rng(32)
+    x = t(rng.normal(size=(8, 32, 28, 28)))
+    k, b = t(rng.normal(size=(8, 8, 3, 3))), t(rng.normal(size=8))
+    g = rng.normal(size=x.shape)
+    tracemalloc.start()
+    try:
+        out = T.conv2d_same(x, k, b)
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None
+    assert peak < 6 * x.data.nbytes, peak
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +360,41 @@ def test_residual_add_shape_mismatch():
         T.residual_add(t(np.zeros(2)), t(np.zeros(3)))
 
 
+def test_shared_and_reshaped_gradients_are_exact_and_never_aliased():
+    # Every view-passing op feeds one tensor twice, so a first gradient kept
+    # as a view of its child's would be changed by the second one added in.
+    rng = np.random.default_rng(34)
+    x = t(rng.normal(0.0, 0.1, size=(2, 3, 2, 2)))  # (C, N, H, W)
+    w, bias = t(rng.normal(0.0, 0.1, size=(16, 1))), t(rng.normal(size=1))
+    f1, f2 = T.flatten(x), T.flatten(x)         # (3, 8) each
+    c, d = T.concat(f1, f2), T.concat(f2, f1)   # (3, 16) each
+    y, y2 = T.residual_add(c, c), T.residual_add(d, d)
+    s0 = T.residual_add(y, y2)
+    s = T.residual_add(s0, y2)
+    q1, q2 = T.reshape(s, (48,)), T.reshape(s, (48,))
+    r = T.residual_add(q1, q2)
+    o = T.reshape(T.dense(T.reshape(r, (3, 16)), w, bias), (3,))
+    loss = T.bce_loss(T.sigmoid(o), np.array([1.0, 0.0, 1.0]))
+    nodes = [f1, f2, c, d, y, y2, s0, s, q1, q2, r, o]
+    before = {}
+    for node in nodes:
+        def run(g, node=node, inner=node._backward):
+            before[id(node)] = node.grad.copy()
+            inner(g)
+        node._backward = run
+    T.backward(loss)
+    for node in nodes:
+        np.testing.assert_array_equal(node.grad, before[id(node)])
+    gr = (o.grad.reshape(3, 1) @ w.data.T).reshape(48)
+    gs = (gr + gr).reshape(3, 16)
+    gy, gy2 = gs, gs + gs
+    gc, gd = gy + gy, gy2 + gy2
+    gx1, gx2 = (g.reshape(3, 2, 2, 2).transpose(1, 0, 2, 3)
+                for g in (gc[:, :8] + gd[:, 8:], gc[:, 8:] + gd[:, :8]))
+    assert np.all(gx1 != 0.0)
+    np.testing.assert_array_equal(x.grad, gx1 + gx2)
+
+
 def test_segment_max_forward_and_grad():
     x = t([0.2, 0.7, 0.4, 0.1, 0.9])
     seg = np.array([0, 0, 0, 1, 1])
@@ -470,6 +566,37 @@ def test_gradcheck_bn_train():
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=3)
     bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=3)
     labels = rng.integers(0, 2, size=(3, 4, 2, 2)).astype(float)
+    _gradcheck(lambda: _bce_head(T.batch_norm(x, bn, "train"), labels),
+               {"x": x, "gamma": bn.gamma, "beta": bn.beta})
+
+
+def _nine_pass_bn_backward(xd, g, gamma, eps, axis):
+    """The textbook chain rule through mean and variance, pass by pass."""
+    m = xd.size // gamma.size
+    mu = xd.mean(axis=axis, keepdims=True)
+    xc = xd - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axis, keepdims=True) + eps)
+    gxhat = g * gamma
+    dvar = (gxhat * xc).sum(axis=axis, keepdims=True) * (-0.5) * inv ** 3
+    dmu = -gxhat.sum(axis=axis, keepdims=True) * inv
+    return gxhat * inv + dvar * (2.0 / m) * xc + dmu / m
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5, 6), (7, 3)], ids=["C,N,H,W", "N,F"])
+def test_bn_train_backward_matches_the_nine_pass_formula_and_finite_differences(shape):
+    rng = np.random.default_rng(33)
+    channels, axis = (3, (1, 2, 3)) if len(shape) == 4 else (3, 0)
+    bshape = (3, 1, 1, 1) if len(shape) == 4 else (1, 3)
+    bn = make_bn(channels)
+    bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=channels)
+    bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=channels)
+    x = t(rng.normal(1.0, 2.0, size=shape))
+    g = rng.normal(size=shape)
+    out = T.batch_norm(x, bn, "train")
+    out._backward(g)
+    want = _nine_pass_bn_backward(x.data, g, bn.gamma.data.reshape(bshape), bn.epsilon, axis)
+    assert np.max(np.abs(x.grad - want)) <= 1e-12 * np.max(np.abs(want))
+    labels = rng.integers(0, 2, size=shape).astype(float)
     _gradcheck(lambda: _bce_head(T.batch_norm(x, bn, "train"), labels),
                {"x": x, "gamma": bn.gamma, "beta": bn.beta})
 
