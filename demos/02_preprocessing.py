@@ -38,7 +38,7 @@ candidates = [
     pp.NoduleCandidate(center=tuple(world_center), radius_mm=r, confidence=c)
     for r, c in [(4.0, 0.9), (6.5, 0.4), (6.5, 0.8), (2.0, 0.99), (9.0, 0.7)]
 ]
-chosen = pp.select_top_nodules(candidates, k=3)
+chosen = pp.select_top_nodules(candidates)[:3]
 print("top-3 radii:", [c.radius_mm for c in chosen],
       "(ties broken by confidence)")
 

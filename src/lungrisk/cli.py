@@ -36,13 +36,12 @@ EXIT_NUMERIC = 5
 
 
 def _volume_path(data_dir: Path, scan_id: str) -> Path:
+    """The scan's LRVOL1 file under data/volumes/, or else its .mhd header."""
     for candidate in (data_dir / "volumes" / f"{scan_id}.lrvol",
-                      data_dir / "volumes" / f"{scan_id}.mhd",
-                      data_dir / f"{scan_id}.lrvol",
-                      data_dir / f"{scan_id}.mhd"):
+                      data_dir / "volumes" / f"{scan_id}.mhd"):
         if candidate.exists():
             return candidate
-    raise DataConsistencyError(f"no volume file for scan {scan_id!r} under {data_dir}")
+    raise DataConsistencyError(f"no volume file for scan {scan_id!r} under {data_dir / 'volumes'}")
 
 
 def _load_volume(data_dir: Path, scan_id: str):

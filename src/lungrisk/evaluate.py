@@ -77,23 +77,27 @@ class RocCurve:
         return iter(zip(self.fpr, self.tpr, self.thresholds))
 
 
-def roc_curve(c: ScoredCohort) -> RocCurve:
-    """One point per distinct score (ties grouped) plus the (0,0) sentinel."""
+def _sweep(c: ScoredCohort):
+    """The `score >= threshold` rule swept from the top: an infinite
+    threshold that calls no scan positive, then each distinct score in
+    descending order. Returns the thresholds, the true- and false-positive
+    counts at each, and the numbers of positives and negatives."""
     c.check_both_classes()
     order = np.argsort(-c.scores, kind="stable")
     scores = c.scores[order]
     labels = c.labels[order]
     n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
     # indices where a tie group ends
-    distinct = np.flatnonzero(np.diff(scores) != 0)
-    ends = np.r_[distinct, scores.size - 1]
-    tp = np.cumsum(labels)[ends]
-    fp = (ends + 1) - tp
-    fpr = np.r_[0.0, fp / n_neg]
-    tpr = np.r_[0.0, tp / n_pos]
-    thresholds = np.r_[np.inf, scores[ends]]
-    return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
+    ends = np.r_[np.flatnonzero(np.diff(scores) != 0), scores.size - 1]
+    tp = np.r_[0, np.cumsum(labels)[ends]]
+    fp = np.r_[0, ends + 1] - tp
+    return np.r_[np.inf, scores[ends]], tp, fp, n_pos, labels.size - n_pos
+
+
+def roc_curve(c: ScoredCohort) -> RocCurve:
+    """One point per distinct score (ties grouped) plus the (0,0) sentinel."""
+    thresholds, tp, fp, n_pos, n_neg = _sweep(c)
+    return RocCurve(fpr=fp / n_neg, tpr=tp / n_pos, thresholds=thresholds)
 
 
 def auc(c: ScoredCohort) -> float:
@@ -167,21 +171,6 @@ def permutation_test_auc(a: ScoredCohort, b: ScoredCohort, n_perm: int = 10_000,
     return (1 + exceed) / (1 + n_perm)
 
 
-def _threshold_sweep(c: ScoredCohort):
-    """All candidate thresholds (distinct scores + one above the max) with
-    the sensitivity and specificity of the `score >= threshold` rule."""
-    c.check_both_classes()
-    pos = np.sort(c.scores[c.labels == 1])
-    neg = np.sort(c.scores[c.labels == 0])
-    thresholds = np.unique(c.scores)
-    top = thresholds[-1] + 1.0 if np.isfinite(thresholds[-1]) else np.inf
-    thresholds = np.r_[thresholds, top]
-    # counts of scores >= t / < t via binary search on the sorted arrays
-    sens = (len(pos) - np.searchsorted(pos, thresholds, side="left")) / len(pos)
-    spec = np.searchsorted(neg, thresholds, side="left") / len(neg)
-    return thresholds, sens, spec
-
-
 def _check_target(name: str, value: float):
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"target {name} must lie in [0,1], got {value}")
@@ -190,17 +179,19 @@ def _check_target(name: str, value: float):
 def sensitivity_at_specificity(c: ScoredCohort, target_specificity: float = 0.80) -> float:
     """Sensitivity at the smallest threshold whose specificity meets the target."""
     _check_target("specificity", target_specificity)
-    thresholds, sens, spec = _threshold_sweep(c)
-    ok = np.flatnonzero(spec >= target_specificity)
-    return float(sens[ok[0]])
+    _, tp, fp, n_pos, n_neg = _sweep(c)
+    # specificity falls as the threshold does; the infinite one has 1.0
+    ok = np.flatnonzero((n_neg - fp) / n_neg >= target_specificity)
+    return float(tp[ok[-1]] / n_pos)
 
 
 def specificity_at_sensitivity(c: ScoredCohort, target_sensitivity: float = 0.84) -> float:
     """Specificity at the largest threshold whose sensitivity meets the target."""
     _check_target("sensitivity", target_sensitivity)
-    thresholds, sens, spec = _threshold_sweep(c)
-    ok = np.flatnonzero(sens >= target_sensitivity)
-    return float(spec[ok[-1]])
+    _, tp, fp, n_pos, n_neg = _sweep(c)
+    # sensitivity rises as the threshold falls; the lowest one has 1.0
+    ok = np.flatnonzero(tp / n_pos >= target_sensitivity)
+    return float((n_neg - fp[ok[0]]) / n_neg)
 
 
 @dataclass

@@ -131,26 +131,18 @@ def read_volume_compact(path) -> Volume:
 CANDIDATE_BASE_COLUMNS = ["scan_id", "x_mm", "y_mm", "z_mm", "radius_mm", "confidence"]
 
 
-def write_candidates_csv(path, rows: dict[str, list[NoduleCandidate]],
-                         with_sphericity: bool = False, with_lungrads: bool = False):
-    """Write per-scan candidate lists; optional columns appear when requested."""
-    columns = list(CANDIDATE_BASE_COLUMNS)
-    if with_sphericity:
-        columns.append("sphericity")
-    if with_lungrads:
-        columns.append("lungrads")
+def write_candidates_csv(path, rows: dict[str, list[NoduleCandidate]]):
+    """Write per-scan candidate lists, with the optional sphericity and
+    lungrads columns; a candidate without a value leaves its cell empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(CANDIDATE_BASE_COLUMNS + ["sphericity", "lungrads"])
         for scan_id in sorted(rows):
             for c in rows[scan_id]:
-                row = [scan_id, repr(c.center[0]), repr(c.center[1]), repr(c.center[2]),
-                       repr(c.radius_mm), repr(c.confidence)]
-                if with_sphericity:
-                    row.append("" if c.sphericity is None else repr(c.sphericity))
-                if with_lungrads:
-                    row.append("" if c.lungrads_category is None else str(c.lungrads_category))
-                writer.writerow(row)
+                writer.writerow([scan_id, repr(c.center[0]), repr(c.center[1]), repr(c.center[2]),
+                                 repr(c.radius_mm), repr(c.confidence),
+                                 "" if c.sphericity is None else repr(c.sphericity),
+                                 "" if c.lungrads_category is None else str(c.lungrads_category)])
 
 
 def read_candidates_csv(path) -> dict[str, list[NoduleCandidate]]:

@@ -47,7 +47,6 @@ from .errors import (
 )
 from .preprocess import (
     CROP_SIDE,
-    MAX_NODULES,
     MetadataStats,
     ScanExample,
     crop28,
@@ -74,7 +73,6 @@ class NNetConfig:
     epochs: int = 30
     batch_size: int = 32
     seed: int = 0
-    n_branches: int = MAX_NODULES
     projection: str = "slice"   # plane extraction; saved with the weights for scoring
 
     def __post_init__(self):
@@ -82,8 +80,6 @@ class NNetConfig:
             raise ConfigError(f"dropout_rate must lie in [0,1), got {self.dropout_rate}")
         if self.metadata_dim not in (5, 6):
             raise ConfigError(f"metadata_dim must be 5 or 6, got {self.metadata_dim}")
-        if self.n_branches != MAX_NODULES:
-            raise ConfigError(f"n_branches is fixed at {MAX_NODULES}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be finite and positive, "
                               f"got {self.learning_rate}")
@@ -223,10 +219,13 @@ def score_bags(params: NNetParams, planes: np.ndarray, metadata: np.ndarray,
 
 
 @dataclass
-class TrainResult:
+class FoldMember:
+    """One trained model: its parameters, the metadata statistics of its
+    training set, and its mean per-epoch training loss."""
+
     params: NNetParams
     metadata_stats: MetadataStats
-    loss_history: list[float]
+    loss_history: list[float] = field(default_factory=list)
 
 
 def _gather_batch(examples: list[ScanExample], mode: str, rng, projection: str):
@@ -254,7 +253,7 @@ def _gather_batch(examples: list[ScanExample], mode: str, rng, projection: str):
 
 
 def train(config: NNetConfig, dataset: list[ScanExample],
-          rng: np.random.Generator | None = None) -> TrainResult:
+          rng: np.random.Generator | None = None) -> FoldMember:
     """Mini-batch Adam/BCE training with per-iteration random re-crops.
 
     Returns the trained parameters, the metadata statistics computed from
@@ -295,18 +294,11 @@ def train(config: NNetConfig, dataset: list[ScanExample],
             epoch_loss += float(loss.data) * labels.size
             n_scored += labels.size
         history.append(epoch_loss / n_scored)
-    return TrainResult(params=params, metadata_stats=stats, loss_history=history)
+    return FoldMember(params=params, metadata_stats=stats, loss_history=history)
 
 
 # ---------------------------------------------------------------------------
 # k-fold ensemble
-
-
-@dataclass
-class FoldMember:
-    params: NNetParams
-    metadata_stats: MetadataStats
-    loss_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -361,9 +353,7 @@ def kfold_train(config: NNetConfig, dataset: list[ScanExample], k: int = 5,
         folds = stratified_folds([ex.label for ex in dataset], k, fold_rng)
         jobs = [(replace(config, seed=int(seeds[i])), holdout)
                 for i, holdout in enumerate(folds)]
-    return FoldEnsemble(members=[
-        FoldMember(params=r.params, metadata_stats=r.metadata_stats, loss_history=r.loss_history)
-        for r in _train_in_workers(dataset, jobs)])
+    return FoldEnsemble(members=_train_in_workers(dataset, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +389,7 @@ def _worker_env() -> dict[str, str]:
     return {**os.environ, **_ONE_BLAS_THREAD, **_REUSE_FREED_MEMORY, "PYTHONPATH": path}
 
 
-def _train_in_workers(dataset: list[ScanExample], jobs: list[tuple]) -> list[TrainResult]:
+def _train_in_workers(dataset: list[ScanExample], jobs: list[tuple]) -> list[FoldMember]:
     """Train each (config, holdout indices) job on the dataset less its holdout.
 
     The jobs run in min(len(jobs), usable CPUs) workers. Each worker gets
@@ -413,7 +403,7 @@ def _train_in_workers(dataset: list[ScanExample], jobs: list[tuple]) -> list[Tra
     pending = iter(enumerate(jobs))
     lock = threading.Lock()
     failed = threading.Event()
-    results: list[TrainResult | None] = [None] * len(jobs)
+    results: list[FoldMember | None] = [None] * len(jobs)
     errors: list[tuple[int, LungRiskError]] = []
     workers: list[subprocess.Popen] = []
     threads: list[threading.Thread] = []
@@ -486,7 +476,7 @@ def _exit_when_orphaned(parent: int):
 
 def _serve_folds():
     """Fold-worker entry: read the dataset from stdin, then answer each
-    (config, holdout) job with (True, TrainResult) or (False, LungRiskError)
+    (config, holdout) job with (True, FoldMember) or (False, LungRiskError)
     on stdout, until stdin ends. The worker ends within about half a second
     of the death of its parent, whose pid is its first argument, and quietly
     if a reply finds the parent gone."""

@@ -32,6 +32,9 @@ class Volume:
             raise FormatError(f"volume must be 3-D with positive dims, got {self.voxels.shape}")
         self.spacing = tuple(float(s) for s in self.spacing)
         self.origin = tuple(float(o) for o in self.origin)
+        if not np.isfinite(self.spacing + self.origin).all():
+            raise FormatError(f"spacing and origin must be finite, "
+                              f"got {self.spacing} and {self.origin}")
         if any(s <= 0 for s in self.spacing):
             raise FormatError(f"spacing must be strictly positive, got {self.spacing}")
 
@@ -153,20 +156,20 @@ def _trilinear_gather(vox, coords):
     return out
 
 
-def extract_cube(v: Volume, center, side: int = CUBE_SIDE) -> np.ndarray:
-    """Cut a side^3 block (1 mm grid) around `center`; outside fills with air.
+def extract_cube(v: Volume, center) -> np.ndarray:
+    """Cut a 32^3 block (1 mm grid) around `center`; outside fills with air.
 
     Raises OutOfBoundsError when the block misses the volume entirely.
     """
     if v.spacing != (1.0, 1.0, 1.0):
         raise FormatError("extract_cube expects an isotropically resampled 1 mm volume")
     center_idx = np.floor(v.world_to_voxel(center) + 0.5).astype(np.intp)
-    start = center_idx - side // 2
-    stop = start + side
+    start = center_idx - CUBE_SIDE // 2
+    stop = start + CUBE_SIDE
     if np.any(stop <= 0) or np.any(start >= np.asarray(v.dims)):
         raise OutOfBoundsError(
             f"cube around {tuple(float(c) for c in center)} lies outside the volume")
-    block = np.full((side, side, side), AIR_HU)
+    block = np.full((CUBE_SIDE,) * 3, AIR_HU)
     src_lo = np.maximum(start, 0)
     src_hi = np.minimum(stop, v.dims)
     dst_lo = src_lo - start
@@ -224,10 +227,10 @@ def normalize_hu(x: np.ndarray) -> np.ndarray:
     return (np.clip(x, lo, hi) - lo) / (hi - lo)
 
 
-def select_top_nodules(candidates: list[NoduleCandidate], k: int = MAX_NODULES) -> list[NoduleCandidate]:
-    """The k largest nodules, radius descending; ties by confidence then position."""
+def select_top_nodules(candidates: list[NoduleCandidate]) -> list[NoduleCandidate]:
+    """The ten largest nodules, radius descending; ties by confidence then position."""
     ordered = sorted(candidates, key=lambda c: (-c.radius_mm, -c.confidence, c.center))
-    return ordered[:k]
+    return ordered[:MAX_NODULES]
 
 
 def candidate_metadata(c: NoduleCandidate, metadata_dim: int) -> np.ndarray:

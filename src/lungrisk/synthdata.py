@@ -16,7 +16,7 @@ the exported features carry label signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +68,9 @@ class PhantomSpec:
             raise ConfigError(f"prevalence must lie in (0,1), got {self.prevalence}")
         if self.n_scans < 1:
             raise ConfigError("n_scans must be positive")
+        if not 0.0 <= self.texture_noise_sigma < np.inf:
+            raise ConfigError(f"texture_noise_sigma must be finite and non-negative, "
+                              f"got {self.texture_noise_sigma}")
         lo, hi = self.nodules_per_scan
         if not (1 <= lo <= hi):
             raise ConfigError(f"invalid nodules_per_scan range {self.nodules_per_scan}")
@@ -113,15 +116,10 @@ class SynthDataset:
     spec: PhantomSpec
     intercept: float                 # calibrated b0 of the malignancy rule
     scans: list[ScanRecord]
-    out_dir: Path | None = None
 
     @property
     def labels(self) -> dict[str, int]:
         return {s.scan_id: s.label for s in self.scans}
-
-    @property
-    def risks(self) -> dict[str, float]:
-        return {s.scan_id: s.risk for s in self.scans}
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +299,10 @@ def _generate_scan(scan_id, spec, intercept, seed) -> tuple[ScanRecord, Volume]:
 # public entry points
 
 
-def generate(spec: PhantomSpec, out_dir=None, keep_volumes: bool = False) -> SynthDataset:
+def generate(spec: PhantomSpec, out_dir=None) -> SynthDataset:
     """Produce the whole dataset; writes volumes/CSVs when out_dir is given.
 
-    Volumes are streamed to disk one at a time. With keep_volumes (meant
-    for small in-memory runs) each ScanRecord gains a `volume` attribute.
+    Volumes are streamed to disk one at a time and not kept in memory.
     """
     intercept = calibrate_intercept(spec)
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_scans)
@@ -318,14 +315,10 @@ def generate(spec: PhantomSpec, out_dir=None, keep_volumes: bool = False) -> Syn
         record, volume = _generate_scan(scan_id, spec, intercept, seeds[i])
         if out_dir is not None:
             write_volume_compact(volume, out_dir / "volumes" / f"{scan_id}.lrvol")
-        if keep_volumes:
-            record.volume = volume
         scans.append(record)
-    dataset = SynthDataset(spec=spec, intercept=intercept, scans=scans, out_dir=out_dir)
+    dataset = SynthDataset(spec=spec, intercept=intercept, scans=scans)
     if out_dir is not None:
-        write_candidates_csv(out_dir / "candidates.csv",
-                             {s.scan_id: s.candidates for s in scans},
-                             with_sphericity=True, with_lungrads=True)
+        write_candidates_csv(out_dir / "candidates.csv", {s.scan_id: s.candidates for s in scans})
         write_labels_csv(out_dir / "labels.csv", dataset.labels)
         _write_ground_truth(dataset, out_dir)
         export_pancan_features(dataset, out_dir / "pancan_features.csv")

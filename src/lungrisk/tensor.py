@@ -30,6 +30,15 @@ _SIG_HI = 1.0 - 1e-15
 # Predictions are clamped to [eps, 1-eps] inside the cross-entropy.
 BCE_EPS = 1e-7
 
+# Batch-norm variance floor and running-statistics decay. LRNN1 weight files
+# store neither, so they are part of the file format, not settings.
+BN_EPSILON = 1e-5
+BN_MOMENTUM = 0.9
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 class Tensor:
     """A node in the reverse-mode graph wrapping a contiguous float64 array.
@@ -88,8 +97,6 @@ class BatchNormState:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-5
-    momentum: float = 0.9
 
     def __post_init__(self):
         n = self.gamma.size
@@ -97,21 +104,14 @@ class BatchNormState:
             raise DimensionError("batch-norm vectors must share the channel count")
         if np.any(self.running_var < 0):
             raise NumericError("running_var must be non-negative")
-        if not (self.epsilon > 0):
-            raise ConfigError("batch-norm epsilon must be positive")
-        if not (0.0 < self.momentum < 1.0):
-            raise ConfigError("batch-norm momentum must lie in (0,1)")
 
     @classmethod
-    def create(cls, channels: int, name: str = "bn", epsilon: float = 1e-5,
-               momentum: float = 0.9) -> "BatchNormState":
+    def create(cls, channels: int, name: str = "bn") -> "BatchNormState":
         return cls(
             gamma=Tensor(np.ones(channels), name=f"{name}.gamma"),
             beta=Tensor(np.zeros(channels), name=f"{name}.beta"),
             running_mean=np.zeros(channels),
             running_var=np.ones(channels),
-            epsilon=epsilon,
-            momentum=momentum,
         )
 
 
@@ -123,9 +123,6 @@ class AdamState:
     second_moment: dict = field(default_factory=dict)
     step_count: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +232,7 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
     red = f"{layout}->c"
 
     if mode == "infer":
-        inv = 1.0 / np.sqrt(state.running_var + state.epsilon)
+        inv = 1.0 / np.sqrt(state.running_var + BN_EPSILON)
         xhat = (xd - state.running_mean.reshape(bshape)) * inv.reshape(bshape)
         out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
 
@@ -252,16 +249,16 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
         raise InvalidBatchError("batch normalization over an empty batch")
     mu = np.einsum(red, xd) / m
     var = np.maximum(np.einsum(dot, xd, xd) / m - mu * mu, 0.0)
-    inv = 1.0 / np.sqrt(var + state.epsilon)
+    inv = 1.0 / np.sqrt(var + BN_EPSILON)
     xhat = xd - mu.reshape(bshape)
     xhat *= inv.reshape(bshape)
     out = xhat * gamma.data.reshape(bshape)
     out += beta.data.reshape(bshape)
 
-    state.running_mean *= state.momentum
-    state.running_mean += (1.0 - state.momentum) * mu
-    state.running_var *= state.momentum
-    state.running_var += (1.0 - state.momentum) * var
+    state.running_mean *= BN_MOMENTUM
+    state.running_mean += (1.0 - BN_MOMENTUM) * mu
+    state.running_var *= BN_MOMENTUM
+    state.running_var += (1.0 - BN_MOMENTUM) * var
 
     def backward_train(g):
         # Closed form: dx = gamma*inv*(g - sum(g)/m - xhat*sum(g*xhat)/m),
@@ -524,7 +521,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """
     state.step_count += 1
     t = state.step_count
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     row_a, row_b = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)

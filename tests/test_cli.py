@@ -476,6 +476,15 @@ LRVOL_NEGATIVE_DIMS = struct.pack("<8s3i6d4x", b"LRVOL1\0\0", -2, -1, 1,
                                   1.0, 1.0, 1.0, 0.0, 0.0, 0.0) + bytes(4)
 MHD_WORDY_NDIMS = (b"NDims = three\nDimSize = 2 2 2\nElementSpacing = 1 1 1\nOffset = 0 0 0\n"
                    b"ElementType = MET_SHORT\nElementDataFile = v0.raw\n")
+# a good 2x2x2 header over ONE_SCAN's raw file, and LRVOL1 files with that geometry
+MHD_2x2x2 = (b"NDims = 3\nDimSize = 2 2 2\nElementSpacing = 1 1 1\nOffset = 0 0 0\n"
+             b"ElementType = MET_SHORT\nElementDataFile = v0.raw\n")
+
+
+def lrvol_2x2x2(spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
+    return struct.pack("<8s3i6d4x", b"LRVOL1\0\0", 2, 2, 2, *spacing, *origin) + bytes(16)
+
+
 FEATURES = (b"scan_id,age,sex,family_history,emphysema,nodule_count,diameter_mm,nodule_type,"
             b"upper_lobe,spiculation\nv0,62.0,male,0,1,1,8.0,solid,1,0\n")
 WEIGHTS = placeholder_weights_path().read_bytes()
@@ -516,6 +525,19 @@ def write_csv(path, column, rows):
                  id="score-lrvol-negative-dims"),
     pytest.param("score", {}, {}, [], {"volumes/v0.mhd": MHD_WORDY_NDIMS}, cli.EXIT_IO,
                  id="score-mhd-ndims-not-a-number"),
+    pytest.param("score", {}, {}, [],
+                 {"volumes/v0.mhd": MHD_2x2x2.replace(b"Spacing = 1 1", b"Spacing = nan 1")},
+                 cli.EXIT_IO, id="score-mhd-spacing-nan"),
+    pytest.param("score", {}, {}, [],
+                 {"volumes/v0.mhd": MHD_2x2x2.replace(b"Spacing = 1 1", b"Spacing = inf 1")},
+                 cli.EXIT_IO, id="score-mhd-spacing-inf"),
+    pytest.param("score", {}, {}, [],
+                 {"volumes/v0.mhd": MHD_2x2x2.replace(b"Offset = 0", b"Offset = nan")},
+                 cli.EXIT_IO, id="score-mhd-offset-nan"),
+    pytest.param("score", {}, {}, [], {"volumes/v0.lrvol": lrvol_2x2x2(spacing=(1.0, np.nan, 1.0))},
+                 cli.EXIT_IO, id="score-lrvol-spacing-nan"),
+    pytest.param("score", {}, {}, [], {"volumes/v0.lrvol": lrvol_2x2x2(origin=(0.0, 0.0, np.inf))},
+                 cli.EXIT_IO, id="score-lrvol-origin-inf"),
     pytest.param("score", {}, {}, [], {"candidates.csv": candidates_with(b"abc")}, cli.EXIT_IO,
                  id="score-candidate-x-not-number"),
     pytest.param("score", {}, {}, [], {"candidates.csv": candidates_with(b"nan")}, cli.EXIT_IO,

@@ -221,11 +221,19 @@ def test_operating_points_all_equal_scores():
     assert ev.specificity_at_sensitivity(c, 0.84) == 0.0
 
 
+def tie_heavy_cohorts(rng):
+    """Cohorts of two or three distinct scores, and all-tied ones."""
+    for n in (2, 3, 5, 9, 30):
+        for values in ((0.5,), (0.0, 1.0), (0.2, 0.5, 0.9)):
+            labels = np.r_[0, 1, rng.integers(0, 2, size=n - 2)]
+            yield cohort(rng.choice(values, size=n), rng.permutation(labels))
+
+
 def test_operating_points_match_exhaustive_sweep():
     rng = np.random.default_rng(10)
-    for _ in range(40):
-        c = random_cohort(rng, int(rng.integers(8, 100)))
-        for spec_t, sens_t in [(0.8, 0.84), (0.5, 0.5), (0.95, 0.99), (0.0, 0.0)]:
+    cohorts = [random_cohort(rng, int(rng.integers(8, 100))) for _ in range(40)]
+    for c in cohorts + list(tie_heavy_cohorts(rng)):
+        for spec_t, sens_t in [(0.8, 0.84), (0.5, 0.5), (0.95, 0.99), (0.0, 0.0), (1.0, 1.0)]:
             sens_oracle, spec_oracle = operating_points_exhaustive(c, spec_t, sens_t)
             assert ev.sensitivity_at_specificity(c, spec_t) == sens_oracle
             assert ev.specificity_at_sensitivity(c, sens_t) == spec_oracle

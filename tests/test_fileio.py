@@ -83,16 +83,16 @@ def test_candidates_csv_round_trip(tmp_path):
                    NoduleCandidate((5.0, 6.0, 7.0), 8.0, 0.9, sphericity=0.7, lungrads_category=4)],
     }
     path = tmp_path / "candidates.csv"
-    fileio.write_candidates_csv(path, rows, with_sphericity=True, with_lungrads=True)
+    fileio.write_candidates_csv(path, rows)
     back = fileio.read_candidates_csv(path)
     assert back == rows
 
 
 def test_candidates_csv_optional_columns_absent(tmp_path):
-    rows = {"s": [NoduleCandidate((1.0, 2.0, 3.0), 4.0, 0.5)]}
     path = tmp_path / "candidates.csv"
-    fileio.write_candidates_csv(path, rows)
+    path.write_text("scan_id,x_mm,y_mm,z_mm,radius_mm,confidence\ns,1.0,2.0,3.0,4.0,0.5\n")
     back = fileio.read_candidates_csv(path)
+    assert back == {"s": [NoduleCandidate((1.0, 2.0, 3.0), 4.0, 0.5)]}
     assert back["s"][0].sphericity is None
     assert back["s"][0].lungrads_category is None
 

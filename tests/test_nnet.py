@@ -539,8 +539,6 @@ def test_config_validation():
         nnet.NNetConfig(dropout_rate=1.0)
     with pytest.raises(ConfigError):
         nnet.NNetConfig(metadata_dim=7)
-    with pytest.raises(ConfigError):
-        nnet.NNetConfig(n_branches=5)
     for lr in (0.0, -1e-3, np.nan, np.inf):
         with pytest.raises(ConfigError, match="learning_rate"):
             nnet.NNetConfig(learning_rate=lr)

@@ -28,6 +28,10 @@ def test_spec_validation():
         sd.PhantomSpec(n_scans=10, prevalence=0.2, volume_dims=(30, 96, 96))
     with pytest.raises(ConfigError):
         sd.PhantomSpec(n_scans=10, prevalence=0.2, nodules_per_scan=(0, 3))
+    for sigma in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="texture_noise_sigma"):
+            sd.PhantomSpec(n_scans=10, prevalence=0.2, texture_noise_sigma=sigma)
+    assert sd.PhantomSpec(n_scans=10, prevalence=0.2, texture_noise_sigma=0.0)
 
 
 def test_generation_deterministic_bytes(tmp_path):
@@ -138,13 +142,14 @@ def _crossing(line, start, threshold, direction):
     return abs(i - start)
 
 
-def test_exported_diameter_matches_rendered_extent():
+def test_exported_diameter_matches_rendered_extent(tmp_path):
     # subvoxel threshold-crossing measurement of the in-slice long axis,
-    # on spiculation-free nodules (spikes sit on top of the ellipsoid)
-    ds = sd.generate(sd.PhantomSpec(n_scans=25, prevalence=0.2, seed=13), keep_volumes=True)
+    # on spiculation-free nodules (spikes sit on top of the ellipsoid), in
+    # the written LRVOL1 volumes
+    ds = sd.generate(sd.PhantomSpec(n_scans=25, prevalence=0.2, seed=13), out_dir=tmp_path)
     measured = 0
     for s in ds.scans:
-        vol = s.volume.voxels
+        vol = read_volume_compact(tmp_path / "volumes" / f"{s.scan_id}.lrvol").voxels
         for nd in s.nodules:
             if nd.spiculation:
                 continue

@@ -181,15 +181,15 @@ def test_conv_forward_and_backward_hold_no_batch_sized_columns():
 # batch_norm
 
 
-def make_bn(channels, **kw):
-    return T.BatchNormState.create(channels, **kw)
+def make_bn(channels):
+    return T.BatchNormState.create(channels)
 
 
 def test_bn_infer_near_identity():
     bn = make_bn(3)
     x = np.random.default_rng(0).normal(size=(4, 3))
     out = T.batch_norm(t(x), bn, "infer")
-    np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + bn.epsilon), rtol=1e-15)
+    np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + T.BN_EPSILON), rtol=1e-15)
 
 
 def test_bn_infer_zero_gamma_gives_beta():
@@ -203,13 +203,13 @@ def test_bn_infer_zero_gamma_gives_beta():
 
 def test_bn_train_hand_computed():
     # batch {2,4}: mean 3, biased var 1 -> outputs ~ {-1,+1}
-    bn = make_bn(1, epsilon=1e-5)
+    bn = make_bn(1)
     out = T.batch_norm(t([[2.0], [4.0]]), bn, "train")
     np.testing.assert_allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-4)
 
 
 def test_bn_train_updates_running_stats():
-    bn = make_bn(1, momentum=0.9)
+    bn = make_bn(1)
     T.batch_norm(t([[2.0], [4.0]]), bn, "train")
     np.testing.assert_allclose(bn.running_mean, [0.1 * 3.0])
     np.testing.assert_allclose(bn.running_var, [0.9 * 1.0 + 0.1 * 1.0])
@@ -495,7 +495,7 @@ def test_adam_chunks_equal_the_whole_array_expression(shape):
     p = rng.normal(size=shape)
     ref, m, v = p.copy(), np.zeros(shape), np.zeros(shape)
     state = T.AdamState(learning_rate=1e-3)
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    b1, b2, lr, eps = T.ADAM_BETA1, T.ADAM_BETA2, state.learning_rate, T.ADAM_EPSILON
     for step in range(1, 4):
         g = rng.normal(size=shape)
         T.adam_step({"w": p}, {"w": g}, state)
@@ -594,7 +594,7 @@ def test_bn_train_backward_matches_the_nine_pass_formula_and_finite_differences(
     g = rng.normal(size=shape)
     out = T.batch_norm(x, bn, "train")
     out._backward(g)
-    want = _nine_pass_bn_backward(x.data, g, bn.gamma.data.reshape(bshape), bn.epsilon, axis)
+    want = _nine_pass_bn_backward(x.data, g, bn.gamma.data.reshape(bshape), T.BN_EPSILON, axis)
     assert np.max(np.abs(x.grad - want)) <= 1e-12 * np.max(np.abs(want))
     labels = rng.integers(0, 2, size=shape).astype(float)
     _gradcheck(lambda: _bce_head(T.batch_norm(x, bn, "train"), labels),
