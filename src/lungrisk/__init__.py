@@ -10,9 +10,10 @@ Submodules:
 * ``evaluate``   - ROC/AUC, permutation tests, operating points
 * ``synthdata``  - deterministic phantom generator with known risk rule
 * ``cli``        - the ``lungrisk`` command-line interface
+* ``host``       - the CPUs this process may use
 """
 
-from . import errors, evaluate, fileio, nnet, pancan, preprocess, synthdata, tensor
+from . import errors, evaluate, fileio, host, nnet, pancan, preprocess, synthdata, tensor
 from .evaluate import ScoredCohort, auc, permutation_test_auc, roc_curve
 from .nnet import (
     FoldEnsemble,
@@ -51,7 +52,7 @@ __all__ = [
     "PhantomSpec", "ScanExample", "ScoredCohort", "Tensor", "Volume",
     "adam_step", "auc", "backward", "build_scan_example", "crop28",
     "ensemble_predict", "errors", "evaluate", "extract_cube", "fileio",
-    "generate", "init_params", "kfold_train", "load_params", "nnet",
+    "generate", "host", "init_params", "kfold_train", "load_params", "nnet",
     "nodule_score", "normalize_hu", "pancan", "patient_score",
     "permutation_test_auc", "preprocess", "resample_isotropic", "roc_curve",
     "save_params", "score_bags", "select_top_nodules", "synthdata", "tensor",

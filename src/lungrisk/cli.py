@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 usage or configuration, 3 data consistency,
 4 I/O or file format (a fold worker that dies without its result included),
 5 numeric failure, and 1 for a broken internal invariant, which is a bug.
-Every command that draws random numbers requires an explicit --seed; reruns
-with identical arguments produce byte-identical primary outputs.
+Every command that draws random numbers requires an explicit, non-negative
+--seed; reruns with identical arguments produce byte-identical primary
+outputs.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ def _build_example(data_dir: Path, scan_id: str, candidates, label: int,
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if not os.access(out, os.W_OK):
-        raise OSError(f"output directory {out} is not writable")
     spec = synthdata.PhantomSpec(
         n_scans=args.n,
         prevalence=args.prevalence,
@@ -83,6 +80,10 @@ def cmd_simulate(args) -> int:
         texture_noise_sigma=args.noise,
         seed=args.seed,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if not os.access(out, os.W_OK):
+        raise OSError(f"output directory {out} is not writable")
     dataset = synthdata.generate(spec, out_dir=out)
     positives = sum(s.label for s in dataset.scans)
     manifest = "\n".join([
@@ -302,6 +303,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as tz
+from . import host, tensor as tz
 from .errors import (
     ChecksumError,
     ConfigError,
@@ -377,12 +377,6 @@ _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NU
 _REUSE_FREED_MEMORY = {"MALLOC_MMAP_THRESHOLD_": "67108864", "MALLOC_TRIM_THRESHOLD_": "134217728"}
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _worker_env() -> dict[str, str]:
     package_root = str(Path(__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
@@ -442,7 +436,7 @@ def _train_in_workers(dataset: list[ScanExample], jobs: list[tuple]) -> list[Fol
                 worker.stdin.close()
 
     try:
-        for _ in range(min(len(jobs), _usable_cpus())):
+        for _ in range(min(len(jobs), host.usable_cpus())):
             workers.append(subprocess.Popen(
                 [sys.executable, "-c", _WORKER_ENTRY, str(os.getpid())],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=_worker_env()))

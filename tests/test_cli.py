@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lungrisk import cli, fileio, nnet, pancan
+from lungrisk import cli, fileio, host, nnet, pancan, synthdata
 from lungrisk.errors import ZeroNoduleWarning
 from lungrisk.pancan import placeholder_weights_path
 from lungrisk.preprocess import build_scan_example
@@ -24,6 +24,28 @@ def run(argv):
 
 def file_hash(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def tree_hashes(root):
+    return {p.relative_to(root).as_posix(): file_hash(p)
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+# Run as a child: `pin` limits it to one CPU before anything is imported.
+CLI_CHILD = """
+import os, sys
+if sys.argv[1] == "pin":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from lungrisk import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def child_env():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +96,83 @@ def test_simulate_requires_seed(tmp_path, capsys):
 def test_simulate_bad_prevalence_is_usage_error(tmp_path):
     assert run(["simulate", "--n", 5, "--prevalence", 1.5, "--seed", 1,
                 "--out", tmp_path / "x"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("flags", [["--n", 0], ["--prevalence", "nan"], ["--dims", 0],
+                                   ["--noise", -1], ["--seed", -1]],
+                         ids=["n-zero", "prevalence-nan", "dims-zero", "noise-negative",
+                              "seed-negative"])
+def test_rejected_simulate_creates_nothing(flags, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(["simulate", "--n", 5, "--prevalence", 0.2, "--seed", 1, "--out", out]
+               + flags) == cli.EXIT_USAGE
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# SHA-256 of every file `simulate --n 6 --prevalence 0.3 --seed 3 --dims 64`
+# writes, from the single-threaded generator (numpy 2.4.6, x86-64). The
+# phantom bytes must not move between versions.
+SIMULATE_GOLDEN_ARGS = ["simulate", "--n", "6", "--prevalence", "0.3", "--seed", "3",
+                        "--dims", "64"]
+SIMULATE_GOLDEN = {
+    "candidates.csv": "bfcdee4e22edec9106b4be474f7a6dd1f880445642e26d1db705c4f0ad6fc859",
+    "ground_truth.csv": "54226e29ab5853400d6707fdb4fc84c6f755ed87f6e3fda6cb6363a6078b4197",
+    "labels.csv": "dc0e1e0ace8ef10e56782c334ca81d5efd052196d40c579265e8512c637c2462",
+    "manifest.txt": "ae281f619181a68e41d55079c3b9cdbddb99b62b47148eadbd241d6eea8fa30c",
+    "nodule_truth.csv": "6377381fa8ccebd512a432b1763d106053ef9e44514663adf179f060e778ace5",
+    "pancan_features.csv": "89b9520b7aac55ae8ff2f9afde882dd1d4394fa42e22bc252f8060083a96ee46",
+    "volumes/scan_00000.lrvol": "f8d42cf9e83c7335cbd91e0685877c3a0363d294194db250e54672908987b1f4",
+    "volumes/scan_00001.lrvol": "0f6c29dc946789630143a9182e2bf41aa54df2036938b5dcafcae0e06d38d830",
+    "volumes/scan_00002.lrvol": "772675e6e37519a331d20f9b8b53fcce59c8daf1ffb240275d07939f6a5a4f43",
+    "volumes/scan_00003.lrvol": "b14e909567bcfbfbdb733e326f079f08529c20fcd6e26541f9af32544e3338eb",
+    "volumes/scan_00004.lrvol": "b5261c4025772c731d19dd40a73c0942c6f4142c4f280e8f2cee2b87b472e281",
+    "volumes/scan_00005.lrvol": "b46d7743278466928af24c70522b5b130ed0cf367b4916d44a2073469bfb67ea",
+}
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 3], ids=["usable", "1", "2", "3"])
+def test_simulate_writes_the_golden_bytes_at_any_thread_count(cpus, tmp_path, monkeypatch):
+    asked = []
+    if cpus is not None:
+        monkeypatch.setattr(host, "usable_cpus", lambda: asked.append(cpus) or cpus)
+    assert run(SIMULATE_GOLDEN_ARGS + ["--out", tmp_path / "d"]) == 0
+    assert tree_hashes(tmp_path / "d") == SIMULATE_GOLDEN
+    assert asked == ([] if cpus is None else [cpus])
+
+
+def test_simulate_writes_the_golden_bytes_on_one_pinned_cpu(tmp_path):
+    subprocess.run([sys.executable, "-c", CLI_CHILD, "pin", *SIMULATE_GOLDEN_ARGS,
+                    "--out", str(tmp_path / "d")], env=child_env(), check=True, timeout=120,
+                   stdout=subprocess.DEVNULL)
+    assert tree_hashes(tmp_path / "d") == SIMULATE_GOLDEN
+
+
+def test_simulate_write_error_cancels_queued_scans(tmp_path, capsys, monkeypatch):
+    started = []
+    generate_scan, write = synthdata._generate_scan, synthdata.write_volume_compact
+
+    def counted(scan_id, *rest):
+        started.append(scan_id)
+        return generate_scan(scan_id, *rest)
+
+    def failing(volume, path):
+        if path.name == "scan_00005.lrvol":
+            raise OSError(f"no space left on device: {path.name}")
+        write(volume, path)
+
+    monkeypatch.setattr(host, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(synthdata, "_generate_scan", counted)
+    monkeypatch.setattr(synthdata, "write_volume_compact", failing)
+    assert run(["simulate", "--n", 40, "--prevalence", 0.3, "--seed", 1, "--dims", 64,
+                "--out", tmp_path / "d"]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err == "error: no space left on device: scan_00005.lrvol\n", err
+    # scans 0-5, and the few each thread took before the cancel (2-3 in
+    # all on a 2-core machine); a pool that ran its queue out would start 40
+    assert "scan_00005" in started and len(started) <= 14, started
+    assert not (tmp_path / "d" / "labels.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -138,26 +237,14 @@ def test_train_worker_death_is_one_line_io_error(small_data, tmp_path, capsys, m
     assert "fold worker exited with status 9" in err and err.count("\n") == 1, err
 
 
-# Run as a child: `pin` limits it to one CPU before anything is imported.
-TRAIN_CHILD = """
-import os, sys
-if sys.argv[1] == "pin":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from lungrisk import cli
-sys.exit(cli.main(sys.argv[2:]))
-"""
-
-
 def test_train_bytes_do_not_depend_on_blas_threads_or_cpus(small_data, tmp_path):
-    env = {k: v for k, v in os.environ.items()
+    env = {k: v for k, v in child_env().items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     outputs = []
     for tag, pin, blas in [("blas1", "all", {"OPENBLAS_NUM_THREADS": "1"}),
                            ("default", "all", {}), ("one-cpu", "pin", {})]:
         model = tmp_path / tag
-        subprocess.run([sys.executable, "-c", TRAIN_CHILD, pin, "train", "--data", str(small_data),
+        subprocess.run([sys.executable, "-c", CLI_CHILD, pin, "train", "--data", str(small_data),
                         "--folds", "3", "--epochs", "3", "--batch-size", "8", "--seed", "1",
                         "--out", str(model)], env={**env, **blas}, check=True, timeout=600,
                        stdout=subprocess.DEVNULL)
@@ -186,11 +273,9 @@ def _alive(pid):
 @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
                     reason="needs /proc/<pid>/task/<pid>/children")
 def test_train_workers_die_with_a_killed_parent(small_data, tmp_path):
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = child_env()
     with open(tmp_path / "stderr", "w") as err:
-        parent = subprocess.Popen([sys.executable, "-c", TRAIN_CHILD, "all", "train", "--data",
+        parent = subprocess.Popen([sys.executable, "-c", CLI_CHILD, "all", "train", "--data",
                                    str(small_data), "--folds", "2", "--epochs", "1000",
                                    "--seed", "1", "--out", str(tmp_path / "m")],
                                   env=env, stdout=subprocess.DEVNULL, stderr=err)
@@ -554,6 +639,12 @@ def write_csv(path, column, rows):
                  cli.EXIT_NUMERIC, id="pancan-age-nan"),
     pytest.param("pancan", {}, {}, [], {"weights.txt": WEIGHTS + b"intercept=nan\n"},
                  cli.EXIT_NUMERIC, id="pancan-intercept-nan"),
+    pytest.param("simulate", {}, {}, ["--seed", "-1"], {}, cli.EXIT_USAGE,
+                 id="simulate-seed-negative"),
+    pytest.param("train", {}, {}, ["--seed", "-1"], {"train.cfg": b""}, cli.EXIT_USAGE,
+                 id="train-seed-negative"),
+    pytest.param("compare", {}, {}, ["--seed", "-1"], {}, cli.EXIT_USAGE,
+                 id="compare-seed-negative"),
 ])
 def test_bad_input_exits_with_documented_code(command, bad_scores, bad_labels, flags, files,
                                               expected, tmp_path, capsys, request):
@@ -573,6 +664,9 @@ def test_bad_input_exits_with_documented_code(command, bad_scores, bad_labels, f
     elif command == "train":
         argv = ["train", "--data", data, "--config", data / "train.cfg", "--seed", 0,
                 "--out", tmp_path / "model"]
+    elif command == "simulate":
+        argv = ["simulate", "--n", 2, "--prevalence", 0.3, "--seed", 0, "--dims", 40,
+                "--out", tmp_path / "sim"]
     elif command == "pancan":
         argv = ["pancan", "--weights", data / "weights.txt", "--features", data / "features.csv",
                 "--out", tmp_path / "out.csv"]

@@ -173,6 +173,22 @@ def test_permutation_seed_reproducible():
     assert p1 == p2
 
 
+@pytest.mark.parametrize("n", [7, 60, 333])
+def test_permutation_p_value_does_not_depend_on_chunk_size(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    labels = np.r_[0, 1, rng.integers(0, 2, size=n - 2)]
+    a = cohort(rng.normal(size=n) + labels, labels)
+    b = cohort(rng.normal(size=n) + 0.5 * labels, labels)
+    n_perm = 1001       # not a multiple of 3, 10 or 64 rows
+    p_values = []
+    for rows in (1, 3, 10, 64, n_perm):
+        monkeypatch.setattr(ev, "_PERM_CHUNK_ELEMENTS", rows * n)
+        p_values.append(ev.permutation_test_auc(a, b, n_perm=n_perm,
+                                                rng=np.random.default_rng(5)))
+    assert 1 / (1 + n_perm) <= p_values[0] < 1.0
+    assert p_values == [p_values[0]] * len(p_values)
+
+
 def test_permutation_detects_clear_advantage():
     rng = np.random.default_rng(9)
     n = 200

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lungrisk import nnet, tensor as tz
+from lungrisk import host, nnet, tensor as tz
 from lungrisk.errors import (
     ChecksumError,
     ConfigError,
@@ -328,7 +328,7 @@ def test_kfold_fold_error_keeps_its_class():
 def test_kfold_worker_death_raises_fold_worker_error(entry, expected, one_worker, monkeypatch):
     monkeypatch.setattr(nnet, "_WORKER_ENTRY", entry)
     if one_worker:
-        monkeypatch.setattr(nnet, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(host, "usable_cpus", lambda: 1)
     rng = np.random.default_rng(9)
     with pytest.raises(FoldWorkerError, match=expected):
         nnet.kfold_train(nnet.NNetConfig(epochs=1), tiny_dataset(rng, n=6), k=3)
