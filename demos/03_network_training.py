@@ -48,7 +48,7 @@ print("bag risk in one pass:", round(risk, 4), " exactly their max:", risk == ma
 # scoring a scan goes through the same path, once per ensemble member
 scan = ScanExample(scan_id="bag", patches=bag, label=1)
 ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, stats)])
-print("ensemble_predict gives the same risk:", nnet.ensemble_predict(ensemble, scan) == risk)
+print("ensemble_predict gives the same risk:", nnet.ensemble_predict(ensemble, [scan]) == [risk])
 
 # persistence: the weight file round-trips bit-exactly
 import tempfile
@@ -56,4 +56,4 @@ import tempfile
 with tempfile.TemporaryDirectory() as td:
     nnet.save_ensemble(ensemble, td)
     reloaded = nnet.load_ensemble(td)
-    print("save/load risk identical:", nnet.ensemble_predict(reloaded, scan) == risk)
+    print("save/load risk identical:", nnet.ensemble_predict(reloaded, [scan]) == [risk])

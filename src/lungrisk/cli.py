@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate as ev
-from . import fileio, nnet, pancan, synthdata
+from . import fileio, host, nnet, pancan, synthdata
 from .errors import (
     ConfigError,
     DataConsistencyError,
@@ -145,6 +145,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
+    """Score each listed scan (default: every labelled scan) with the
+    ensemble's mean risk and write the scores CSV.
+
+    Examples are built one scan at a time as `nnet.ensemble_predict` pulls
+    them, and scored in chunks of a few scans; the written bytes do not
+    depend on the chunking. The process first sets the allocator thresholds
+    of the fold workers, so each chunk's forward reuses the previous
+    chunk's buffers.
+    """
+    host.reuse_freed_memory()
     model_dir = Path(args.model)
     data_dir = Path(args.data)
     ensemble = nnet.load_ensemble(model_dir)
@@ -156,11 +166,9 @@ def cmd_score(args) -> int:
         scan_ids = sorted(labels)
     for sid in scan_ids:
         _volume_path(data_dir, sid)  # fail fast with an explicit missing-volume error
-    scores = {}
-    for sid in scan_ids:    # one example at a time: examples carry their 32^3 cubes
-        example = _build_example(data_dir, sid, candidates, 0, ensemble.metadata_dim,
-                                 ensemble.projection)
-        scores[sid] = nnet.ensemble_predict(ensemble, example)
+    examples = (_build_example(data_dir, sid, candidates, 0, ensemble.metadata_dim,
+                               ensemble.projection) for sid in scan_ids)
+    scores = dict(zip(scan_ids, nnet.ensemble_predict(ensemble, examples)))
     fileio.write_scores_csv(args.out, scores)
     print(f"scored {len(scores)} scans -> {args.out}")
     return 0

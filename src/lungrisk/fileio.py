@@ -39,7 +39,7 @@ def write_volume_pair(v: Volume, header_path, element_type: str = "MET_SHORT"):
     dtype = _ELEMENT_TYPES[element_type]
     vox = v.voxels
     if element_type == "MET_SHORT":
-        vox = np.clip(np.rint(vox), -32768, 32767)
+        vox = _rounded_hu(vox)
     # disk order: z slowest, x fastest
     vox.astype(dtype).transpose(2, 1, 0).tofile(raw_path)
     lines = [
@@ -101,10 +101,23 @@ def write_volume_compact(v: Volume, path):
     """Single-file container with int16 HU voxels."""
     path = Path(path)
     header = _COMPACT_HEADER.pack(COMPACT_MAGIC, *v.dims, *v.spacing, *v.origin)
-    vox = np.clip(np.rint(v.voxels), -32768, 32767).astype("<i2")
+    vox = _rounded_hu(v.voxels)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(vox.transpose(2, 1, 0).tobytes())
+
+
+def _rounded_hu(voxels: np.ndarray) -> np.ndarray:
+    """Voxels rounded to the nearest integer and clipped to the int16 range,
+    as int16. Rounds one x-plane at a time into a float64 scratch plane, so
+    no float64 copy of the volume is made."""
+    out = np.empty(voxels.shape, dtype="<i2")
+    scratch = np.empty(voxels.shape[1:])
+    for x, plane in enumerate(voxels):
+        np.rint(plane, out=scratch)
+        np.clip(scratch, -32768, 32767, out=scratch)
+        out[x] = scratch
+    return out
 
 
 def read_volume_compact(path) -> Volume:

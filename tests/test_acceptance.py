@@ -156,7 +156,7 @@ def test_c2_architecture_conformance(layer_shapes):
     ex = ScanExample(scan_id="s", patches=patches, label=1)
     identity = MetadataStats(mean=np.zeros(5), std=np.ones(5))
     ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, identity)])
-    risk = nnet.ensemble_predict(ensemble, ex)
+    (risk,) = nnet.ensemble_predict(ensemble, [ex])
     assert isinstance(risk, float) and 0.0 < risk < 1.0
     report(2, True, "shape trace matches the layer table for metadata_dim 5 and 6")
 
@@ -173,7 +173,8 @@ def test_c3_multi_instance_invariants():
 
     def scan_risk(patches):
         # one batched call scores every patch of the scan
-        return nnet.ensemble_predict(ensemble, ScanExample(scan_id="c", patches=patches, label=1))
+        return nnet.ensemble_predict(ensemble, [ScanExample(scan_id="c", patches=patches,
+                                                            label=1)])[0]
 
     sizes = set()
     for case in range(200):

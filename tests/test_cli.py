@@ -1,21 +1,26 @@
 import contextlib
 import hashlib
+import io
 import os
+import platform
 import signal
 import struct
 import subprocess
 import sys
 import time
+import warnings
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lungrisk import cli, fileio, host, nnet, pancan, synthdata
 from lungrisk.errors import ZeroNoduleWarning
 from lungrisk.pancan import placeholder_weights_path
-from lungrisk.preprocess import build_scan_example
+from lungrisk.preprocess import MetadataStats, build_scan_example
 
 
 def run(argv):
@@ -396,7 +401,7 @@ def test_score_uses_the_projection_the_model_was_trained_on(small_data, tmp_path
         volume = fileio.read_volume_compact(small_data / "volumes" / f"{scan_id}.lrvol")
         example = build_scan_example(volume, candidates.get(scan_id, []), 0,
                                      projection=projection, scan_id=scan_id)
-        return nnet.ensemble_predict(ensemble, example)
+        return nnet.ensemble_predict(ensemble, [example])[0]
 
     assert all(score == predict(sid, "mip") for sid, score in scores.items())
     assert not any(score == predict(sid, "slice") for sid, score in scores.items())
@@ -449,6 +454,128 @@ def test_score_weight_manifest_with_negative_dims_is_format_error(
     assert code == cli.EXIT_IO
     err = capsys.readouterr().err
     assert "negative dimension" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param("dense2.weights", np.nan, id="nan-weight"),
+    pytest.param("bn_fc1.running_var", np.inf, id="inf-running-var"),
+    pytest.param("meta_stats.mean", -np.inf, id="inf-metadata-mean"),
+    pytest.param("meta_stats.std", 0.0, id="zero-metadata-std"),
+    pytest.param("meta_stats.std", -1.0, id="negative-metadata-std"),
+])
+def test_score_non_finite_weight_file_is_numeric_error(entry, value, small_data, small_model,
+                                                       tmp_path, capsys):
+    path = small_model / "fold0.lrnn"
+    params, stats = nnet.load_params(path), nnet.load_metadata_stats(path)
+    arrays = {**params.arrays(), "meta_stats.mean": stats.mean, "meta_stats.std": stats.std}
+    arrays[entry].flat[0] = value
+    (tmp_path / "model").mkdir()
+    nnet.save_params(params, tmp_path / "model" / "fold0.lrnn", stats)
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["score", "--model", tmp_path / "model", "--data", small_data, "--out", out])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "fold0.lrnn" in err and repr(entry) in err and err.count("\n") == 1, err
+    assert not caught and not out.exists()
+
+
+def test_score_weights_with_a_non_finite_forward_are_numeric_error(small_data, small_model,
+                                                                   tmp_path, capsys):
+    # finite numbers whose products overflow to infinities of both signs
+    path = small_model / "fold0.lrnn"
+    params, stats = nnet.load_params(path), nnet.load_metadata_stats(path)
+    params.bn["bn_fc2"].gamma.data[:] = 1e300
+    params.tensors["dense_out.weights"].data[:] = 1e300
+    (tmp_path / "model").mkdir()
+    nnet.save_params(params, tmp_path / "model" / "fold0.lrnn", stats)
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["score", "--model", tmp_path / "model", "--data", small_data, "--out", out])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "scan_00000" in err and "nan" in err and err.count("\n") == 1, err
+    assert not caught and not out.exists()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is a glibc call")
+def test_reuse_freed_memory_applies_both_thresholds_on_glibc():
+    assert host.reuse_freed_memory() is True
+
+
+# `lungrisk score` in a child; "default" leaves glibc's allocator thresholds alone
+SCORE_CHILD = """
+import sys
+from lungrisk import cli, host
+if sys.argv[1] == "default":
+    host.reuse_freed_memory = lambda: False
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_score_bytes_do_not_depend_on_the_allocator_settings(small_data, small_model, tmp_path):
+    for thresholds in ("set", "default"):
+        subprocess.run([sys.executable, "-c", SCORE_CHILD, thresholds, "score",
+                        "--model", str(small_model), "--data", str(small_data),
+                        "--out", str(tmp_path / f"{thresholds}.csv")],
+                       env=child_env(), check=True, timeout=300, stdout=subprocess.DEVNULL)
+    assert file_hash(tmp_path / "set.csv") == file_hash(tmp_path / "default.csv")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Three small phantoms and the bytes of a one-member model for them."""
+    root = tmp_path_factory.mktemp("lrnn_fuzz")
+    assert run(["simulate", "--n", 3, "--prevalence", 0.5, "--seed", 4, "--out", root / "data",
+                "--dims", 48]) == 0
+    path = root / "clean.lrnn"
+    stats = MetadataStats(mean=np.linspace(-1, 1, 5), std=np.linspace(0.5, 2, 5))
+    nnet.save_params(nnet.init_params(nnet.NNetConfig(seed=5)), path, stats)
+    (root / "model").mkdir()
+    return root, path.read_bytes()
+
+
+def _manifest_end(blob: bytes) -> int:
+    (n_arrays,) = struct.unpack_from("<I", blob, len(nnet.WEIGHTS_MAGIC) + 2)
+    off = len(nnet.WEIGHTS_MAGIC) + 6
+    for _ in range(n_arrays):
+        (name_len,) = struct.unpack_from("<H", blob, off)
+        off += 2 + name_len
+        off += 1 + 4 * blob[off]
+    return off
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_score_on_a_mangled_weight_file_exits_with_a_documented_code(fuzz_inputs, data):
+    root, clean = fuzz_inputs
+    blob = bytearray(clean[:-4])
+    start = _manifest_end(clean)
+    kind = data.draw(st.sampled_from(["manifest", "payload", "non-finite"]), label="kind")
+    if kind == "non-finite":
+        slot = data.draw(st.integers(0, (len(blob) - start) // 8 - 1), label="slot")
+        value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+        struct.pack_into("<d", blob, start + 8 * slot, value)
+    else:
+        lo, hi = (len(nnet.WEIGHTS_MAGIC), start) if kind == "manifest" else (start, len(blob))
+        for pos in data.draw(st.lists(st.integers(lo, hi - 1), min_size=1, max_size=4),
+                             label="positions"):
+            blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    (root / "model" / "fold0.lrnn").write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+    out = root / "scores.csv"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroNoduleWarning)
+        code = run(["score", "--model", root / "model", "--data", root / "data", "--out", out])
+    assert code in (0, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_IO, cli.EXIT_NUMERIC), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert all(np.isfinite(v) for v in fileio.read_scores_csv(out).values())
+    else:
+        assert err.getvalue().count("\n") == 1 and not out.exists(), err.getvalue()
 
 
 # ---------------------------------------------------------------------------

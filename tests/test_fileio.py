@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,38 @@ def test_compact_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(FormatError):
         fileio.read_volume_compact(path)
+
+
+def write_short(v, path, writer):
+    if writer == "compact":
+        fileio.write_volume_compact(v, path)
+        return fileio.read_volume_compact(path).voxels
+    fileio.write_volume_pair(v, path.with_suffix(".mhd"))
+    return fileio.read_volume_pair(path.with_suffix(".mhd")).voxels
+
+
+@pytest.mark.parametrize("writer", ["compact", "pair"])
+def test_short_writers_round_half_to_even_and_clip_to_int16(writer, tmp_path):
+    vox = np.array([-40000.0, 40000.0, 2.5, -2.5, 3.5, 0.49, -700.6, 32767.4]).reshape(2, 2, 2)
+    back = write_short(Volume(vox, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)), tmp_path / "v", writer)
+    np.testing.assert_array_equal(back.ravel(), [-32768, 32767, 2, -2, 4, 0, -701, 32767])
+
+
+@pytest.mark.parametrize("writer", ["compact", "pair"])
+def test_short_writers_allocate_at_most_one_float64_copy(writer, tmp_path):
+    v = Volume(np.random.default_rng(2).normal(-300, 600, size=(48, 40, 32)),
+               (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        if writer == "compact":
+            fileio.write_volume_compact(v, tmp_path / "v.lrvol")
+        else:
+            fileio.write_volume_pair(v, tmp_path / "v.mhd")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= v.voxels.nbytes, peak
 
 
 def test_candidates_csv_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -85,7 +87,7 @@ def scan_risk(p, ex):
     """Risk through the `lungrisk score` path: a one-member ensemble whose
     metadata statistics leave the metadata as it is."""
     ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(p, IDENTITY_STATS)])
-    return nnet.ensemble_predict(ensemble, ex)
+    return nnet.ensemble_predict(ensemble, [ex])[0]
 
 
 def test_zero_head_scores_half():
@@ -354,7 +356,83 @@ def test_ensemble_mean_and_identical_members():
     params = small_params(12)
     ens = nnet.FoldEnsemble(members=[nnet.FoldMember(params, stats)] * 5)
     ex = random_example(rng, 2)
-    assert nnet.ensemble_predict(ens, ex) == bag_risk(params, ex.patches[:2])
+    assert nnet.ensemble_predict(ens, [ex]) == [bag_risk(params, ex.patches[:2])]
+
+
+def member_mean_of_one_scan(ensemble, ex):
+    """Reference: each member scores the scan alone in one call, then the
+    member risks are averaged."""
+    if not ex.patches:
+        return 0.0
+    planes = np.stack([patch.planes for patch in ex.patches], axis=1)
+    meta = np.stack([patch.metadata for patch in ex.patches])
+    segments = np.zeros(len(ex.patches), dtype=np.int64)
+    return float(np.mean([float(nnet.score_bags(m.params, planes, m.metadata_stats.standardize(meta),
+                                                segments, 1, "infer").data[0])
+                          for m in ensemble.members]))
+
+
+# nodules per scan: a zero-nodule scan inside a chunk, a 10-nodule scan that
+# overflows the chunk budget, chunks that close at exactly 8, a trailing part
+CHUNKED_COUNTS = [2, 0, 10, 1, 3, 4, 0, 7, 1, 1, 5, 0, 2, 8, 3]
+
+
+@pytest.mark.parametrize("budget", [1, 5, nnet.SCORE_CHUNK_PATCHES, 1000])
+def test_chunked_scorer_equals_one_scan_at_a_time_bit_for_bit(budget, monkeypatch):
+    rng = np.random.default_rng(30)
+    members = [nnet.FoldMember(small_params(seed),
+                               MetadataStats(mean=rng.normal(size=5), std=rng.uniform(0.5, 2, 5)))
+               for seed in (31, 32, 33)]
+    ensemble = nnet.FoldEnsemble(members=members)
+    ids = rng.permutation(len(CHUNKED_COUNTS))
+    examples = [random_example(rng, n, scan_id=f"scan_{i:02d}")
+                for i, n in zip(ids, CHUNKED_COUNTS)]
+    assert [ex.scan_id for ex in examples] != sorted(ex.scan_id for ex in examples)
+    calls = []
+    score = nnet.score_bags
+    monkeypatch.setattr(nnet, "score_bags",
+                        lambda p, planes, *args: calls.append(planes.shape[1]) or score(p, planes, *args))
+    monkeypatch.setattr(nnet, "SCORE_CHUNK_PATCHES", budget)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        risks = nnet.ensemble_predict(ensemble, iter(examples))
+    monkeypatch.undo()
+    zero_ids = [ex.scan_id for ex in examples if not ex.patches]
+    assert [w.category for w in caught] == [ZeroNoduleWarning] * len(zero_ids)
+    assert all(sid in str(w.message) for sid, w in zip(zero_ids, caught))
+    assert risks == [member_mean_of_one_scan(ensemble, ex) for ex in examples]
+    assert risks[1] == 0.0 and risks[6] == 0.0 and risks[11] == 0.0
+    if budget == nnet.SCORE_CHUNK_PATCHES:
+        assert calls == [n for n in (12, 8, 8, 8, 8, 3) for _ in members]
+
+
+def test_ensemble_predict_pulls_one_chunk_ahead_and_drops_it(monkeypatch):
+    rng = np.random.default_rng(34)
+    ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(small_params(35), IDENTITY_STATS)])
+    examples = [random_example(rng, 3, scan_id=f"s{i}") for i in range(10)]
+    pulled = []         # a weak reference to each example the scorer has pulled
+
+    def build():
+        for ex in examples:
+            fresh = replace(ex)     # the list above must not keep it alive
+            pulled.append(weakref.ref(fresh))
+            yield fresh
+            del fresh
+
+    at_forward, chunk_starts = [], [0]
+    gather = nnet._gather_batch
+
+    def spy(chunk, *args):
+        at_forward.append(len(pulled))
+        assert all(ref() is None for ref in pulled[:chunk_starts[-1]])   # earlier chunks are gone
+        chunk_starts.append(len(pulled))
+        return gather(chunk, *args)
+
+    monkeypatch.setattr(nnet, "_gather_batch", spy)
+    risks = nnet.ensemble_predict(ensemble, build())
+    monkeypatch.undo()
+    assert at_forward == [3, 6, 9, 10]      # 9, 9, 9 and 3 patches
+    assert risks == [scan_risk(ensemble.members[0].params, ex) for ex in examples]
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +513,7 @@ def test_ensemble_save_load_round_trip(tmp_path):
     back = nnet.load_ensemble(tmp_path / "model")
     assert len(back.members) == 3
     ex = random_example(rng, 2)
-    assert nnet.ensemble_predict(back, ex) == nnet.ensemble_predict(ens, ex)
+    assert nnet.ensemble_predict(back, [ex]) == nnet.ensemble_predict(ens, [ex])
 
 
 def test_projection_round_trips_and_older_files_read_as_slice(tmp_path):
