@@ -148,11 +148,13 @@ def cmd_score(args) -> int:
     """Score each listed scan (default: every labelled scan) with the
     ensemble's mean risk and write the scores CSV.
 
-    Examples are built one scan at a time as `nnet.ensemble_predict` pulls
-    them, and scored in chunks of a few scans; the written bytes do not
-    depend on the chunking. The process first sets the allocator thresholds
-    of the fold workers, so each chunk's forward reuses the previous
-    chunk's buffers.
+    Examples are built one scan at a time, on this thread, as
+    `nnet.ensemble_predict` pulls them, and scored in chunks of a few scans
+    by a pool of one thread per usable CPU while the next chunk is built.
+    The loaded members are inference-only, so a forward keeps no graph.
+    The written bytes depend neither on the chunking nor on the thread
+    count. The process first sets the allocator thresholds of the fold
+    workers, so each chunk's forward reuses the buffers of an earlier one.
     """
     host.reuse_freed_memory()
     model_dir = Path(args.model)

@@ -167,11 +167,17 @@ def permutation_test_auc(a: ScoredCohort, b: ScoredCohort, n_perm: int = 10_000,
     exceed = 0
     done = 0
     chunk = max(1, min(n_perm, _PERM_CHUNK_ELEMENTS // a.scores.size))
+    # A swap exchanges a scan's two scores bit for bit: both are XORed with
+    # a^b where swapped and with 0 where not, in three integer passes.
+    a_bits, b_bits = a.scores.view(np.uint64), b.scores.view(np.uint64)
+    differ = a_bits ^ b_bits
     while done < n_perm:
         m = min(chunk, n_perm - done)
         swap = rng.random((m, a.scores.size)) < 0.5
-        sa = np.where(swap, b.scores, a.scores)
-        sb = np.where(swap, a.scores, b.scores)
+        flip = swap * differ
+        sa = (flip ^ a_bits).view(np.float64)
+        flip ^= b_bits
+        sb = flip.view(np.float64)
         stats = _auc_rows(sa, a.labels) - _auc_rows(sb, a.labels)
         exceed += int(np.count_nonzero(stats >= observed))
         done += m

@@ -19,6 +19,8 @@ layout:
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import math
 import os
 import pickle
@@ -30,7 +32,7 @@ import threading
 import time
 import warnings
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -501,28 +503,50 @@ def _serve_folds():
 
 
 # `ensemble_predict` scores whole scans in chunks of at least this many
-# patches. On the seed-11 `score` inputs (96 scans, 5 members, 2-core VM,
-# under `host.reuse_freed_memory`) chunks of 8 to 24 patches spent
-# 0.69-0.88 s in forwards against 1.12-1.19 s for one scan (1 to 4
-# patches) at a time; 8 keeps the fewest feature maps alive ((8,P,28,28)
-# is 0.4 MB at P=8).
-SCORE_CHUNK_PATCHES = 8
+# patches. `lungrisk score` on the seed-11 `score` inputs (96 scans, 5
+# members, 2-core VM, two scoring threads, 10 child processes each):
+#   chunk    8: 0.99 s, peak RSS 62.3 MB     chunk 16: 0.93 s, 66.5 MB
+#   chunk   12: 0.92 s, peak RSS 64.3 MB     chunk 24: 0.88 s, 71.2 MB
+# against 1.27 s and 60.1 MB for one thread, 8-patch chunks and a graph
+# kept at every op. Each scoring thread holds its own chunk's feature
+# maps, so peak RSS grows with chunk size times thread count; 12 is the
+# fastest chunk within 10% of the single-thread peak.
+SCORE_CHUNK_PATCHES = 12
 
 
 def ensemble_predict(ensemble: FoldEnsemble, examples: Iterable[ScanExample]) -> list[float]:
     """Risk of each example, in input order: the mean of the members'
     infer-mode risks, each member standardizing the raw metadata with its
     own statistics. An example without patches scores 0.0 and raises a
-    ZeroNoduleWarning.
+    ZeroNoduleWarning; a risk that is not finite raises NumericError.
 
-    Examples are pulled from the iterable until they hold at least
-    SCORE_CHUNK_PATCHES patches; each member then scores the chunk in one
-    call, and the chunk is dropped before the next is pulled, so a
-    generator that builds examples on demand keeps one chunk alive at a
-    time. Every infer layer scores a patch independently of its batch, so
-    the risks do not depend on how the examples fall into chunks.
+    Examples are pulled from the iterable on the calling thread until they
+    hold at least SCORE_CHUNK_PATCHES patches. Each chunk is scored by
+    `_predict_chunk` on a thread of `host.ordered_map` while the next one
+    is pulled, so a generator that builds examples on demand keeps at most
+    one chunk per usable CPU, plus the one being pulled, alive. Warnings and
+    errors are raised here, in scan order; an error cancels the chunks not
+    yet started. Every infer layer scores a patch independently of its
+    batch, so the risks do not depend on how the examples fall into chunks.
     """
     risks: list[float] = []
+    scored = host.ordered_map(functools.partial(_predict_chunk, ensemble), _chunks(examples))
+    with contextlib.closing(scored):
+        for scan_id, risk in itertools.chain.from_iterable(scored):
+            if risk is None:
+                warnings.warn(f"scan {scan_id!r} has no nodules; risk set to 0.0",
+                              ZeroNoduleWarning, stacklevel=2)
+                risk = 0.0
+            elif not np.isfinite(risk):
+                raise NumericError(f"the ensemble scores scan {scan_id!r} as {risk!r}: "
+                                   f"its weights or the scan's voxels are out of range")
+            risks.append(risk)
+    return risks
+
+
+def _chunks(examples: Iterable[ScanExample]) -> Iterator[list[ScanExample]]:
+    """Whole examples, without their cubes, in lists of at least
+    SCORE_CHUNK_PATCHES patches (the last may hold fewer)."""
     chunk: list[ScanExample] = []
     n_patches = 0
     for example in examples:
@@ -530,36 +554,29 @@ def ensemble_predict(ensemble: FoldEnsemble, examples: Iterable[ScanExample]) ->
         n_patches += len(example.patches)
         del example         # frees the cubes before the next example is built
         if n_patches >= SCORE_CHUNK_PATCHES:
-            risks += _predict_chunk(ensemble, chunk)
+            yield chunk
             chunk, n_patches = [], 0
     if chunk:
-        risks += _predict_chunk(ensemble, chunk)
-    return risks
+        yield chunk
 
 
-def _predict_chunk(ensemble: FoldEnsemble, chunk: list[ScanExample]) -> list[float]:
-    """`ensemble_predict` over one chunk: one `score_bags` call per member."""
-    for example in chunk:
-        if not example.patches:
-            warnings.warn(f"scan {example.scan_id!r} has no nodules; risk set to 0.0",
-                          ZeroNoduleWarning, stacklevel=3)
+def _predict_chunk(ensemble: FoldEnsemble,
+                   chunk: list[ScanExample]) -> list[tuple[str, float | None]]:
+    """(scan id, mean member risk) of each example of one chunk, from one
+    `score_bags` call per member; None for an example without patches."""
     batch = _gather_batch(chunk, "infer", None, ensemble.projection)
-    if batch is None:
-        return [0.0] * len(chunk)
-    planes, raw_meta, segments, labels = batch
-    with np.errstate(all="ignore"):     # a non-finite risk is reported below
-        by_member = np.stack([score_bags(m.params, planes, m.metadata_stats.standardize(raw_meta),
-                                         segments, labels.size, "infer").data
-                              for m in ensemble.members], axis=1)
-    # one contiguous row of member risks per scan: the same mean, summed in
-    # the same order, as for a scan scored on its own
-    bag_risks = iter(float(np.mean(row)) for row in by_member)
-    risks = [next(bag_risks) if example.patches else 0.0 for example in chunk]
-    for example, risk in zip(chunk, risks):
-        if not np.isfinite(risk):
-            raise NumericError(f"the ensemble scores scan {example.scan_id!r} as {risk!r}: "
-                               f"its weights or the scan's voxels are out of range")
-    return risks
+    bag_risks = iter(())
+    if batch is not None:
+        planes, raw_meta, segments, labels = batch
+        with np.errstate(all="ignore"):     # `ensemble_predict` reports a non-finite risk
+            by_member = np.stack([score_bags(m.params, planes,
+                                             m.metadata_stats.standardize(raw_meta),
+                                             segments, labels.size, "infer").data
+                                  for m in ensemble.members], axis=1)
+        # one contiguous row of member risks per scan: the same mean, summed
+        # in the same order, as for a scan scored on its own
+        bag_risks = iter(float(np.mean(row)) for row in by_member)
+    return [(ex.scan_id, next(bag_risks) if ex.patches else None) for ex in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +706,8 @@ def _params_from_arrays(arrays: dict[str, np.ndarray], path) -> NNetParams:
         params.tensors[name] = tz.Tensor(entry(name, shape), name=name)
     for bn_name in _BN_MAP_NAMES + _BN_VEC_NAMES:
         width = (N_CHANNELS if bn_name in _BN_MAP_NAMES else FC_UNITS,)
+        if (entry(f"{bn_name}.running_var", width) < 0).any():
+            raise NumericError(f"{path}: entry '{bn_name}.running_var' holds a negative variance")
         params.bn[bn_name] = tz.BatchNormState(
             gamma=tz.Tensor(entry(f"{bn_name}.gamma", width), name=f"{bn_name}.gamma"),
             beta=tz.Tensor(entry(f"{bn_name}.beta", width), name=f"{bn_name}.beta"),
@@ -729,7 +748,10 @@ def load_ensemble(directory) -> FoldEnsemble:
         stats = _metadata_stats_from_arrays(arrays, p)
         if stats is None:
             raise VersionError(f"{p} lacks the metadata statistics of its training fold")
-        members.append(FoldMember(params=_params_from_arrays(arrays, p), metadata_stats=stats))
+        params = _params_from_arrays(arrays, p)
+        for t in params.learnable().values():
+            t.requires_grad = False         # inference-only: a forward builds no graph
+        members.append(FoldMember(params=params, metadata_stats=stats))
     return FoldEnsemble(members=members)
 
 

@@ -16,7 +16,6 @@ the exported features carry label signal.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -304,12 +303,12 @@ def _generate_scan(scan_id, spec, intercept, seed) -> tuple[ScanRecord, Volume]:
 def generate(spec: PhantomSpec, out_dir=None) -> SynthDataset:
     """Produce the whole dataset; writes volumes/CSVs when out_dir is given.
 
-    Scans are rendered by a pool of one thread per usable CPU. Each scan
-    draws from its own SeedSequence child and records come back in scan
-    order, so the bytes do not depend on the thread count. A volume is
-    written as soon as it is rendered and not kept in memory, so at most
-    one per thread is in flight. When a scan raises, scans not yet started
-    are cancelled and the error reaches the caller.
+    Scans are rendered by `host.ordered_map`, one thread per usable CPU.
+    Each scan draws from its own SeedSequence child and records come back
+    in scan order, so the bytes do not depend on the thread count. A volume
+    is written as soon as it is rendered and not kept in memory, so at most
+    one per thread is in flight. When a scan raises, no further scan is
+    started and the error reaches the caller.
     """
     intercept = calibrate_intercept(spec)
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_scans)
@@ -326,11 +325,7 @@ def generate(spec: PhantomSpec, out_dir=None) -> SynthDataset:
 
     # threads, not processes: the 96^3 normal fill, which is most of a scan,
     # and the volume write both run with the GIL released
-    pool = ThreadPoolExecutor(max_workers=host.usable_cpus())
-    try:
-        scans = list(pool.map(render, range(spec.n_scans)))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    scans = list(host.ordered_map(render, range(spec.n_scans)))
     dataset = SynthDataset(spec=spec, intercept=intercept, scans=scans)
     if out_dir is not None:
         write_candidates_csv(out_dir / "candidates.csv", {s.scan_id: s.candidates for s in scans})

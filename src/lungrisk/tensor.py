@@ -46,7 +46,11 @@ class Tensor:
     Leaf tensors (parameters, inputs) have no parents; op results carry a
     closure that scatters the incoming gradient to their parents. A tensor
     made with `requires_grad=False` (an input nothing differentiates with
-    respect to) never holds a gradient, and ops may skip computing it.
+    respect to, or an inference-only parameter) never holds a gradient, and
+    ops may skip computing it. An op result requires a gradient when one of
+    its parents does; otherwise it records neither parents nor closure, so
+    a forward over inputs and parameters that all lack one builds no graph
+    and frees each intermediate as soon as the next op has read it.
     """
 
     __slots__ = ("data", "grad", "name", "requires_grad", "_parents", "_backward")
@@ -58,9 +62,11 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.name = name
+        if parents:
+            requires_grad = any(p.requires_grad for p in parents)
         self.requires_grad = requires_grad
-        self._parents = tuple(parents)
-        self._backward = backward
+        self._parents = tuple(parents) if requires_grad else ()
+        self._backward = backward if requires_grad else None
 
     @property
     def shape(self):
@@ -232,16 +238,23 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
     red = f"{layout}->c"
 
     if mode == "infer":
+        # (x - mean) * inv, then * gamma + beta, in one array: the operations
+        # and order of gamma*xhat + beta, so the same bits
         inv = 1.0 / np.sqrt(state.running_var + BN_EPSILON)
-        xhat = (xd - state.running_mean.reshape(bshape)) * inv.reshape(bshape)
-        out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+        out = xd - state.running_mean.reshape(bshape)
+        out *= inv.reshape(bshape)
+        backward_infer = None
+        if x.requires_grad or gamma.requires_grad or beta.requires_grad:
+            xhat = out.copy()
 
-        def backward_infer(g):
-            g = g.reshape(view)
-            gamma.accumulate(np.einsum(dot, g, xhat))
-            beta.accumulate(np.einsum(red, g))
-            x.accumulate((g * (gamma.data * inv).reshape(bshape)).reshape(shape))
+            def backward_infer(g):
+                g = g.reshape(view)
+                gamma.accumulate(np.einsum(dot, g, xhat))
+                beta.accumulate(np.einsum(red, g))
+                x.accumulate((g * (gamma.data * inv).reshape(bshape)).reshape(shape))
 
+        out *= gamma.data.reshape(bshape)
+        out += beta.data.reshape(bshape)
         return Tensor(out.reshape(shape), parents=(x, gamma, beta), backward=backward_infer)
 
     m = xd.size // channels
@@ -303,11 +316,14 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out = np.where(mask, x.data, 0.0)
+    """max(x, 0); a NaN stays NaN, so a non-finite forward stays visible."""
+    out = np.maximum(x.data, 0.0)
+    backward = None
+    if x.requires_grad:
+        mask = x.data > 0
 
-    def backward(g):
-        x.accumulate(g * mask)
+        def backward(g):
+            x.accumulate(g * mask)
 
     return Tensor(out, parents=(x,), backward=backward)
 
@@ -350,11 +366,11 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator | None =
         keep = np.ascontiguousarray((rng.random((n, c, h, w)) >= rate).transpose(1, 0, 2, 3))
     else:
         keep = rng.random(x.data.shape) >= rate
-    scale = 1.0 / (1.0 - rate)
-    out = np.where(keep, x.data * scale, 0.0)
+    scaled = keep * (1.0 / (1.0 - rate))    # 1/(1-rate) where kept, 0 where dropped
+    out = x.data * scaled
 
     def backward(g):
-        x.accumulate(np.where(keep, g * scale, 0.0))
+        x.accumulate(g * scaled)
 
     return Tensor(out, parents=(x,), backward=backward)
 
@@ -472,10 +488,15 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
     """Run reverse-mode accumulation from a scalar loss.
 
     When `params` is given, returns {name: gradient array} and raises
-    MissingGradientError for any parameter the graph never touched.
+    MissingGradientError for any parameter the graph never touched. A loss
+    that recorded no graph, because nothing it was computed from requires a
+    gradient, raises MissingGradientError too.
     """
     if loss.data.size != 1:
         raise DimensionError("backward expects a scalar loss")
+    if not loss.requires_grad:
+        raise MissingGradientError("the loss has no graph: nothing it was computed from "
+                                   "requires a gradient")
     topo: list[Tensor] = []
     seen = set()
     stack = [(loss, False)]

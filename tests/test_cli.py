@@ -350,6 +350,59 @@ def test_score_deterministic_and_in_range(small_data, small_model, tmp_path):
     assert all(0.0 <= v <= 1.0 for v in scores.values())
 
 
+@pytest.fixture(scope="module")
+def small_scores(small_data, small_model, tmp_path_factory):
+    """The bytes of `lungrisk score` on the small cohort, at the usable CPUs."""
+    out = tmp_path_factory.mktemp("cli_scores") / "s.csv"
+    assert run(["score", "--model", small_model, "--data", small_data, "--out", out]) == 0
+    return file_hash(out)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_score_bytes_do_not_depend_on_the_thread_count(cpus, small_data, small_model,
+                                                       small_scores, tmp_path, monkeypatch):
+    asked = []
+    monkeypatch.setattr(host, "usable_cpus", lambda: asked.append(cpus) or cpus)
+    monkeypatch.setattr(nnet, "SCORE_CHUNK_PATCHES", 4)   # more chunks than threads
+    out = tmp_path / "s.csv"
+    assert run(["score", "--model", small_model, "--data", small_data, "--out", out]) == 0
+    assert file_hash(out) == small_scores
+    assert asked == [cpus]
+
+
+def test_score_bytes_on_one_pinned_cpu(small_data, small_model, small_scores, tmp_path):
+    subprocess.run([sys.executable, "-c", CLI_CHILD, "pin", "score", "--model", str(small_model),
+                    "--data", str(small_data), "--out", str(tmp_path / "s.csv")],
+                   env=child_env(), check=True, timeout=300, stdout=subprocess.DEVNULL)
+    assert file_hash(tmp_path / "s.csv") == small_scores
+
+
+def test_score_non_finite_chunk_cancels_the_queued_chunks(small_data, small_model, tmp_path,
+                                                          capsys, monkeypatch):
+    started = []
+    predict = nnet._predict_chunk
+
+    def failing(ensemble, chunk):
+        started.append(chunk[0].scan_id)
+        scored = predict(ensemble, chunk)
+        if chunk[0].scan_id == "scan_00005":
+            scored[0] = (scored[0][0], float("nan"))
+        return scored
+
+    monkeypatch.setattr(host, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(nnet, "SCORE_CHUNK_PATCHES", 1)     # one scan a chunk
+    monkeypatch.setattr(nnet, "_predict_chunk", failing)
+    out = tmp_path / "s.csv"
+    code = run(["score", "--model", small_model, "--data", small_data, "--out", out])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "scan_00005" in err and "nan" in err and err.count("\n") == 1, err
+    # scans 0-5, and at most two chunks per thread after them; a scorer
+    # that ran its queue out would start all 24
+    assert "scan_00005" in started and len(started) <= 10, started
+    assert not out.exists()
+
+
 def test_score_unknown_scan_id_is_explicit_error(small_data, small_model, tmp_path, capsys):
     scan_list = tmp_path / "scans.txt"
     scan_list.write_text("scan_00000\nno_such_scan\n")
@@ -462,6 +515,7 @@ def test_score_weight_manifest_with_negative_dims_is_format_error(
     pytest.param("meta_stats.mean", -np.inf, id="inf-metadata-mean"),
     pytest.param("meta_stats.std", 0.0, id="zero-metadata-std"),
     pytest.param("meta_stats.std", -1.0, id="negative-metadata-std"),
+    pytest.param("bn_conv1.running_var", -1.0, id="negative-running-var"),
 ])
 def test_score_non_finite_weight_file_is_numeric_error(entry, value, small_data, small_model,
                                                        tmp_path, capsys):

@@ -1,3 +1,4 @@
+import threading
 import warnings
 import weakref
 from dataclasses import replace
@@ -10,6 +11,7 @@ from lungrisk.errors import (
     ChecksumError,
     ConfigError,
     FoldWorkerError,
+    MissingGradientError,
     TruncatedFileError,
     VersionError,
     ZeroNoduleWarning,
@@ -377,18 +379,23 @@ def member_mean_of_one_scan(ensemble, ex):
 CHUNKED_COUNTS = [2, 0, 10, 1, 3, 4, 0, 7, 1, 1, 5, 0, 2, 8, 3]
 
 
-@pytest.mark.parametrize("budget", [1, 5, nnet.SCORE_CHUNK_PATCHES, 1000])
-def test_chunked_scorer_equals_one_scan_at_a_time_bit_for_bit(budget, monkeypatch):
-    rng = np.random.default_rng(30)
+def chunked_cohort(rng):
+    """An ensemble with non-identity metadata statistics, and the scans of
+    CHUNKED_COUNTS in an id order that is not sorted."""
     members = [nnet.FoldMember(small_params(seed),
                                MetadataStats(mean=rng.normal(size=5), std=rng.uniform(0.5, 2, 5)))
                for seed in (31, 32, 33)]
-    ensemble = nnet.FoldEnsemble(members=members)
     ids = rng.permutation(len(CHUNKED_COUNTS))
     examples = [random_example(rng, n, scan_id=f"scan_{i:02d}")
                 for i, n in zip(ids, CHUNKED_COUNTS)]
     assert [ex.scan_id for ex in examples] != sorted(ex.scan_id for ex in examples)
-    calls = []
+    return nnet.FoldEnsemble(members=members), examples
+
+
+@pytest.mark.parametrize("budget", sorted({1, 5, 8, 1000, nnet.SCORE_CHUNK_PATCHES}))
+def test_chunked_scorer_equals_one_scan_at_a_time_bit_for_bit(budget, monkeypatch):
+    ensemble, examples = chunked_cohort(np.random.default_rng(30))
+    calls = []          # patches of each forward, in the order the threads made them
     score = nnet.score_bags
     monkeypatch.setattr(nnet, "score_bags",
                         lambda p, planes, *args: calls.append(planes.shape[1]) or score(p, planes, *args))
@@ -396,43 +403,94 @@ def test_chunked_scorer_equals_one_scan_at_a_time_bit_for_bit(budget, monkeypatc
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         risks = nnet.ensemble_predict(ensemble, iter(examples))
+    chunks = [sum(len(ex.patches) for ex in chunk) for chunk in nnet._chunks(examples)]
     monkeypatch.undo()
     zero_ids = [ex.scan_id for ex in examples if not ex.patches]
     assert [w.category for w in caught] == [ZeroNoduleWarning] * len(zero_ids)
     assert all(sid in str(w.message) for sid, w in zip(zero_ids, caught))
     assert risks == [member_mean_of_one_scan(ensemble, ex) for ex in examples]
     assert risks[1] == 0.0 and risks[6] == 0.0 and risks[11] == 0.0
-    if budget == nnet.SCORE_CHUNK_PATCHES:
-        assert calls == [n for n in (12, 8, 8, 8, 8, 3) for _ in members]
+    # one forward per member per chunk with a patch, whatever thread made it
+    assert sorted(calls) == sorted(n for n in chunks if n for _ in ensemble.members)
+    if budget == 8:
+        assert chunks == [12, 8, 8, 8, 8, 3]
 
 
 def test_ensemble_predict_pulls_one_chunk_ahead_and_drops_it(monkeypatch):
+    # 3 scans of 3 patches a chunk at a budget of 8
+    monkeypatch.setattr(nnet, "SCORE_CHUNK_PATCHES", 8)
     rng = np.random.default_rng(34)
     ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(small_params(35), IDENTITY_STATS)])
-    examples = [random_example(rng, 3, scan_id=f"s{i}") for i in range(10)]
-    pulled = []         # a weak reference to each example the scorer has pulled
+    examples = [random_example(rng, 3, scan_id=f"s{i}") for i in range(15)]
+    expected = [scan_risk(ensemble.members[0].params, ex) for ex in examples]
 
-    def build():
-        for ex in examples:
-            fresh = replace(ex)     # the list above must not keep it alive
-            pulled.append(weakref.ref(fresh))
+    def build(patches, alive, ahead):
+        for i, ex in enumerate(examples):
+            # copies, so that the list above keeps none of them alive
+            fresh = replace(ex, patches=[replace(p) for p in ex.patches])
+            patches.append([weakref.ref(p) for p in fresh.patches])
+            chunks = {j // 3 for j, refs in enumerate(patches) if any(r() for r in refs)}
+            alive.append(len(chunks))
+            ahead.append(i // 3 - min(chunks) + 1)
             yield fresh
             del fresh
 
-    at_forward, chunk_starts = [], [0]
-    gather = nnet._gather_batch
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(host, "usable_cpus", lambda: threads)
+        patches = []    # weak references to the patches of each example pulled
+        alive = []      # chunks pulled and not yet freed, at each pull
+        ahead = []      # chunks from the oldest of those to the one being pulled
+        risks = nnet.ensemble_predict(ensemble, build(patches, alive, ahead))
+        # a chunk per thread being scored, plus the one being pulled; a
+        # scorer that read the iterable out first would hold all 5
+        assert max(alive) <= threads + 1, (threads, alive)
+        # scored chunks wait for a slower one before them, two per thread
+        assert max(ahead) <= 2 * threads + 1, (threads, ahead)
+        assert all(r() is None for refs in patches for r in refs)
+        assert risks == expected
 
-    def spy(chunk, *args):
-        at_forward.append(len(pulled))
-        assert all(ref() is None for ref in pulled[:chunk_starts[-1]])   # earlier chunks are gone
-        chunk_starts.append(len(pulled))
-        return gather(chunk, *args)
 
-    monkeypatch.setattr(nnet, "_gather_batch", spy)
-    risks = nnet.ensemble_predict(ensemble, build())
+def test_zero_nodule_warnings_come_once_per_scan_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(host, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(nnet, "SCORE_CHUNK_PATCHES", 2)
+    ensemble, examples = chunked_cohort(np.random.default_rng(36))
+    warned = []
+    warn = warnings.warn
+
+    def spy(message, category=UserWarning, *args, **kwargs):
+        warned.append((str(message), category, threading.current_thread()))
+        warn(message, category, *args, **kwargs)
+
+    monkeypatch.setattr(warnings, "warn", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        nnet.ensemble_predict(ensemble, examples)
     monkeypatch.undo()
-    assert at_forward == [3, 6, 9, 10]      # 9, 9, 9 and 3 patches
-    assert risks == [scan_risk(ensemble.members[0].params, ex) for ex in examples]
+    zero_ids = [ex.scan_id for ex in examples if not ex.patches]
+    assert [category for _, category, _ in warned] == [ZeroNoduleWarning] * len(zero_ids)
+    assert all(sid in message for sid, (message, _, _) in zip(zero_ids, warned))
+    assert all(thread is threading.current_thread() for _, _, thread in warned)
+
+
+def test_loaded_members_score_without_a_graph(tmp_path):
+    rng = np.random.default_rng(37)
+    params = small_params(38)
+    nnet.save_ensemble(nnet.FoldEnsemble(members=[nnet.FoldMember(params, IDENTITY_STATS)]),
+                       tmp_path)
+    loaded = nnet.load_ensemble(tmp_path).members[0].params
+    assert not any(t.requires_grad for t in loaded.learnable().values())
+    ex = random_example(rng, 4)
+    planes = np.stack([patch.planes for patch in ex.patches], axis=1)
+    meta = np.stack([patch.metadata for patch in ex.patches])
+    out = nnet._forward_patch_batch(loaded, planes, meta, "infer")
+    assert out._parents == () and out._backward is None and not out.requires_grad
+    with_graph = nnet._forward_patch_batch(params, planes, meta, "infer")
+    assert with_graph._parents != ()
+    assert out.data.tobytes() == with_graph.data.tobytes()
+    loss = tz.bce_loss(nnet.score_bags(loaded, planes, meta, np.zeros(4, dtype=np.int64), 1,
+                                       "infer"), np.array([1.0]))
+    with pytest.raises(MissingGradientError):
+        tz.backward(loss, params=loaded.learnable())
 
 
 # ---------------------------------------------------------------------------

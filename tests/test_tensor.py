@@ -251,6 +251,25 @@ def test_bn_infer_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_bn_infer_with_and_without_a_graph_equals_the_textbook_expression():
+    rng = np.random.default_rng(7)
+    bn = make_bn(4)
+    bn.gamma.data[:] = rng.normal(size=4)
+    bn.beta.data[:] = rng.normal(size=4)
+    bn.running_mean[:] = rng.normal(size=4)
+    bn.running_var[:] = rng.uniform(0.1, 3.0, size=4)
+    x = rng.normal(size=(4, 3, 5, 5))
+    shape = (4, 1, 1, 1)
+    xhat = (x - bn.running_mean.reshape(shape)) * (1.0 / np.sqrt(bn.running_var + T.BN_EPSILON)).reshape(shape)
+    expected = bn.gamma.data.reshape(shape) * xhat + bn.beta.data.reshape(shape)
+    with_graph = T.batch_norm(t(x), bn, "infer")
+    for param in (bn.gamma, bn.beta):
+        param.requires_grad = False
+    without = T.batch_norm(T.Tensor(x, requires_grad=False), bn, "infer")
+    assert with_graph._backward is not None and without._backward is None
+    assert with_graph.data.tobytes() == without.data.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # dense / relu / sigmoid
 
@@ -289,6 +308,12 @@ def test_dense_dim_mismatch():
 def test_relu_values():
     out = T.relu(t([-3.0, 0.0, 3.0]))
     np.testing.assert_allclose(out.data, [0.0, 0.0, 3.0])
+
+
+def test_relu_passes_nan_on():
+    # a non-finite forward must reach the caller's finiteness check
+    out = T.relu(T.Tensor([np.nan, -np.inf, np.inf, -1.0], requires_grad=False)).data
+    assert np.isnan(out[0]) and out[1:].tolist() == [0.0, np.inf, 0.0]
 
 
 def test_sigmoid_values():
@@ -342,6 +367,17 @@ def test_dropout_on_channel_major_batch_keeps_the_patch_major_draws():
     keep = np.random.default_rng(5).random(patch_major.shape) >= 0.4
     assert 0 < keep.sum() < keep.size
     np.testing.assert_array_equal(out, np.where(keep, patch_major * (1.0 / 0.6), 0.0))
+
+
+def test_dropout_gradient_is_the_kept_and_scaled_mask():
+    rng = np.random.default_rng(23)
+    x = t(rng.normal(size=(3, 4, 2, 2)))
+    out = T.dropout(x, 0.3, "train", np.random.default_rng(6))
+    g = rng.normal(size=x.shape)
+    out._backward(g)
+    kept = out.data != 0.0
+    assert 0 < kept.sum() < kept.size
+    np.testing.assert_array_equal(x.grad, np.where(kept, g * (1.0 / 0.7), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +470,27 @@ def test_bce_gradient_hand_values():
     x = t(0.0)
     T.backward(T.sigmoid(x))
     np.testing.assert_allclose(x.grad, 0.25, rtol=1e-12)
+
+
+def test_op_results_record_a_graph_only_when_an_input_requires_a_gradient():
+    rng = np.random.default_rng(8)
+    x = T.Tensor(rng.normal(size=(2, 3)), requires_grad=False)
+    w, b = T.Tensor(rng.normal(size=(3, 1)), requires_grad=False), t([0.5])
+    free = T.relu(T.dense(x, w, T.Tensor([0.5], requires_grad=False)))
+    assert free._parents == () and free._backward is None and not free.requires_grad
+    tracked = T.relu(T.dense(x, w, b))
+    assert tracked.requires_grad and tracked._parents and tracked._backward is not None
+    assert free.data.tobytes() == tracked.data.tobytes()
+    T.backward(T.bce_loss(T.sigmoid(T.reshape(tracked, (2,))), np.array([1.0, 0.0])))
+    assert b.grad is not None and w.grad is None and x.grad is None
+
+
+def test_backward_through_a_result_without_a_graph_raises():
+    x = T.Tensor([0.3, -0.2], requires_grad=False)
+    loss = T.bce_loss(T.sigmoid(T.relu(x)), np.array([1.0, 0.0]))
+    assert loss._parents == ()
+    with pytest.raises(MissingGradientError):
+        T.backward(loss)
 
 
 def test_backward_missing_gradient():
