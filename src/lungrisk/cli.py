@@ -45,8 +45,7 @@ def _volume_path(data_dir: Path, scan_id: str) -> Path:
     raise DataConsistencyError(f"no volume file for scan {scan_id!r} under {data_dir / 'volumes'}")
 
 
-def _load_volume(data_dir: Path, scan_id: str):
-    path = _volume_path(data_dir, scan_id)
+def _read_volume(path: Path):
     if path.suffix == ".mhd":
         return fileio.read_volume_pair(path)
     return fileio.read_volume_compact(path)
@@ -59,9 +58,10 @@ def _read_scan_list(path) -> list[str]:
     return ids
 
 
-def _build_example(data_dir: Path, scan_id: str, candidates, label: int,
+def _build_example(path: Path, scan_id: str, candidates, label: int,
                    metadata_dim: int, projection: str):
-    return build_scan_example(_load_volume(data_dir, scan_id), candidates.get(scan_id, []),
+    """The scan's example, from its volume file at `path` (see `_volume_path`)."""
+    return build_scan_example(_read_volume(path), candidates.get(scan_id, []),
                               label, metadata_dim=metadata_dim, projection=projection,
                               scan_id=scan_id)
 
@@ -127,8 +127,8 @@ def cmd_train(args) -> int:
     if missing:
         raise DataConsistencyError(f"scan list entries without labels: {missing}")
 
-    examples = [_build_example(data_dir, sid, candidates, labels[sid], config.metadata_dim,
-                               config.projection) for sid in scan_ids]
+    examples = [_build_example(_volume_path(data_dir, sid), sid, candidates, labels[sid],
+                               config.metadata_dim, config.projection) for sid in scan_ids]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ensemble = nnet.kfold_train(config, examples, k=args.folds)
@@ -166,10 +166,10 @@ def cmd_score(args) -> int:
     else:
         labels = fileio.read_labels_csv(data_dir / "labels.csv")
         scan_ids = sorted(labels)
-    for sid in scan_ids:
-        _volume_path(data_dir, sid)  # fail fast with an explicit missing-volume error
-    examples = (_build_example(data_dir, sid, candidates, 0, ensemble.metadata_dim,
-                               ensemble.projection) for sid in scan_ids)
+    # every path is resolved up front, so a missing volume fails before any scoring
+    paths = [_volume_path(data_dir, sid) for sid in scan_ids]
+    examples = (_build_example(path, sid, candidates, 0, ensemble.metadata_dim,
+                               ensemble.projection) for sid, path in zip(scan_ids, paths))
     scores = dict(zip(scan_ids, nnet.ensemble_predict(ensemble, examples)))
     fileio.write_scores_csv(args.out, scores)
     print(f"scored {len(scores)} scans -> {args.out}")

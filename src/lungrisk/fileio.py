@@ -55,6 +55,8 @@ def write_volume_pair(v: Volume, header_path, element_type: str = "MET_SHORT"):
 
 
 def read_volume_pair(header_path) -> Volume:
+    """The volume of a header + raw pair. MET_SHORT voxels stay int16, as
+    stored; MET_FLOAT and MET_DOUBLE voxels become float64 (see `Volume`)."""
     header_path = Path(header_path)
     fields = {}
     for line in header_path.read_text().splitlines():
@@ -93,8 +95,7 @@ def read_volume_pair(header_path) -> Volume:
     raw = np.fromfile(header_path.parent / data_file, dtype=dtype)
     if raw.size != int(np.prod(dims)):
         raise FormatError(f"raw file size does not match DimSize in {header_path}")
-    vox = raw.reshape(dims[2], dims[1], dims[0]).transpose(2, 1, 0).astype(np.float64)
-    return Volume(vox, spacing, origin)
+    return Volume(raw.reshape(dims[2], dims[1], dims[0]).transpose(2, 1, 0), spacing, origin)
 
 
 def write_volume_compact(v: Volume, path):
@@ -121,6 +122,8 @@ def _rounded_hu(voxels: np.ndarray) -> np.ndarray:
 
 
 def read_volume_compact(path) -> Volume:
+    """The volume with its int16 voxels as stored: a read-only (x,y,z) view
+    of the file's bytes, with no float64 copy."""
     path = Path(path)
     blob = path.read_bytes()
     if len(blob) < _COMPACT_HEADER.size:
@@ -134,8 +137,7 @@ def read_volume_compact(path) -> Volume:
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
     vox = np.frombuffer(blob, dtype="<i2", offset=_COMPACT_HEADER.size)
-    vox = vox.reshape(nz, ny, nx).transpose(2, 1, 0).astype(np.float64)
-    return Volume(vox, (sx, sy, sz), (ox, oy, oz))
+    return Volume(vox.reshape(nz, ny, nx).transpose(2, 1, 0), (sx, sy, sz), (ox, oy, oz))
 
 
 # ---------------------------------------------------------------------------

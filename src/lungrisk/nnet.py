@@ -504,14 +504,16 @@ def _serve_folds():
 
 # `ensemble_predict` scores whole scans in chunks of at least this many
 # patches. `lungrisk score` on the seed-11 `score` inputs (96 scans, 5
-# members, 2-core VM, two scoring threads, 10 child processes each):
-#   chunk    8: 0.99 s, peak RSS 62.3 MB     chunk 16: 0.93 s, 66.5 MB
-#   chunk   12: 0.92 s, peak RSS 64.3 MB     chunk 24: 0.88 s, 71.2 MB
-# against 1.27 s and 60.1 MB for one thread, 8-patch chunks and a graph
-# kept at every op. Each scoring thread holds its own chunk's feature
-# maps, so peak RSS grows with chunk size times thread count; 12 is the
-# fastest chunk within 10% of the single-thread peak.
-SCORE_CHUNK_PATCHES = 12
+# members, 2-core VM, two scoring threads, 10 alternating child processes
+# each, medians):
+#   chunk  8: 0.92 s, peak RSS 56.8 MB     chunk 24: 0.80 s, peak RSS 63.4 MB
+#   chunk 12: 0.84 s, peak RSS 58.6 MB     chunk 32: 0.80 s, peak RSS 66.9 MB
+#   chunk 16: 0.82 s, peak RSS 60.5 MB
+# against 0.96 s and 65.0 MB for 12-patch chunks unfolded by nine slice
+# assignments per map from float64 volumes. Each scoring thread holds its
+# own chunk's feature maps, so peak RSS grows with chunk size times thread
+# count; 24 is the fastest chunk whose peak stays below that 65.0 MB.
+SCORE_CHUNK_PATCHES = 24
 
 
 def ensemble_predict(ensemble: FoldEnsemble, examples: Iterable[ScanExample]) -> list[float]:

@@ -20,14 +20,21 @@ MAX_NODULES = 10
 
 @dataclass
 class Volume:
-    """A 3-D grid of Hounsfield units with physical spacing and origin."""
+    """A 3-D grid of Hounsfield units with physical spacing and origin.
 
-    voxels: np.ndarray                      # (nx, ny, nz) floats
+    int16 voxels, as volume files store them, are kept as they are; any
+    other voxels become float64. The operations below promote int16 to
+    float64, which is exact, where they compute.
+    """
+
+    voxels: np.ndarray                      # (nx, ny, nz) int16 or float64
     spacing: tuple[float, float, float]     # mm per voxel
     origin: tuple[float, float, float]      # world mm of voxel (0,0,0)
 
     def __post_init__(self):
-        self.voxels = np.asarray(self.voxels, dtype=np.float64)
+        self.voxels = np.asarray(self.voxels)
+        if self.voxels.dtype != np.int16:
+            self.voxels = self.voxels.astype(np.float64, copy=False)
         if self.voxels.ndim != 3 or min(self.voxels.shape) < 1:
             raise FormatError(f"volume must be 3-D with positive dims, got {self.voxels.shape}")
         self.spacing = tuple(float(s) for s in self.spacing)
@@ -133,7 +140,8 @@ def resample_isotropic(v: Volume) -> Volume:
 
 def _trilinear_gather(vox, coords):
     # Separable trilinear interpolation on an axis-aligned grid of sample
-    # coordinates, clamped at the volume faces.
+    # coordinates, clamped at the volume faces. Each gathered corner is
+    # promoted to float64 by its weight product.
     lows, fracs = [], []
     for axis, c in enumerate(coords):
         c = np.clip(c, 0.0, vox.shape[axis] - 1.0)
@@ -169,7 +177,7 @@ def extract_cube(v: Volume, center) -> np.ndarray:
     if np.any(stop <= 0) or np.any(start >= np.asarray(v.dims)):
         raise OutOfBoundsError(
             f"cube around {tuple(float(c) for c in center)} lies outside the volume")
-    block = np.full((CUBE_SIDE,) * 3, AIR_HU)
+    block = np.full((CUBE_SIDE,) * 3, AIR_HU)     # float64: int16 voxels are promoted here
     src_lo = np.maximum(start, 0)
     src_hi = np.minimum(stop, v.dims)
     dst_lo = src_lo - start

@@ -10,9 +10,11 @@ and a batch of N maps is (C,N,H,W), so each channel is one contiguous block.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
@@ -135,27 +137,25 @@ class AdamState:
 # forward/backward ops
 
 
-# Offsets of a 3x3 tap along one axis, as (destination slice, source
-# slice) within a zero-padded "same" window. The destination leaves out the
-# border row or column that the padding would fill.
-_TAP_SLICES = (
-    (slice(1, None), slice(None, -1)),
-    (slice(None), slice(None)),
-    (slice(None, -1), slice(1, None)),
-)
+def _columns(maps: np.ndarray) -> Iterator[np.ndarray]:
+    """The im2col columns (Chellapilla et al. 2006) of each (C,H,W) map of the
+    channel-major batch `maps` in turn: the 3x3 taps over zero padding, as
+    one (C*9, H*W) buffer that is rewritten for the next map.
 
-
-def _im2col(arr: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Columns of all 3x3 taps of the (C,H,W) map `arr` over zero padding,
-    as (C*9, H*W). They are written into `cols`, a (C,3,3,H,W) buffer made by
-    np.zeros: each tap is one slice assignment of the shifted map, which
-    never touches the border rows and columns, so they stay zero and the
-    buffer can be reused for the next map without a padded copy."""
-    c, h, w = arr.shape
-    for i, (dst_i, src_i) in enumerate(_TAP_SLICES):
-        for j, (dst_j, src_j) in enumerate(_TAP_SLICES):
-            cols[:, i, j, dst_i, dst_j] = arr[:, src_i, src_j]
-    return cols.reshape(c * 9, h * w)
+    Each map is copied into the interior of one zeroed (C,H+2,W+2) buffer,
+    whose border stays zero, and its columns are a single strided copy of
+    that buffer's 3x3 windows, viewed as (C,3,3,H,W). Nothing batch-sized
+    is allocated."""
+    c, n, h, w = maps.shape
+    padded = np.zeros((c, h + 2, w + 2))
+    interior = padded[:, 1:-1, 1:-1]
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
+    cols = np.empty((c, 3, 3, h, w))
+    flat = cols.reshape(c * 9, h * w)
+    for p in range(n):
+        np.copyto(interior, maps[:, p])
+        np.copyto(cols, windows)
+        yield flat
 
 
 def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -164,9 +164,10 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     `x` is one (C,H,W) map or a channel-major (C,N,H,W) batch; `kernels` is
     (O,C,3,3), `bias` (O,). The output has the input's layout with O channels.
 
-    The batch is unfolded one map at a time into a one-map column buffer:
-    each map's columns feed one GEMM written straight into its slot of the
-    output, and backward unfolds each map again rather than holding the
+    Each map is unfolded by `_columns`, one strided copy of its padded 3x3
+    windows into a one-map column buffer, and its columns feed one GEMM
+    written straight into its slot of the output. Backward unfolds each map,
+    and each map of the incoming gradient, again rather than holding the
     batch's columns. The columns stay cache-sized, and every GEMM has the
     shape of a single-map call, so a map's output does not depend on the
     batch it came in.
@@ -186,29 +187,29 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"bias must be ({o},), got {bias.shape}")
 
     kmat = k.reshape(o, c * 9)
-    cols = np.zeros((c, 3, 3, h, w))
     out = np.empty((o, n, h, w))
     out3 = out.reshape(o, n, h * w)
-    for p in range(n):
-        np.matmul(kmat, _im2col(xd[:, p], cols), out=out3[:, p])
+    for p, cols in enumerate(_columns(xd)):
+        np.matmul(kmat, cols, out=out3[:, p])
     out3 += bias.data[:, None, None]
 
     def backward(g):
         g3 = g.reshape(o, n, h * w)
         gk = np.zeros((o, c * 9))
-        for p in range(n):
-            gk += g3[:, p] @ _im2col(xd[:, p], cols).T
+        for p, cols in enumerate(_columns(xd)):
+            gk += g3[:, p] @ cols.T
         kernels.accumulate(gk.reshape(o, c, 3, 3))
         bias.accumulate(g.reshape(o, -1).sum(axis=1))
+        # The op records this backward whenever the kernels train, also when
+        # `x` needs no gradient: conv1 and conv_skip read the input planes,
+        # a leaf without one. Their dx GEMMs would be thrown away.
         if not x.requires_grad:
             return
         kflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * 9)
-        g4 = g.reshape(o, n, h, w)
-        gcols = np.zeros((o, 3, 3, h, w))
         dx = np.empty((c, n, h, w))
         dx3 = dx.reshape(c, n, h * w)
-        for p in range(n):
-            np.matmul(kflip, _im2col(g4[:, p], gcols), out=dx3[:, p])
+        for p, gcols in enumerate(_columns(g.reshape(o, n, h, w))):
+            np.matmul(kflip, gcols, out=dx3[:, p])
         x.accumulate(dx.reshape(x.data.shape))
 
     return Tensor(out.reshape((o,) + x.data.shape[1:]), parents=(x, kernels, bias),
@@ -583,9 +584,12 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 
 # Over a smooth stretch of the loss, the central differences at h and h/2
-# agree to within rounding: at most 2e3 eps*max|f|/h on the network losses
-# of the gradient checks. Across a kink (a relu, max or clamp switching
-# branch inside the step) they differ by the slope change, 4e4 and up.
+# agree to within rounding, at most 2e3 eps*max|f|/h on those losses, unless
+# the loss curves strongly; then the gaps between the differences at h, h/2
+# and h/4 shrink 4x per halving of the step (the h^2 error term). Across a
+# kink (a relu, max or clamp switching branch inside the step) the gap is
+# the slope change, 4e4 and up, and it stays or grows while the kink lies
+# inside the smaller step.
 _KINK_TOLERANCE = 1e4
 
 
@@ -593,15 +597,20 @@ def finite_difference_check(loss_fn, tensors: dict[str, Tensor], h: float = 1e-5
                             samples_per_tensor: int | None = None,
                             rng: np.random.Generator | None = None,
                             skip_kinks: bool = False) -> dict[str, float]:
-    """Compare analytic gradients with central finite differences.
+    """Compare analytic gradients with central finite differences at step h.
 
     `loss_fn()` must rebuild the graph from the current tensor data and
     return the scalar loss Tensor. Checks every coordinate unless
-    `samples_per_tensor` caps it. With `skip_kinks`, the loss is also
-    evaluated at +-h/2, and coordinates whose two central differences
-    disagree by more than rounding explains are skipped: their perturbation
-    crosses a kink, where the loss is not differentiable. Returns the max
-    relative error per tensor name.
+    `samples_per_tensor` caps it. The perturbed evaluations run with the
+    checked tensors marked `requires_grad=False`, so they build no graph.
+
+    With `skip_kinks`, the loss is also evaluated at +-h/2. A coordinate
+    whose differences at h and h/2 disagree by more than rounding explains
+    is evaluated at +-h/4 too. If the gap between the differences at h/2
+    and h/4 is at most half the first gap, they converge, and the h/4
+    difference is compared; otherwise the perturbation crosses a kink,
+    where the loss is not differentiable, and the coordinate is skipped.
+    Returns the max relative error per tensor name.
     """
     rng = rng or np.random.default_rng(0)
     for t in tensors.values():
@@ -610,36 +619,51 @@ def finite_difference_check(loss_fn, tensors: dict[str, Tensor], h: float = 1e-5
     backward(loss)
     analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
                 for name, t in tensors.items()}
-    steps = (h, -h, h / 2, -h / 2) if skip_kinks else (h, -h)
     eps = np.finfo(np.float64).eps
+    requires_grad = {name: t.requires_grad for name, t in tensors.items()}
+
+    def central(flat, i, step):
+        # the central difference at coordinate i, and the larger |loss|
+        orig = flat[i]
+        flat[i] = orig + step
+        up = float(loss_fn().data)
+        flat[i] = orig - step
+        down = float(loss_fn().data)
+        flat[i] = orig
+        return (up - down) / (2.0 * step), max(abs(up), abs(down))
 
     errors = {}
-    for name, t in tensors.items():
-        flat = t.data.reshape(-1)
-        n = flat.size
-        if samples_per_tensor is None or samples_per_tensor >= n:
-            idx = np.arange(n)
-        else:
-            idx = rng.choice(n, size=samples_per_tensor, replace=False)
-        worst = 0.0
-        checked = 0
-        for i in idx:
-            orig = flat[i]
-            f = []
-            for step in steps:
-                flat[i] = orig + step
-                f.append(float(loss_fn().data))
-            flat[i] = orig
-            numeric = (f[0] - f[1]) / (2.0 * h)
-            if skip_kinks:
-                half = (f[2] - f[3]) / h
-                if abs(numeric - half) > _KINK_TOLERANCE * eps * max(map(abs, f)) / h:
-                    continue
-            checked += 1
-            a = float(analytic[name].reshape(-1)[i])
-            rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
-            worst = max(worst, rel)
-        if checked == 0:
-            raise NumericError(f"every sampled coordinate of {name!r} straddled a kink")
-        errors[name] = worst
+    try:
+        for t in tensors.values():
+            t.requires_grad = False
+        for name, t in tensors.items():
+            flat = t.data.reshape(-1)
+            n = flat.size
+            if samples_per_tensor is None or samples_per_tensor >= n:
+                idx = np.arange(n)
+            else:
+                idx = rng.choice(n, size=samples_per_tensor, replace=False)
+            worst = 0.0
+            checked = 0
+            for i in idx:
+                numeric, f_max = central(flat, i, h)
+                if skip_kinks:
+                    half, f_half = central(flat, i, h / 2)
+                    gap = numeric - half
+                    tolerance = _KINK_TOLERANCE * eps * max(f_max, f_half) / h
+                    if abs(gap) > tolerance:
+                        quarter, _ = central(flat, i, h / 4)
+                        if abs(half - quarter) > abs(gap) / 2 + tolerance:
+                            continue
+                        numeric = quarter
+                checked += 1
+                a = float(analytic[name].reshape(-1)[i])
+                rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
+                worst = max(worst, rel)
+            if checked == 0:
+                raise NumericError(f"every sampled coordinate of {name!r} straddled a kink")
+            errors[name] = worst
+    finally:
+        for name, t in tensors.items():
+            t.requires_grad = requires_grad[name]
     return errors

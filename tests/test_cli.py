@@ -438,6 +438,35 @@ def test_score_candidate_outside_volume_is_data_error(small_data, small_model, t
     assert "(5000.0, " in err and "np." not in err and err.count("\n") == 1, err
 
 
+def test_score_resolves_each_volume_once_and_a_missing_one_before_any_read(
+        small_data, small_model, tmp_path, capsys, monkeypatch):
+    scan_ids = sorted(fileio.read_labels_csv(small_data / "labels.csv"))
+    resolved, reads = [], []
+    volume_path, read_volume = cli._volume_path, cli._read_volume
+    monkeypatch.setattr(cli, "_volume_path",
+                        lambda data, sid: resolved.append(sid) or volume_path(data, sid))
+    monkeypatch.setattr(cli, "_read_volume", lambda path: reads.append(path) or read_volume(path))
+    assert run(["score", "--model", small_model, "--data", small_data,
+                "--out", tmp_path / "s.csv"]) == 0
+    assert resolved == scan_ids
+    assert len(reads) == len(scan_ids)
+
+    data = tmp_path / "data"
+    (data / "volumes").mkdir(parents=True)
+    for name in ("labels.csv", "candidates.csv"):
+        (data / name).write_bytes((small_data / name).read_bytes())
+    for sid in scan_ids[:-1]:
+        (data / "volumes" / f"{sid}.lrvol").symlink_to(small_data / "volumes" / f"{sid}.lrvol")
+    resolved.clear()
+    reads.clear()
+    capsys.readouterr()
+    code = run(["score", "--model", small_model, "--data", data, "--out", tmp_path / "t.csv"])
+    assert code == cli.EXIT_DATA
+    assert reads == [] and not (tmp_path / "t.csv").exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(scan_ids[-1]) in err, err
+
+
 def test_score_uses_the_projection_the_model_was_trained_on(small_data, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("projection=mip\nepochs=2\n")

@@ -110,6 +110,33 @@ def test_short_writers_allocate_at_most_one_float64_copy(writer, tmp_path):
     assert peak <= v.voxels.nbytes, peak
 
 
+@pytest.mark.parametrize("writer", ["compact", "pair"])
+def test_short_reads_keep_int16_voxels_and_rewrite_the_same_bytes(writer, tmp_path):
+    if writer == "compact":
+        write, read, names = fileio.write_volume_compact, fileio.read_volume_compact, ["v.lrvol"]
+    else:
+        write, read, names = fileio.write_volume_pair, fileio.read_volume_pair, ["v.mhd", "v.raw"]
+    v = sample_volume()
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    write(v, first / names[0])
+    back = read(first / names[0])
+    assert back.voxels.dtype == np.int16
+    np.testing.assert_array_equal(back.voxels, v.voxels)
+    write(back, second / names[0])
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_met_float_reads_are_float64(tmp_path):
+    v = Volume(np.random.default_rng(3).normal(-300, 600, size=(5, 4, 3)), (1, 1, 1), (0, 0, 0))
+    fileio.write_volume_pair(v, tmp_path / "v.mhd", element_type="MET_FLOAT")
+    back = fileio.read_volume_pair(tmp_path / "v.mhd")
+    assert back.voxels.dtype == np.float64
+    np.testing.assert_array_equal(back.voxels, v.voxels.astype(np.float32))
+
+
 def test_candidates_csv_round_trip(tmp_path):
     rows = {
         "scan_b": [NoduleCandidate((1.5, -2.25, 3.0), 4.5, 0.75, sphericity=0.9, lungrads_category=3)],

@@ -216,6 +216,28 @@ def test_full_network_gradient_check():
     assert max(errs.values()) < 1e-4, errs
 
 
+def test_gradient_check_keeps_curved_batch_norm_shifts_a_two_step_gap_test_took_for_kinks():
+    # Planes read channel-major as drawn. Both sampled bn_conv1.beta
+    # coordinates (5 and 6) are smooth, but their differences at h and h/2
+    # part by more than rounding; a gap test at those two steps alone skipped
+    # both and raised NumericError. Their h/2 and h/4 differences converge.
+    rng = np.random.default_rng(11)
+    params = nnet.init_params(nnet.NNetConfig(dropout_rate=0.0, seed=11))
+    planes = rng.uniform(0, 1, size=(3, 3, 28, 28))
+    meta = rng.normal(size=(3, 5))
+    segments = np.array([0, 0, 1])
+    labels = np.array([1.0, 0.0])
+
+    def loss():
+        scores = nnet._forward_patch_batch(params, planes, meta, "train")
+        return tz.bce_loss(tz.segment_max(scores, segments, 2), labels)
+
+    errs = tz.finite_difference_check(loss, {"beta": params.learnable()["bn_conv1.beta"]},
+                                      h=1e-5, samples_per_tensor=2,
+                                      rng=np.random.default_rng(7), skip_kinks=True)
+    assert errs["beta"] < 1e-4, errs
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -392,7 +414,7 @@ def chunked_cohort(rng):
     return nnet.FoldEnsemble(members=members), examples
 
 
-@pytest.mark.parametrize("budget", sorted({1, 5, 8, 1000, nnet.SCORE_CHUNK_PATCHES}))
+@pytest.mark.parametrize("budget", sorted({1, 5, 8, 12, 1000, nnet.SCORE_CHUNK_PATCHES}))
 def test_chunked_scorer_equals_one_scan_at_a_time_bit_for_bit(budget, monkeypatch):
     ensemble, examples = chunked_cohort(np.random.default_rng(30))
     calls = []          # patches of each forward, in the order the threads made them

@@ -44,6 +44,42 @@ def test_resample_ramp_hits_midpoints():
     np.testing.assert_allclose(line[:5], [0.0, 5.0, 10.0, 15.0, 20.0])
 
 
+def test_float64_voxels_are_kept_without_a_copy_and_int16_as_stored():
+    vox = np.random.default_rng(2).normal(size=(3, 4, 5))
+    assert pp.Volume(vox, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)).voxels is vox
+    short = np.rint(vox * 100).astype(np.int16)
+    assert pp.Volume(short, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)).voxels is short
+    assert pp.Volume(short.astype(np.int32), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)).voxels.dtype == np.float64
+
+
+def _int16_volume(spacing):
+    # a nodule-like bright blob on lung-dark noise, as volume files store it
+    rng = np.random.default_rng(5)
+    grid = np.indices((48, 44, 40)).transpose(1, 2, 3, 0)
+    blob = np.exp(-np.sum((grid - (24, 20, 18)) ** 2, axis=-1) / 30.0)
+    vox = np.rint(rng.normal(-800, 60, size=(48, 44, 40)) + 900 * blob).astype(np.int16)
+    return pp.Volume(vox, spacing, (-5.0, 2.5, 7.0))
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 0.8, 1.25)])
+def test_int16_volume_gives_the_bits_of_its_float64_copy(spacing):
+    short = _int16_volume(spacing)
+    wide = pp.Volume(short.voxels.astype(np.float64), short.spacing, short.origin)
+    a, b = pp.resample_isotropic(short), pp.resample_isotropic(wide)
+    assert a.dims == b.dims
+    np.testing.assert_array_equal(a.voxels, b.voxels)
+    centers = [(12.0, 15.0, 25.5), (0.0, 0.0, 7.0), (30.5, 33.0, 50.0)]
+    candidates = [pp.NoduleCandidate(c, 3.0 + i, 0.9) for i, c in enumerate(centers)]
+    ex_a = pp.build_scan_example(short, candidates, 1)
+    ex_b = pp.build_scan_example(wide, candidates, 1)
+    assert len(ex_a.patches) == len(ex_b.patches) == 3
+    for pa, pb, ca, cb in zip(ex_a.patches, ex_b.patches, ex_a.cubes, ex_b.cubes):
+        assert ca.dtype == np.float64
+        np.testing.assert_array_equal(ca, cb)
+        np.testing.assert_array_equal(pa.planes, pb.planes)
+        np.testing.assert_array_equal(pa.metadata, pb.metadata)
+
+
 def test_resample_rejects_bad_spacing():
     with pytest.raises(FormatError):
         pp.Volume(np.zeros((2, 2, 2)), (0.0, 1.0, 1.0), (0.0, 0.0, 0.0))

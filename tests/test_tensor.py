@@ -160,6 +160,71 @@ def test_conv_gradients_match_a_whole_batch_im2col_reference():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+# Offsets of a 3x3 tap along one axis, as (destination slice, source slice)
+# within a zero-padded "same" window; the destination leaves out the border
+# row or column that the padding would fill.
+_TAP_SLICES = (
+    (slice(1, None), slice(None, -1)),
+    (slice(None), slice(None)),
+    (slice(None, -1), slice(1, None)),
+)
+
+
+def _im2col(arr, cols):
+    """Columns of the 3x3 taps of the (C,H,W) map `arr`, as (C*9, H*W), by
+    nine slice assignments into the zeroed (C,3,3,H,W) buffer `cols`; the
+    border the assignments never touch stays zero across maps."""
+    c, h, w = arr.shape
+    for i, (dst_i, src_i) in enumerate(_TAP_SLICES):
+        for j, (dst_j, src_j) in enumerate(_TAP_SLICES):
+            cols[:, i, j, dst_i, dst_j] = arr[:, src_i, src_j]
+    return cols.reshape(c * 9, h * w)
+
+
+def _nine_slice_conv(xd, k, b, g):
+    """Forward and kernel, bias and input gradients of a same-padded 3x3 conv
+    of one (C,H,W) map or a (C,N,H,W) batch, with the per-map GEMMs of
+    `conv2d_same` and every map unfolded by `_im2col`."""
+    x4 = xd[:, None] if xd.ndim == 3 else xd
+    c, n, h, w = x4.shape
+    o = k.shape[0]
+    kmat = k.reshape(o, c * 9)
+    cols = np.zeros((c, 3, 3, h, w))
+    out = np.empty((o, n, h, w))
+    out3 = out.reshape(o, n, h * w)
+    for p in range(n):
+        np.matmul(kmat, _im2col(x4[:, p], cols), out=out3[:, p])
+    out3 += b[:, None, None]
+    g3 = g.reshape(o, n, h * w)
+    gk = np.zeros((o, c * 9))
+    for p in range(n):
+        gk += g3[:, p] @ _im2col(x4[:, p], cols).T
+    kflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * 9)
+    g4 = g.reshape(o, n, h, w)
+    gcols = np.zeros((o, 3, 3, h, w))
+    dx = np.empty((c, n, h, w))
+    dx3 = dx.reshape(c, n, h * w)
+    for p in range(n):
+        np.matmul(kflip, _im2col(g4[:, p], gcols), out=dx3[:, p])
+    return (out.reshape((o,) + xd.shape[1:]), gk.reshape(o, c, 3, 3),
+            g.reshape(o, -1).sum(axis=1), dx.reshape(xd.shape))
+
+
+@pytest.mark.parametrize("n", [None, 1, 2, 5, 19], ids=["one-map", "1", "2", "5", "19"])
+@pytest.mark.parametrize("c", [3, 8])
+def test_conv_equals_the_nine_slice_unfold_bit_for_bit(c, n):
+    rng = np.random.default_rng(10 * c + (n or 0))
+    shape = (c, 28, 28) if n is None else (c, n, 28, 28)
+    xd = rng.normal(size=shape)
+    x, k, b = t(xd), t(rng.normal(size=(8, c, 3, 3))), t(rng.normal(size=8))
+    g = rng.normal(size=(8,) + shape[1:])
+    out = T.conv2d_same(x, k, b)
+    out._backward(g)
+    for got, want in zip((out.data, k.grad, b.grad, x.grad),
+                         _nine_slice_conv(xd, k.data, b.data, g)):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_conv_forward_and_backward_hold_no_batch_sized_columns():
     # The whole-batch column matrix alone is nine feature maps.
     rng = np.random.default_rng(32)
@@ -743,6 +808,67 @@ def test_gradcheck_skips_exactly_the_coordinates_that_straddle_a_kink():
     with pytest.raises(NumericError):
         T.finite_difference_check(lambda: T.bce_loss(T.sigmoid(T.relu(kinked)), labels[:2]),
                                   {"x": kinked}, h=1e-5, skip_kinks=True)
+
+
+def test_gradcheck_checks_strongly_curved_coordinates_instead_of_skipping_them():
+    # sigmoid(60 x) near x = 0.02: smooth, but curved enough that the
+    # differences at h and h/2 part by more than rounding explains
+    x = t([[0.02, -0.015, 0.025]])
+    w, b = T.Tensor(60.0 * np.eye(3), requires_grad=False), T.Tensor(np.zeros(3), requires_grad=False)
+    labels = np.array([[1.0, 0.0, 1.0]])
+    errs = T.finite_difference_check(lambda: T.bce_loss(T.sigmoid(T.dense(x, w, b)), labels),
+                                     {"x": x}, h=1e-5, skip_kinks=True)
+    assert errs["x"] < 1e-8
+
+
+@pytest.mark.parametrize("skip_kinks", [False, True])
+def test_gradcheck_rejects_a_small_wrong_gradient_on_a_zero_gradient_coordinate(skip_kinks):
+    # A conv bias ahead of train-mode batch-norm has a true gradient of 0;
+    # its central differences are rounding alone. A backward that adds 1e-9
+    # to it must still fail the 1e-4 tolerance.
+    rng = np.random.default_rng(12)
+    x = T.Tensor(rng.uniform(-1, 1, size=(2, 3, 4, 5)), requires_grad=False)
+    k = T.Tensor(rng.uniform(-1, 1, size=(3, 2, 3, 3)), requires_grad=False)
+    b = t(rng.uniform(-1, 1, size=3))
+    bn = T.BatchNormState.create(3)
+    labels = rng.integers(0, 2, size=(3, 3, 4, 5)).astype(float)
+
+    def wrong_by(error):
+        def shifted(v):
+            def backward(g):
+                v.accumulate(g + error)
+            return T.Tensor(v.data.copy(), parents=(v,), backward=backward)
+        return lambda: _bce_head(T.batch_norm(T.conv2d_same(x, k, shifted(b)), bn, "train"),
+                                 labels)
+
+    right = T.finite_difference_check(wrong_by(0.0), {"b": b}, h=1e-5, skip_kinks=skip_kinks)
+    wrong = T.finite_difference_check(wrong_by(1e-9), {"b": b}, h=1e-5, skip_kinks=skip_kinks)
+    assert right["b"] < 1e-4 < wrong["b"], (right, wrong)
+
+
+def test_gradcheck_perturbed_evaluations_build_no_graph_and_restore_the_flags():
+    x, y = t([0.3, -0.2]), T.Tensor(np.array([0.5, 0.1]), requires_grad=False)
+    labels = np.array([1.0, 0.0])
+    recorded = []
+
+    def loss_fn():
+        loss = T.bce_loss(T.sigmoid(T.residual_add(x, y)), labels)
+        recorded.append(loss.requires_grad)
+        return loss
+
+    T.finite_difference_check(loss_fn, {"x": x, "y": y}, h=1e-5)
+    assert recorded == [True] + [False] * 8
+    assert x.requires_grad and not y.requires_grad
+
+    def failing():
+        if len(recorded) > 1:
+            raise NumericError("loss diverged")
+        return loss_fn()
+
+    recorded.clear()
+    with pytest.raises(NumericError):
+        T.finite_difference_check(failing, {"x": x, "y": y}, h=1e-5)
+    assert x.requires_grad and not y.requires_grad
 
 
 # ---------------------------------------------------------------------------
