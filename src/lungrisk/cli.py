@@ -55,6 +55,11 @@ def _read_scan_list(path) -> list[str]:
     ids = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
     if not ids:
         raise DataConsistencyError(f"scan list {path} is empty")
+    seen = set()
+    for scan_id in ids:
+        if scan_id in seen:
+            raise DataConsistencyError(f"duplicate scan_id {scan_id!r} in {path}")
+        seen.add(scan_id)
     return ids
 
 

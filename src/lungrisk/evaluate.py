@@ -128,11 +128,6 @@ def _auc_rows(score_rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def trapezoid_auc(curve: RocCurve) -> float:
-    """Trapezoidal area under a tie-grouped ROC curve."""
-    return float(np.trapezoid(curve.tpr, curve.fpr))
-
-
 # permutations per pass: each (rows, scans) float64 temporary stays near
 # 256 kB. On 100 scans a whole 10,000-permutation pass peaked at 101 MB RSS
 # against 39 MB in these chunks, at the same speed. rng.random fills rows

@@ -23,8 +23,9 @@ class Volume:
     """A 3-D grid of Hounsfield units with physical spacing and origin.
 
     int16 voxels, as volume files store them, are kept as they are; any
-    other voxels become float64. The operations below promote int16 to
-    float64, which is exact, where they compute.
+    other voxels become float64. Resampling promotes int16 to float64, and
+    a cube cut from an int16 volume stays int16 until `normalize_hu`
+    promotes its crop; both promotions are exact.
     """
 
     voxels: np.ndarray                      # (nx, ny, nz) int16 or float64
@@ -93,7 +94,8 @@ class ScanExample:
 
     The patches hold raw metadata; each model standardizes it with its own
     training-set statistics. `cubes` keeps the source 32^3 blocks, one per
-    patch, for train-time re-cropping; every built example keeps them. A
+    patch, for train-time re-cropping; every built example keeps them, in
+    the dtype of the volume they were cut from (see `extract_cube`). A
     hand-built example without cubes trains on its planes.
     """
 
@@ -167,6 +169,9 @@ def _trilinear_gather(vox, coords):
 def extract_cube(v: Volume, center) -> np.ndarray:
     """Cut a 32^3 block (1 mm grid) around `center`; outside fills with air.
 
+    The block keeps the volume's dtype: int16 voxels, as stored, give an
+    int16 cube of the same integers at a quarter of float64's size; float64
+    voxels give a float64 cube. `normalize_hu` promotes a crop exactly.
     Raises OutOfBoundsError when the block misses the volume entirely.
     """
     if v.spacing != (1.0, 1.0, 1.0):
@@ -177,7 +182,7 @@ def extract_cube(v: Volume, center) -> np.ndarray:
     if np.any(stop <= 0) or np.any(start >= np.asarray(v.dims)):
         raise OutOfBoundsError(
             f"cube around {tuple(float(c) for c in center)} lies outside the volume")
-    block = np.full((CUBE_SIDE,) * 3, AIR_HU)     # float64: int16 voxels are promoted here
+    block = np.full((CUBE_SIDE,) * 3, AIR_HU, dtype=v.voxels.dtype)
     src_lo = np.maximum(start, 0)
     src_hi = np.minimum(stop, v.dims)
     dst_lo = src_lo - start
@@ -259,7 +264,9 @@ def build_scan_example(v: Volume, candidates: list[NoduleCandidate], label: int,
     Composes resample -> select -> extract -> center crop -> triplanar ->
     normalize for each of the (at most 10) selected candidates; no
     candidates give an example without patches. Metadata stays raw. The
-    example keeps its 32^3 cubes so the training loop can re-draw crops.
+    example keeps its 32^3 cubes so the training loop can re-draw crops:
+    int16 from an int16 volume on the 1 mm grid, float64 otherwise. The
+    planes are float64 either way, with the same values.
     """
     iso = resample_isotropic(v)
     patches: list[NodulePatch] = []

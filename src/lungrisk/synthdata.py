@@ -142,17 +142,23 @@ def calibrate_intercept(spec: PhantomSpec) -> float:
     """Solve for b0 so the expected scan prevalence matches the spec.
 
     Uses a fixed-seed Monte-Carlo feature sample (independent of spec.seed)
-    and bisection over the monotone prevalence curve.
+    and bisection over the monotone prevalence curve. The sample is the one
+    `_draw_nodule_features` would draw scan by scan: each scan's n diameters,
+    n spiculation and n upper-lobe doubles, in that order, sliced out of one
+    draw. `uniform(lo, hi)` is `lo + (hi - lo) * next_double`, so the
+    diameters keep their bits.
     """
     rng = np.random.default_rng(_CALIBRATION_SEED)
     lo_n, hi_n = spec.nodules_per_scan
     counts = rng.integers(lo_n, hi_n + 1, size=_CALIBRATION_SCANS)
-    logits = []
-    for n in counts:
-        diam, spic, upper = _draw_nodule_features(rng, spec, int(n))
-        logits.append(_malignancy_logit(diam, spic, upper))
-    flat = np.concatenate(logits)
     bounds = np.r_[0, np.cumsum(counts)]
+    doubles = rng.random(3 * int(bounds[-1]))
+    n = np.repeat(counts, counts)
+    # the k-th nodule of a scan starting at nodule s reads double 3s + k
+    first = 2 * np.repeat(bounds[:-1], counts) + np.arange(bounds[-1])
+    lo_mm, hi_mm = spec.size_range_mm
+    diam = lo_mm + (hi_mm - lo_mm) * doubles[first]
+    flat = _malignancy_logit(diam, doubles[first + n] < 0.30, doubles[first + 2 * n] < 0.40)
 
     def prevalence_at(b0):
         p = 1.0 / (1.0 + np.exp(-(flat + b0)))

@@ -53,6 +53,7 @@ class Tensor:
     its parents does; otherwise it records neither parents nor closure, so
     a forward over inputs and parameters that all lack one builds no graph
     and frees each intermediate as soon as the next op has read it.
+    `backward` consumes the graph it runs through (see there).
     """
 
     __slots__ = ("data", "grad", "name", "requires_grad", "_parents", "_backward")
@@ -485,8 +486,20 @@ def _check_mode(mode: str):
 # reverse pass and optimizer
 
 
+def _released(g):
+    # The closure of an op result whose graph an earlier backward consumed.
+    raise MissingGradientError("the graph was released by an earlier backward: "
+                               "recompute the loss to differentiate it again")
+
+
 def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
-    """Run reverse-mode accumulation from a scalar loss.
+    """Run reverse-mode accumulation from a scalar loss, consuming its graph.
+
+    Op results are visited in reverse topological order. Once a result's
+    closure has run, it drops its gradient, closure and parents, so its
+    saved arrays, and any intermediate no caller holds, are freed while the
+    pass descends. Results keep their `.data`; leaves keep their gradients.
+    A second backward through a released result raises MissingGradientError.
 
     When `params` is given, returns {name: gradient array} and raises
     MissingGradientError for any parameter the graph never touched. A loss
@@ -513,9 +526,12 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
         for parent in node._parents:
             stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
+    while topo:
+        node = topo.pop()
+        if node._backward is None:      # a leaf
+            continue
+        node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, _released, ()
     if params is None:
         return None
     missing = [name for name, t in params.items() if t.grad is None]

@@ -219,6 +219,19 @@ def test_train_data_consistency_error_lists_offenders(small_data, tmp_path, caps
     assert dropped in capsys.readouterr().err
 
 
+def test_train_duplicate_scan_list_id_is_data_error(small_data, tmp_path, capsys):
+    # a repeated id would weight the scan twice, and could put it in a
+    # fold's training split and its holdout at once
+    scans = tmp_path / "scans.txt"
+    scans.write_text("scan_00000\nscan_00001\nscan_00000\nscan_00002\n")
+    code = run(["train", "--data", small_data, "--folds", 2, "--epochs", 1, "--seed", 1,
+                "--scans", scans, "--out", tmp_path / "m"])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "'scan_00000'" in err and str(scans) in err and err.count("\n") == 1, err
+    assert not (tmp_path / "m").exists()
+
+
 def test_train_fold_lacking_a_class_is_usage_error(small_data, tmp_path, capsys):
     # one positive scan: the fold holding it out trains on negatives alone
     labels = fileio.read_labels_csv(small_data / "labels.csv")
@@ -410,6 +423,19 @@ def test_score_unknown_scan_id_is_explicit_error(small_data, small_model, tmp_pa
                 "--out", tmp_path / "s.csv", "--scans", scan_list])
     assert code == cli.EXIT_DATA
     assert "no_such_scan" in capsys.readouterr().err
+
+
+def test_score_duplicate_scan_list_id_is_data_error(small_data, small_model, tmp_path,
+                                                     capsys):
+    scan_list = tmp_path / "scans.txt"
+    scan_list.write_text("scan_00000\nscan_00003\nscan_00000\n")
+    out = tmp_path / "s.csv"
+    code = run(["score", "--model", small_model, "--data", small_data,
+                "--out", out, "--scans", scan_list])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "'scan_00000'" in err and str(scan_list) in err and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_score_checksum_failure_is_io_error(small_data, small_model, tmp_path):

@@ -30,6 +30,12 @@ def random_cohort(rng, n, with_ties=True):
 # oracles
 
 
+def trapezoid_auc(curve):
+    # trapezoidal area under a tie-grouped ROC curve
+    fpr, tpr = curve.fpr, curve.tpr
+    return float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0))
+
+
 def auc_pair_count(c):
     pos = c.scores[c.labels == 1]
     neg = c.scores[c.labels == 0]
@@ -122,7 +128,7 @@ def test_auc_dual_oracle_random_cohorts():
         c = random_cohort(rng, int(rng.integers(5, 200)))
         a = ev.auc(c)
         assert abs(a - auc_pair_count(c)) < 1e-12
-        assert abs(a - ev.trapezoid_auc(ev.roc_curve(c))) < 1e-12
+        assert abs(a - trapezoid_auc(ev.roc_curve(c))) < 1e-12
 
 
 def test_auc_rows_heavy_ties_match_pair_count():

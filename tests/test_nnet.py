@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -16,7 +17,14 @@ from lungrisk.errors import (
     VersionError,
     ZeroNoduleWarning,
 )
-from lungrisk.preprocess import MetadataStats, NodulePatch, ScanExample
+from lungrisk.preprocess import (
+    MetadataStats,
+    NoduleCandidate,
+    NodulePatch,
+    ScanExample,
+    Volume,
+    build_scan_example,
+)
 
 
 def random_patch(rng, metadata_dim=5):
@@ -279,6 +287,66 @@ def test_train_seeded_bit_identical():
     assert a.loss_history == b.loss_history
     for name, tns in a.params.learnable().items():
         np.testing.assert_array_equal(tns.data, b.params.learnable()[name].data)
+
+
+def int16_volume_examples(projection, n=8):
+    """Examples built from int16 volumes on the 1 mm grid, as LRVOL1 files
+    give them: one to three nodules a scan, larger and brighter in positives."""
+    rng = np.random.default_rng(41)
+    grid = np.indices((40, 40, 40)).transpose(1, 2, 3, 0)
+    out = []
+    for i in range(n):
+        label = i % 2
+        centers = [tuple(rng.uniform(10.0, 30.0, size=3)) for _ in range(1 + i % 3)]
+        vox = rng.normal(-800.0, 60.0, size=grid.shape[:3])
+        for c in centers:
+            vox += (500.0 + 400.0 * label) * np.exp(-np.sum((grid - c) ** 2, axis=-1)
+                                                    / (6.0 + 10.0 * label))
+        volume = Volume(np.rint(vox).astype(np.int16), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        candidates = [NoduleCandidate(c, 2.0 + 2.0 * label + j, 0.9)
+                      for j, c in enumerate(centers)]
+        out.append(build_scan_example(volume, candidates, label, projection=projection,
+                                      scan_id=f"s{i}"))
+    return out
+
+
+@pytest.mark.parametrize("projection", ["slice", "mip"])
+def test_int16_cubes_train_the_bits_of_their_float64_copies(projection):
+    short = int16_volume_examples(projection)
+    assert all(cube.dtype == np.int16 for ex in short for cube in ex.cubes)
+    wide = [replace(ex, cubes=[cube.astype(np.float64) for cube in ex.cubes]) for ex in short]
+    config = nnet.NNetConfig(dropout_rate=0.25, epochs=3, batch_size=4, seed=5,
+                             projection=projection)
+    a, b = nnet.train(config, short), nnet.train(config, wide)
+    assert a.loss_history == b.loss_history
+    wide_arrays = b.params.arrays()
+    for name, array in a.params.arrays().items():
+        assert array.tobytes() == wide_arrays[name].tobytes(), name
+
+
+def test_backward_peak_stays_near_the_memory_live_when_it_starts(monkeypatch):
+    # backward frees each op's saved arrays and gradient as it descends, so
+    # its peak is the live graph plus about one layer's gradients and the
+    # parameter gradients; a pass that kept every gradient read 1.5-1.7x
+    dataset = int16_volume_examples("slice", n=12)
+    config = nnet.NNetConfig(dropout_rate=0.25, epochs=2, batch_size=12, seed=7)
+    ratios = []
+    run_backward = tz.backward
+
+    def traced(loss, params=None):
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = run_backward(loss, params)
+        ratios.append(tracemalloc.get_traced_memory()[1] / live)
+        return grads
+
+    monkeypatch.setattr(tz, "backward", traced)
+    tracemalloc.start()
+    try:
+        nnet.train(config, dataset)
+    finally:
+        tracemalloc.stop()
+    assert len(ratios) == 2 and max(ratios) <= 1.25, ratios
 
 
 # ---------------------------------------------------------------------------

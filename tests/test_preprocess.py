@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lungrisk import preprocess as pp
+from lungrisk import fileio, preprocess as pp
 from lungrisk.errors import ConfigError, DimensionError, FormatError, OutOfBoundsError
 
 
@@ -73,11 +73,37 @@ def test_int16_volume_gives_the_bits_of_its_float64_copy(spacing):
     ex_a = pp.build_scan_example(short, candidates, 1)
     ex_b = pp.build_scan_example(wide, candidates, 1)
     assert len(ex_a.patches) == len(ex_b.patches) == 3
+    # on the 1 mm grid the cube keeps the volume's int16, with the float64
+    # copy's values; a resampled volume is float64 and so are its cubes
+    want = np.int16 if spacing == (1.0, 1.0, 1.0) else np.float64
     for pa, pb, ca, cb in zip(ex_a.patches, ex_b.patches, ex_a.cubes, ex_b.cubes):
-        assert ca.dtype == np.float64
+        assert ca.dtype == want and cb.dtype == np.float64
         np.testing.assert_array_equal(ca, cb)
         np.testing.assert_array_equal(pa.planes, pb.planes)
         np.testing.assert_array_equal(pa.metadata, pb.metadata)
+
+
+@pytest.mark.parametrize("stored_as", ["lrvol", "MET_SHORT", "MET_FLOAT"])
+def test_cube_dtype_follows_the_volume(stored_as, tmp_path):
+    short = _int16_volume((1.0, 1.0, 1.0))
+    if stored_as == "lrvol":
+        fileio.write_volume_compact(short, tmp_path / "v.lrvol")
+        volume = fileio.read_volume_compact(tmp_path / "v.lrvol")
+    else:
+        fileio.write_volume_pair(short, tmp_path / "v.mhd", stored_as)
+        volume = fileio.read_volume_pair(tmp_path / "v.mhd")
+    want = np.float64 if stored_as == "MET_FLOAT" else np.int16
+    # one cube inside the volume, one reaching past its corner into air
+    for center in [(19.0, 22.5, 25.0), (-3.0, 4.0, 9.0)]:
+        cube = pp.extract_cube(volume, center)
+        wide = pp.extract_cube(pp.Volume(short.voxels.astype(np.float64), short.spacing,
+                                         short.origin), center)
+        assert cube.dtype == want and wide.dtype == np.float64
+        np.testing.assert_array_equal(cube, wide)
+    assert cube[0, 0, 0] == pp.AIR_HU
+    # resampling promotes: its cubes are float64 whatever the volume stored
+    coarse = pp.Volume(volume.voxels, (1.0, 1.0, 1.5), volume.origin)
+    assert pp.extract_cube(pp.resample_isotropic(coarse), (19.0, 22.5, 25.0)).dtype == np.float64
 
 
 def test_resample_rejects_bad_spacing():

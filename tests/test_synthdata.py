@@ -34,6 +34,42 @@ def test_spec_validation():
     assert sd.PhantomSpec(n_scans=10, prevalence=0.2, texture_noise_sigma=0.0)
 
 
+def calibrate_intercept_scan_by_scan(spec):
+    # the reference: each calibration scan's features drawn in turn, as
+    # rendering draws a scan's, and the bisection of `calibrate_intercept`
+    rng = np.random.default_rng(sd._CALIBRATION_SEED)
+    lo_n, hi_n = spec.nodules_per_scan
+    counts = rng.integers(lo_n, hi_n + 1, size=sd._CALIBRATION_SCANS)
+    flat = np.concatenate([sd._malignancy_logit(*sd._draw_nodule_features(rng, spec, int(n)))
+                           for n in counts])
+    starts = np.r_[0, np.cumsum(counts)][:-1]
+
+    def prevalence_at(b0):
+        p = 1.0 / (1.0 + np.exp(-(flat + b0)))
+        return float(np.mean(1.0 - np.exp(np.add.reduceat(np.log1p(-p), starts))))
+
+    lo, hi = -20.0, 10.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if prevalence_at(mid) < spec.prevalence:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("prevalence, nodules, sizes", [
+    (0.2, (1, 4), (4.0, 20.0)),
+    (0.3, (2, 10), (4.0, 20.0)),
+    (0.5, (1, 1), (5.0, 12.5)),
+    (0.05, (1, 4), (3.0, 9.0)),
+])
+def test_calibrate_intercept_equals_the_scan_by_scan_draw(prevalence, nodules, sizes):
+    spec = sd.PhantomSpec(n_scans=5, prevalence=prevalence, nodules_per_scan=nodules,
+                          size_range_mm=sizes)
+    assert repr(sd.calibrate_intercept(spec)) == repr(calibrate_intercept_scan_by_scan(spec))
+
+
 def test_generation_deterministic_bytes(tmp_path):
     spec = sd.PhantomSpec(n_scans=6, prevalence=0.3, seed=42)
     sd.generate(spec, out_dir=tmp_path / "a")

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -477,16 +478,18 @@ def test_shared_and_reshaped_gradients_are_exact_and_never_aliased():
     o = T.reshape(T.dense(T.reshape(r, (3, 16)), w, bias), (3,))
     loss = T.bce_loss(T.sigmoid(o), np.array([1.0, 0.0, 1.0]))
     nodes = [f1, f2, c, d, y, y2, s0, s, q1, q2, r, o]
-    before = {}
+    held, before = {}, {}
     for node in nodes:
+        # backward releases each node's gradient once its closure has run,
+        # so the wrapper holds on to the array to check it after the pass
         def run(g, node=node, inner=node._backward):
-            before[id(node)] = node.grad.copy()
+            held[id(node)], before[id(node)] = g, g.copy()
             inner(g)
         node._backward = run
     T.backward(loss)
     for node in nodes:
-        np.testing.assert_array_equal(node.grad, before[id(node)])
-    gr = (o.grad.reshape(3, 1) @ w.data.T).reshape(48)
+        np.testing.assert_array_equal(held[id(node)], before[id(node)])
+    gr = (held[id(o)].reshape(3, 1) @ w.data.T).reshape(48)
     gs = (gr + gr).reshape(3, 16)
     gy, gy2 = gs, gs + gs
     gc, gd = gy + gy, gy2 + gy2
@@ -556,6 +559,37 @@ def test_backward_through_a_result_without_a_graph_raises():
     assert loss._parents == ()
     with pytest.raises(MissingGradientError):
         T.backward(loss)
+
+
+def test_backward_releases_the_graph_as_it_descends_and_keeps_leaf_gradients():
+    rng = np.random.default_rng(45)
+    x = T.Tensor(rng.normal(size=(2, 5, 6, 6)), requires_grad=False)
+    k, b = t(rng.normal(0.0, 0.3, size=(3, 2, 3, 3))), t(rng.normal(size=3))
+    bn = T.BatchNormState.create(3)
+    w, wb = t(rng.normal(0.0, 0.1, size=(108, 1))), t([0.1])
+    conv = T.conv2d_same(x, k, b)
+    conv_data = weakref.ref(conv.data)
+    h = T.relu(T.batch_norm(conv, bn, "train"))
+    del conv    # from here only the graph holds the conv result
+    z = T.dense(T.flatten(h), w, wb)
+    loss = T.bce_loss(T.sigmoid(T.reshape(z, (5,))), np.array([1.0, 0.0, 1.0, 1.0, 0.0]))
+    value = loss.data.copy()
+    leaves = {"k": k, "b": b, "w": w, "wb": wb, "gamma": bn.gamma, "beta": bn.beta}
+    assert conv_data() is not None
+    grads = T.backward(loss, params=leaves)
+    for name, leaf in leaves.items():
+        assert grads[name] is leaf.grad and np.all(np.isfinite(leaf.grad)), name
+    for node in (h, z, loss):
+        assert node.grad is None and node._parents == ()
+        assert getattr(node._backward, "__closure__", None) is None    # no saved arrays
+    assert conv_data() is None
+    assert loss.data == value
+    # a second pass would otherwise return the first pass's leaf gradients
+    with pytest.raises(MissingGradientError):
+        T.backward(loss, params=leaves)
+    relabelled = T.bce_loss(T.sigmoid(T.reshape(z, (5,))), np.zeros(5))
+    with pytest.raises(MissingGradientError):
+        T.backward(relabelled, params=leaves)
 
 
 def test_backward_missing_gradient():
