@@ -52,11 +52,10 @@ targets = (1 / (1 + np.exp(-(features @ true_w))) > rng.random(256)).astype(floa
 weights = tz.Tensor(np.zeros(2), name="w")
 state = tz.AdamState(learning_rate=0.05)
 for step in range(400):
-    weights.zero_grad()
     logits = tz.dense(tz.Tensor(features), tz.reshape(weights, (2, 1)), tz.Tensor(np.zeros(1)))
     loss = tz.bce_loss(tz.sigmoid(tz.reshape(logits, (-1,))), targets)
-    grads = tz.backward(loss, params={"w": weights})
-    tz.adam_step({"w": weights.data}, grads, state)
+    tz.backward(loss)                       # fills weights.grad
+    tz.adam_step({"w": weights}, state)     # applies weights.grad, then clears it
     if step % 100 == 0:
         print(f"step {step:3d}: loss {float(loss.data):.4f} w {np.round(weights.data, 2)}")
 print("recovered weights:", np.round(weights.data, 2), "true:", true_w)

@@ -22,7 +22,7 @@ from .nnet import (
     ensemble_predict,
     init_params,
     kfold_train,
-    load_params,
+    load_member,
     save_params,
     score_bags,
     train,
@@ -52,7 +52,7 @@ __all__ = [
     "PhantomSpec", "ScanExample", "ScoredCohort", "Tensor", "Volume",
     "adam_step", "auc", "backward", "build_scan_example", "crop28",
     "ensemble_predict", "errors", "evaluate", "extract_cube", "fileio",
-    "generate", "host", "init_params", "kfold_train", "load_params", "nnet",
+    "generate", "host", "init_params", "kfold_train", "load_member", "nnet",
     "nodule_score", "normalize_hu", "pancan", "patient_score",
     "permutation_test_auc", "preprocess", "resample_isotropic", "roc_curve",
     "save_params", "score_bags", "select_top_nodules", "synthdata", "tensor",

@@ -35,6 +35,19 @@ EXIT_DATA = 3
 EXIT_IO = 4
 EXIT_NUMERIC = 5
 
+# An error exits with the code of the first row it is an instance of, so a
+# row for a subclass must precede its base's row. Subclasses without a row,
+# such as OutOfBoundsError (a DataConsistencyError) and ChecksumError (a
+# FormatError), take their base's code; a LungRiskError that no earlier row
+# names is a broken invariant.
+_EXIT_CODES = (
+    (ConfigError, EXIT_USAGE),
+    (DataConsistencyError, EXIT_DATA),
+    ((FormatError, FoldWorkerError, OSError), EXIT_IO),
+    (NumericError, EXIT_NUMERIC),
+    (LungRiskError, 1),
+)
+
 
 def _volume_path(data_dir: Path, scan_id: str) -> Path:
     """The scan's LRVOL1 file under data/volumes/, or else its .mhd header."""
@@ -321,21 +334,9 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except ConfigError as exc:
+    except (LungRiskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (FormatError, FoldWorkerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except LungRiskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

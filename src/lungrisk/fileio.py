@@ -7,6 +7,8 @@ Two volume containers are supported:
 * a compact single file with a fixed 72-byte binary header (magic
   ``LRVOL1``, dims as three int32, spacing and origin as float64 triples)
   followed by voxels as little-endian int16 Hounsfield units.
+
+Both are read; only the compact one is written.
 """
 
 from __future__ import annotations
@@ -28,30 +30,6 @@ _ELEMENT_TYPES = {
 
 COMPACT_MAGIC = b"LRVOL1\x00\x00"
 _COMPACT_HEADER = struct.Struct("<8s3i6d4x")  # 72 bytes
-
-
-def write_volume_pair(v: Volume, header_path, element_type: str = "MET_SHORT"):
-    """Write the text-header + raw-file pair; returns the raw path."""
-    if element_type not in _ELEMENT_TYPES:
-        raise FormatError(f"unsupported element type {element_type!r}")
-    header_path = Path(header_path)
-    raw_path = header_path.with_suffix(".raw")
-    dtype = _ELEMENT_TYPES[element_type]
-    vox = v.voxels
-    if element_type == "MET_SHORT":
-        vox = _rounded_hu(vox)
-    # disk order: z slowest, x fastest
-    vox.astype(dtype).transpose(2, 1, 0).tofile(raw_path)
-    lines = [
-        "NDims = 3",
-        f"DimSize = {v.dims[0]} {v.dims[1]} {v.dims[2]}",
-        f"ElementSpacing = {v.spacing[0]!r} {v.spacing[1]!r} {v.spacing[2]!r}",
-        f"Offset = {v.origin[0]!r} {v.origin[1]!r} {v.origin[2]!r}",
-        f"ElementType = {element_type}",
-        f"ElementDataFile = {raw_path.name}",
-    ]
-    header_path.write_text("\n".join(lines) + "\n")
-    return raw_path
 
 
 def read_volume_pair(header_path) -> Volume:

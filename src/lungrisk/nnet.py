@@ -120,10 +120,6 @@ class NNetParams:
             out[f"{name}.running_var"] = state.running_var
         return out
 
-    def zero_grad(self):
-        for t in self.learnable().values():
-            t.zero_grad()
-
 
 def _param_shapes(metadata_dim: int) -> dict[str, tuple]:
     shapes = {
@@ -257,13 +253,14 @@ def _gather_batch(examples: list[ScanExample], mode: str, rng, projection: str):
             np.asarray(labels, dtype=np.float64))
 
 
-def train(config: NNetConfig, dataset: list[ScanExample],
-          rng: np.random.Generator | None = None) -> FoldMember:
-    """Mini-batch Adam/BCE training with per-iteration random re-crops.
+def train(config: NNetConfig, dataset: list[ScanExample]) -> FoldMember:
+    """Mini-batch Adam/BCE training with per-iteration random re-crops, all
+    drawn from one generator seeded with `config.seed`.
 
-    Returns the trained parameters, the metadata statistics computed from
-    this dataset, and the mean per-epoch training loss. Scans without
-    patches are skipped.
+    Returns the trained parameters, without gradients: each step's `adam_step`
+    consumes those of its `backward`. Also returns the metadata statistics
+    computed from this dataset and the mean per-epoch training loss. Scans
+    without patches are skipped.
     """
     if not dataset:
         raise ConfigError("training needs a non-empty dataset")
@@ -271,12 +268,11 @@ def train(config: NNetConfig, dataset: list[ScanExample],
     if label_set != {0, 1}:
         raise ConfigError(f"training needs both classes, found labels {sorted(label_set)}")
 
-    rng = rng or np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     stats = metadata_stats_from_examples(dataset)
     params = init_params(config, rng)
     learnable = params.learnable()
     adam = tz.AdamState(learning_rate=config.learning_rate)
-    raw = {name: t.data for name, t in learnable.items()}
 
     history: list[float] = []
     n = len(dataset)
@@ -293,9 +289,8 @@ def train(config: NNetConfig, dataset: list[ScanExample],
             risks = score_bags(params, planes, stats.standardize(meta), segments, labels.size,
                                "train", rng)
             loss = tz.bce_loss(risks, labels)
-            params.zero_grad()
-            grads = tz.backward(loss, params=learnable)
-            tz.adam_step(raw, grads, adam)
+            tz.backward(loss)
+            tz.adam_step(learnable, adam)
             epoch_loss += float(loss.data) * labels.size
             n_scored += labels.size
         history.append(epoch_loss / n_scored)
@@ -339,8 +334,7 @@ def stratified_folds(labels: list[int], k: int, rng: np.random.Generator) -> lis
     return [np.sort(np.asarray(f)) for f in folds]
 
 
-def kfold_train(config: NNetConfig, dataset: list[ScanExample], k: int = 5,
-                rng: np.random.Generator | None = None) -> FoldEnsemble:
+def kfold_train(config: NNetConfig, dataset: list[ScanExample], k: int = 5) -> FoldEnsemble:
     """Train k models, each on k-1 stratified folds, for averaged inference.
 
     With k=1 the one model trains on the whole dataset under `config.seed`.
@@ -489,12 +483,9 @@ def _serve_folds():
             return
         held = set(holdout.tolist())
         try:
-            result = train(config, [ex for j, ex in enumerate(dataset) if j not in held])
+            reply = (True, train(config, [ex for j, ex in enumerate(dataset) if j not in held]))
         except LungRiskError as exc:
             reply = (False, exc)
-        else:
-            result.params.zero_grad()
-            reply = (True, result)
         try:
             pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
             replies.flush()
@@ -588,15 +579,16 @@ WEIGHTS_MAGIC = b"LRNN1"
 WEIGHTS_VERSION = 1
 
 
-def save_params(params: NNetParams, path, metadata_stats: MetadataStats | None = None):
-    """Write a versioned, checksummed weight file; round trips are bit-exact."""
+def save_params(params: NNetParams, path, metadata_stats: MetadataStats):
+    """Write a member's parameters and the metadata statistics of its
+    training set as a versioned, checksummed weight file; `load_member`
+    reads them back bit-exact."""
     arrays = dict(params.arrays())
     arrays["config.metadata_dim"] = np.array([float(params.metadata_dim)])
     arrays["config.dropout_rate"] = np.array([float(params.dropout_rate)])
     arrays["config.projection"] = np.array([_PROJECTION_CODES[params.projection]])
-    if metadata_stats is not None:
-        arrays["meta_stats.mean"] = metadata_stats.mean
-        arrays["meta_stats.std"] = metadata_stats.std
+    arrays["meta_stats.mean"] = metadata_stats.mean
+    arrays["meta_stats.std"] = metadata_stats.std
     names = sorted(arrays)
     blob = bytearray()
     blob += WEIGHTS_MAGIC
@@ -662,13 +654,17 @@ def _read_weight_arrays(path) -> dict[str, np.ndarray]:
     return arrays
 
 
-def load_params(path) -> NNetParams:
-    return _params_from_arrays(_read_weight_arrays(path), path)
-
-
-def load_metadata_stats(path) -> MetadataStats | None:
-    """Metadata statistics stored alongside the weights, if any."""
-    return _metadata_stats_from_arrays(_read_weight_arrays(path), path)
+def load_member(path) -> FoldMember:
+    """The trained member a weight file holds, from one read: its parameters,
+    inference-only (a forward builds no graph), and the metadata statistics
+    of its training set. A file without those statistics raises VersionError;
+    the loss history is not stored."""
+    arrays = _read_weight_arrays(path)
+    stats = _metadata_stats_from_arrays(arrays, path)
+    params = _params_from_arrays(arrays, path)
+    for t in params.learnable().values():
+        t.requires_grad = False
+    return FoldMember(params=params, metadata_stats=stats)
 
 
 def _config_entry(arrays: dict[str, np.ndarray], name: str, path,
@@ -719,9 +715,9 @@ def _params_from_arrays(arrays: dict[str, np.ndarray], path) -> NNetParams:
     return params
 
 
-def _metadata_stats_from_arrays(arrays: dict[str, np.ndarray], path) -> MetadataStats | None:
+def _metadata_stats_from_arrays(arrays: dict[str, np.ndarray], path) -> MetadataStats:
     if "meta_stats.mean" not in arrays:
-        return None
+        raise VersionError(f"{path} lacks the metadata statistics of its training fold")
     width = (int(_config_entry(arrays, "config.metadata_dim", path)),)
     for name in ("meta_stats.mean", "meta_stats.std"):
         if name not in arrays:
@@ -733,28 +729,25 @@ def _metadata_stats_from_arrays(arrays: dict[str, np.ndarray], path) -> Metadata
 
 
 def save_ensemble(ensemble: FoldEnsemble, directory):
+    """Write member i to `fold{i}.lrnn`, then remove every other `fold*.lrnn`
+    in the directory, such as those of an earlier, larger ensemble, so that
+    `load_ensemble` reads back exactly this ensemble."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for i, member in enumerate(ensemble.members):
-        save_params(member.params, directory / f"fold{i}.lrnn", member.metadata_stats)
+    written = [directory / f"fold{i}.lrnn" for i in range(len(ensemble.members))]
+    for path, member in zip(written, ensemble.members):
+        save_params(member.params, path, member.metadata_stats)
+    for path in set(directory.glob("fold*.lrnn")) - set(written):
+        path.unlink()
 
 
 def load_ensemble(directory) -> FoldEnsemble:
+    """The members of every `fold*.lrnn` file in the directory, in name order."""
     directory = Path(directory)
     paths = sorted(directory.glob("fold*.lrnn"))
     if not paths:
         raise ConfigError(f"no fold*.lrnn weight files in {directory}")
-    members = []
-    for p in paths:
-        arrays = _read_weight_arrays(p)
-        stats = _metadata_stats_from_arrays(arrays, p)
-        if stats is None:
-            raise VersionError(f"{p} lacks the metadata statistics of its training fold")
-        params = _params_from_arrays(arrays, p)
-        for t in params.learnable().values():
-            t.requires_grad = False         # inference-only: a forward builds no graph
-        members.append(FoldMember(params=params, metadata_stats=stats))
-    return FoldEnsemble(members=members)
+    return FoldEnsemble(members=[load_member(p) for p in paths])
 
 
 # ---------------------------------------------------------------------------
@@ -777,6 +770,8 @@ def load_train_config(path, **overrides) -> NNetConfig:
         key = key.strip()
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is repeated")
         try:
             values[key] = _CONFIG_TYPES[key](value.strip())
         except ValueError:

@@ -129,8 +129,6 @@ WEIGHT_FILE_VERSION = 1
 
 def load_weights(path) -> PanCanWeights:
     values = {}
-    version = None
-    intercept = 0.0
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -139,27 +137,19 @@ def load_weights(path) -> PanCanWeights:
             raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in values:
+            raise FormatError(f"{path}:{lineno}: weight key {key!r} is repeated")
         try:
-            num = float(value.strip())
+            values[key] = float(value.strip())
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-numeric value for {key!r}") from None
-        if key == "version":
-            version = num
-        elif key == "intercept":
-            intercept = num
-        else:
-            values[key] = num
+    version = values.pop("version", None)
     if version is None:
         raise FormatError(f"{path}: weight file must declare a version")
     if version != WEIGHT_FILE_VERSION:
         raise FormatError(f"{path}: unsupported weight file version {version!r}")
+    intercept = values.pop("intercept", 0.0)
     return PanCanWeights(values=values, intercept=intercept)
-
-
-def save_weights(w: PanCanWeights, path):
-    lines = [f"version={WEIGHT_FILE_VERSION}", f"intercept={w.intercept!r}"]
-    lines += [f"{k}={w.values[k]!r}" for k in WEIGHT_KEYS]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

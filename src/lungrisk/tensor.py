@@ -90,9 +90,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor{label}(shape={self.data.shape})"
@@ -228,16 +225,24 @@ def _bn_axes(shape, channels):
     raise DimensionError(f"cannot batch-normalize shape {shape} with {channels} channels")
 
 
+def _infer_mode_backward(g):
+    # The closure of an infer-mode batch-norm result: no caller differentiates
+    # through the running statistics.
+    raise MissingGradientError("batch-norm records no backward in infer mode: "
+                               "differentiate in train mode")
+
+
 def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
-    """Normalize per channel; train mode uses batch stats and updates the EMA."""
+    """Normalize per channel. Train mode uses the batch statistics and
+    updates the running averages; infer mode uses the running statistics and
+    records no backward: a backward through its result raises
+    MissingGradientError."""
     _check_mode(mode)
     channels = state.gamma.size
     view, bshape, layout = _bn_axes(x.data.shape, channels)
     shape = x.data.shape
     xd = x.data.reshape(view)
     gamma, beta = state.gamma, state.beta
-    dot = f"{layout},{layout}->c"   # fused per-channel reductions
-    red = f"{layout}->c"
 
     if mode == "infer":
         # (x - mean) * inv, then * gamma + beta, in one array: the operations
@@ -245,20 +250,13 @@ def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
         inv = 1.0 / np.sqrt(state.running_var + BN_EPSILON)
         out = xd - state.running_mean.reshape(bshape)
         out *= inv.reshape(bshape)
-        backward_infer = None
-        if x.requires_grad or gamma.requires_grad or beta.requires_grad:
-            xhat = out.copy()
-
-            def backward_infer(g):
-                g = g.reshape(view)
-                gamma.accumulate(np.einsum(dot, g, xhat))
-                beta.accumulate(np.einsum(red, g))
-                x.accumulate((g * (gamma.data * inv).reshape(bshape)).reshape(shape))
-
         out *= gamma.data.reshape(bshape)
         out += beta.data.reshape(bshape)
-        return Tensor(out.reshape(shape), parents=(x, gamma, beta), backward=backward_infer)
+        return Tensor(out.reshape(shape), parents=(x, gamma, beta),
+                      backward=_infer_mode_backward)
 
+    dot = f"{layout},{layout}->c"   # fused per-channel reductions
+    red = f"{layout}->c"
     m = xd.size // channels
     if m == 0:
         raise InvalidBatchError("batch normalization over an empty batch")
@@ -492,19 +490,17 @@ def _released(g):
                                "recompute the loss to differentiate it again")
 
 
-def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
-    """Run reverse-mode accumulation from a scalar loss, consuming its graph.
+def backward(loss: Tensor):
+    """Accumulate the gradient of a scalar loss into the `.grad` of each leaf
+    that requires one, consuming the loss's graph.
 
     Op results are visited in reverse topological order. Once a result's
     closure has run, it drops its gradient, closure and parents, so its
     saved arrays, and any intermediate no caller holds, are freed while the
-    pass descends. Results keep their `.data`; leaves keep their gradients.
-    A second backward through a released result raises MissingGradientError.
-
-    When `params` is given, returns {name: gradient array} and raises
-    MissingGradientError for any parameter the graph never touched. A loss
-    that recorded no graph, because nothing it was computed from requires a
-    gradient, raises MissingGradientError too.
+    pass descends. Results keep their `.data`; leaves keep their gradients
+    until `adam_step` consumes them. A second backward through a released
+    result raises MissingGradientError, as does a loss that recorded no
+    graph because nothing it was computed from requires a gradient.
     """
     if loss.data.size != 1:
         raise DimensionError("backward expects a scalar loss")
@@ -532,12 +528,6 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
             continue
         node._backward(node.grad)
         node.grad, node._backward, node._parents = None, _released, ()
-    if params is None:
-        return None
-    missing = [name for name, t in params.items() if t.grad is None]
-    if missing:
-        raise MissingGradientError(f"no gradient reached parameters: {missing}")
-    return {name: t.grad for name, t in params.items()}
 
 
 # Adam walks each parameter in chunks of this many elements, small enough
@@ -545,10 +535,13 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None):
 _ADAM_CHUNK = 8192
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; mutates the (C-contiguous) `params`
-    arrays in place.
+def adam_step(params: dict[str, Tensor], state: AdamState):
+    """One bias-corrected Adam update that consumes the parameters' gradients.
+
+    Raises MissingGradientError, naming every parameter whose `.grad` is
+    None, before anything moves. Then each parameter's (C-contiguous) `.data`
+    is updated in place from its `.grad`, which is set to None, so a
+    gradient lives from `backward` to here and no longer.
 
     Each parameter is updated chunk by chunk through two scratch rows, with
     the operations of
@@ -557,14 +550,17 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     in that order, so the result has the bits of the whole-array expression
     without its array-sized temporaries.
     """
+    missing = [name for name, p in params.items() if p.grad is None]
+    if missing:
+        raise MissingGradientError(f"no gradient reached parameters: {missing}")
     state.step_count += 1
     t = state.step_count
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     row_a, row_b = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
-    for name, p in params.items():
-        g = grads[name]
+    for name, param in params.items():
+        p, g = param.data, param.grad
         if g.shape != p.shape:
             raise DimensionError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
         if not p.flags["C_CONTIGUOUS"]:
@@ -592,7 +588,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             sb += eps
             sa /= sb
             pc -= sa
-    return params, state
+        param.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +626,7 @@ def finite_difference_check(loss_fn, tensors: dict[str, Tensor], h: float = 1e-5
     """
     rng = rng or np.random.default_rng(0)
     for t in tensors.values():
-        t.zero_grad()
+        t.grad = None
     loss = loss_fn()
     backward(loss)
     analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())

@@ -388,16 +388,16 @@ def test_c9_reproducibility(tmp_path):
 
     # weight round trip is bit-exact and checksums are enforced
     model_file = tmp_path / "model_r1" / "fold0.lrnn"
-    params = nnet.load_params(model_file)
+    member = nnet.load_member(model_file)
     resaved = tmp_path / "resaved.lrnn"
-    nnet.save_params(params, resaved, nnet.load_metadata_stats(model_file))
+    nnet.save_params(member.params, resaved, member.metadata_stats)
     round_trip = resaved.read_bytes() == model_file.read_bytes()
     blob = bytearray(model_file.read_bytes())
     blob[len(blob) // 3] ^= 0x01
     corrupted = tmp_path / "corrupt.lrnn"
     corrupted.write_bytes(bytes(blob))
     with pytest.raises(ChecksumError):
-        nnet.load_params(corrupted)
+        nnet.load_member(corrupted)
     report(9, identical and round_trip,
            f"rerun outputs byte-identical: {identical}; save/load bit-exact: {round_trip}; "
            f"checksum enforced")

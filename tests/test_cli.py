@@ -21,6 +21,7 @@ from lungrisk import cli, fileio, host, nnet, pancan, synthdata
 from lungrisk.errors import ZeroNoduleWarning
 from lungrisk.pancan import placeholder_weights_path
 from lungrisk.preprocess import MetadataStats, build_scan_example
+from writers import save_weights
 
 
 def run(argv):
@@ -330,6 +331,19 @@ def test_train_config_file_with_flag_override(small_data, tmp_path):
     assert "dropout_rate=0.5" in resolved and "epochs=1" in resolved
 
 
+def test_retraining_into_the_same_out_drops_the_older_folds(small_data, small_model, tmp_path):
+    # `small_model` is a fresh 2-fold model with these settings
+    model = tmp_path / "model"
+    for folds in (3, 2):
+        assert run(["train", "--data", small_data, "--folds", folds, "--dropout", 0.25,
+                    "--epochs", 2, "--seed", 1, "--out", model]) == 0
+    assert tree_hashes(model) == tree_hashes(small_model)
+    for name, path in (("retrained", model), ("fresh", small_model)):
+        assert run(["score", "--model", path, "--data", small_data,
+                    "--out", tmp_path / f"{name}.csv"]) == 0
+    assert file_hash(tmp_path / "retrained.csv") == file_hash(tmp_path / "fresh.csv")
+
+
 def test_train_and_score_a_cohort_with_a_zero_candidate_scan(small_data, tmp_path):
     data = tmp_path / "data"
     data.mkdir()
@@ -575,7 +589,8 @@ def test_score_weight_manifest_with_negative_dims_is_format_error(
 def test_score_non_finite_weight_file_is_numeric_error(entry, value, small_data, small_model,
                                                        tmp_path, capsys):
     path = small_model / "fold0.lrnn"
-    params, stats = nnet.load_params(path), nnet.load_metadata_stats(path)
+    member = nnet.load_member(path)
+    params, stats = member.params, member.metadata_stats
     arrays = {**params.arrays(), "meta_stats.mean": stats.mean, "meta_stats.std": stats.std}
     arrays[entry].flat[0] = value
     (tmp_path / "model").mkdir()
@@ -594,7 +609,8 @@ def test_score_weights_with_a_non_finite_forward_are_numeric_error(small_data, s
                                                                    tmp_path, capsys):
     # finite numbers whose products overflow to infinities of both signs
     path = small_model / "fold0.lrnn"
-    params, stats = nnet.load_params(path), nnet.load_metadata_stats(path)
+    member = nnet.load_member(path)
+    params, stats = member.params, member.metadata_stats
     params.bn["bn_fc2"].gamma.data[:] = 1e300
     params.tensors["dense_out.weights"].data[:] = 1e300
     (tmp_path / "model").mkdir()
@@ -763,11 +779,36 @@ def test_pancan_max_vs_mean_and_single_nodule_identity(small_data, tmp_path):
 def test_pancan_zero_weight_file_scores_half(small_data, tmp_path):
     weights = pancan.PanCanWeights(values={k: 0.0 for k in pancan.WEIGHT_KEYS})
     wpath = tmp_path / "zero.txt"
-    pancan.save_weights(weights, wpath)
+    save_weights(weights, wpath)
     out = tmp_path / "s.csv"
     assert run(["pancan", "--weights", wpath, "--features",
                 small_data / "pancan_features.csv", "--out", out]) == 0
     assert all(v == 0.5 for v in fileio.read_scores_csv(out).values())
+
+
+def test_train_config_repeated_key_is_usage_error(small_data, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=1\nbatch_size=8\nepochs=2\n")
+    code = run(["train", "--data", small_data, "--folds", 1, "--seed", 2, "--config", cfg,
+                "--out", tmp_path / "m"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{cfg}:3:" in err and "'epochs'" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "m").exists()
+
+
+def test_pancan_repeated_weight_key_is_format_error(small_data, tmp_path, capsys):
+    wpath = tmp_path / "weights.txt"
+    placeholder = placeholder_weights_path().read_text()
+    wpath.write_text(placeholder + "age=0.05\n")
+    out = tmp_path / "s.csv"
+    code = run(["pancan", "--weights", wpath, "--features", small_data / "pancan_features.csv",
+                "--out", out])
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    line = len(placeholder.splitlines()) + 1
+    assert f"{wpath}:{line}:" in err and "'age'" in err and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_pancan_missing_weight_key_is_usage_error(small_data, tmp_path, capsys):
@@ -873,7 +914,8 @@ def write_csv(path, column, rows):
                  cli.EXIT_IO, id="pancan-flag-not-integer"),
     pytest.param("pancan", {}, {}, [], {"features.csv": FEATURES.replace(b"62.0", b"nan")},
                  cli.EXIT_NUMERIC, id="pancan-age-nan"),
-    pytest.param("pancan", {}, {}, [], {"weights.txt": WEIGHTS + b"intercept=nan\n"},
+    pytest.param("pancan", {}, {}, [],
+                 {"weights.txt": WEIGHTS.replace(b"intercept=-6.8", b"intercept=nan")},
                  cli.EXIT_NUMERIC, id="pancan-intercept-nan"),
     pytest.param("simulate", {}, {}, ["--seed", "-1"], {}, cli.EXIT_USAGE,
                  id="simulate-seed-negative"),

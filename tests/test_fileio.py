@@ -6,6 +6,7 @@ import pytest
 from lungrisk import fileio
 from lungrisk.errors import DataConsistencyError, FormatError
 from lungrisk.preprocess import NoduleCandidate, Volume
+from writers import write_volume_pair
 
 
 def sample_volume():
@@ -17,7 +18,7 @@ def sample_volume():
 def test_volume_pair_round_trip_short(tmp_path):
     v = sample_volume()
     header = tmp_path / "scan.mhd"
-    fileio.write_volume_pair(v, header)
+    write_volume_pair(v, header)
     back = fileio.read_volume_pair(header)
     np.testing.assert_array_equal(back.voxels, v.voxels)
     assert back.spacing == v.spacing
@@ -27,7 +28,7 @@ def test_volume_pair_round_trip_short(tmp_path):
 def test_volume_pair_round_trip_double(tmp_path):
     v = Volume(np.random.default_rng(1).normal(size=(3, 3, 3)), (1, 1, 1), (0, 0, 0))
     header = tmp_path / "scan.mhd"
-    fileio.write_volume_pair(v, header, element_type="MET_DOUBLE")
+    write_volume_pair(v, header, element_type="MET_DOUBLE")
     back = fileio.read_volume_pair(header)
     np.testing.assert_array_equal(back.voxels, v.voxels)
 
@@ -42,7 +43,7 @@ def test_volume_pair_missing_key(tmp_path):
 def test_volume_pair_size_mismatch(tmp_path):
     v = sample_volume()
     header = tmp_path / "scan.mhd"
-    raw = fileio.write_volume_pair(v, header)
+    raw = write_volume_pair(v, header)
     raw.write_bytes(raw.read_bytes()[:-2])
     with pytest.raises(FormatError):
         fileio.read_volume_pair(header)
@@ -82,7 +83,7 @@ def write_short(v, path, writer):
     if writer == "compact":
         fileio.write_volume_compact(v, path)
         return fileio.read_volume_compact(path).voxels
-    fileio.write_volume_pair(v, path.with_suffix(".mhd"))
+    write_volume_pair(v, path.with_suffix(".mhd"))
     return fileio.read_volume_pair(path.with_suffix(".mhd")).voxels
 
 
@@ -103,7 +104,7 @@ def test_short_writers_allocate_at_most_one_float64_copy(writer, tmp_path):
         if writer == "compact":
             fileio.write_volume_compact(v, tmp_path / "v.lrvol")
         else:
-            fileio.write_volume_pair(v, tmp_path / "v.mhd")
+            write_volume_pair(v, tmp_path / "v.mhd")
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -115,7 +116,7 @@ def test_short_reads_keep_int16_voxels_and_rewrite_the_same_bytes(writer, tmp_pa
     if writer == "compact":
         write, read, names = fileio.write_volume_compact, fileio.read_volume_compact, ["v.lrvol"]
     else:
-        write, read, names = fileio.write_volume_pair, fileio.read_volume_pair, ["v.mhd", "v.raw"]
+        write, read, names = write_volume_pair, fileio.read_volume_pair, ["v.mhd", "v.raw"]
     v = sample_volume()
     first, second = tmp_path / "first", tmp_path / "second"
     first.mkdir()
@@ -131,7 +132,7 @@ def test_short_reads_keep_int16_voxels_and_rewrite_the_same_bytes(writer, tmp_pa
 
 def test_met_float_reads_are_float64(tmp_path):
     v = Volume(np.random.default_rng(3).normal(-300, 600, size=(5, 4, 3)), (1, 1, 1), (0, 0, 0))
-    fileio.write_volume_pair(v, tmp_path / "v.mhd", element_type="MET_FLOAT")
+    write_volume_pair(v, tmp_path / "v.mhd", element_type="MET_FLOAT")
     back = fileio.read_volume_pair(tmp_path / "v.mhd")
     assert back.voxels.dtype == np.float64
     np.testing.assert_array_equal(back.voxels, v.voxels.astype(np.float32))

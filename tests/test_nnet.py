@@ -1,7 +1,9 @@
+import struct
 import threading
 import tracemalloc
 import warnings
 import weakref
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -333,12 +335,11 @@ def test_backward_peak_stays_near_the_memory_live_when_it_starts(monkeypatch):
     ratios = []
     run_backward = tz.backward
 
-    def traced(loss, params=None):
+    def traced(loss):
         live = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        grads = run_backward(loss, params)
+        run_backward(loss)
         ratios.append(tracemalloc.get_traced_memory()[1] / live)
-        return grads
 
     monkeypatch.setattr(tz, "backward", traced)
     tracemalloc.start()
@@ -580,7 +581,7 @@ def test_loaded_members_score_without_a_graph(tmp_path):
     loss = tz.bce_loss(nnet.score_bags(loaded, planes, meta, np.zeros(4, dtype=np.int64), 1,
                                        "infer"), np.array([1.0]))
     with pytest.raises(MissingGradientError):
-        tz.backward(loss, params=loaded.learnable())
+        tz.backward(loss)
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +597,11 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     stats = MetadataStats(mean=np.arange(5.0), std=np.arange(1.0, 6.0))
     path = tmp_path / "model.lrnn"
     nnet.save_params(p, path, stats)
-    loaded = nnet.load_params(path)
+    member = nnet.load_member(path)
+    loaded = member.params
     for name, arr in p.arrays().items():
         np.testing.assert_array_equal(loaded.arrays()[name], arr)
-    back = nnet.load_metadata_stats(path)
+    back = member.metadata_stats
     np.testing.assert_array_equal(back.mean, stats.mean)
     np.testing.assert_array_equal(back.std, stats.std)
     assert loaded.metadata_dim == 5
@@ -611,45 +613,43 @@ def test_save_load_inference_identical(tmp_path):
     p = small_params(15)
     ex = random_example(rng, 3)
     path = tmp_path / "model.lrnn"
-    nnet.save_params(p, path)
-    loaded = nnet.load_params(path)
+    nnet.save_params(p, path, IDENTITY_STATS)
+    loaded = nnet.load_member(path).params
     assert scan_risk(loaded, ex) == scan_risk(p, ex)
 
 
 def test_corrupted_byte_raises_checksum_error(tmp_path):
     p = small_params(16)
     path = tmp_path / "model.lrnn"
-    nnet.save_params(p, path)
+    nnet.save_params(p, path, IDENTITY_STATS)
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(ChecksumError):
-        nnet.load_params(path)
+        nnet.load_member(path)
 
 
 def test_future_version_raises_version_error(tmp_path):
     p = small_params(17)
     path = tmp_path / "model.lrnn"
-    nnet.save_params(p, path)
+    nnet.save_params(p, path, IDENTITY_STATS)
     blob = bytearray(path.read_bytes())
     # bump the version field and fix the checksum so only the version differs
-    import struct
-    import zlib
     struct.pack_into("<H", blob, len(nnet.WEIGHTS_MAGIC), 99)
     struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
     path.write_bytes(bytes(blob))
     with pytest.raises(VersionError):
-        nnet.load_params(path)
+        nnet.load_member(path)
 
 
 def test_truncated_file_raises(tmp_path):
     p = small_params(18)
     path = tmp_path / "model.lrnn"
-    nnet.save_params(p, path)
+    nnet.save_params(p, path, IDENTITY_STATS)
     blob = path.read_bytes()[: len(path.read_bytes()) // 2]
     path.write_bytes(blob)
     with pytest.raises((TruncatedFileError, ChecksumError)):
-        nnet.load_params(path)
+        nnet.load_member(path)
 
 
 def test_ensemble_save_load_round_trip(tmp_path):
@@ -668,8 +668,8 @@ def test_projection_round_trips_and_older_files_read_as_slice(tmp_path):
     params = nnet.init_params(nnet.NNetConfig(projection="mip"))
     assert params.projection == "mip"
     path = tmp_path / "model.lrnn"
-    nnet.save_params(params, path)
-    assert nnet.load_params(path).projection == "mip"
+    nnet.save_params(params, path, IDENTITY_STATS)
+    assert nnet.load_member(path).params.projection == "mip"
     arrays = nnet._read_weight_arrays(path)
     np.testing.assert_array_equal(arrays["config.projection"], [1.0])
     del arrays["config.projection"]
@@ -689,7 +689,7 @@ def test_projection_round_trips_and_older_files_read_as_slice(tmp_path):
         "two-dropout-rates"])
 def test_malformed_config_entry_raises_version_error(name, value, tmp_path):
     path = tmp_path / "model.lrnn"
-    nnet.save_params(small_params(), path)
+    nnet.save_params(small_params(), path, IDENTITY_STATS)
     arrays = {**nnet._read_weight_arrays(path), name: value}
     with pytest.raises(VersionError, match=name):
         nnet._params_from_arrays(arrays, path)
@@ -705,7 +705,7 @@ def test_malformed_config_entry_raises_version_error(name, value, tmp_path):
         "missing-dense-bias"])
 def test_malformed_array_entry_raises_version_error(name, value, tmp_path):
     path = tmp_path / "model.lrnn"
-    nnet.save_params(small_params(), path)
+    nnet.save_params(small_params(), path, IDENTITY_STATS)
     arrays = nnet._read_weight_arrays(path)
     if value is None:
         del arrays[name]
@@ -713,6 +713,44 @@ def test_malformed_array_entry_raises_version_error(name, value, tmp_path):
         arrays[name] = value
     with pytest.raises(VersionError, match=name):
         nnet._params_from_arrays(arrays, path)
+
+
+def test_load_member_is_inference_only_and_bit_exact(tmp_path):
+    p = small_params(25)
+    for state in p.bn.values():
+        state.running_var *= 1.25
+    stats = MetadataStats(mean=np.arange(5.0), std=np.arange(1.0, 6.0))
+    path = tmp_path / "model.lrnn"
+    nnet.save_params(p, path, stats)
+    member = nnet.load_member(path)
+    assert isinstance(member, nnet.FoldMember) and member.loss_history == []
+    assert not any(t.requires_grad for t in member.params.learnable().values())
+    loaded = member.params.arrays()
+    assert loaded.keys() == p.arrays().keys()
+    for name, arr in p.arrays().items():
+        assert loaded[name].tobytes() == arr.tobytes(), name
+    assert member.metadata_stats.mean.tobytes() == stats.mean.tobytes()
+    assert member.metadata_stats.std.tobytes() == stats.std.tobytes()
+
+
+def test_load_member_without_metadata_statistics_raises_version_error(tmp_path):
+    path = tmp_path / "fold0.lrnn"
+    nnet.save_params(small_params(), path, IDENTITY_STATS)
+    arrays = nnet._read_weight_arrays(path)
+    for name in ("meta_stats.mean", "meta_stats.std"):
+        del arrays[name]
+    names = sorted(arrays)
+    blob = bytearray(nnet.WEIGHTS_MAGIC + struct.pack("<HI", nnet.WEIGHTS_VERSION, len(names)))
+    for name in names:
+        blob += struct.pack("<H", len(name)) + name.encode()
+        blob += struct.pack(f"<B{arrays[name].ndim}i", arrays[name].ndim, *arrays[name].shape)
+    for name in names:
+        blob += arrays[name].astype("<f8").tobytes()
+    path.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(bytes(blob))))
+    with pytest.raises(VersionError, match="metadata statistics"):
+        nnet.load_member(path)
+    with pytest.raises(VersionError, match="metadata statistics"):
+        nnet.load_ensemble(tmp_path)
 
 
 def test_ensemble_rejects_members_of_different_projections():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lungrisk import pancan
 from lungrisk.errors import ConfigError, FormatError, NoNoduleError, NumericError
+from writers import save_weights
 
 
 def zero_weights(intercept=0.0):
@@ -112,7 +113,7 @@ def test_weight_file_round_trip(tmp_path):
         values={k: i * 0.1 - 0.3 for i, k in enumerate(pancan.WEIGHT_KEYS)},
         intercept=-2.5)
     path = tmp_path / "w.txt"
-    pancan.save_weights(w, path)
+    save_weights(w, path)
     back = pancan.load_weights(path)
     assert back == w
 
@@ -133,7 +134,7 @@ def test_weight_file_requires_version(tmp_path):
 
 def test_weight_file_future_version(tmp_path):
     path = tmp_path / "w.txt"
-    pancan.save_weights(zero_weights(), path)
+    save_weights(zero_weights(), path)
     path.write_text(path.read_text().replace("version=1", "version=9"))
     with pytest.raises(FormatError):
         pancan.load_weights(path)
@@ -142,7 +143,7 @@ def test_weight_file_future_version(tmp_path):
 @pytest.mark.parametrize("line", ["version=nan", "version=inf", "version=1.5"])
 def test_weight_file_version_must_be_one(line, tmp_path):
     path = tmp_path / "w.txt"
-    pancan.save_weights(zero_weights(), path)
+    save_weights(zero_weights(), path)
     path.write_text(path.read_text().replace("version=1", line))
     with pytest.raises(FormatError, match="version"):
         pancan.load_weights(path)
@@ -155,7 +156,7 @@ def test_non_finite_weights_rejected(tmp_path):
     with pytest.raises(NumericError, match="age"):
         pancan.PanCanWeights(values={**values, "age": float("inf")})
     path = tmp_path / "w.txt"
-    pancan.save_weights(zero_weights(), path)
+    save_weights(zero_weights(), path)
     path.write_text(path.read_text().replace("intercept=0.0", "intercept=nan"))
     with pytest.raises(NumericError):
         pancan.load_weights(path)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lungrisk import fileio, preprocess as pp
 from lungrisk.errors import ConfigError, DimensionError, FormatError, OutOfBoundsError
+from writers import write_volume_pair
 
 
 def make_volume(dims=(20, 20, 20), spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0), fill=None):
@@ -90,7 +91,7 @@ def test_cube_dtype_follows_the_volume(stored_as, tmp_path):
         fileio.write_volume_compact(short, tmp_path / "v.lrvol")
         volume = fileio.read_volume_compact(tmp_path / "v.lrvol")
     else:
-        fileio.write_volume_pair(short, tmp_path / "v.mhd", stored_as)
+        write_volume_pair(short, tmp_path / "v.mhd", stored_as)
         volume = fileio.read_volume_pair(tmp_path / "v.mhd")
     want = np.float64 if stored_as == "MET_FLOAT" else np.int16
     # one cube inside the volume, one reaching past its corner into air

@@ -289,7 +289,8 @@ def test_bn_empty_batch_raises():
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_bn_single_map_matches_batch_of_one(mode):
-    # a channel-first (C,H,W) map normalizes as the (C,1,H,W) batch holding it
+    # a channel-first (C,H,W) map normalizes as the (C,1,H,W) batch holding it;
+    # infer mode records no backward, so only its forward is compared
     rng = np.random.default_rng(6)
     x = rng.normal(size=(4, 3, 5))
     labels = rng.integers(0, 2, size=x.shape).astype(float)
@@ -300,9 +301,11 @@ def test_bn_single_map_matches_batch_of_one(mode):
         bn.running_var[:] = [1.0, 2.0, 0.5, 3.0]
         xt = t(data)
         out = T.batch_norm(xt, bn, mode)
-        T.backward(_bce_head(out, labels.reshape(data.shape)))
-        runs.append((out.data.reshape(x.shape), xt.grad.reshape(x.shape), bn.gamma.grad,
-                     bn.beta.grad, bn.running_mean, bn.running_var))
+        run = [out.data.reshape(x.shape), bn.running_mean, bn.running_var]
+        if mode == "train":
+            T.backward(_bce_head(out, labels.reshape(data.shape)))
+            run += [xt.grad.reshape(x.shape), bn.gamma.grad, bn.beta.grad]
+        runs.append(run)
     for single, batched in zip(*runs):
         np.testing.assert_array_equal(single, batched)
 
@@ -576,91 +579,126 @@ def test_backward_releases_the_graph_as_it_descends_and_keeps_leaf_gradients():
     value = loss.data.copy()
     leaves = {"k": k, "b": b, "w": w, "wb": wb, "gamma": bn.gamma, "beta": bn.beta}
     assert conv_data() is not None
-    grads = T.backward(loss, params=leaves)
+    assert T.backward(loss) is None
     for name, leaf in leaves.items():
-        assert grads[name] is leaf.grad and np.all(np.isfinite(leaf.grad)), name
+        assert leaf.grad is not None and np.all(np.isfinite(leaf.grad)), name
     for node in (h, z, loss):
         assert node.grad is None and node._parents == ()
         assert getattr(node._backward, "__closure__", None) is None    # no saved arrays
     assert conv_data() is None
     assert loss.data == value
-    # a second pass would otherwise return the first pass's leaf gradients
+    # a second pass would otherwise add to the first pass's leaf gradients
     with pytest.raises(MissingGradientError):
-        T.backward(loss, params=leaves)
+        T.backward(loss)
     relabelled = T.bce_loss(T.sigmoid(T.reshape(z, (5,))), np.zeros(5))
     with pytest.raises(MissingGradientError):
-        T.backward(relabelled, params=leaves)
+        T.backward(relabelled)
 
 
 def test_backward_missing_gradient():
     used = t([1.0], name="used")
     unused = t([1.0], name="unused")
-    loss = T.bce_loss(T.sigmoid(used), np.array([1.0]))
-    with pytest.raises(MissingGradientError):
-        T.backward(loss, params={"used": used, "unused": unused})
+    T.backward(T.bce_loss(T.sigmoid(used), np.array([1.0])))
+    assert used.grad is not None and unused.grad is None
+    with pytest.raises(MissingGradientError, match="unused"):
+        T.adam_step({"used": used, "unused": unused}, T.AdamState())
 
 
 # ---------------------------------------------------------------------------
 # Adam
 
 
+def with_grad(data, grad):
+    """A parameter holding `grad`, as `backward` leaves it for `adam_step`."""
+    param = t(data)
+    param.grad = np.asarray(grad, dtype=np.float64)
+    return param
+
+
 def test_adam_zero_gradient_fixed_point():
-    p = np.array([1.0, -2.0, 3.0])
+    w = with_grad([1.0, -2.0, 3.0], np.zeros(3))
     state = T.AdamState()
-    T.adam_step({"w": p}, {"w": np.zeros(3)}, state)
-    np.testing.assert_array_equal(p, [1.0, -2.0, 3.0])
+    T.adam_step({"w": w}, state)
+    np.testing.assert_array_equal(w.data, [1.0, -2.0, 3.0])
 
 
 def test_adam_first_step_magnitude():
-    p = np.array([0.0])
+    w = with_grad([0.0], [1.0])
     state = T.AdamState(learning_rate=1e-3)
-    T.adam_step({"w": p}, {"w": np.array([1.0])}, state)
-    np.testing.assert_allclose(p[0], -1e-3 / (1.0 + 1e-8), rtol=1e-12)
+    T.adam_step({"w": w}, state)
+    np.testing.assert_allclose(w.data[0], -1e-3 / (1.0 + 1e-8), rtol=1e-12)
 
 
 def test_adam_constant_gradient_steady_steps():
-    p = np.array([0.0])
+    w = with_grad([0.0], [1.0])
     state = T.AdamState(learning_rate=1e-3)
-    T.adam_step({"w": p}, {"w": np.array([1.0])}, state)
-    first = -p[0]
-    before = p[0]
-    T.adam_step({"w": p}, {"w": np.array([1.0])}, state)
-    second = before - p[0]
+    T.adam_step({"w": w}, state)
+    first = -w.data[0]
+    before = w.data[0]
+    w.grad = np.array([1.0])
+    T.adam_step({"w": w}, state)
+    second = before - w.data[0]
     assert abs(second - first) / first < 0.01
 
 
 def test_adam_nan_gradient_names_parameter():
     state = T.AdamState()
     with pytest.raises(NumericError, match="convA"):
-        T.adam_step({"convA": np.zeros(2)}, {"convA": np.array([np.nan, 0.0])}, state)
+        T.adam_step({"convA": with_grad(np.zeros(2), [np.nan, 0.0])}, state)
 
 
 def test_adam_moments_decay_toward_zero():
-    p = np.array([1.0])
+    w = with_grad([1.0], [1.0])
     state = T.AdamState()
-    T.adam_step({"w": p}, {"w": np.array([1.0])}, state)
+    T.adam_step({"w": w}, state)
     m1 = abs(state.first_moment["w"][0])
     for _ in range(5):
-        T.adam_step({"w": p}, {"w": np.zeros(1)}, state)
+        w.grad = np.zeros(1)
+        T.adam_step({"w": w}, state)
     assert abs(state.first_moment["w"][0]) < m1
 
 
 @pytest.mark.parametrize("shape", [(1,), (8191,), (8192,), (8193,), (6272, 64)])
 def test_adam_chunks_equal_the_whole_array_expression(shape):
     rng = np.random.default_rng(shape[0])
-    p = rng.normal(size=shape)
-    ref, m, v = p.copy(), np.zeros(shape), np.zeros(shape)
+    w = t(rng.normal(size=shape))
+    ref, m, v = w.data.copy(), np.zeros(shape), np.zeros(shape)
     state = T.AdamState(learning_rate=1e-3)
     b1, b2, lr, eps = T.ADAM_BETA1, T.ADAM_BETA2, state.learning_rate, T.ADAM_EPSILON
     for step in range(1, 4):
         g = rng.normal(size=shape)
-        T.adam_step({"w": p}, {"w": g}, state)
+        w.grad = g
+        T.adam_step({"w": w}, state)
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * (g * g)
         ref = ref - lr * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
         np.testing.assert_array_equal(state.first_moment["w"], m)
         np.testing.assert_array_equal(state.second_moment["w"], v)
-        np.testing.assert_array_equal(p, ref)
+        np.testing.assert_array_equal(w.data, ref)
+
+
+def test_adam_consumes_each_gradient_it_applies():
+    rng = np.random.default_rng(46)
+    x = T.Tensor(rng.normal(size=(4, 3)), requires_grad=False)
+    w, b = t(rng.normal(size=(3, 1))), t([0.2])
+    T.backward(T.bce_loss(T.sigmoid(T.reshape(T.dense(x, w, b), (4,))),
+                          np.array([1.0, 0.0, 0.0, 1.0])))
+    before = w.data.copy()
+    assert T.adam_step({"w": w, "b": b}, T.AdamState()) is None
+    assert w.grad is None and b.grad is None
+    assert not np.array_equal(w.data, before)
+
+
+def test_adam_missing_gradient_raises_before_any_parameter_moves():
+    a, b, c = with_grad([1.0, 2.0], [0.5, -0.5]), t([3.0]), t([4.0])
+    state = T.AdamState()
+    with pytest.raises(MissingGradientError) as caught:
+        T.adam_step({"a": a, "b": b, "c": c}, state)
+    assert "'b'" in str(caught.value) and "'c'" in str(caught.value)
+    assert "'a'" not in str(caught.value)
+    np.testing.assert_array_equal(a.data, [1.0, 2.0])
+    np.testing.assert_array_equal(a.grad, [0.5, -0.5])
+    assert state.step_count == 0 and not state.first_moment
 
 
 # ---------------------------------------------------------------------------
@@ -757,15 +795,23 @@ def test_bn_train_backward_matches_the_nine_pass_formula_and_finite_differences(
                {"x": x, "gamma": bn.gamma, "beta": bn.beta})
 
 
-def test_gradcheck_bn_infer():
+def test_bn_infer_backward_raises_and_the_forward_keeps_its_bits():
     rng = np.random.default_rng(13)
     x = t(rng.uniform(-1, 1, size=(5, 4)))
     bn = make_bn(4)
     bn.running_mean[:] = rng.uniform(-0.5, 0.5, size=4)
     bn.running_var[:] = rng.uniform(0.5, 2.0, size=4)
     labels = rng.integers(0, 2, size=(5, 4)).astype(float)
-    _gradcheck(lambda: _bce_head(T.batch_norm(x, bn, "infer"), labels),
-               {"x": x, "gamma": bn.gamma, "beta": bn.beta})
+    out = T.batch_norm(x, bn, "infer")
+    assert out.requires_grad
+    frozen = T.BatchNormState(T.Tensor(bn.gamma.data, requires_grad=False),
+                              T.Tensor(bn.beta.data, requires_grad=False),
+                              bn.running_mean, bn.running_var)
+    free = T.batch_norm(T.Tensor(x.data, requires_grad=False), frozen, "infer")
+    assert out.data.tobytes() == free.data.tobytes()
+    with pytest.raises(MissingGradientError, match="train mode"):
+        T.backward(_bce_head(out, labels))
+    assert x.grad is None and bn.gamma.grad is None and bn.beta.grad is None
 
 
 def test_gradcheck_dense():

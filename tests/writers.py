@@ -1,0 +1,34 @@
+"""Writers of input files that no lungrisk command writes: the MetaImage
+volume pair (`fileio.read_volume_pair`) and the PanCan weight file
+(`pancan.load_weights`). Tests make their inputs with them."""
+
+from pathlib import Path
+
+from lungrisk import fileio, pancan
+
+
+def write_volume_pair(v, header_path, element_type: str = "MET_SHORT"):
+    """Write the text-header + raw-file pair; returns the raw path. MET_SHORT
+    voxels are rounded half to even and clipped to int16, as LRVOL1 stores them."""
+    header_path = Path(header_path)
+    raw_path = header_path.with_suffix(".raw")
+    vox = fileio._rounded_hu(v.voxels) if element_type == "MET_SHORT" else v.voxels
+    # disk order: z slowest, x fastest
+    vox.astype(fileio._ELEMENT_TYPES[element_type]).transpose(2, 1, 0).tofile(raw_path)
+    lines = [
+        "NDims = 3",
+        f"DimSize = {v.dims[0]} {v.dims[1]} {v.dims[2]}",
+        f"ElementSpacing = {v.spacing[0]!r} {v.spacing[1]!r} {v.spacing[2]!r}",
+        f"Offset = {v.origin[0]!r} {v.origin[1]!r} {v.origin[2]!r}",
+        f"ElementType = {element_type}",
+        f"ElementDataFile = {raw_path.name}",
+    ]
+    header_path.write_text("\n".join(lines) + "\n")
+    return raw_path
+
+
+def save_weights(w: pancan.PanCanWeights, path):
+    """A PanCan weight file that `pancan.load_weights` reads back as `w`."""
+    lines = [f"version={pancan.WEIGHT_FILE_VERSION}", f"intercept={w.intercept!r}"]
+    lines += [f"{k}={w.values[k]!r}" for k in pancan.WEIGHT_KEYS]
+    Path(path).write_text("\n".join(lines) + "\n")
