@@ -23,7 +23,7 @@ print("raw volume:", volume.dims, "at spacing", volume.spacing)
 iso = pp.resample_isotropic(volume)
 print("isotropic:", iso.dims, "at spacing", iso.spacing)
 
-world_center = volume.voxel_to_world(center_vox)
+world_center = np.add(volume.origin, np.multiply(center_vox, volume.spacing))
 cube = pp.extract_cube(iso, world_center)
 print("cube:", cube.shape, " min/max HU:", round(cube.min()), round(cube.max()))
 

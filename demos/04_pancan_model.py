@@ -7,7 +7,7 @@ part of this project).
 
 from lungrisk import pancan
 
-weights = pancan.placeholder_weights()
+weights = pancan.load_weights(pancan.placeholder_weights_path())
 print("weight file keys:", ", ".join(sorted(weights.values)))
 
 small = pancan.PanCanFeatures(age=62, sex="female", family_history=False,

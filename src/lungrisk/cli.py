@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate as ev
-from . import fileio, host, nnet, pancan, synthdata
+from . import fileio, nnet, pancan, synthdata
 from .errors import (
     ConfigError,
     DataConsistencyError,
@@ -171,10 +171,8 @@ def cmd_score(args) -> int:
     by a pool of one thread per usable CPU while the next chunk is built.
     The loaded members are inference-only, so a forward keeps no graph.
     The written bytes depend neither on the chunking nor on the thread
-    count. The process first sets the allocator thresholds of the fold
-    workers, so each chunk's forward reuses the buffers of an earlier one.
+    count.
     """
-    host.reuse_freed_memory()
     model_dir = Path(args.model)
     data_dir = Path(args.data)
     ensemble = nnet.load_ensemble(model_dir)

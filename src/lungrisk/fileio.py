@@ -37,11 +37,14 @@ def read_volume_pair(header_path) -> Volume:
     stored; MET_FLOAT and MET_DOUBLE voxels become float64 (see `Volume`)."""
     header_path = Path(header_path)
     fields = {}
-    for line in header_path.read_text().splitlines():
+    for lineno, line in enumerate(header_path.read_text().splitlines(), start=1):
         if "=" not in line:
             continue
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise FormatError(f"{header_path}:{lineno}: volume header key {key!r} is repeated")
+        fields[key] = value.strip()
 
     def field(key):
         if key not in fields:

@@ -205,7 +205,3 @@ def placeholder_weights_path() -> Path:
     """Path of the shipped synthetic placeholder weight file."""
     return Path(importlib.resources.files("lungrisk").joinpath(
         "data/pancan_placeholder_weights.txt"))
-
-
-def placeholder_weights() -> PanCanWeights:
-    return load_weights(placeholder_weights_path())

@@ -53,9 +53,6 @@ class Volume:
     def world_to_voxel(self, point) -> np.ndarray:
         return (np.asarray(point, dtype=np.float64) - self.origin) / self.spacing
 
-    def voxel_to_world(self, index) -> np.ndarray:
-        return np.asarray(self.origin) + np.asarray(index, dtype=np.float64) * self.spacing
-
 
 @dataclass(frozen=True)
 class NoduleCandidate:

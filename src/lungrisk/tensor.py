@@ -530,11 +530,6 @@ def backward(loss: Tensor):
         node.grad, node._backward, node._parents = None, _released, ()
 
 
-# Adam walks each parameter in chunks of this many elements, small enough
-# that a chunk and its two scratch rows stay in cache.
-_ADAM_CHUNK = 8192
-
-
 def adam_step(params: dict[str, Tensor], state: AdamState):
     """One bias-corrected Adam update that consumes the parameters' gradients.
 
@@ -543,12 +538,11 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
     is updated in place from its `.grad`, which is set to None, so a
     gradient lives from `backward` to here and no longer.
 
-    Each parameter is updated chunk by chunk through two scratch rows, with
-    the operations of
+    Each parameter is updated as a whole through two temporaries of its
+    size, with the operations of
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
         p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
-    in that order, so the result has the bits of the whole-array expression
-    without its array-sized temporaries.
+    in that order.
     """
     missing = [name for name, p in params.items() if p.grad is None]
     if missing:
@@ -558,7 +552,6 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    row_a, row_b = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
     for name, param in params.items():
         p, g = param.data, param.grad
         if g.shape != p.shape:
@@ -570,24 +563,21 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
         if name not in state.first_moment:
             state.first_moment[name] = np.zeros_like(p)
             state.second_moment[name] = np.zeros_like(p)
-        flat = [a.reshape(-1) for a in (p, g, state.first_moment[name], state.second_moment[name])]
-        for lo in range(0, p.size, _ADAM_CHUNK):
-            pc, gc, mc, vc = (a[lo:lo + _ADAM_CHUNK] for a in flat)
-            sa, sb = row_a[:pc.size], row_b[:pc.size]
-            np.multiply(gc, 1.0 - b1, out=sa)
-            mc *= b1
-            mc += sa
-            np.multiply(gc, gc, out=sa)
-            sa *= 1.0 - b2
-            vc *= b2
-            vc += sa
-            np.divide(mc, bc1, out=sa)
-            sa *= lr
-            np.divide(vc, bc2, out=sb)
-            np.sqrt(sb, out=sb)
-            sb += eps
-            sa /= sb
-            pc -= sa
+        m, v = state.first_moment[name], state.second_moment[name]
+        sa = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += sa
+        np.multiply(g, g, out=sa)
+        sa *= 1.0 - b2
+        v *= b2
+        v += sa
+        np.divide(m, bc1, out=sa)
+        sa *= lr
+        sb = np.divide(v, bc2)
+        np.sqrt(sb, out=sb)
+        sb += eps
+        sa /= sb
+        p -= sa
         param.grad = None
 
 

@@ -1,8 +1,8 @@
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
-import platform
 import signal
 import struct
 import subprocess
@@ -21,7 +21,7 @@ from lungrisk import cli, fileio, host, nnet, pancan, synthdata
 from lungrisk.errors import ZeroNoduleWarning
 from lungrisk.pancan import placeholder_weights_path
 from lungrisk.preprocess import MetadataStats, build_scan_example
-from writers import save_weights
+from writers import save_weights, write_weight_entries
 
 
 def run(argv):
@@ -153,6 +153,90 @@ def test_simulate_writes_the_golden_bytes_on_one_pinned_cpu(tmp_path):
                     "--out", str(tmp_path / "d")], env=child_env(), check=True, timeout=120,
                    stdout=subprocess.DEVNULL)
     assert tree_hashes(tmp_path / "d") == SIMULATE_GOLDEN
+
+
+def openblas_core() -> str | None:
+    """The core that numpy's bundled OpenBLAS picked at run time, or None
+    with another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            return None
+        corename.argtypes, corename.restype = (), ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+# SHA-256 of every output of `simulate --n 16 --prevalence 0.4 --seed 3
+# --dims 64`, `train --folds 3 --epochs 3 --batch-size 8 --seed 4`, `score`
+# (numpy 2.4.6, x86-64), keyed by the OpenBLAS core: GEMM bits differ between
+# cores. SkylakeX ran natively; the other cores were forced on the same
+# machine with OPENBLAS_CORETYPE.
+TRAIN_SCORE_GOLDEN = {
+    "SkylakeX": {
+        "fold0.lrnn": "dab16b7bd9863b90f10b208b81bb0569e14db0e23a2daf0e3c084b40a0102f96",
+        "fold1.lrnn": "0991ae669a8ddfa455104e56b3a887d49b685bbdff98895558d19457f5b70791",
+        "fold2.lrnn": "d0b00271efbcef152ca8a637c0f933e01dc923b9c8d97cf1d2efedcaaa500a9b",
+        "resolved_config.txt": "4cc02e0128af344b08e9db9134d8187a70ab08f376f524b67a5cbb4d8c2e7b25",
+        "training_loss.csv": "cafd7e09433a63526427339f765b479690e29f1bebfa2aa2073b7e476127b8d5",
+        "scores.csv": "1c324bf46fc881d5ea365037466830c7c08ddcddeb0cf84264b17f4bb1e43d8c",
+    },
+    "Haswell": {
+        "fold0.lrnn": "98162a996564e0cab0d4ab67b05e782b07f007ac0639c969a04956609151a632",
+        "fold1.lrnn": "9373af205731390ad1b8549a38f3dc40b9e64a2ed712e34c5ee5c19d6bffdb83",
+        "fold2.lrnn": "7f64dd0f4646b1c0b4b2d30fa4d25e4a4de9bc7b5f714c08eb76a6fbebe318a2",
+        "resolved_config.txt": "4cc02e0128af344b08e9db9134d8187a70ab08f376f524b67a5cbb4d8c2e7b25",
+        "training_loss.csv": "17f0c835294f90ac0432bb66fd41cbe25f2480e4613393b2eea5057795cb1876",
+        "scores.csv": "a9521348825393e157d0c76cd5a163b9111d87e12025cc4ad3169271caec5adc",
+    },
+    "Sandybridge": {
+        "fold0.lrnn": "ee3eb6cc6328a94b8e70bf6fbb49a38f76a3ce664a1a4b9444163adcc6aab511",
+        "fold1.lrnn": "362d92775f5f21f6cd05d87346b8466719d030fb9751aefe80c2b595873f494e",
+        "fold2.lrnn": "7533c2fb672760a3ecd83d1c1f7aa5d4880b81541df604f19ed3d33a2bc774d3",
+        "resolved_config.txt": "4cc02e0128af344b08e9db9134d8187a70ab08f376f524b67a5cbb4d8c2e7b25",
+        "training_loss.csv": "da68aae5af40245b932f4a8b3e68f40c7e44587b89707ff72ff32ff644f0d2a5",
+        "scores.csv": "cfc13788a4ea96dfa9fd7fb550396ac3f80aff6b3d375b9699954e93de4b437f",
+    },
+    "Nehalem": {
+        "fold0.lrnn": "36cdeecb92acd51c05b4b973eef101bd561474232af1919698fbb801f3ea685a",
+        "fold1.lrnn": "ff6373d0d80cd7bf3a98c91cce7eb7107510295f57175b4f9d42c13382f2dd9e",
+        "fold2.lrnn": "a2c2f0d1965b46fb66afc34388ee223448882ac1e6ccb39c80f5d83adf55f024",
+        "resolved_config.txt": "4cc02e0128af344b08e9db9134d8187a70ab08f376f524b67a5cbb4d8c2e7b25",
+        "training_loss.csv": "68450046278114ce093361a3d0c879fda711be8397a3bc819502ffd83d65f97c",
+        "scores.csv": "be8c067e0ecabedc66df9a75a24e11dc3c31f0a5c47b8a8bd5575a945f4b4189",
+    },
+}
+# The SkylakeX risks of that chain. On any core they must hold within
+# TRAIN_SCORE_RISK_TOLERANCE; the four cores above differ by at most 7.6e-12.
+TRAIN_SCORE_RISKS = {
+    "scan_00000": 0.8068063355853591, "scan_00001": 0.8339910614968365,
+    "scan_00002": 0.861961944751187, "scan_00003": 0.8457972926216049,
+    "scan_00004": 0.8432448567746036, "scan_00005": 0.8342547469296971,
+    "scan_00006": 0.6019389049118828, "scan_00007": 0.5145345617155317,
+    "scan_00008": 0.5251473333342291, "scan_00009": 0.6931438588606792,
+    "scan_00010": 0.6652506482044358, "scan_00011": 0.5777349133938727,
+    "scan_00012": 0.838686368340158, "scan_00013": 0.7464489387548375,
+    "scan_00014": 0.7032273182907242, "scan_00015": 0.8170767651413766,
+}
+TRAIN_SCORE_RISK_TOLERANCE = 1e-9
+
+
+def test_train_and_score_write_the_golden_bytes(tmp_path):
+    data, model, scores = tmp_path / "d", tmp_path / "m", tmp_path / "m" / "scores.csv"
+    assert run(["simulate", "--n", 16, "--prevalence", 0.4, "--seed", 3, "--dims", 64,
+                "--out", data]) == 0
+    assert run(["train", "--data", data, "--folds", 3, "--epochs", 3, "--batch-size", 8,
+                "--seed", 4, "--out", model]) == 0
+    assert run(["score", "--model", model, "--data", data, "--out", scores]) == 0
+    risks = fileio.read_scores_csv(scores)
+    assert risks.keys() == TRAIN_SCORE_RISKS.keys()
+    for scan_id, risk in TRAIN_SCORE_RISKS.items():
+        assert abs(risks[scan_id] - risk) <= TRAIN_SCORE_RISK_TOLERANCE, (scan_id, risks[scan_id])
+    golden = TRAIN_SCORE_GOLDEN.get(openblas_core())
+    if golden is not None:
+        assert tree_hashes(model) == golden
 
 
 def test_simulate_write_error_cancels_queued_scans(tmp_path, capsys, monkeypatch):
@@ -605,6 +689,35 @@ def test_score_non_finite_weight_file_is_numeric_error(entry, value, small_data,
     assert not caught and not out.exists()
 
 
+@pytest.mark.parametrize("entry", ["config.projection", "config.metadata_dim"],
+                         ids=["nan-projection", "nan-metadata-dim"])
+def test_score_nan_config_entry_is_numeric_error(entry, small_data, small_model, tmp_path,
+                                                 capsys):
+    arrays = {**nnet._read_weight_arrays(small_model / "fold0.lrnn"), entry: np.array([np.nan])}
+    (tmp_path / "model").mkdir()
+    write_weight_entries(sorted(arrays.items()), tmp_path / "model" / "fold0.lrnn")
+    out = tmp_path / "s.csv"
+    code = run(["score", "--model", tmp_path / "model", "--data", small_data, "--out", out])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert repr(entry) in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_score_weight_entry_repeated_in_the_manifest_is_format_error(small_data, small_model,
+                                                                     tmp_path, capsys):
+    entries = sorted(nnet._read_weight_arrays(small_model / "fold0.lrnn").items())
+    bias = dict(entries)["conv1.bias"]
+    (tmp_path / "model").mkdir()
+    write_weight_entries(entries + [("conv1.bias", bias + 1.0)], tmp_path / "model" / "fold0.lrnn")
+    out = tmp_path / "s.csv"
+    code = run(["score", "--model", tmp_path / "model", "--data", small_data, "--out", out])
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "'conv1.bias'" in err and "repeated" in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_score_weights_with_a_non_finite_forward_are_numeric_error(small_data, small_model,
                                                                    tmp_path, capsys):
     # finite numbers whose products overflow to infinities of both signs
@@ -623,30 +736,6 @@ def test_score_weights_with_a_non_finite_forward_are_numeric_error(small_data, s
     err = capsys.readouterr().err
     assert "scan_00000" in err and "nan" in err and err.count("\n") == 1, err
     assert not caught and not out.exists()
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is a glibc call")
-def test_reuse_freed_memory_applies_both_thresholds_on_glibc():
-    assert host.reuse_freed_memory() is True
-
-
-# `lungrisk score` in a child; "default" leaves glibc's allocator thresholds alone
-SCORE_CHILD = """
-import sys
-from lungrisk import cli, host
-if sys.argv[1] == "default":
-    host.reuse_freed_memory = lambda: False
-sys.exit(cli.main(sys.argv[2:]))
-"""
-
-
-def test_score_bytes_do_not_depend_on_the_allocator_settings(small_data, small_model, tmp_path):
-    for thresholds in ("set", "default"):
-        subprocess.run([sys.executable, "-c", SCORE_CHILD, thresholds, "score",
-                        "--model", str(small_model), "--data", str(small_data),
-                        "--out", str(tmp_path / f"{thresholds}.csv")],
-                       env=child_env(), check=True, timeout=300, stdout=subprocess.DEVNULL)
-    assert file_hash(tmp_path / "set.csv") == file_hash(tmp_path / "default.csv")
 
 
 @pytest.fixture(scope="module")
@@ -896,6 +985,9 @@ def write_csv(path, column, rows):
     pytest.param("score", {}, {}, [],
                  {"volumes/v0.mhd": MHD_2x2x2.replace(b"Offset = 0", b"Offset = nan")},
                  cli.EXIT_IO, id="score-mhd-offset-nan"),
+    pytest.param("score", {}, {}, [],
+                 {"volumes/v0.mhd": MHD_2x2x2 + b"ElementDataFile = v0.raw\n"},
+                 cli.EXIT_IO, id="score-mhd-data-file-repeated"),
     pytest.param("score", {}, {}, [], {"volumes/v0.lrvol": lrvol_2x2x2(spacing=(1.0, np.nan, 1.0))},
                  cli.EXIT_IO, id="score-lrvol-spacing-nan"),
     pytest.param("score", {}, {}, [], {"volumes/v0.lrvol": lrvol_2x2x2(origin=(0.0, 0.0, np.inf))},

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,17 @@ def test_volume_pair_missing_key(tmp_path):
     header = tmp_path / "bad.mhd"
     header.write_text("NDims = 3\nDimSize = 2 2 2\n")
     with pytest.raises(FormatError):
+        fileio.read_volume_pair(header)
+
+
+def test_volume_pair_repeated_key_names_it_and_its_line(tmp_path):
+    v = sample_volume()
+    header = tmp_path / "scan.mhd"
+    write_volume_pair(v, header)
+    (tmp_path / "other.raw").write_bytes(header.with_suffix(".raw").read_bytes())
+    header.write_text(header.read_text() + "ElementDataFile = other.raw\n")
+    with pytest.raises(FormatError, match=re.escape(f"{header}:7: volume header key "
+                                                    "'ElementDataFile' is repeated")):
         fileio.read_volume_pair(header)
 
 

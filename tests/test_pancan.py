@@ -163,7 +163,7 @@ def test_non_finite_weights_rejected(tmp_path):
 
 
 def test_placeholder_weights_load():
-    w = pancan.placeholder_weights()
+    w = pancan.load_weights(pancan.placeholder_weights_path())
     assert w["diameter_mm"] > 0 and w["spiculation"] > 0
 
 

@@ -117,7 +117,7 @@ def test_world_voxel_round_trip():
     rng = np.random.default_rng(1)
     for _ in range(50):
         idx = rng.integers(0, v.dims, size=3)
-        world = v.voxel_to_world(idx)
+        world = np.add(v.origin, idx * np.asarray(v.spacing))
         back = v.world_to_voxel(world)
         assert np.all(np.abs(back - idx) < 0.5)
 

@@ -1,10 +1,13 @@
 """Writers of input files that no lungrisk command writes: the MetaImage
-volume pair (`fileio.read_volume_pair`) and the PanCan weight file
-(`pancan.load_weights`). Tests make their inputs with them."""
+volume pair (`fileio.read_volume_pair`), the PanCan weight file
+(`pancan.load_weights`) and an LRNN1 weight file of any entries
+(`nnet.load_member`). Tests make their inputs with them."""
 
+import struct
+import zlib
 from pathlib import Path
 
-from lungrisk import fileio, pancan
+from lungrisk import fileio, nnet, pancan
 
 
 def write_volume_pair(v, header_path, element_type: str = "MET_SHORT"):
@@ -32,3 +35,15 @@ def save_weights(w: pancan.PanCanWeights, path):
     lines = [f"version={pancan.WEIGHT_FILE_VERSION}", f"intercept={w.intercept!r}"]
     lines += [f"{k}={w.values[k]!r}" for k in pancan.WEIGHT_KEYS]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_weight_entries(entries, path):
+    """A checksummed LRNN1 weight file of the (name, array) pairs, in their
+    order, repeated names included: the layout `nnet.save_params` writes."""
+    blob = bytearray(nnet.WEIGHTS_MAGIC + struct.pack("<HI", nnet.WEIGHTS_VERSION, len(entries)))
+    for name, arr in entries:
+        blob += struct.pack("<H", len(name.encode())) + name.encode()
+        blob += struct.pack(f"<B{arr.ndim}i", arr.ndim, *arr.shape)
+    for _, arr in entries:
+        blob += arr.astype("<f8").tobytes()
+    Path(path).write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(bytes(blob))))
