@@ -19,7 +19,7 @@ feature_maps = tz.conv2d_same(x, kernels, bias)
 print("conv2d_same keeps the spatial size:", x.shape, "->", feature_maps.shape)
 
 bn = tz.BatchNormState.create(8)
-normed = tz.batch_norm(feature_maps, bn, "train")
+normed = tz.batch_norm(feature_maps, bn)
 print("batch-norm output mean per channel ~0:",
       np.abs(normed.data.mean(axis=(1, 2))).max() < 1e-12)
 

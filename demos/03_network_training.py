@@ -31,24 +31,18 @@ print("loss: epoch 0:", round(history[0], 4),
 # and one batch-invariant pass scores the whole bag
 params, stats = result.params, result.metadata_stats
 bag = [examples[1].patches[0], examples[0].patches[0], examples[3].patches[0]]
-planes = np.stack([p.planes for p in bag], axis=1)     # channel-major (3, P, 28, 28)
-meta = stats.standardize(np.stack([p.metadata for p in bag]))
+ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, stats)])
 
 
-def bag_risk(planes, meta):
-    segments = np.zeros(planes.shape[1], dtype=np.int64)
-    return float(nnet.score_bags(params, planes, meta, segments, 1, "infer").data[0])
+def bag_risk(ensemble, patches):
+    # scoring folds each member's batch-norms into a plain-numpy inference plan
+    return nnet.ensemble_predict(ensemble, [ScanExample(scan_id="bag", patches=patches, label=1)])[0]
 
 
-singles = [bag_risk(planes[:, i:i + 1], meta[i:i + 1]) for i in range(len(bag))]
-risk = bag_risk(planes, meta)
+singles = [bag_risk(ensemble, [p]) for p in bag]
+risk = bag_risk(ensemble, bag)
 print("branch scores one at a time:", [round(s, 4) for s in singles])
 print("bag risk in one pass:", round(risk, 4), " exactly their max:", risk == max(singles))
-
-# scoring a scan goes through the same path, once per ensemble member
-scan = ScanExample(scan_id="bag", patches=bag, label=1)
-ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, stats)])
-print("ensemble_predict gives the same risk:", nnet.ensemble_predict(ensemble, [scan]) == [risk])
 
 # persistence: the weight file round-trips bit-exactly
 import tempfile
@@ -56,4 +50,4 @@ import tempfile
 with tempfile.TemporaryDirectory() as td:
     nnet.save_ensemble(ensemble, td)
     reloaded = nnet.load_ensemble(td)
-    print("save/load risk identical:", nnet.ensemble_predict(reloaded, [scan]) == [risk])
+    print("save/load risk identical:", bag_risk(reloaded, bag) == risk)

@@ -148,8 +148,7 @@ def cmd_train(args) -> int:
     examples = [_build_example(_volume_path(data_dir, sid), sid, candidates, labels[sid],
                                config.metadata_dim, config.projection) for sid in scan_ids]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ensemble = nnet.kfold_train(config, examples, k=args.folds)
+    ensemble = nnet.kfold_train(config, examples, k=args.folds)     # a rejection leaves no --out
     nnet.save_ensemble(ensemble, out)
     with open(out / "training_loss.csv", "w", newline="") as fh:
         fh.write("fold,epoch,loss\n")
@@ -166,12 +165,11 @@ def cmd_score(args) -> int:
     """Score each listed scan (default: every labelled scan) with the
     ensemble's mean risk and write the scores CSV.
 
-    Examples are built one scan at a time, on this thread, as
-    `nnet.ensemble_predict` pulls them, and scored in chunks of a few scans
-    by a pool of one thread per usable CPU while the next chunk is built.
-    The loaded members are inference-only, so a forward keeps no graph.
-    The written bytes depend neither on the chunking nor on the thread
-    count.
+    `nnet.ensemble_predict` folds each member into an inference plan, then
+    pulls the examples, which are built one scan at a time on this thread,
+    and scores them in chunks of a few scans by a pool of one thread per
+    usable CPU while the next chunk is built. The written bytes depend
+    neither on the chunking nor on the thread count.
     """
     model_dir = Path(args.model)
     data_dir = Path(args.data)

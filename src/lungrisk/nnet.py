@@ -1,8 +1,9 @@
 """The deep-and-wide multi-instance risk network: build, train, persist, run.
 
 One shared convolutional/dense stack scores each of a scan's (at most ten)
-nodule branches; the patient risk is the max over its branch scores. Branch
-layout:
+nodule branches; the patient risk is the max over its branch scores. Training
+runs the layers below through `tensor`'s autodiff ops; scoring runs each member
+folded into a plain-numpy `_InferencePlan` (see `_build_plan`). Branch layout:
 
     input (3,28,28)
       -> conv+BN+relu  x3        (main path, 8 channels each)
@@ -32,6 +33,7 @@ import threading
 import time
 import warnings
 import zlib
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -174,44 +176,39 @@ def init_params(config: NNetConfig, rng: np.random.Generator | None = None) -> N
 
 
 def _forward_patch_batch(params: NNetParams, planes: np.ndarray, metadata: np.ndarray,
-                         mode: str, rng: np.random.Generator | None = None) -> tz.Tensor:
-    """Branch scores for a channel-major (3,P,28,28) patch stack; returns a
-    (P,) tensor. Feature maps stay channel-major, (8,P,28,28), up to flatten."""
+                         rng: np.random.Generator | None = None) -> tz.Tensor:
+    """Training branch scores for a channel-major (3,P,28,28) patch stack; returns
+    a (P,) tensor. Feature maps stay channel-major, (8,P,28,28), up to flatten."""
     p = params.tensors
     bn = params.bn
     rate = params.dropout_rate
 
     x = tz.Tensor(planes, requires_grad=False)
     h = tz.relu(tz.batch_norm(tz.conv2d_same(x, p["conv1.kernels"], p["conv1.bias"]),
-                              bn["bn_conv1"], mode))
+                              bn["bn_conv1"]))
     h = tz.relu(tz.batch_norm(tz.conv2d_same(h, p["conv2.kernels"], p["conv2.bias"]),
-                              bn["bn_conv2"], mode))
+                              bn["bn_conv2"]))
     h = tz.relu(tz.batch_norm(tz.conv2d_same(h, p["conv3.kernels"], p["conv3.bias"]),
-                              bn["bn_conv3"], mode))
+                              bn["bn_conv3"]))
     skip = tz.batch_norm(tz.conv2d_same(x, p["conv_skip.kernels"], p["conv_skip.bias"]),
-                         bn["bn_skip"], mode)
-    h = tz.batch_norm(tz.residual_add(h, skip), bn["bn_merge"], mode)
-    h = tz.batch_norm(tz.dropout(h, rate, mode, rng), bn["bn_drop_map"], mode)
+                         bn["bn_skip"])
+    h = tz.batch_norm(tz.residual_add(h, skip), bn["bn_merge"])
+    h = tz.batch_norm(tz.dropout(h, rate, rng), bn["bn_drop_map"])
     h = tz.flatten(h)
-    h = tz.batch_norm(tz.dense(h, p["dense1.weights"], p["dense1.bias"]), bn["bn_fc1"], mode)
-    h = tz.batch_norm(tz.dropout(h, rate, mode, rng), bn["bn_drop_vec"], mode)
-    h = tz.batch_norm(tz.dense(h, p["dense2.weights"], p["dense2.bias"]), bn["bn_fc2"], mode)
+    h = tz.batch_norm(tz.dense(h, p["dense1.weights"], p["dense1.bias"]), bn["bn_fc1"])
+    h = tz.batch_norm(tz.dropout(h, rate, rng), bn["bn_drop_vec"])
+    h = tz.batch_norm(tz.dense(h, p["dense2.weights"], p["dense2.bias"]), bn["bn_fc2"])
     h = tz.concat(h, tz.Tensor(metadata, requires_grad=False))
     z = tz.dense(h, p["dense_out.weights"], p["dense_out.bias"])
     return tz.sigmoid(tz.reshape(z, (-1,)))
 
 
 def score_bags(params: NNetParams, planes: np.ndarray, metadata: np.ndarray,
-               segments: np.ndarray, n_bags: int, mode: str,
+               segments: np.ndarray, n_bags: int,
                rng: np.random.Generator | None = None) -> tz.Tensor:
-    """Risk of each bag: the max branch score over the patches of its segment.
-    `planes` is a channel-major (3,P,28,28) stack, as `_gather_batch` builds.
-
-    Train and inference share this path. In infer mode every layer scores a
-    patch independently of the rest of the batch, so a bag's risk is
-    exactly the max of its patches' one-at-a-time scores, in any order.
-    """
-    scores = _forward_patch_batch(params, planes, metadata, mode, rng)
+    """Training risk of each bag: the max branch score over the patches of its
+    segment. `planes` is a channel-major (3,P,28,28) stack, as `_gather_batch` builds."""
+    scores = _forward_patch_batch(params, planes, metadata, rng)
     return tz.segment_max(scores, segments, n_bags)
 
 
@@ -229,17 +226,17 @@ class FoldMember:
     loss_history: list[float] = field(default_factory=list)
 
 
-def _gather_batch(examples: list[ScanExample], mode: str, rng, projection: str):
+def _gather_batch(examples: list[ScanExample], rng, projection: str):
     """Stack the patches of a batch of scans; returns channel-major
     (3,P,28,28) planes, raw metadata, segment ids and labels, or None when
-    no scan has a patch. Scans without patches are left out. Train mode
-    re-crops from the stored cubes."""
+    no scan has a patch. Scans without patches are left out. A scan that keeps
+    its cubes (a training scan) is re-cropped from them at random."""
     planes, meta, segments, labels = [], [], [], []
     for ex in examples:
         if not ex.patches:
             continue
         for j, patch in enumerate(ex.patches):
-            if mode == "train" and ex.cubes is not None:
+            if ex.cubes is not None:
                 cube = crop28(ex.cubes[j], "train", rng)
                 planes.append(normalize_hu(triplanar(cube, projection)))
             else:
@@ -282,12 +279,11 @@ def train(config: NNetConfig, dataset: list[ScanExample]) -> FoldMember:
         n_scored = 0
         for start in range(0, n, config.batch_size):
             batch = _gather_batch([dataset[i] for i in order[start:start + config.batch_size]],
-                                  "train", rng, config.projection)
+                                  rng, config.projection)
             if batch is None:
                 continue
             planes, meta, segments, labels = batch
-            risks = score_bags(params, planes, stats.standardize(meta), segments, labels.size,
-                               "train", rng)
+            risks = score_bags(params, planes, stats.standardize(meta), segments, labels.size, rng)
             loss = tz.bce_loss(risks, labels)
             tz.backward(loss)
             tz.adam_step(learnable, adam)
@@ -500,36 +496,35 @@ def _serve_folds():
 
 
 # `ensemble_predict` scores whole scans in chunks of at least this many
-# patches. `lungrisk score` on the seed-11 `score` inputs (96 scans, 5
-# members, 2-core VM, two scoring threads, 10 alternating child processes
-# each, medians):
-#   chunk  8: 0.92 s, peak RSS 56.8 MB     chunk 24: 0.80 s, peak RSS 63.4 MB
-#   chunk 12: 0.84 s, peak RSS 58.6 MB     chunk 32: 0.80 s, peak RSS 66.9 MB
-#   chunk 16: 0.82 s, peak RSS 60.5 MB
-# against 0.96 s and 65.0 MB for 12-patch chunks unfolded by nine slice
-# assignments per map from float64 volumes. Each scoring thread holds its
-# own chunk's feature maps, so peak RSS grows with chunk size times thread
-# count; 24 is the fastest chunk whose peak stays below that 65.0 MB.
-SCORE_CHUNK_PATCHES = 24
+# patches. `lungrisk score` through the inference plans on the seed-11
+# `score` inputs (96 scans, 240 patches, 5 members, 2-core VM, two scoring
+# threads, 16 alternating child processes each, medians):
+#   chunk  8: 0.55 s, peak RSS 57.2 MB     chunk 20: 0.51 s, peak RSS 62.8 MB
+#   chunk 12: 0.57 s, peak RSS 59.3 MB     chunk 24: 0.53 s, peak RSS 64.0 MB
+#   chunk 16: 0.52 s, peak RSS 61.1 MB     chunk 32: 0.56 s, peak RSS 66.6 MB
+# From 16 up the times differ by less than their spread (16 read at or below
+# 24 in 3 of 3 batches); each scoring thread holds its chunk's maps.
+SCORE_CHUNK_PATCHES = 16
 
 
 def ensemble_predict(ensemble: FoldEnsemble, examples: Iterable[ScanExample]) -> list[float]:
-    """Risk of each example, in input order: the mean of the members'
-    infer-mode risks, each member standardizing the raw metadata with its
-    own statistics. An example without patches scores 0.0 and raises a
-    ZeroNoduleWarning; a risk that is not finite raises NumericError.
+    """Risk of each example, in input order: the mean of the members' risks,
+    each member standardizing the raw metadata with its own statistics. An
+    example without patches scores 0.0 and raises a ZeroNoduleWarning; a
+    risk that is not finite raises NumericError.
 
-    Examples are pulled from the iterable on the calling thread until they
-    hold at least SCORE_CHUNK_PATCHES patches. Each chunk is scored by
-    `_predict_chunk` on a thread of `host.ordered_map` while the next one
-    is pulled, so a generator that builds examples on demand keeps at most
-    one chunk per usable CPU, plus the one being pulled, alive. Warnings and
-    errors are raised here, in scan order; an error cancels the chunks not
-    yet started. Every infer layer scores a patch independently of its
-    batch, so the risks do not depend on how the examples fall into chunks.
+    Each member is folded into an `_InferencePlan` once. Chunks of examples
+    holding at least SCORE_CHUNK_PATCHES patches are pulled on the calling
+    thread and scored by `_predict_chunk` on a thread of `host.ordered_map`
+    while the next is pulled, so a generator that builds examples on demand
+    keeps at most one chunk per usable CPU, plus the one being pulled,
+    alive. Warnings and errors are raised here, in scan order; an error
+    cancels the chunks not yet started. A plan scores each patch on its
+    own, so the risks do not depend on how the examples fall into chunks.
     """
+    plans = [_build_plan(m) for m in ensemble.members]
     risks: list[float] = []
-    scored = host.ordered_map(functools.partial(_predict_chunk, ensemble), _chunks(examples))
+    scored = host.ordered_map(functools.partial(_predict_chunk, plans), _chunks(examples))
     with contextlib.closing(scored):
         for scan_id, risk in itertools.chain.from_iterable(scored):
             if risk is None:
@@ -549,7 +544,7 @@ def _chunks(examples: Iterable[ScanExample]) -> Iterator[list[ScanExample]]:
     chunk: list[ScanExample] = []
     n_patches = 0
     for example in examples:
-        chunk.append(replace(example, cubes=None))      # infer never reads the cubes
+        chunk.append(replace(example, cubes=None))      # scoring never reads the cubes
         n_patches += len(example.patches)
         del example         # frees the cubes before the next example is built
         if n_patches >= SCORE_CHUNK_PATCHES:
@@ -559,23 +554,84 @@ def _chunks(examples: Iterable[ScanExample]) -> Iterator[list[ScanExample]]:
         yield chunk
 
 
-def _predict_chunk(ensemble: FoldEnsemble,
+def _predict_chunk(plans: list[_InferencePlan],
                    chunk: list[ScanExample]) -> list[tuple[str, float | None]]:
     """(scan id, mean member risk) of each example of one chunk, from one
-    `score_bags` call per member; None for an example without patches."""
-    batch = _gather_batch(chunk, "infer", None, ensemble.projection)
+    `_plan_scores` call per member; None for an example without patches."""
+    batch = _gather_batch(chunk, rng=None, projection=None)     # `_chunks` dropped the cubes
     bag_risks = iter(())
     if batch is not None:
-        planes, raw_meta, segments, labels = batch
+        planes, raw_meta, segments, _ = batch
+        starts = np.flatnonzero(np.diff(segments, prepend=-1))
         with np.errstate(all="ignore"):     # `ensemble_predict` reports a non-finite risk
-            by_member = np.stack([score_bags(m.params, planes,
-                                             m.metadata_stats.standardize(raw_meta),
-                                             segments, labels.size, "infer").data
-                                  for m in ensemble.members], axis=1)
+            by_member = np.stack([np.maximum.reduceat(_plan_scores(plan, planes, raw_meta), starts)
+                                  for plan in plans], axis=1)
         # one contiguous row of member risks per scan: the same mean, summed
         # in the same order, as for a scan scored on its own
         bag_risks = iter(float(np.mean(row)) for row in by_member)
     return [(ex.scan_id, next(bag_risks) if ex.patches else None) for ex in chunk]
+
+
+# ---------------------------------------------------------------------------
+# inference plan
+
+_InferencePlan = namedtuple("_InferencePlan", "convs tail meta_weights constant metadata_stats")
+
+
+def _build_plan(member: FoldMember) -> _InferencePlan:
+    """Fold a member into a plain-numpy inference plan. When a member scores,
+    each batch-norm is a fixed per-channel affine map and dropout is the
+    identity, so a conv's batch-norm folds into its kernels and bias (Jacob
+    et al. 2018, CVPR, section 3.2): s = gamma/sqrt(running_var+eps) and
+    b' = (b-running_mean)*s + beta. conv1 and conv_skip read the same input
+    and stack into one 16-row kernel. No relu follows the residual add, so
+    bn_merge to dense_out's image half collapse, right to left by mat-vec
+    products, into a 6272-vector `tail` and a constant (NaN if they overflow)."""
+    params, p = member.params, member.params.tensors
+    with np.errstate(all="ignore"):
+        scale = {name: state.gamma.data / np.sqrt(state.running_var + tz.BN_EPSILON)
+                 for name, state in params.bn.items()}
+        convs = []      # (O, C*9) kernel matrix and (O, 1) bias of each folded conv
+        for conv, bn_name in (("conv1", "bn_conv1"), ("conv_skip", "bn_skip"),
+                              ("conv2", "bn_conv2"), ("conv3", "bn_conv3")):
+            s, state = scale[bn_name], params.bn[bn_name]
+            bias = (p[f"{conv}.bias"].data - state.running_mean) * s + state.beta.data
+            kernels = p[f"{conv}.kernels"].data.reshape(len(s), -1) * s[:, None]
+            convs.append((kernels, bias[:, None]))
+        convs[:2] = [tuple(np.concatenate(pair) for pair in zip(*convs[:2]))]
+        w_out = p["dense_out.weights"].data[:, 0]
+        tail, constant = w_out[:FC_UNITS], float(p["dense_out.bias"].data[0])
+        for layer in ("bn_fc2", "dense2", "bn_drop_vec", "bn_fc1", "dense1", "bn_drop_map",
+                      "bn_merge"):
+            if layer.startswith("dense"):
+                constant += float(tail @ p[f"{layer}.bias"].data)
+                tail = p[f"{layer}.weights"].data @ tail
+            else:       # tail . ((x - running_mean) * s + beta), one channel per row
+                s, state = scale[layer], params.bn[layer]
+                rows = tail.reshape(len(s), -1)
+                constant += float((state.beta.data - state.running_mean * s) @ rows.sum(axis=1))
+                tail = (rows * s[:, None]).reshape(-1)
+    return _InferencePlan(convs, tail, w_out[FC_UNITS:], constant, member.metadata_stats)
+
+
+def _plan_scores(plan: _InferencePlan, planes: np.ndarray, raw_meta: np.ndarray) -> np.ndarray:
+    """Branch scores of a channel-major (3,P,28,28) patch stack and its raw metadata. Every
+    GEMM and dot works on one patch, so a score does not depend on the rest of the stack."""
+    n, maps = planes.shape[1], planes
+    for i, (kernels, bias) in enumerate(plan.convs):
+        h = np.empty((n, len(kernels), CROP_SIDE * CROP_SIDE))     # patch-major
+        for j, cols in enumerate(tz._columns(maps)):
+            np.matmul(kernels, cols, out=h[j])
+        h += bias
+        if i == 0:
+            h, skip = h[:, :N_CHANNELS], h[:, N_CHANNELS:]
+        np.maximum(h, 0.0, out=h)
+        maps = h.reshape(n, N_CHANNELS, CROP_SIDE, CROP_SIDE).transpose(1, 0, 2, 3)
+    h += skip
+    meta = plan.metadata_stats.standardize(raw_meta)
+    z = np.array([np.dot(row, plan.tail) + np.dot(m, plan.meta_weights)
+                  for row, m in zip(h.reshape(n, FLAT_DIM), meta)])
+    return np.clip(tz._sigmoid_raw(z + plan.constant), tz._SIG_LO, tz._SIG_HI)
 
 
 # ---------------------------------------------------------------------------
@@ -680,14 +736,9 @@ def load_member(path) -> FoldMember:
 def _config_entry(arrays: dict[str, np.ndarray], name: str, path,
                   default: float | None = None) -> float:
     """The one number a `config.*` entry holds; `default` if it is absent."""
-    if name not in arrays:
-        if default is None:
-            raise VersionError(f"{path}: weight file lacks entry {name!r}")
+    if name not in arrays and default is not None:
         return default
-    value = arrays[name]
-    if value.size != 1:
-        raise VersionError(f"{path}: entry {name!r} is not one number")
-    return float(value.reshape(()))
+    return float(_entry(arrays, name, (1,), path)[0])
 
 
 def _params_from_arrays(arrays: dict[str, np.ndarray], path) -> NNetParams:
@@ -701,15 +752,7 @@ def _params_from_arrays(arrays: dict[str, np.ndarray], path) -> NNetParams:
         raise VersionError(f"{path}: unknown projection code {code!r}")
     params = NNetParams(metadata_dim, dropout_rate)
     params.projection = projection
-
-    def entry(name, shape):
-        if name not in arrays:
-            raise VersionError(f"{path}: weight file lacks entry {name!r}")
-        if arrays[name].shape != shape:
-            raise VersionError(f"{path}: entry {name!r} has shape {arrays[name].shape}, "
-                               f"expected {shape}")
-        return arrays[name]
-
+    entry = functools.partial(_entry, arrays, path=path)
     for name, shape in _param_shapes(metadata_dim).items():
         params.tensors[name] = tz.Tensor(entry(name, shape), name=name)
     for bn_name in _BN_MAP_NAMES + _BN_VEC_NAMES:
@@ -729,13 +772,17 @@ def _metadata_stats_from_arrays(arrays: dict[str, np.ndarray], path) -> Metadata
     if "meta_stats.mean" not in arrays:
         raise VersionError(f"{path} lacks the metadata statistics of its training fold")
     width = (int(_config_entry(arrays, "config.metadata_dim", path)),)
-    for name in ("meta_stats.mean", "meta_stats.std"):
-        if name not in arrays:
-            raise VersionError(f"{path}: weight file lacks entry {name!r}")
-        if arrays[name].shape != width:
-            raise VersionError(f"{path}: entry {name!r} has shape {arrays[name].shape}, "
-                               f"expected {width}")
-    return MetadataStats(mean=arrays["meta_stats.mean"], std=arrays["meta_stats.std"])
+    return MetadataStats(mean=_entry(arrays, "meta_stats.mean", width, path),
+                         std=_entry(arrays, "meta_stats.std", width, path))
+
+
+def _entry(arrays: dict[str, np.ndarray], name: str, shape: tuple, path) -> np.ndarray:
+    if name not in arrays:
+        raise VersionError(f"{path}: weight file lacks entry {name!r}")
+    if arrays[name].shape != shape:
+        raise VersionError(f"{path}: entry {name!r} has shape {arrays[name].shape}, "
+                           f"expected {shape}")
+    return arrays[name]
 
 
 def save_ensemble(ensemble: FoldEnsemble, directory):

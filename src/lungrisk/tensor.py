@@ -6,6 +6,7 @@ dropout, residual addition, flatten/concat, a per-segment max used for the
 multi-instance pooling, and binary cross-entropy. Everything runs in 64-bit
 floats on numpy arrays. Feature maps are channel-major: one map is (C,H,W)
 and a batch of N maps is (C,N,H,W), so each channel is one contiguous block.
+The ops serve training; scoring runs `nnet`'s folded inference plans instead.
 """
 
 from __future__ import annotations
@@ -225,35 +226,14 @@ def _bn_axes(shape, channels):
     raise DimensionError(f"cannot batch-normalize shape {shape} with {channels} channels")
 
 
-def _infer_mode_backward(g):
-    # The closure of an infer-mode batch-norm result: no caller differentiates
-    # through the running statistics.
-    raise MissingGradientError("batch-norm records no backward in infer mode: "
-                               "differentiate in train mode")
-
-
-def batch_norm(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
-    """Normalize per channel. Train mode uses the batch statistics and
-    updates the running averages; infer mode uses the running statistics and
-    records no backward: a backward through its result raises
-    MissingGradientError."""
-    _check_mode(mode)
+def batch_norm(x: Tensor, state: BatchNormState) -> Tensor:
+    """Normalize per channel with the batch statistics, and update the
+    running averages that a trained member's inference plan folds in."""
     channels = state.gamma.size
     view, bshape, layout = _bn_axes(x.data.shape, channels)
     shape = x.data.shape
     xd = x.data.reshape(view)
     gamma, beta = state.gamma, state.beta
-
-    if mode == "infer":
-        # (x - mean) * inv, then * gamma + beta, in one array: the operations
-        # and order of gamma*xhat + beta, so the same bits
-        inv = 1.0 / np.sqrt(state.running_var + BN_EPSILON)
-        out = xd - state.running_mean.reshape(bshape)
-        out *= inv.reshape(bshape)
-        out *= gamma.data.reshape(bshape)
-        out += beta.data.reshape(bshape)
-        return Tensor(out.reshape(shape), parents=(x, gamma, beta),
-                      backward=_infer_mode_backward)
 
     dot = f"{layout},{layout}->c"   # fused per-channel reductions
     red = f"{layout}->c"
@@ -348,19 +328,19 @@ def _sigmoid_raw(z):
     return out
 
 
-def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: train-time zeroing with 1/(1-rate) rescale, identity at inference.
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: zero each value with probability `rate` and scale
+    the kept ones by 1/(1-rate); the identity at rate 0.
 
     The mask of a channel-major (C,N,H,W) batch is drawn in patch-major
     (N,C,H,W) order, so each patch's draws follow one another.
     """
-    _check_mode(mode)
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must lie in [0,1), got {rate}")
-    if mode == "infer" or rate == 0.0:
+    if rate == 0.0:
         return x
     if rng is None:
-        raise ConfigError("train-mode dropout needs an rng")
+        raise ConfigError("dropout needs an rng")
     if x.data.ndim == 4:
         c, n, h, w = x.data.shape
         keep = np.ascontiguousarray((rng.random((n, c, h, w)) >= rate).transpose(1, 0, 2, 3))
@@ -473,11 +453,6 @@ def bce_loss(prediction: Tensor, label) -> Tensor:
         prediction.accumulate(g * dp)
 
     return Tensor(out, parents=(prediction,), backward=backward)
-
-
-def _check_mode(mode: str):
-    if mode not in ("train", "infer"):
-        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
 
 from lungrisk import nnet
@@ -24,9 +25,9 @@ def _patch_shape(t):
 
 @pytest.fixture
 def layer_shapes(monkeypatch):
-    """A function that runs one infer-mode network forward and returns its
-    (layer, one patch's shape) list in call order, input first. It records
-    by wrapping the `lungrisk.tensor` ops the network calls."""
+    """A function that runs one training-mode network forward and returns
+    its (layer, one patch's shape) list in call order, input first. It
+    records by wrapping the `lungrisk.tensor` ops the network calls."""
 
     def forward(params, planes, metadata):
         shapes = []
@@ -45,7 +46,7 @@ def layer_shapes(monkeypatch):
         with monkeypatch.context() as m:
             for op_name in _LAYERS_OF_OP:
                 m.setattr(tz, op_name, wrap(op_name, getattr(tz, op_name)))
-            nnet._forward_patch_batch(params, planes, metadata, "infer")
+            nnet._forward_patch_batch(params, planes, metadata, np.random.default_rng(0))
         return shapes
 
     return forward

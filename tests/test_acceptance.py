@@ -59,7 +59,7 @@ def test_c1_gradient_correctness():
         bn = tz.BatchNormState.create(4)
         bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=4)
         y = rng.integers(0, 2, size=(5, 4)).astype(float)
-        check(lambda: head(tz.batch_norm(x, bn, "train"), y),
+        check(lambda: head(tz.batch_norm(x, bn), y),
               {"x": x, "gamma": bn.gamma, "beta": bn.beta})
 
     for i in range(2):
@@ -95,7 +95,7 @@ def test_c1_gradient_correctness():
         tensors = params.learnable()
 
         def loss():
-            scores = nnet._forward_patch_batch(params, planes, meta, "train")
+            scores = nnet._forward_patch_batch(params, planes, meta)
             return tz.bce_loss(tz.segment_max(scores, segments, 2), labels)
 
         errs = tz.finite_difference_check(loss, tensors, h=h, samples_per_tensor=2,
@@ -112,9 +112,11 @@ def test_c1_gradient_correctness():
 
 
 def _branch_score(params, patch):
-    segments = np.zeros(1, dtype=np.int64)
-    return float(nnet.score_bags(params, patch.planes[:, None], patch.metadata[None],
-                                 segments, 1, "infer").data[0])
+    # a one-patch scan through a one-member ensemble whose metadata
+    # statistics leave the metadata as it is
+    identity = MetadataStats(mean=np.zeros(5), std=np.ones(5))
+    ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, identity)])
+    return nnet.ensemble_predict(ensemble, [ScanExample(scan_id="b", patches=[patch], label=1)])[0]
 
 
 def _layer_table(metadata_dim):

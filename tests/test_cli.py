@@ -173,7 +173,9 @@ def openblas_core() -> str | None:
 # --dims 64`, `train --folds 3 --epochs 3 --batch-size 8 --seed 4`, `score`
 # (numpy 2.4.6, x86-64), keyed by the OpenBLAS core: GEMM bits differ between
 # cores. SkylakeX ran natively; the other cores were forced on the same
-# machine with OPENBLAS_CORETYPE.
+# machine with OPENBLAS_CORETYPE. The score CSVs are those of the folded
+# inference plan, whose risks differ from the unfolded forward's by at most
+# 3.3e-16 on these four cores.
 TRAIN_SCORE_GOLDEN = {
     "SkylakeX": {
         "fold0.lrnn": "dab16b7bd9863b90f10b208b81bb0569e14db0e23a2daf0e3c084b40a0102f96",
@@ -181,7 +183,7 @@ TRAIN_SCORE_GOLDEN = {
         "fold2.lrnn": "d0b00271efbcef152ca8a637c0f933e01dc923b9c8d97cf1d2efedcaaa500a9b",
         "resolved_config.txt": "4cc02e0128af344b08e9db9134d8187a70ab08f376f524b67a5cbb4d8c2e7b25",
         "training_loss.csv": "cafd7e09433a63526427339f765b479690e29f1bebfa2aa2073b7e476127b8d5",
-        "scores.csv": "1c324bf46fc881d5ea365037466830c7c08ddcddeb0cf84264b17f4bb1e43d8c",
+        "scores.csv": "27afade31d1191934a63fe570f8d0546e7545bf46bb3fcb1516555c913f11dc9",
     },
     "Haswell": {
         "fold0.lrnn": "98162a996564e0cab0d4ab67b05e782b07f007ac0639c969a04956609151a632",
@@ -189,7 +191,7 @@ TRAIN_SCORE_GOLDEN = {
         "fold2.lrnn": "7f64dd0f4646b1c0b4b2d30fa4d25e4a4de9bc7b5f714c08eb76a6fbebe318a2",
         "resolved_config.txt": "4cc02e0128af344b08e9db9134d8187a70ab08f376f524b67a5cbb4d8c2e7b25",
         "training_loss.csv": "17f0c835294f90ac0432bb66fd41cbe25f2480e4613393b2eea5057795cb1876",
-        "scores.csv": "a9521348825393e157d0c76cd5a163b9111d87e12025cc4ad3169271caec5adc",
+        "scores.csv": "27fe01f09cd8f156937aeb2e25747f8e484f4ce125fbe714bf88425510b80473",
     },
     "Sandybridge": {
         "fold0.lrnn": "ee3eb6cc6328a94b8e70bf6fbb49a38f76a3ce664a1a4b9444163adcc6aab511",
@@ -197,7 +199,7 @@ TRAIN_SCORE_GOLDEN = {
         "fold2.lrnn": "7533c2fb672760a3ecd83d1c1f7aa5d4880b81541df604f19ed3d33a2bc774d3",
         "resolved_config.txt": "4cc02e0128af344b08e9db9134d8187a70ab08f376f524b67a5cbb4d8c2e7b25",
         "training_loss.csv": "da68aae5af40245b932f4a8b3e68f40c7e44587b89707ff72ff32ff644f0d2a5",
-        "scores.csv": "cfc13788a4ea96dfa9fd7fb550396ac3f80aff6b3d375b9699954e93de4b437f",
+        "scores.csv": "1aa81908deff3b8d5b8dbb469e189a3dbd262d5f9ece9a47c0a23fa1a147b7c0",
     },
     "Nehalem": {
         "fold0.lrnn": "36cdeecb92acd51c05b4b973eef101bd561474232af1919698fbb801f3ea685a",
@@ -205,7 +207,7 @@ TRAIN_SCORE_GOLDEN = {
         "fold2.lrnn": "a2c2f0d1965b46fb66afc34388ee223448882ac1e6ccb39c80f5d83adf55f024",
         "resolved_config.txt": "4cc02e0128af344b08e9db9134d8187a70ab08f376f524b67a5cbb4d8c2e7b25",
         "training_loss.csv": "68450046278114ce093361a3d0c879fda711be8397a3bc819502ffd83d65f97c",
-        "scores.csv": "be8c067e0ecabedc66df9a75a24e11dc3c31f0a5c47b8a8bd5575a945f4b4189",
+        "scores.csv": "4adc3ec9536336b149ab3333aad2662d0337207edb7b106bd64b66e4fae7ce9f",
     },
 }
 # The SkylakeX risks of that chain. On any core they must hold within
@@ -329,6 +331,22 @@ def test_train_fold_lacking_a_class_is_usage_error(small_data, tmp_path, capsys)
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "both classes" in err and err.count("\n") == 1, err
+
+
+def test_rejected_train_leaves_no_out_directory(small_data, tmp_path, capsys):
+    # no scan has a nodule, so training cannot standardize the metadata
+    data = tmp_path / "no_nodules"
+    data.mkdir()
+    (data / "volumes").symlink_to(small_data / "volumes")
+    (data / "labels.csv").write_text((small_data / "labels.csv").read_text())
+    header = (small_data / "candidates.csv").read_text().splitlines()[0]
+    (data / "candidates.csv").write_text(header + "\n")
+    out = tmp_path / "m"
+    code = run(["train", "--data", data, "--folds", 1, "--epochs", 1, "--seed", 1, "--out", out])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "without nodules" in err and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_train_worker_death_is_one_line_io_error(small_data, tmp_path, capsys, monkeypatch):

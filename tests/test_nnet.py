@@ -14,7 +14,6 @@ from lungrisk.errors import (
     ChecksumError,
     ConfigError,
     FoldWorkerError,
-    MissingGradientError,
     TruncatedFileError,
     VersionError,
     ZeroNoduleWarning,
@@ -84,23 +83,20 @@ def test_init_bn_identity():
 IDENTITY_STATS = MetadataStats(mean=np.zeros(5), std=np.ones(5))
 
 
-def bag_risk(p, patches):
-    """Infer-mode risk of one bag, all patches scored in one call."""
-    planes = np.stack([patch.planes for patch in patches], axis=1)
-    meta = np.stack([patch.metadata for patch in patches])
-    segments = np.zeros(len(patches), dtype=np.int64)
-    return float(nnet.score_bags(p, planes, meta, segments, 1, "infer").data[0])
-
-
-def branch_score(p, patch):
-    return bag_risk(p, [patch])
-
-
 def scan_risk(p, ex):
     """Risk through the `lungrisk score` path: a one-member ensemble whose
     metadata statistics leave the metadata as it is."""
     ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(p, IDENTITY_STATS)])
     return nnet.ensemble_predict(ensemble, [ex])[0]
+
+
+def bag_risk(p, patches):
+    """Risk of one bag, all its patches scored in one chunk."""
+    return scan_risk(p, ScanExample(scan_id="bag", patches=list(patches), label=1))
+
+
+def branch_score(p, patch):
+    return bag_risk(p, [patch])
 
 
 def test_zero_head_scores_half():
@@ -135,6 +131,7 @@ def test_scan_risk_is_max_of_branches():
 
 
 def test_score_bags_scores_each_bag_independently():
+    # training pools each bag over its own segment of the batch's branch scores
     rng = np.random.default_rng(9)
     p = small_params(10)
     bags = [[random_patch(rng) for _ in range(n)] for n in (3, 1, 5)]
@@ -142,8 +139,9 @@ def test_score_bags_scores_each_bag_independently():
     planes = np.stack([patch.planes for patch in flat], axis=1)
     meta = np.stack([patch.metadata for patch in flat])
     segments = np.repeat(np.arange(3), [3, 1, 5])
-    risks = nnet.score_bags(p, planes, meta, segments, 3, "infer").data
-    assert risks.tolist() == [max(branch_score(p, patch) for patch in bag) for bag in bags]
+    risks = nnet.score_bags(p, planes, meta, segments, 3).data
+    scores = nnet._forward_patch_batch(p, planes, meta).data
+    assert risks.tolist() == [scores[segments == b].max() for b in range(3)]
 
 
 def test_scan_permutation_invariant():
@@ -219,7 +217,7 @@ def test_full_network_gradient_check():
                   "bn_merge.gamma", "bn_fc1.beta", "bn_drop_map.gamma"]}
 
     def loss():
-        scores = nnet._forward_patch_batch(p, planes, meta, "train")
+        scores = nnet._forward_patch_batch(p, planes, meta)
         return tz.bce_loss(tz.segment_max(scores, segments, 2), labels)
 
     errs = tz.finite_difference_check(loss, check_set, h=1e-5, samples_per_tensor=4,
@@ -240,7 +238,7 @@ def test_gradient_check_keeps_curved_batch_norm_shifts_a_two_step_gap_test_took_
     labels = np.array([1.0, 0.0])
 
     def loss():
-        scores = nnet._forward_patch_batch(params, planes, meta, "train")
+        scores = nnet._forward_patch_batch(params, planes, meta)
         return tz.bce_loss(tz.segment_max(scores, segments, 2), labels)
 
     errs = tz.finite_difference_check(loss, {"beta": params.learnable()["bn_conv1.beta"]},
@@ -444,6 +442,86 @@ def test_kfold_too_few_examples():
         nnet.kfold_train(nnet.NNetConfig(epochs=1), tiny_dataset(rng, n=4), k=5)
 
 
+def varied_member(rng, seed, metadata_dim):
+    """A member whose batch-norms are far from the identity."""
+    params = small_params(seed, metadata_dim=metadata_dim)
+    for state in params.bn.values():
+        state.running_mean[:] = rng.normal(0, 0.5, state.running_mean.size)
+        state.running_var[:] = rng.uniform(0.5, 2.0, state.running_var.size)
+        state.gamma.data[:] = rng.uniform(0.5, 1.5, state.gamma.size)
+        state.beta.data[:] = rng.normal(0, 0.2, state.beta.size)
+    stats = MetadataStats(mean=rng.normal(size=metadata_dim),
+                          std=rng.uniform(0.5, 2.0, metadata_dim))
+    return nnet.FoldMember(params, stats)
+
+
+def _reference_conv(x, kernels, bias):
+    """3x3 zero-padded convolution of (N,C,H,W) maps as nine shifted sums."""
+    n, c, h, w = x.shape
+    padded = np.zeros((n, c, h + 2, w + 2))
+    padded[:, :, 1:-1, 1:-1] = x
+    out = np.zeros((n, len(kernels), h, w))
+    for di in range(3):
+        for dj in range(3):
+            out += np.einsum("oc,nchw->nohw", kernels[:, :, di, dj],
+                             padded[:, :, di:di + h, dj:dj + w])
+    return out + bias[None, :, None, None]
+
+
+def _reference_bn(x, state):
+    """Batch-norm with the running statistics, channels on axis 1."""
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    inv = 1.0 / np.sqrt(state.running_var + tz.BN_EPSILON)
+    return ((x - state.running_mean.reshape(shape)) * inv.reshape(shape)
+            * state.gamma.data.reshape(shape) + state.beta.data.reshape(shape))
+
+
+def reference_risks(member, examples):
+    """Each example's risk from the layer list of `nnet`'s docstring, layer
+    by layer with running statistics and nothing folded; dropout is the
+    identity when scoring."""
+    p, bn = member.params.tensors, member.params.bn
+
+    def conv(x, name):
+        return _reference_conv(x, p[f"{name}.kernels"].data, p[f"{name}.bias"].data)
+
+    risks = []
+    for ex in examples:
+        x = np.stack([patch.planes for patch in ex.patches])
+        h = x
+        for name in ("conv1", "conv2", "conv3"):
+            h = np.maximum(_reference_bn(conv(h, name), bn[f"bn_{name}"]), 0.0)
+        h = _reference_bn(h + _reference_bn(conv(x, "conv_skip"), bn["bn_skip"]), bn["bn_merge"])
+        h = _reference_bn(h, bn["bn_drop_map"]).reshape(len(x), -1)
+        h = _reference_bn(h @ p["dense1.weights"].data + p["dense1.bias"].data, bn["bn_fc1"])
+        h = _reference_bn(h, bn["bn_drop_vec"])
+        h = _reference_bn(h @ p["dense2.weights"].data + p["dense2.bias"].data, bn["bn_fc2"])
+        meta = member.metadata_stats.standardize(np.stack([patch.metadata for patch in ex.patches]))
+        z = np.concatenate([h, meta], axis=1) @ p["dense_out.weights"].data + p["dense_out.bias"].data
+        risks.append(np.max(1.0 / (1.0 + np.exp(-z[:, 0]))))
+    return np.array(risks)
+
+
+@pytest.mark.parametrize("metadata_dim", [5, 6])
+def test_inference_plan_matches_an_unfolded_reference_forward(metadata_dim):
+    rng = np.random.default_rng(40 + metadata_dim)
+    ensemble = nnet.FoldEnsemble(members=[varied_member(rng, seed, metadata_dim)
+                                          for seed in (41, 42)])
+    examples = [random_example(rng, n, metadata_dim=metadata_dim, scan_id=f"s{i}")
+                for i, n in enumerate((1, 3, 10, 2, 5))]
+    expected = np.mean([reference_risks(m, examples) for m in ensemble.members], axis=0)
+
+    def check():
+        np.testing.assert_allclose(nnet.ensemble_predict(ensemble, examples), expected,
+                                   rtol=1e-12, atol=0)
+
+    check()
+    # one dense1 weight, of the centre pixel of channel 0, moved by 1e-6
+    ensemble.members[0].params.tensors["dense1.weights"].data[14 * 28 + 14, 0] += 1e-6
+    with pytest.raises(AssertionError):
+        check()
+
+
 def test_ensemble_mean_and_identical_members():
     rng = np.random.default_rng(6)
     stats = MetadataStats(mean=np.zeros(5), std=np.ones(5))
@@ -458,11 +536,7 @@ def member_mean_of_one_scan(ensemble, ex):
     member risks are averaged."""
     if not ex.patches:
         return 0.0
-    planes = np.stack([patch.planes for patch in ex.patches], axis=1)
-    meta = np.stack([patch.metadata for patch in ex.patches])
-    segments = np.zeros(len(ex.patches), dtype=np.int64)
-    return float(np.mean([float(nnet.score_bags(m.params, planes, m.metadata_stats.standardize(meta),
-                                                segments, 1, "infer").data[0])
+    return float(np.mean([nnet.ensemble_predict(nnet.FoldEnsemble(members=[m]), [ex])[0]
                           for m in ensemble.members]))
 
 
@@ -484,13 +558,14 @@ def chunked_cohort(rng):
     return nnet.FoldEnsemble(members=members), examples
 
 
-@pytest.mark.parametrize("budget", sorted({1, 5, 8, 12, 1000, nnet.SCORE_CHUNK_PATCHES}))
+@pytest.mark.parametrize("budget", sorted({1, 5, 8, 12, 24, 1000, nnet.SCORE_CHUNK_PATCHES}))
 def test_chunked_scorer_equals_one_scan_at_a_time_bit_for_bit(budget, monkeypatch):
     ensemble, examples = chunked_cohort(np.random.default_rng(30))
-    calls = []          # patches of each forward, in the order the threads made them
-    score = nnet.score_bags
-    monkeypatch.setattr(nnet, "score_bags",
-                        lambda p, planes, *args: calls.append(planes.shape[1]) or score(p, planes, *args))
+    calls = []          # patches of each plan call, in the order the threads made them
+    score = nnet._plan_scores
+    monkeypatch.setattr(nnet, "_plan_scores",
+                        lambda plan, planes, *args: calls.append(planes.shape[1])
+                        or score(plan, planes, *args))
     monkeypatch.setattr(nnet, "SCORE_CHUNK_PATCHES", budget)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -502,7 +577,7 @@ def test_chunked_scorer_equals_one_scan_at_a_time_bit_for_bit(budget, monkeypatc
     assert all(sid in str(w.message) for sid, w in zip(zero_ids, caught))
     assert risks == [member_mean_of_one_scan(ensemble, ex) for ex in examples]
     assert risks[1] == 0.0 and risks[6] == 0.0 and risks[11] == 0.0
-    # one forward per member per chunk with a patch, whatever thread made it
+    # one plan call per member per chunk with a patch, whatever thread made it
     assert sorted(calls) == sorted(n for n in chunks if n for _ in ensemble.members)
     if budget == 8:
         assert chunks == [12, 8, 8, 8, 8, 3]
@@ -562,27 +637,6 @@ def test_zero_nodule_warnings_come_once_per_scan_on_the_calling_thread(monkeypat
     assert [category for _, category, _ in warned] == [ZeroNoduleWarning] * len(zero_ids)
     assert all(sid in message for sid, (message, _, _) in zip(zero_ids, warned))
     assert all(thread is threading.current_thread() for _, _, thread in warned)
-
-
-def test_loaded_members_score_without_a_graph(tmp_path):
-    rng = np.random.default_rng(37)
-    params = small_params(38)
-    nnet.save_ensemble(nnet.FoldEnsemble(members=[nnet.FoldMember(params, IDENTITY_STATS)]),
-                       tmp_path)
-    loaded = nnet.load_ensemble(tmp_path).members[0].params
-    assert not any(t.requires_grad for t in loaded.learnable().values())
-    ex = random_example(rng, 4)
-    planes = np.stack([patch.planes for patch in ex.patches], axis=1)
-    meta = np.stack([patch.metadata for patch in ex.patches])
-    out = nnet._forward_patch_batch(loaded, planes, meta, "infer")
-    assert out._parents == () and out._backward is None and not out.requires_grad
-    with_graph = nnet._forward_patch_batch(params, planes, meta, "infer")
-    assert with_graph._parents != ()
-    assert out.data.tobytes() == with_graph.data.tobytes()
-    loss = tz.bce_loss(nnet.score_bags(loaded, planes, meta, np.zeros(4, dtype=np.int64), 1,
-                                       "infer"), np.array([1.0]))
-    with pytest.raises(MissingGradientError):
-        tz.backward(loss)
 
 
 # ---------------------------------------------------------------------------

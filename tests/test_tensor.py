@@ -101,7 +101,7 @@ def test_conv_batched_matches_per_instance():
         np.testing.assert_array_equal(batched[:, i], single)
 
 
-def test_conv_and_infer_bn_on_channel_major_batch_match_single_maps():
+def test_conv_and_bn_on_channel_major_batch_read_the_channel_axis():
     # N == C: the shape alone cannot tell the channel axis from the patch axis
     rng = np.random.default_rng(21)
     xb = rng.normal(size=(4, 4, 6, 5))          # (C, N, H, W)
@@ -110,13 +110,15 @@ def test_conv_and_infer_bn_on_channel_major_batch_match_single_maps():
     bn = T.BatchNormState.create(4)
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=4)
     bn.beta.data[:] = rng.normal(size=4)
-    bn.running_mean[:] = rng.normal(size=4)
-    bn.running_var[:] = rng.uniform(0.5, 2.0, size=4)
     conv = T.conv2d_same(t(xb), k, b).data
-    normed = T.batch_norm(t(xb), bn, "infer").data
     for i in range(4):
         np.testing.assert_array_equal(conv[:, i], T.conv2d_same(t(xb[:, i]), k, b).data)
-        np.testing.assert_array_equal(normed[:, i], T.batch_norm(t(xb[:, i]), bn, "infer").data)
+    normed = T.batch_norm(t(xb), bn).data
+    mu = xb.mean(axis=(1, 2, 3), keepdims=True)
+    var = xb.var(axis=(1, 2, 3), keepdims=True)
+    expected = (xb - mu) / np.sqrt(var + T.BN_EPSILON) * bn.gamma.data.reshape(4, 1, 1, 1) \
+        + bn.beta.data.reshape(4, 1, 1, 1)
+    np.testing.assert_allclose(normed, expected, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 19])
@@ -251,32 +253,16 @@ def make_bn(channels):
     return T.BatchNormState.create(channels)
 
 
-def test_bn_infer_near_identity():
-    bn = make_bn(3)
-    x = np.random.default_rng(0).normal(size=(4, 3))
-    out = T.batch_norm(t(x), bn, "infer")
-    np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + T.BN_EPSILON), rtol=1e-15)
-
-
-def test_bn_infer_zero_gamma_gives_beta():
-    bn = make_bn(2)
-    bn.gamma.data[:] = 0.0
-    bn.beta.data[:] = [5.0, -1.0]
-    x = np.random.default_rng(1).normal(size=(6, 2))
-    out = T.batch_norm(t(x), bn, "infer")
-    np.testing.assert_allclose(out.data, np.broadcast_to([5.0, -1.0], (6, 2)))
-
-
 def test_bn_train_hand_computed():
     # batch {2,4}: mean 3, biased var 1 -> outputs ~ {-1,+1}
     bn = make_bn(1)
-    out = T.batch_norm(t([[2.0], [4.0]]), bn, "train")
+    out = T.batch_norm(t([[2.0], [4.0]]), bn)
     np.testing.assert_allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-4)
 
 
 def test_bn_train_updates_running_stats():
     bn = make_bn(1)
-    T.batch_norm(t([[2.0], [4.0]]), bn, "train")
+    T.batch_norm(t([[2.0], [4.0]]), bn)
     np.testing.assert_allclose(bn.running_mean, [0.1 * 3.0])
     np.testing.assert_allclose(bn.running_var, [0.9 * 1.0 + 0.1 * 1.0])
 
@@ -284,13 +270,11 @@ def test_bn_train_updates_running_stats():
 def test_bn_empty_batch_raises():
     bn = make_bn(2)
     with pytest.raises(InvalidBatchError):
-        T.batch_norm(t(np.zeros((0, 2))), bn, "train")
+        T.batch_norm(t(np.zeros((0, 2))), bn)
 
 
-@pytest.mark.parametrize("mode", ["train", "infer"])
-def test_bn_single_map_matches_batch_of_one(mode):
-    # a channel-first (C,H,W) map normalizes as the (C,1,H,W) batch holding it;
-    # infer mode records no backward, so only its forward is compared
+def test_bn_single_map_matches_batch_of_one():
+    # a channel-first (C,H,W) map normalizes as the (C,1,H,W) batch holding it
     rng = np.random.default_rng(6)
     x = rng.normal(size=(4, 3, 5))
     labels = rng.integers(0, 2, size=x.shape).astype(float)
@@ -300,43 +284,12 @@ def test_bn_single_map_matches_batch_of_one(mode):
         bn.running_mean[:] = [0.1, -0.2, 0.3, 0.0]
         bn.running_var[:] = [1.0, 2.0, 0.5, 3.0]
         xt = t(data)
-        out = T.batch_norm(xt, bn, mode)
-        run = [out.data.reshape(x.shape), bn.running_mean, bn.running_var]
-        if mode == "train":
-            T.backward(_bce_head(out, labels.reshape(data.shape)))
-            run += [xt.grad.reshape(x.shape), bn.gamma.grad, bn.beta.grad]
-        runs.append(run)
+        out = T.batch_norm(xt, bn)
+        T.backward(_bce_head(out, labels.reshape(data.shape)))
+        runs.append([out.data.reshape(x.shape), bn.running_mean, bn.running_var,
+                     xt.grad.reshape(x.shape), bn.gamma.grad, bn.beta.grad])
     for single, batched in zip(*runs):
         np.testing.assert_array_equal(single, batched)
-
-
-def test_bn_infer_deterministic():
-    bn = make_bn(4)
-    bn.running_mean[:] = [0.1, -0.2, 0.3, 0.0]
-    bn.running_var[:] = [1.0, 2.0, 0.5, 3.0]
-    x = np.random.default_rng(5).normal(size=(4, 3, 2, 2))
-    a = T.batch_norm(t(x), bn, "infer").data
-    b = T.batch_norm(t(x), bn, "infer").data
-    assert np.array_equal(a, b)
-
-
-def test_bn_infer_with_and_without_a_graph_equals_the_textbook_expression():
-    rng = np.random.default_rng(7)
-    bn = make_bn(4)
-    bn.gamma.data[:] = rng.normal(size=4)
-    bn.beta.data[:] = rng.normal(size=4)
-    bn.running_mean[:] = rng.normal(size=4)
-    bn.running_var[:] = rng.uniform(0.1, 3.0, size=4)
-    x = rng.normal(size=(4, 3, 5, 5))
-    shape = (4, 1, 1, 1)
-    xhat = (x - bn.running_mean.reshape(shape)) * (1.0 / np.sqrt(bn.running_var + T.BN_EPSILON)).reshape(shape)
-    expected = bn.gamma.data.reshape(shape) * xhat + bn.beta.data.reshape(shape)
-    with_graph = T.batch_norm(t(x), bn, "infer")
-    for param in (bn.gamma, bn.beta):
-        param.requires_grad = False
-    without = T.batch_norm(T.Tensor(x, requires_grad=False), bn, "infer")
-    assert with_graph._backward is not None and without._backward is None
-    assert with_graph.data.tobytes() == without.data.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +352,15 @@ def test_sigmoid_strictly_inside_unit_interval():
 # dropout
 
 
-def test_dropout_infer_identity():
-    x = t(np.random.default_rng(0).normal(size=(5, 5)))
-    out = T.dropout(x, 0.8, "infer")
-    assert np.array_equal(out.data, x.data)
-
-
 def test_dropout_rate_zero_identity():
     x = t(np.ones((3, 3)))
-    out = T.dropout(x, 0.0, "train", np.random.default_rng(0))
+    out = T.dropout(x, 0.0, np.random.default_rng(0))
     assert np.array_equal(out.data, x.data)
 
 
 def test_dropout_rate_one_rejected():
     with pytest.raises(ConfigError):
-        T.dropout(t(np.ones(3)), 1.0, "train", np.random.default_rng(0))
+        T.dropout(t(np.ones(3)), 1.0, np.random.default_rng(0))
 
 
 def test_dropout_monte_carlo_mean_preserved():
@@ -421,7 +368,7 @@ def test_dropout_monte_carlo_mean_preserved():
     rng = np.random.default_rng(42)
     value = 2.0
     n = 10_000
-    samples = np.array([T.dropout(t([value]), 0.5, "train", rng).data[0] for _ in range(n)])
+    samples = np.array([T.dropout(t([value]), 0.5, rng).data[0] for _ in range(n)])
     se = samples.std(ddof=1) / np.sqrt(n)
     assert abs(samples.mean() - value) < 3.0 * se
 
@@ -432,7 +379,7 @@ def test_dropout_on_channel_major_batch_keeps_the_patch_major_draws():
     rng = np.random.default_rng(22)
     patch_major = rng.normal(size=(4, 4, 3, 5))         # (N, C, H, W), N == C
     x = t(np.ascontiguousarray(patch_major.transpose(1, 0, 2, 3)))
-    out = T.dropout(x, 0.4, "train", np.random.default_rng(5)).data.transpose(1, 0, 2, 3)
+    out = T.dropout(x, 0.4, np.random.default_rng(5)).data.transpose(1, 0, 2, 3)
     keep = np.random.default_rng(5).random(patch_major.shape) >= 0.4
     assert 0 < keep.sum() < keep.size
     np.testing.assert_array_equal(out, np.where(keep, patch_major * (1.0 / 0.6), 0.0))
@@ -441,7 +388,7 @@ def test_dropout_on_channel_major_batch_keeps_the_patch_major_draws():
 def test_dropout_gradient_is_the_kept_and_scaled_mask():
     rng = np.random.default_rng(23)
     x = t(rng.normal(size=(3, 4, 2, 2)))
-    out = T.dropout(x, 0.3, "train", np.random.default_rng(6))
+    out = T.dropout(x, 0.3, np.random.default_rng(6))
     g = rng.normal(size=x.shape)
     out._backward(g)
     kept = out.data != 0.0
@@ -572,7 +519,7 @@ def test_backward_releases_the_graph_as_it_descends_and_keeps_leaf_gradients():
     w, wb = t(rng.normal(0.0, 0.1, size=(108, 1))), t([0.1])
     conv = T.conv2d_same(x, k, b)
     conv_data = weakref.ref(conv.data)
-    h = T.relu(T.batch_norm(conv, bn, "train"))
+    h = T.relu(T.batch_norm(conv, bn))
     del conv    # from here only the graph holds the conv result
     z = T.dense(T.flatten(h), w, wb)
     loss = T.bce_loss(T.sigmoid(T.reshape(z, (5,))), np.array([1.0, 0.0, 1.0, 1.0, 0.0]))
@@ -732,7 +679,7 @@ def test_gradcheck_conv_and_bn_train_on_channel_major_batch():
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=3)
     bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=3)
     labels = rng.integers(0, 2, size=(3, 3, 4, 4)).astype(float)
-    _gradcheck(lambda: _bce_head(T.batch_norm(T.conv2d_same(x, k, b), bn, "train"), labels),
+    _gradcheck(lambda: _bce_head(T.batch_norm(T.conv2d_same(x, k, b), bn), labels),
                {"x": x, "k": k, "b": b, "gamma": bn.gamma, "beta": bn.beta})
 
 
@@ -760,7 +707,7 @@ def test_gradcheck_bn_train():
     bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=3)
     bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=3)
     labels = rng.integers(0, 2, size=(3, 4, 2, 2)).astype(float)
-    _gradcheck(lambda: _bce_head(T.batch_norm(x, bn, "train"), labels),
+    _gradcheck(lambda: _bce_head(T.batch_norm(x, bn), labels),
                {"x": x, "gamma": bn.gamma, "beta": bn.beta})
 
 
@@ -786,32 +733,13 @@ def test_bn_train_backward_matches_the_nine_pass_formula_and_finite_differences(
     bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=channels)
     x = t(rng.normal(1.0, 2.0, size=shape))
     g = rng.normal(size=shape)
-    out = T.batch_norm(x, bn, "train")
+    out = T.batch_norm(x, bn)
     out._backward(g)
     want = _nine_pass_bn_backward(x.data, g, bn.gamma.data.reshape(bshape), T.BN_EPSILON, axis)
     assert np.max(np.abs(x.grad - want)) <= 1e-12 * np.max(np.abs(want))
     labels = rng.integers(0, 2, size=shape).astype(float)
-    _gradcheck(lambda: _bce_head(T.batch_norm(x, bn, "train"), labels),
+    _gradcheck(lambda: _bce_head(T.batch_norm(x, bn), labels),
                {"x": x, "gamma": bn.gamma, "beta": bn.beta})
-
-
-def test_bn_infer_backward_raises_and_the_forward_keeps_its_bits():
-    rng = np.random.default_rng(13)
-    x = t(rng.uniform(-1, 1, size=(5, 4)))
-    bn = make_bn(4)
-    bn.running_mean[:] = rng.uniform(-0.5, 0.5, size=4)
-    bn.running_var[:] = rng.uniform(0.5, 2.0, size=4)
-    labels = rng.integers(0, 2, size=(5, 4)).astype(float)
-    out = T.batch_norm(x, bn, "infer")
-    assert out.requires_grad
-    frozen = T.BatchNormState(T.Tensor(bn.gamma.data, requires_grad=False),
-                              T.Tensor(bn.beta.data, requires_grad=False),
-                              bn.running_mean, bn.running_var)
-    free = T.batch_norm(T.Tensor(x.data, requires_grad=False), frozen, "infer")
-    assert out.data.tobytes() == free.data.tobytes()
-    with pytest.raises(MissingGradientError, match="train mode"):
-        T.backward(_bce_head(out, labels))
-    assert x.grad is None and bn.gamma.grad is None and bn.beta.grad is None
 
 
 def test_gradcheck_dense():
@@ -846,7 +774,7 @@ def test_gradcheck_dropout_fixed_mask():
 
     def loss():
         # fresh generator per eval -> identical mask every call
-        return _bce_head(T.dropout(x, 0.4, "train", np.random.default_rng(99)), labels)
+        return _bce_head(T.dropout(x, 0.4, np.random.default_rng(99)), labels)
 
     _gradcheck(loss, {"x": x})
 
@@ -918,7 +846,7 @@ def test_gradcheck_rejects_a_small_wrong_gradient_on_a_zero_gradient_coordinate(
             def backward(g):
                 v.accumulate(g + error)
             return T.Tensor(v.data.copy(), parents=(v,), backward=backward)
-        return lambda: _bce_head(T.batch_norm(T.conv2d_same(x, k, shifted(b)), bn, "train"),
+        return lambda: _bce_head(T.batch_norm(T.conv2d_same(x, k, shifted(b)), bn),
                                  labels)
 
     right = T.finite_difference_check(wrong_by(0.0), {"b": b}, h=1e-5, skip_kinks=skip_kinks)
@@ -961,9 +889,9 @@ def test_ops_preserve_finiteness():
     k = rng.uniform(-10, 10, size=(5, 2, 3, 3))
     bn = make_bn(5)
     out = T.conv2d_same(t(x), t(k), t(rng.normal(size=5)))
-    out = T.batch_norm(out, bn, "train")
+    out = T.batch_norm(out, bn)
     out = T.relu(out)
-    out = T.dropout(out, 0.3, "train", rng)
+    out = T.dropout(out, 0.3, rng)
     out = T.flatten(out)
     out = T.dense(out, t(rng.normal(size=(80, 4))), t(rng.normal(size=4)))
     out = T.sigmoid(out)
