@@ -34,20 +34,21 @@ bag = [examples[1].patches[0], examples[0].patches[0], examples[3].patches[0]]
 ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, stats)])
 
 
-def bag_risk(ensemble, patches):
-    # scoring folds each member's batch-norms into a plain-numpy inference plan
-    return nnet.ensemble_predict(ensemble, [ScanExample(scan_id="bag", patches=patches, label=1)])[0]
+def bag_risk(plans, patches):
+    # scoring runs each member folded into a plain-numpy inference plan
+    return nnet.ensemble_predict(plans, [ScanExample(scan_id="bag", patches=patches, label=1)])[0]
 
 
-singles = [bag_risk(ensemble, [p]) for p in bag]
-risk = bag_risk(ensemble, bag)
+plans = ensemble.plans()
+singles = [bag_risk(plans, [p]) for p in bag]
+risk = bag_risk(plans, bag)
 print("branch scores one at a time:", [round(s, 4) for s in singles])
 print("bag risk in one pass:", round(risk, 4), " exactly their max:", risk == max(singles))
 
-# persistence: the weight file round-trips bit-exactly
+# persistence: the weight file round-trips bit-exactly; `load_plans` folds
+# each weight file into its plan as it is read
 import tempfile
 
 with tempfile.TemporaryDirectory() as td:
     nnet.save_ensemble(ensemble, td)
-    reloaded = nnet.load_ensemble(td)
-    print("save/load risk identical:", bag_risk(reloaded, bag) == risk)
+    print("save/load risk identical:", bag_risk(nnet.load_plans(td), bag) == risk)

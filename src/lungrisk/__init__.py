@@ -23,6 +23,7 @@ from .nnet import (
     init_params,
     kfold_train,
     load_member,
+    load_plans,
     save_params,
     score_bags,
     train,
@@ -52,7 +53,7 @@ __all__ = [
     "PhantomSpec", "ScanExample", "ScoredCohort", "Tensor", "Volume",
     "adam_step", "auc", "backward", "build_scan_example", "crop28",
     "ensemble_predict", "errors", "evaluate", "extract_cube", "fileio",
-    "generate", "host", "init_params", "kfold_train", "load_member", "nnet",
+    "generate", "host", "init_params", "kfold_train", "load_member", "load_plans", "nnet",
     "nodule_score", "normalize_hu", "pancan", "patient_score",
     "permutation_test_auc", "preprocess", "resample_isotropic", "roc_curve",
     "save_params", "score_bags", "select_top_nodules", "synthdata", "tensor",

@@ -39,11 +39,11 @@ EXIT_NUMERIC = 5
 # row for a subclass must precede its base's row. Subclasses without a row,
 # such as OutOfBoundsError (a DataConsistencyError) and ChecksumError (a
 # FormatError), take their base's code; a LungRiskError that no earlier row
-# names is a broken invariant.
+# names is a broken invariant. Input text that is not UTF-8 is a format error.
 _EXIT_CODES = (
     (ConfigError, EXIT_USAGE),
     (DataConsistencyError, EXIT_DATA),
-    ((FormatError, FoldWorkerError, OSError), EXIT_IO),
+    ((FormatError, FoldWorkerError, OSError, UnicodeDecodeError), EXIT_IO),
     (NumericError, EXIT_NUMERIC),
     (LungRiskError, 1),
 )
@@ -163,17 +163,16 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     """Score each listed scan (default: every labelled scan) with the
-    ensemble's mean risk and write the scores CSV.
+    ensemble's mean risk and write the scores CSV, whole or not at all.
 
-    `nnet.ensemble_predict` folds each member into an inference plan, then
-    pulls the examples, which are built one scan at a time on this thread,
-    and scores them in chunks of a few scans by a pool of one thread per
-    usable CPU while the next chunk is built. The written bytes depend
-    neither on the chunking nor on the thread count.
+    `nnet.load_plans` checks and folds one weight file at a time, all before
+    the first scan is built. `nnet.ensemble_predict` pulls the examples,
+    built one scan at a time on this thread, and scores them in chunks of a
+    few scans on one thread per usable CPU while the next chunk is built.
+    The bytes depend neither on the chunking nor on the thread count.
     """
-    model_dir = Path(args.model)
+    plans = nnet.load_plans(args.model)
     data_dir = Path(args.data)
-    ensemble = nnet.load_ensemble(model_dir)
     candidates = fileio.read_candidates_csv(data_dir / "candidates.csv")
     if args.scans:
         scan_ids = _read_scan_list(args.scans)
@@ -182,9 +181,9 @@ def cmd_score(args) -> int:
         scan_ids = sorted(labels)
     # every path is resolved up front, so a missing volume fails before any scoring
     paths = [_volume_path(data_dir, sid) for sid in scan_ids]
-    examples = (_build_example(path, sid, candidates, 0, ensemble.metadata_dim,
-                               ensemble.projection) for sid, path in zip(scan_ids, paths))
-    scores = dict(zip(scan_ids, nnet.ensemble_predict(ensemble, examples)))
+    examples = (_build_example(path, sid, candidates, 0, plans[0].metadata_dim, plans[0].projection)
+                for sid, path in zip(scan_ids, paths))
+    scores = dict(zip(scan_ids, nnet.ensemble_predict(plans, examples)))
     fileio.write_scores_csv(args.out, scores)
     print(f"scored {len(scores)} scans -> {args.out}")
     return 0
@@ -330,7 +329,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (LungRiskError, OSError) as exc:
+    except (LungRiskError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 

@@ -7,12 +7,12 @@ which coincides with trapezoidal integration of the tie-grouped ROC curve.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataConsistencyError, DegenerateCohortError, PairingError
+from .fileio import write_csv
 
 
 @dataclass
@@ -288,18 +288,12 @@ def write_report_csv(report: EvalReport, path):
                      "NA" if g.sensitivity_at_spec is None else repr(g.sensitivity_at_spec)))
         rows.append((f"specificity_at_sens_{report.target_sensitivity:g}", tag,
                      "NA" if g.specificity_at_sens is None else repr(g.specificity_at_sens)))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "group", "value"])
-        writer.writerows(rows)
+    write_csv(path, ["metric", "group", "value"], rows)
 
 
 def write_roc_csv(curve: RocCurve, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr", "threshold"])
-        for fpr, tpr, thr in curve:
-            writer.writerow([repr(float(fpr)), repr(float(tpr)), repr(float(thr))])
+    write_csv(path, ["fpr", "tpr", "threshold"],
+              ([repr(float(x)) for x in point] for point in curve))
 
 
 def format_report(report: EvalReport) -> str:

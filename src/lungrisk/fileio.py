@@ -13,7 +13,9 @@ Both are read; only the compact one is written.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import struct
 from pathlib import Path
 
@@ -130,15 +132,11 @@ CANDIDATE_BASE_COLUMNS = ["scan_id", "x_mm", "y_mm", "z_mm", "radius_mm", "confi
 def write_candidates_csv(path, rows: dict[str, list[NoduleCandidate]]):
     """Write per-scan candidate lists, with the optional sphericity and
     lungrads columns; a candidate without a value leaves its cell empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CANDIDATE_BASE_COLUMNS + ["sphericity", "lungrads"])
-        for scan_id in sorted(rows):
-            for c in rows[scan_id]:
-                writer.writerow([scan_id, repr(c.center[0]), repr(c.center[1]), repr(c.center[2]),
-                                 repr(c.radius_mm), repr(c.confidence),
-                                 "" if c.sphericity is None else repr(c.sphericity),
-                                 "" if c.lungrads_category is None else str(c.lungrads_category)])
+    write_csv(path, CANDIDATE_BASE_COLUMNS + ["sphericity", "lungrads"], (
+        [scan_id, repr(c.center[0]), repr(c.center[1]), repr(c.center[2]), repr(c.radius_mm),
+         repr(c.confidence), "" if c.sphericity is None else repr(c.sphericity),
+         "" if c.lungrads_category is None else str(c.lungrads_category)]
+        for scan_id in sorted(rows) for c in rows[scan_id]))
 
 
 def read_candidates_csv(path) -> dict[str, list[NoduleCandidate]]:
@@ -168,11 +166,7 @@ def read_candidates_csv(path) -> dict[str, list[NoduleCandidate]]:
 
 
 def write_labels_csv(path, labels: dict[str, int]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scan_id", "label"])
-        for scan_id in sorted(labels):
-            writer.writerow([scan_id, int(labels[scan_id])])
+    write_csv(path, ["scan_id", "label"], ([sid, int(labels[sid])] for sid in sorted(labels)))
 
 
 def read_labels_csv(path) -> dict[str, int]:
@@ -195,12 +189,31 @@ def read_labels_csv(path) -> dict[str, int]:
     return out
 
 
-def write_scores_csv(path, scores: dict[str, float]):
-    with open(path, "w", newline="") as fh:
+@contextlib.contextmanager
+def whole_file(path):
+    """A text handle on the sibling `<path>.partial-<pid>`, which replaces
+    `path` when the block ends; if the block raises, it is removed instead.
+    Readers see the old file or the whole new one, never a part."""
+    partial = Path(f"{path}.partial-{os.getpid()}")
+    try:
+        with open(partial, "w", newline="") as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)     # left only if the block raised
+
+
+def write_csv(path, header: list[str], rows):
+    """Write the header and the rows, whole or not at all (see `whole_file`)."""
+    with whole_file(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scan_id", "score"])
-        for scan_id in sorted(scores):
-            writer.writerow([scan_id, repr(float(scores[scan_id]))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_scores_csv(path, scores: dict[str, float]):
+    write_csv(path, ["scan_id", "score"],
+              ([sid, repr(float(scores[sid]))] for sid in sorted(scores)))
 
 
 def read_scores_csv(path) -> dict[str, float]:

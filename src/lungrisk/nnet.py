@@ -302,20 +302,21 @@ class FoldEnsemble:
     members: list[FoldMember]
 
     def __post_init__(self):
-        if not self.members:
-            raise ConfigError("an ensemble needs at least one member")
-        for attr in ("metadata_dim", "projection"):
-            values = {getattr(m.params, attr) for m in self.members}
-            if len(values) != 1:
-                raise ConfigError(f"ensemble members disagree on {attr}: {values}")
+        _check_agreement([m.params for m in self.members])
 
-    @property
-    def metadata_dim(self) -> int:
-        return self.members[0].params.metadata_dim
+    def plans(self) -> list[_InferencePlan]:
+        """Each member folded into the inference plan `ensemble_predict` scores with."""
+        return [_build_plan(m) for m in self.members]
 
-    @property
-    def projection(self) -> str:
-        return self.members[0].params.projection
+
+def _check_agreement(models: list):
+    """ConfigError unless there is a model and all (`NNetParams` or plans) agree."""
+    if not models:
+        raise ConfigError("an ensemble needs at least one member")
+    for attr in ("metadata_dim", "projection"):
+        values = {getattr(m, attr) for m in models}
+        if len(values) != 1:
+            raise ConfigError(f"ensemble members disagree on {attr}: {values}")
 
 
 def stratified_folds(labels: list[int], k: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -368,9 +369,7 @@ _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NU
 # only past 128 MB, so each train step reuses the previous step's buffers
 # instead of mapping fresh pages. Without these two variables the `train`
 # workload's rate_per_s fell from 368 to 260 scan-epochs/s (medians, -29%,
-# 3 of 3 pairs, 2-core VM, glibc 2.36), and an Adam step over the 408k
-# weights, whose temporaries are as large as each parameter, took 8.0-8.8 ms
-# against 4.7-5.1 ms.
+# 3 of 3 pairs, 2-core VM, glibc 2.36).
 _REUSE_FREED_MEMORY = {"MALLOC_MMAP_THRESHOLD_": str(64 << 20),
                        "MALLOC_TRIM_THRESHOLD_": str(128 << 20)}
 
@@ -499,30 +498,30 @@ def _serve_folds():
 # patches. `lungrisk score` through the inference plans on the seed-11
 # `score` inputs (96 scans, 240 patches, 5 members, 2-core VM, two scoring
 # threads, 16 alternating child processes each, medians):
-#   chunk  8: 0.55 s, peak RSS 57.2 MB     chunk 20: 0.51 s, peak RSS 62.8 MB
-#   chunk 12: 0.57 s, peak RSS 59.3 MB     chunk 24: 0.53 s, peak RSS 64.0 MB
-#   chunk 16: 0.52 s, peak RSS 61.1 MB     chunk 32: 0.56 s, peak RSS 66.6 MB
-# From 16 up the times differ by less than their spread (16 read at or below
-# 24 in 3 of 3 batches); each scoring thread holds its chunk's maps.
+#   chunk  8: 0.48 s, peak RSS 41.6 MB     chunk 20: 0.44 s, peak RSS 47.2 MB
+#   chunk 12: 0.46 s, peak RSS 43.6 MB     chunk 24: 0.43 s, peak RSS 48.0 MB
+#   chunk 16: 0.42 s, peak RSS 45.4 MB     chunk 32: 0.44 s, peak RSS 51.8 MB
+# 16 read fastest here and in a batch of 12 processes each, though from 16
+# up the times differ by less than their spread; each scoring thread holds
+# its chunk's maps, about 0.2 MB a patch.
 SCORE_CHUNK_PATCHES = 16
 
 
-def ensemble_predict(ensemble: FoldEnsemble, examples: Iterable[ScanExample]) -> list[float]:
+def ensemble_predict(plans: list[_InferencePlan], examples: Iterable[ScanExample]) -> list[float]:
     """Risk of each example, in input order: the mean of the members' risks,
-    each member standardizing the raw metadata with its own statistics. An
-    example without patches scores 0.0 and raises a ZeroNoduleWarning; a
-    risk that is not finite raises NumericError.
+    from their plans (see `load_plans`, `FoldEnsemble.plans`), each member
+    standardizing the raw metadata with its own statistics. An example
+    without patches scores 0.0 and raises a ZeroNoduleWarning; a risk that
+    is not finite raises NumericError.
 
-    Each member is folded into an `_InferencePlan` once. Chunks of examples
-    holding at least SCORE_CHUNK_PATCHES patches are pulled on the calling
-    thread and scored by `_predict_chunk` on a thread of `host.ordered_map`
-    while the next is pulled, so a generator that builds examples on demand
-    keeps at most one chunk per usable CPU, plus the one being pulled,
-    alive. Warnings and errors are raised here, in scan order; an error
-    cancels the chunks not yet started. A plan scores each patch on its
-    own, so the risks do not depend on how the examples fall into chunks.
+    Chunks of examples holding at least SCORE_CHUNK_PATCHES patches are
+    pulled on the calling thread and scored by `_predict_chunk` on a thread
+    of `host.ordered_map` while the next is pulled, so a generator that
+    builds examples on demand keeps at most one chunk per usable CPU, plus
+    the one being pulled, alive. Warnings and errors are raised here, in
+    scan order; an error cancels the chunks not yet started. A plan scores
+    each patch on its own, so chunking does not change the risks.
     """
-    plans = [_build_plan(m) for m in ensemble.members]
     risks: list[float] = []
     scored = host.ordered_map(functools.partial(_predict_chunk, plans), _chunks(examples))
     with contextlib.closing(scored):
@@ -575,7 +574,8 @@ def _predict_chunk(plans: list[_InferencePlan],
 # ---------------------------------------------------------------------------
 # inference plan
 
-_InferencePlan = namedtuple("_InferencePlan", "convs tail meta_weights constant metadata_stats")
+_InferencePlan = namedtuple("_InferencePlan", "convs tail meta_weights constant metadata_stats "
+                                               "metadata_dim projection")
 
 
 def _build_plan(member: FoldMember) -> _InferencePlan:
@@ -611,7 +611,8 @@ def _build_plan(member: FoldMember) -> _InferencePlan:
                 rows = tail.reshape(len(s), -1)
                 constant += float((state.beta.data - state.running_mean * s) @ rows.sum(axis=1))
                 tail = (rows * s[:, None]).reshape(-1)
-    return _InferencePlan(convs, tail, w_out[FC_UNITS:], constant, member.metadata_stats)
+    return _InferencePlan(convs, tail, w_out[FC_UNITS:].copy(), constant, member.metadata_stats,
+                          params.metadata_dim, params.projection)
 
 
 def _plan_scores(plan: _InferencePlan, planes: np.ndarray, raw_meta: np.ndarray) -> np.ndarray:
@@ -798,13 +799,25 @@ def save_ensemble(ensemble: FoldEnsemble, directory):
         path.unlink()
 
 
-def load_ensemble(directory) -> FoldEnsemble:
-    """The members of every `fold*.lrnn` file in the directory, in name order."""
-    directory = Path(directory)
-    paths = sorted(directory.glob("fold*.lrnn"))
+def _fold_paths(directory) -> list[Path]:
+    paths = sorted(Path(directory).glob("fold*.lrnn"))
     if not paths:
         raise ConfigError(f"no fold*.lrnn weight files in {directory}")
-    return FoldEnsemble(members=[load_member(p) for p in paths])
+    return paths
+
+
+def load_ensemble(directory) -> FoldEnsemble:
+    """The members of every `fold*.lrnn` file in the directory, in name order."""
+    return FoldEnsemble(members=[load_member(p) for p in _fold_paths(directory)])
+
+
+def load_plans(directory) -> list[_InferencePlan]:
+    """The inference plan of every `fold*.lrnn` file in the directory, in name
+    order. Each file is read and checked by `load_member` and folded by
+    `_build_plan` before the next is read, so one member's arrays are held."""
+    plans = [_build_plan(load_member(p)) for p in _fold_paths(directory)]
+    _check_agreement(plans)
+    return plans
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ set (synthetic, for tests and demos only) ships in ``data/``.
 
 from __future__ import annotations
 
+import csv
 import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, NoNoduleError, NumericError
+from .fileio import write_csv
 from .tensor import _sigmoid_raw
 
 NODULE_TYPES = ("nonsolid", "part_solid", "solid")
@@ -161,20 +163,13 @@ FEATURE_COLUMNS = ["scan_id", "age", "sex", "family_history", "emphysema",
 
 
 def write_features_csv(path, rows: list[tuple[str, PanCanFeatures]]):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_COLUMNS)
-        for scan_id, f in rows:
-            writer.writerow([scan_id, repr(f.age), f.sex, int(f.family_history),
-                             int(f.emphysema), f.nodule_count, repr(f.diameter_mm),
-                             f.nodule_type, int(f.upper_lobe), int(f.spiculation)])
+    write_csv(path, FEATURE_COLUMNS, (
+        [scan_id, repr(f.age), f.sex, int(f.family_history), int(f.emphysema), f.nodule_count,
+         repr(f.diameter_mm), f.nodule_type, int(f.upper_lobe), int(f.spiculation)]
+        for scan_id, f in rows))
 
 
 def read_features_csv(path) -> dict[str, list[PanCanFeatures]]:
-    import csv
-
     out: dict[str, list[PanCanFeatures]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)

@@ -50,9 +50,6 @@ class Volume:
     def dims(self) -> tuple[int, int, int]:
         return self.voxels.shape
 
-    def world_to_voxel(self, point) -> np.ndarray:
-        return (np.asarray(point, dtype=np.float64) - self.origin) / self.spacing
-
 
 @dataclass(frozen=True)
 class NoduleCandidate:
@@ -131,16 +128,23 @@ def resample_isotropic(v: Volume) -> Volume:
     """
     if v.spacing == (1.0, 1.0, 1.0):
         return v
-    out_dims = tuple(int(np.floor(n * s + 0.5)) for n, s in zip(v.dims, v.spacing))
-    coords = [np.arange(d, dtype=np.float64) / s for d, s in zip(out_dims, v.spacing)]
-    out = _trilinear_gather(v.voxels, coords)
-    return Volume(out, (1.0, 1.0, 1.0), v.origin)
+    return Volume(_trilinear_gather(v, (0, 0, 0), _grid_dims(v)), (1.0, 1.0, 1.0), v.origin)
 
 
-def _trilinear_gather(vox, coords):
-    # Separable trilinear interpolation on an axis-aligned grid of sample
-    # coordinates, clamped at the volume faces. Each gathered corner is
-    # promoted to float64 by its weight product.
+def _grid_dims(v: Volume) -> tuple[int, int, int]:
+    """The dims of the volume's 1 mm grid; FormatError if it is empty."""
+    dims = tuple(int(np.floor(n * s + 0.5)) for n, s in zip(v.dims, v.spacing))
+    if min(dims) < 1:
+        raise FormatError(f"a volume of {v.dims} voxels at spacing {v.spacing} has no 1 mm grid")
+    return dims
+
+
+def _trilinear_gather(v: Volume, lo, hi):
+    # Separable trilinear interpolation of the points lo to hi (exclusive)
+    # of the volume's 1 mm grid, clamped at the volume faces. Each gathered
+    # corner is promoted to float64 by its weight product.
+    vox, coords = v.voxels, [np.arange(a, b, dtype=np.float64) / s
+                             for a, b, s in zip(lo, hi, v.spacing)]
     lows, fracs = [], []
     for axis, c in enumerate(coords):
         c = np.clip(c, 0.0, vox.shape[axis] - 1.0)
@@ -173,19 +177,24 @@ def extract_cube(v: Volume, center) -> np.ndarray:
     """
     if v.spacing != (1.0, 1.0, 1.0):
         raise FormatError("extract_cube expects an isotropically resampled 1 mm volume")
-    center_idx = np.floor(v.world_to_voxel(center) + 0.5).astype(np.intp)
-    start = center_idx - CUBE_SIDE // 2
-    stop = start + CUBE_SIDE
-    if np.any(stop <= 0) or np.any(start >= np.asarray(v.dims)):
+    return _grid_cube(v, center)
+
+
+def _grid_cube(v: Volume, center) -> np.ndarray:
+    """The bits of `extract_cube(resample_isotropic(v), center)`, resampling
+    the block alone, so its cost grows with neither the volume nor its spacing."""
+    dims = _grid_dims(v)
+    with np.errstate(over="ignore"):    # a far-off center lies outside, as an inf does
+        start = np.floor(np.asarray(center, dtype=np.float64) - v.origin + 0.5) - CUBE_SIDE // 2
+    if np.any(start + CUBE_SIDE <= 0) or np.any(start >= dims):
         raise OutOfBoundsError(
             f"cube around {tuple(float(c) for c in center)} lies outside the volume")
-    block = np.full((CUBE_SIDE,) * 3, AIR_HU, dtype=v.voxels.dtype)
-    src_lo = np.maximum(start, 0)
-    src_hi = np.minimum(stop, v.dims)
-    dst_lo = src_lo - start
-    dst_hi = dst_lo + (src_hi - src_lo)
-    block[dst_lo[0]:dst_hi[0], dst_lo[1]:dst_hi[1], dst_lo[2]:dst_hi[2]] = \
-        v.voxels[src_lo[0]:src_hi[0], src_lo[1]:src_hi[1], src_lo[2]:src_hi[2]]
+    start = start.astype(np.intp)       # checked first, so the cast cannot overflow
+    src_lo, src_hi = np.maximum(start, 0), np.minimum(start + CUBE_SIDE, dims)
+    region = (v.voxels[tuple(slice(a, b) for a, b in zip(src_lo, src_hi))]
+              if v.spacing == (1.0, 1.0, 1.0) else _trilinear_gather(v, src_lo, src_hi))
+    block = np.full((CUBE_SIDE,) * 3, AIR_HU, dtype=region.dtype)
+    block[tuple(slice(a, b) for a, b in zip(src_lo - start, src_hi - start))] = region
     return block
 
 
@@ -258,18 +267,18 @@ def build_scan_example(v: Volume, candidates: list[NoduleCandidate], label: int,
                        scan_id: str = "") -> ScanExample:
     """Run the full per-scan pipeline on the top nodules of a scan.
 
-    Composes resample -> select -> extract -> center crop -> triplanar ->
-    normalize for each of the (at most 10) selected candidates; no
+    Composes select -> resample and extract (`_grid_cube`) -> center crop ->
+    triplanar -> normalize for each of the (at most 10) selected candidates; no
     candidates give an example without patches. Metadata stays raw. The
     example keeps its 32^3 cubes so the training loop can re-draw crops:
     int16 from an int16 volume on the 1 mm grid, float64 otherwise. The
     planes are float64 either way, with the same values.
     """
-    iso = resample_isotropic(v)
+    _grid_dims(v)       # a volume without a 1 mm grid is rejected, nodules or not
     patches: list[NodulePatch] = []
     cubes: list[np.ndarray] = []
     for cand in select_top_nodules(candidates):
-        cube = extract_cube(iso, cand.center)
+        cube = _grid_cube(v, cand.center)
         planes = normalize_hu(triplanar(crop28(cube, "infer"), projection))
         patches.append(NodulePatch(planes=planes, metadata=candidate_metadata(cand, metadata_dim)))
         cubes.append(cube)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import host
 from .errors import ConfigError
-from .fileio import write_candidates_csv, write_labels_csv, write_volume_compact
+from .fileio import write_candidates_csv, write_csv, write_labels_csv, write_volume_compact
 from .pancan import PanCanFeatures, write_features_csv
 from .preprocess import NoduleCandidate, Volume
 
@@ -342,22 +342,14 @@ def generate(spec: PhantomSpec, out_dir=None) -> SynthDataset:
 
 
 def _write_ground_truth(dataset: SynthDataset, out_dir: Path):
-    import csv
-
-    with open(out_dir / "ground_truth.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scan_id", "label", "risk"])
-        for s in dataset.scans:
-            writer.writerow([s.scan_id, s.label, repr(s.risk)])
-    with open(out_dir / "nodule_truth.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scan_id", "diameter_mm", "spiculation", "upper_lobe",
-                         "nodule_type", "p_malignant", "malignant"])
-        for s in dataset.scans:
-            for nd in s.nodules:
-                writer.writerow([s.scan_id, repr(nd.diameter_mm), int(nd.spiculation),
-                                 int(nd.upper_lobe), nd.nodule_type,
-                                 repr(nd.p_malignant), int(nd.malignant)])
+    write_csv(out_dir / "ground_truth.csv", ["scan_id", "label", "risk"],
+              ([s.scan_id, s.label, repr(s.risk)] for s in dataset.scans))
+    write_csv(out_dir / "nodule_truth.csv",
+              ["scan_id", "diameter_mm", "spiculation", "upper_lobe", "nodule_type",
+               "p_malignant", "malignant"],
+              ([s.scan_id, repr(nd.diameter_mm), int(nd.spiculation), int(nd.upper_lobe),
+                nd.nodule_type, repr(nd.p_malignant), int(nd.malignant)]
+               for s in dataset.scans for nd in s.nodules))
 
 
 def export_pancan_features(dataset: SynthDataset, path):

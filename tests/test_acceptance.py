@@ -115,8 +115,8 @@ def _branch_score(params, patch):
     # a one-patch scan through a one-member ensemble whose metadata
     # statistics leave the metadata as it is
     identity = MetadataStats(mean=np.zeros(5), std=np.ones(5))
-    ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, identity)])
-    return nnet.ensemble_predict(ensemble, [ScanExample(scan_id="b", patches=[patch], label=1)])[0]
+    plans = nnet.FoldEnsemble(members=[nnet.FoldMember(params, identity)]).plans()
+    return nnet.ensemble_predict(plans, [ScanExample(scan_id="b", patches=[patch], label=1)])[0]
 
 
 def _layer_table(metadata_dim):
@@ -158,7 +158,7 @@ def test_c2_architecture_conformance(layer_shapes):
     ex = ScanExample(scan_id="s", patches=patches, label=1)
     identity = MetadataStats(mean=np.zeros(5), std=np.ones(5))
     ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, identity)])
-    (risk,) = nnet.ensemble_predict(ensemble, [ex])
+    (risk,) = nnet.ensemble_predict(ensemble.plans(), [ex])
     assert isinstance(risk, float) and 0.0 < risk < 1.0
     report(2, True, "shape trace matches the layer table for metadata_dim 5 and 6")
 
@@ -171,12 +171,12 @@ def test_c3_multi_instance_invariants():
     rng = np.random.default_rng(3)
     params = nnet.init_params(nnet.NNetConfig(seed=7))
     identity = MetadataStats(mean=np.zeros(5), std=np.ones(5))
-    ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, identity)])
+    plans = nnet.FoldEnsemble(members=[nnet.FoldMember(params, identity)]).plans()
 
     def scan_risk(patches):
         # one batched call scores every patch of the scan
-        return nnet.ensemble_predict(ensemble, [ScanExample(scan_id="c", patches=patches,
-                                                            label=1)])[0]
+        return nnet.ensemble_predict(plans, [ScanExample(scan_id="c", patches=patches,
+                                                         label=1)])[0]
 
     sizes = set()
     for case in range(200):

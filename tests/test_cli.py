@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import ctypes
 import hashlib
 import io
@@ -8,6 +9,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -609,6 +611,65 @@ def test_score_resolves_each_volume_once_and_a_missing_one_before_any_read(
     assert err.count("\n") == 1 and repr(scan_ids[-1]) in err, err
 
 
+def test_score_folds_each_weight_file_before_it_reads_the_next(small_data, tmp_path,
+                                                                monkeypatch):
+    model = tmp_path / "model"
+    model.mkdir()
+    stats = MetadataStats(mean=np.zeros(5), std=np.ones(5))
+    for i in range(5):
+        params = nnet.init_params(nnet.NNetConfig(seed=i))
+        nnet.save_params(params, model / f"fold{i}.lrnn", stats)
+    member_bytes = sum(a.nbytes for a in params.arrays().values())
+    peaks = []      # traced bytes at their peak, from the start of `score` to its scoring
+
+    def predict(plans, examples):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return [0.5 for _ in examples]
+
+    monkeypatch.setattr(nnet, "ensemble_predict", predict)
+    tracemalloc.start()
+    try:
+        assert run(["score", "--model", model, "--data", small_data,
+                    "--out", tmp_path / "s.csv"]) == 0
+    finally:
+        tracemalloc.stop()
+    # a file's bytes and the arrays read from them, then only its plan
+    # (holding all five members' arrays would be over 5)
+    assert peaks[0] < 2.5 * member_bytes, peaks[0] / member_bytes
+
+
+def test_score_checks_every_weight_file_before_it_builds_a_scan(small_data, small_model,
+                                                                tmp_path, capsys, monkeypatch):
+    model = tmp_path / "model"
+    model.mkdir()
+    for p in small_model.glob("fold*.lrnn"):
+        (model / p.name).write_bytes(p.read_bytes())
+    blob = bytearray((model / "fold1.lrnn").read_bytes())
+    blob[-100] ^= 0xFF
+    (model / "fold1.lrnn").write_bytes(bytes(blob))
+    reads = []
+    monkeypatch.setattr(cli, "_read_volume", lambda path: reads.append(path))
+    code = run(["score", "--model", model, "--data", small_data, "--out", tmp_path / "s.csv"])
+    assert code == cli.EXIT_IO and reads == []
+    err = capsys.readouterr().err
+    assert "fold1.lrnn: checksum mismatch" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("setting, values", [("metadata_dim", (5, 6)),
+                                             ("projection", ("slice", "mip"))])
+def test_score_members_that_disagree_are_a_usage_error(setting, values, small_data, tmp_path,
+                                                        capsys):
+    for i, value in enumerate(values):
+        params = nnet.init_params(nnet.NNetConfig(**{setting: value}))
+        dim = params.metadata_dim
+        nnet.save_params(params, tmp_path / f"fold{i}.lrnn",
+                         MetadataStats(mean=np.zeros(dim), std=np.ones(dim)))
+    code = run(["score", "--model", tmp_path, "--data", small_data, "--out", tmp_path / "s.csv"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"ensemble members disagree on {setting}" in err and err.count("\n") == 1, err
+
+
 def test_score_uses_the_projection_the_model_was_trained_on(small_data, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("projection=mip\nepochs=2\n")
@@ -618,14 +679,14 @@ def test_score_uses_the_projection_the_model_was_trained_on(small_data, tmp_path
     out = tmp_path / "s.csv"
     assert run(["score", "--model", model, "--data", small_data, "--out", out]) == 0
     scores = fileio.read_scores_csv(out)
-    ensemble = nnet.load_ensemble(model)
+    plans = nnet.load_plans(model)
     candidates = fileio.read_candidates_csv(small_data / "candidates.csv")
 
     def predict(scan_id, projection):
         volume = fileio.read_volume_compact(small_data / "volumes" / f"{scan_id}.lrvol")
         example = build_scan_example(volume, candidates.get(scan_id, []), 0,
                                      projection=projection, scan_id=scan_id)
-        return nnet.ensemble_predict(ensemble, [example])[0]
+        return nnet.ensemble_predict(plans, [example])[0]
 
     assert all(score == predict(sid, "mip") for sid, score in scores.items())
     assert not any(score == predict(sid, "slice") for sid, score in scores.items())
@@ -808,6 +869,103 @@ def test_score_on_a_mangled_weight_file_exits_with_a_documented_code(fuzz_inputs
         assert all(np.isfinite(v) for v in fileio.read_scores_csv(out).values())
     else:
         assert err.getvalue().count("\n") == 1 and not out.exists(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def score_fuzz_inputs(fuzz_inputs, tmp_path_factory):
+    """A clean one-member model for `fuzz_inputs`'s phantoms, and a data
+    directory each for mangled volumes and mangled candidate files."""
+    data, clean = fuzz_inputs[0] / "data", fuzz_inputs[1]
+    root = tmp_path_factory.mktemp("score_fuzz")
+    (root / "model").mkdir()
+    (root / "model" / "fold0.lrnn").write_bytes(clean)
+    for name in ("volumes", "candidates"):
+        (root / name / "volumes").mkdir(parents=True)
+        for path in [data / "labels.csv", data / "candidates.csv", *(data / "volumes").iterdir()]:
+            target = root / name / path.relative_to(data)
+            target.write_bytes(path.read_bytes())
+    return root, data
+
+
+def assert_score_exits_with_a_documented_code(model, data, out):
+    """`score` exits 0 with finite scores, or with a documented code, one
+    line on stderr, no traceback and no --out."""
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroNoduleWarning)
+        code = run(["score", "--model", model, "--data", data, "--out", out])
+    assert code in (0, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_IO, cli.EXIT_NUMERIC), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert all(np.isfinite(v) for v in fileio.read_scores_csv(out).values())
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+            err.getvalue()
+        assert not out.exists()
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_score_on_a_mangled_volume_file_exits_with_a_documented_code(score_fuzz_inputs, data):
+    root, clean_data = score_fuzz_inputs
+    name = data.draw(st.sampled_from(sorted(p.name for p in (clean_data / "volumes").iterdir())),
+                     label="volume")
+    blob = bytearray((clean_data / "volumes" / name).read_bytes())
+    kind = data.draw(st.sampled_from(["header", "truncated", "extended"]), label="kind")
+    if kind == "header":        # magic, dims, spacing, origin and padding
+        for pos in data.draw(st.lists(st.integers(0, 71), min_size=1, max_size=4),
+                             label="positions"):
+            blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    elif kind == "truncated":
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="length"):]
+    else:
+        blob += data.draw(st.binary(min_size=1, max_size=64), label="tail")
+    volume = root / "volumes" / "volumes" / name
+    try:
+        volume.write_bytes(bytes(blob))
+        assert_score_exits_with_a_documented_code(root / "model", root / "volumes",
+                                                  root / "volumes.csv")
+    finally:
+        volume.write_bytes((clean_data / "volumes" / name).read_bytes())
+
+
+MANGLED_CELLS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", " ", "nan", "-inf", "inf", "1e309", "-1e308", "1e-320", "0", "-0.0",
+                     "2", "5", "3.0", "0x10", "1_000", "\x00", '"', '1,2', "1\n2", "scan_00000"]),
+    st.floats().map(repr),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_score_on_a_mangled_candidates_csv_exits_with_a_documented_code(score_fuzz_inputs,
+                                                                         data):
+    root, clean_data = score_fuzz_inputs
+    clean = (clean_data / "candidates.csv").read_bytes()
+    rows = [line.split(",") for line in clean.decode().splitlines()]
+    kind = data.draw(st.sampled_from(["cells", "quoted cells", "bytes"]), label="kind")
+    if kind == "bytes":
+        blob = bytearray(clean)
+        for pos in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4),
+                             label="positions"):
+            blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        (root / "candidates" / "candidates.csv").write_bytes(bytes(blob))
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="cells")):
+            row = data.draw(st.integers(0, len(rows) - 1), label="row")
+            col = data.draw(st.integers(0, len(rows[row]) - 1), label="column")
+            rows[row][col] = data.draw(MANGLED_CELLS, label="cell")
+        with open(root / "candidates" / "candidates.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            if kind == "quoted cells":
+                csv.writer(fh).writerows(rows)
+            else:
+                fh.write("".join(",".join(row) + "\n" for row in rows))
+    assert_score_exits_with_a_documented_code(root / "model", root / "candidates",
+                                              root / "candidates.csv.out")
 
 
 # ---------------------------------------------------------------------------
@@ -1014,6 +1172,8 @@ def write_csv(path, column, rows):
                  id="score-candidate-x-not-number"),
     pytest.param("score", {}, {}, [], {"candidates.csv": candidates_with(b"nan")}, cli.EXIT_IO,
                  id="score-candidate-x-nan"),
+    pytest.param("score", {}, {}, [], {"candidates.csv": candidates_with(b"\xff")}, cli.EXIT_IO,
+                 id="score-candidates-not-utf8"),
     pytest.param("train", {}, {}, [], {"train.cfg": b"epochs=abc\n"}, cli.EXIT_USAGE,
                  id="train-config-epochs-not-number"),
     pytest.param("train", {}, {}, ["--lr", "nan"], {"train.cfg": b""}, cli.EXIT_USAGE,

@@ -205,3 +205,29 @@ def test_scores_csv_round_trip(tmp_path):
     fileio.write_scores_csv(path, scores)
     back = fileio.read_scores_csv(path)
     assert back == scores  # repr round-trips float64 exactly
+
+
+def test_a_scores_write_that_fails_leaves_the_old_file_and_no_partial_file(tmp_path):
+    out = tmp_path / "scores.csv"
+    fileio.write_scores_csv(out, {"a": 0.25})
+    before = out.read_bytes()
+    during = []
+
+    class DiskFull:
+        # the second row's score: the header and the first row are written by now
+        def __float__(self):
+            during.append((out.read_bytes(), sorted(p.name for p in tmp_path.iterdir())))
+            raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space"):
+        fileio.write_scores_csv(out, {"a": 0.5, "b": DiskFull()})
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
+    # the rows went to a sibling partial file, not into the old one
+    (old, names), = during
+    assert old == before and names[0] == "scores.csv"
+    assert len(names) == 2 and names[1].startswith("scores.csv.partial-")
+
+    fileio.write_scores_csv(out, {"a": 0.5})
+    assert out.read_bytes() == b"scan_id,score\r\na,0.5\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]

@@ -87,7 +87,7 @@ def scan_risk(p, ex):
     """Risk through the `lungrisk score` path: a one-member ensemble whose
     metadata statistics leave the metadata as it is."""
     ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(p, IDENTITY_STATS)])
-    return nnet.ensemble_predict(ensemble, [ex])[0]
+    return nnet.ensemble_predict(ensemble.plans(), [ex])[0]
 
 
 def bag_risk(p, patches):
@@ -512,7 +512,7 @@ def test_inference_plan_matches_an_unfolded_reference_forward(metadata_dim):
     expected = np.mean([reference_risks(m, examples) for m in ensemble.members], axis=0)
 
     def check():
-        np.testing.assert_allclose(nnet.ensemble_predict(ensemble, examples), expected,
+        np.testing.assert_allclose(nnet.ensemble_predict(ensemble.plans(), examples), expected,
                                    rtol=1e-12, atol=0)
 
     check()
@@ -528,7 +528,7 @@ def test_ensemble_mean_and_identical_members():
     params = small_params(12)
     ens = nnet.FoldEnsemble(members=[nnet.FoldMember(params, stats)] * 5)
     ex = random_example(rng, 2)
-    assert nnet.ensemble_predict(ens, [ex]) == [bag_risk(params, ex.patches[:2])]
+    assert nnet.ensemble_predict(ens.plans(), [ex]) == [bag_risk(params, ex.patches[:2])]
 
 
 def member_mean_of_one_scan(ensemble, ex):
@@ -536,7 +536,7 @@ def member_mean_of_one_scan(ensemble, ex):
     member risks are averaged."""
     if not ex.patches:
         return 0.0
-    return float(np.mean([nnet.ensemble_predict(nnet.FoldEnsemble(members=[m]), [ex])[0]
+    return float(np.mean([nnet.ensemble_predict(nnet.FoldEnsemble(members=[m]).plans(), [ex])[0]
                           for m in ensemble.members]))
 
 
@@ -569,7 +569,7 @@ def test_chunked_scorer_equals_one_scan_at_a_time_bit_for_bit(budget, monkeypatc
     monkeypatch.setattr(nnet, "SCORE_CHUNK_PATCHES", budget)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        risks = nnet.ensemble_predict(ensemble, iter(examples))
+        risks = nnet.ensemble_predict(ensemble.plans(), iter(examples))
     chunks = [sum(len(ex.patches) for ex in chunk) for chunk in nnet._chunks(examples)]
     monkeypatch.undo()
     zero_ids = [ex.scan_id for ex in examples if not ex.patches]
@@ -607,7 +607,7 @@ def test_ensemble_predict_pulls_one_chunk_ahead_and_drops_it(monkeypatch):
         patches = []    # weak references to the patches of each example pulled
         alive = []      # chunks pulled and not yet freed, at each pull
         ahead = []      # chunks from the oldest of those to the one being pulled
-        risks = nnet.ensemble_predict(ensemble, build(patches, alive, ahead))
+        risks = nnet.ensemble_predict(ensemble.plans(), build(patches, alive, ahead))
         # a chunk per thread being scored, plus the one being pulled; a
         # scorer that read the iterable out first would hold all 5
         assert max(alive) <= threads + 1, (threads, alive)
@@ -631,7 +631,7 @@ def test_zero_nodule_warnings_come_once_per_scan_on_the_calling_thread(monkeypat
     monkeypatch.setattr(warnings, "warn", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        nnet.ensemble_predict(ensemble, examples)
+        nnet.ensemble_predict(ensemble.plans(), examples)
     monkeypatch.undo()
     zero_ids = [ex.scan_id for ex in examples if not ex.patches]
     assert [category for _, category, _ in warned] == [ZeroNoduleWarning] * len(zero_ids)
@@ -716,7 +716,9 @@ def test_ensemble_save_load_round_trip(tmp_path):
     back = nnet.load_ensemble(tmp_path / "model")
     assert len(back.members) == 3
     ex = random_example(rng, 2)
-    assert nnet.ensemble_predict(back, [ex]) == nnet.ensemble_predict(ens, [ex])
+    expected = nnet.ensemble_predict(ens.plans(), [ex])
+    assert nnet.ensemble_predict(back.plans(), [ex]) == expected
+    assert nnet.ensemble_predict(nnet.load_plans(tmp_path / "model"), [ex]) == expected
 
 
 def test_projection_round_trips_and_older_files_read_as_slice(tmp_path):
@@ -798,13 +800,18 @@ def test_load_member_without_metadata_statistics_raises_version_error(tmp_path):
         nnet.load_ensemble(tmp_path)
 
 
-def test_ensemble_rejects_members_of_different_projections():
+def test_ensemble_rejects_members_of_different_projections(tmp_path):
     stats = MetadataStats(mean=np.zeros(5), std=np.ones(5))
     members = [nnet.FoldMember(nnet.init_params(nnet.NNetConfig(projection=proj)), stats)
                for proj in ("slice", "mip")]
     with pytest.raises(ConfigError, match="projection"):
         nnet.FoldEnsemble(members=members)
-    assert nnet.FoldEnsemble(members=members[1:]).projection == "mip"
+    assert nnet.FoldEnsemble(members=members[1:]).plans()[0].projection == "mip"
+    # the plans of their weight files go through the same check
+    for i, member in enumerate(members):
+        nnet.save_params(member.params, tmp_path / f"fold{i}.lrnn", stats)
+    with pytest.raises(ConfigError, match="disagree on projection"):
+        nnet.load_plans(tmp_path)
 
 
 def test_load_ensemble_reads_each_file_once(tmp_path, monkeypatch):

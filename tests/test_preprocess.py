@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,19 +109,40 @@ def test_cube_dtype_follows_the_volume(stored_as, tmp_path):
     assert pp.extract_cube(pp.resample_isotropic(coarse), (19.0, 22.5, 25.0)).dtype == np.float64
 
 
+@pytest.mark.parametrize("spacing", [(0.7, 0.8, 1.25), (1.0, 2.5, 1.0), (3.0, 0.5, 0.9)])
+def test_built_cubes_are_those_of_the_resampled_volume_bit_for_bit(spacing):
+    v = _int16_volume(spacing)
+    iso = pp.resample_isotropic(v)
+    # inside, past the low corner, past the high corner, one voxel in
+    centers = [(12.0, 15.0, 25.5), (-4.0, 0.0, 7.0), (30.5, 33.0, 50.0),
+               (iso.dims[0] + 14.6 - 5.0, 2.5 - 15.4, 7.0)]
+    candidates = [pp.NoduleCandidate(c, 5.0 - i, 0.9) for i, c in enumerate(centers)]
+    ex = pp.build_scan_example(v, candidates, 1)
+    assert len(ex.cubes) == 4
+    for cube, c in zip(ex.cubes, pp.select_top_nodules(candidates)):
+        want = pp.extract_cube(iso, c.center)
+        assert cube.dtype == want.dtype == np.float64
+        assert cube.tobytes() == want.tobytes()
+
+
+def test_building_an_example_does_not_resample_the_whole_volume():
+    import tracemalloc
+
+    # a 2**40 mm voxel pitch: the 1 mm grid would hold about 10**17 voxels
+    v = pp.Volume(_int16_volume((1.0, 1.0, 1.0)).voxels, (2.0 ** 40, 1.0, 1.0), (0.0, 0.0, 0.0))
+    tracemalloc.start()
+    try:
+        ex = pp.build_scan_example(v, [pp.NoduleCandidate((5e12, 20.0, 18.0), 4.0, 0.9)], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ex.cubes[0].dtype == np.float64 and (ex.cubes[0] > pp.AIR_HU).any()
+    assert peak < 8 << 20, peak
+
+
 def test_resample_rejects_bad_spacing():
     with pytest.raises(FormatError):
         pp.Volume(np.zeros((2, 2, 2)), (0.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-
-
-def test_world_voxel_round_trip():
-    v = make_volume(dims=(12, 10, 8), spacing=(0.7, 1.3, 2.5), origin=(-4.0, 3.0, 9.0))
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        idx = rng.integers(0, v.dims, size=3)
-        world = np.add(v.origin, idx * np.asarray(v.spacing))
-        back = v.world_to_voxel(world)
-        assert np.all(np.abs(back - idx) < 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +180,24 @@ def test_extract_requires_isotropic_grid():
     v = make_volume(spacing=(2.0, 1.0, 1.0))
     with pytest.raises(FormatError):
         pp.extract_cube(v, center=(5.0, 5.0, 5.0))
+
+
+def test_a_far_off_cube_is_out_of_bounds_without_a_numeric_warning():
+    v = make_volume(dims=(40, 40, 40), origin=(-1e308, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # an overflowing subtraction or cast would warn
+        for center in [(1e308, 20.0, 20.0), (-1e300, 20.0, 20.0), (5e18, 20.0, 20.0)]:
+            with pytest.raises(OutOfBoundsError):
+                pp.extract_cube(v, center)
+
+
+def test_a_volume_without_a_1mm_grid_is_rejected_with_or_without_nodules():
+    v = make_volume(dims=(4, 4, 4), spacing=(0.1, 1.0, 1.0))      # 0.4 mm rounds to no voxel
+    for candidates in ([], [pp.NoduleCandidate((0.0, 2.0, 2.0), 3.0, 0.9)]):
+        with pytest.raises(FormatError):
+            pp.build_scan_example(v, candidates, 1)
+    with pytest.raises(FormatError):
+        pp.resample_isotropic(v)
 
 
 # ---------------------------------------------------------------------------
