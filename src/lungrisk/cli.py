@@ -116,7 +116,8 @@ def cmd_simulate(args) -> int:
         f"seed={spec.seed}",
         f"malignancy_intercept={dataset.intercept!r}",
     ]) + "\n"
-    (out / "manifest.txt").write_text(manifest)
+    with fileio.whole_file(out / "manifest.txt") as fh:
+        fh.write(manifest)
     print(manifest, end="")
     return 0
 
@@ -150,13 +151,13 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     ensemble = nnet.kfold_train(config, examples, k=args.folds)     # a rejection leaves no --out
     nnet.save_ensemble(ensemble, out)
-    with open(out / "training_loss.csv", "w", newline="") as fh:
+    with fileio.whole_file(out / "training_loss.csv") as fh:
         fh.write("fold,epoch,loss\n")
-        for fold, member in enumerate(ensemble.members):
-            for epoch, loss in enumerate(member.loss_history):
-                fh.write(f"{fold},{epoch},{loss!r}\n")
-    resolved = "".join(f"{k}={v}\n" for k, v in dataclasses.asdict(config).items())
-    (out / "resolved_config.txt").write_text(resolved + f"folds={args.folds}\n")
+        fh.writelines(f"{fold},{epoch},{loss!r}\n" for fold, member in enumerate(ensemble.members)
+                      for epoch, loss in enumerate(member.loss_history))
+    with fileio.whole_file(out / "resolved_config.txt") as fh:
+        fh.writelines(f"{k}={v}\n" for k, v in dataclasses.asdict(config).items())
+        fh.write(f"folds={args.folds}\n")
     print(f"trained {args.folds} fold(s) on {len(examples)} scans -> {out}")
     return 0
 
@@ -231,7 +232,7 @@ def cmd_compare(args) -> int:
     print(f"AUC B: {auc_b:.4f}")
     print(f"one-sided p-value (A > B): {p:.4f}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with fileio.whole_file(args.out) as fh:
             fh.write("metric,value\n")
             fh.write(f"auc_a,{auc_a!r}\nauc_b,{auc_b!r}\np_value,{p!r}\n")
             fh.write(f"n_perm,{args.perms}\nseed,{args.seed}\n")

@@ -1,4 +1,5 @@
-"""On-disk formats: volume files, candidate/label/score CSVs.
+"""On-disk formats: volume files, CSV tables and `key=value` files, each
+shape of text read by one reader (`read_table`, `read_key_values`).
 
 Two volume containers are supported:
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
 import struct
 from pathlib import Path
@@ -34,28 +36,41 @@ COMPACT_MAGIC = b"LRVOL1\x00\x00"
 _COMPACT_HEADER = struct.Struct("<8s3i6d4x")  # 72 bytes
 
 
+def read_key_values(path, parse, kind: str, error: type[Exception]) -> dict:
+    """{key: parse(key, value)} of a text file's `key=value` lines, skipping blank
+    and `#` lines. A line without `=`, a repeated key, or a ValueError or TypeError
+    from `parse` raises `error` as `path:line: <kind> 'key' ...` (kind: "config key")."""
+    values = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise error(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key in values:
+            raise error(f"{path}:{lineno}: {kind} {key!r} is repeated")
+        try:
+            values[key] = parse(key, value.strip())
+        except (TypeError, ValueError) as exc:
+            raise error(f"{path}:{lineno}: {kind} {key!r}: {exc}") from None
+    return values
+
+
 def read_volume_pair(header_path) -> Volume:
     """The volume of a header + raw pair. MET_SHORT voxels stay int16, as
     stored; MET_FLOAT and MET_DOUBLE voxels become float64 (see `Volume`)."""
     header_path = Path(header_path)
-    fields = {}
-    for lineno, line in enumerate(header_path.read_text().splitlines(), start=1):
-        if "=" not in line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in fields:
-            raise FormatError(f"{header_path}:{lineno}: volume header key {key!r} is repeated")
-        fields[key] = value.strip()
-
-    def field(key):
-        if key not in fields:
-            raise FormatError(f"volume header {header_path} lacks key {key!r}")
-        return fields[key]
+    fields = read_key_values(header_path, lambda _, value: value, "volume header key", FormatError)
+    missing = [key for key in ("NDims", "DimSize", "ElementSpacing", "Offset", "ElementType",
+                               "ElementDataFile") if key not in fields]
+    if missing:
+        raise FormatError(f"volume header {header_path} lacks keys {missing}")
 
     def numbers(key, kind, count=3):
         try:
-            values = tuple(kind(x) for x in field(key).split())
+            values = tuple(kind(x) for x in fields[key].split())
         except ValueError:
             values = ()
         if len(values) != count:
@@ -70,13 +85,14 @@ def read_volume_pair(header_path) -> Volume:
         raise FormatError(f"DimSize in {header_path} has a negative dimension {dims}")
     spacing = numbers("ElementSpacing", float)
     origin = numbers("Offset", float)
-    element_type = field("ElementType")
-    data_file = field("ElementDataFile")
+    element_type, data_file = fields["ElementType"], fields["ElementDataFile"]
     if element_type not in _ELEMENT_TYPES:
         raise FormatError(f"unsupported element type {element_type!r} in {header_path}")
+    if "\0" in data_file:
+        raise FormatError(f"ElementDataFile in {header_path} holds a NUL character")
     dtype = _ELEMENT_TYPES[element_type]
     raw = np.fromfile(header_path.parent / data_file, dtype=dtype)
-    if raw.size != int(np.prod(dims)):
+    if raw.size != math.prod(dims):     # in Python ints, which do not wrap
         raise FormatError(f"raw file size does not match DimSize in {header_path}")
     return Volume(raw.reshape(dims[2], dims[1], dims[0]).transpose(2, 1, 0), spacing, origin)
 
@@ -139,29 +155,48 @@ def write_candidates_csv(path, rows: dict[str, list[NoduleCandidate]]):
         for scan_id in sorted(rows) for c in rows[scan_id]))
 
 
+def read_table(path, kind: str, columns, parse_row):
+    """Yield `parse_row(row)` for each row of the `kind` ("label") CSV table at
+    `path`, a dict of cells where a missing cell reads "". A header without all of
+    `columns`, a ValueError or TypeError from `parse_row` or a csv.Error is a FormatError."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        try:
+            missing = [c for c in columns if c not in (reader.fieldnames or [])]
+            if missing:
+                raise FormatError(f"{kind} file {path} lacks columns {missing}")
+            for row in reader:
+                try:
+                    item = parse_row(row)
+                except (TypeError, ValueError) as exc:
+                    raise FormatError(f"{path}:{reader.line_num}: bad {kind} row: {exc}") from None
+                yield item
+        except csv.Error as exc:        # a cell over the field size limit
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _by_scan(path, rows) -> dict:
+    """{scan_id: value} of the rows; a repeated scan_id is a DataConsistencyError."""
+    out = {}
+    for scan_id, value in rows:
+        if scan_id in out:
+            raise DataConsistencyError(f"duplicate scan_id {scan_id!r} in {path}")
+        out[scan_id] = value
+    return out
+
+
+def _candidate_row(row) -> tuple[str, NoduleCandidate]:
+    sph, lr = row.get("sphericity"), row.get("lungrads")
+    return row["scan_id"], NoduleCandidate(
+        center=(float(row["x_mm"]), float(row["y_mm"]), float(row["z_mm"])),
+        radius_mm=float(row["radius_mm"]), confidence=float(row["confidence"]),
+        sphericity=float(sph) if sph else None, lungrads_category=int(lr) if lr else None)
+
+
 def read_candidates_csv(path) -> dict[str, list[NoduleCandidate]]:
     out: dict[str, list[NoduleCandidate]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in CANDIDATE_BASE_COLUMNS if c not in header]
-        if missing:
-            raise FormatError(f"candidate file {path} lacks columns {missing}")
-        for row in reader:
-            sph = row.get("sphericity") or None
-            lr = row.get("lungrads") or None
-            try:
-                cand = NoduleCandidate(
-                    center=(float(row["x_mm"]), float(row["y_mm"]), float(row["z_mm"])),
-                    radius_mm=float(row["radius_mm"]),
-                    confidence=float(row["confidence"]),
-                    sphericity=None if sph is None else float(sph),
-                    lungrads_category=None if lr is None else int(lr),
-                )
-            except (TypeError, ValueError):
-                raise FormatError(f"candidate file {path}, line {reader.line_num}: "
-                                  f"a field is missing or not a number") from None
-            out.setdefault(row["scan_id"], []).append(cand)
+    for scan_id, cand in read_table(path, "candidate", CANDIDATE_BASE_COLUMNS, _candidate_row):
+        out.setdefault(scan_id, []).append(cand)
     return out
 
 
@@ -169,24 +204,15 @@ def write_labels_csv(path, labels: dict[str, int]):
     write_csv(path, ["scan_id", "label"], ([sid, int(labels[sid])] for sid in sorted(labels)))
 
 
+def _label_row(row) -> tuple[str, int]:
+    label = int(row["label"])
+    if label not in (0, 1):
+        raise ValueError(f"label for {row['scan_id']!r} must be 0 or 1, got {label}")
+    return row["scan_id"], label
+
+
 def read_labels_csv(path) -> dict[str, int]:
-    out: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"scan_id", "label"} - set(reader.fieldnames):
-            raise FormatError(f"label file {path} must carry scan_id,label columns")
-        for row in reader:
-            try:
-                value = int(row["label"])
-            except ValueError:
-                raise FormatError(f"label for {row['scan_id']!r} in {path} is not an integer: "
-                                  f"{row['label']!r}") from None
-            if value not in (0, 1):
-                raise FormatError(f"label for {row['scan_id']!r} must be 0 or 1, got {value}")
-            if row["scan_id"] in out:
-                raise DataConsistencyError(f"duplicate scan_id {row['scan_id']!r} in {path}")
-            out[row["scan_id"]] = value
-    return out
+    return _by_scan(path, read_table(path, "label", ["scan_id", "label"], _label_row))
 
 
 @contextlib.contextmanager
@@ -217,21 +243,11 @@ def write_scores_csv(path, scores: dict[str, float]):
 
 
 def read_scores_csv(path) -> dict[str, float]:
-    out: dict[str, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"scan_id", "score"} - set(reader.fieldnames):
-            raise FormatError(f"score file {path} must carry scan_id,score columns")
-        for row in reader:
-            if row["scan_id"] in out:
-                raise DataConsistencyError(f"duplicate scan_id {row['scan_id']!r} in {path}")
-            try:
-                value = float(row["score"])
-            except ValueError:
-                raise FormatError(f"score for {row['scan_id']!r} in {path} is not a number: "
-                                  f"{row['score']!r}") from None
-            if not np.isfinite(value):
-                raise NumericError(f"score for {row['scan_id']!r} in {path} is not finite: "
-                                   f"{row['score']!r}")
-            out[row["scan_id"]] = value
-    return out
+    def score_row(row):
+        score = float(row["score"])
+        if not np.isfinite(score):
+            raise NumericError(f"score for {row['scan_id']!r} in {path} is not finite: "
+                               f"{row['score']!r}")
+        return row["scan_id"], score
+
+    return _by_scan(path, read_table(path, "score", ["scan_id", "score"], score_row))

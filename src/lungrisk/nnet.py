@@ -52,6 +52,7 @@ from .errors import (
     VersionError,
     ZeroNoduleWarning,
 )
+from .fileio import read_key_values
 from .preprocess import (
     CROP_SIDE,
     MetadataStats,
@@ -827,25 +828,14 @@ def load_plans(directory) -> list[_InferencePlan]:
 _CONFIG_TYPES = {f.name: type(f.default) for f in fields(NNetConfig)}
 
 
+def _config_value(key: str, value: str):
+    if key not in _CONFIG_TYPES:
+        raise ValueError(f"not one of {sorted(_CONFIG_TYPES)}")
+    return _CONFIG_TYPES[key](value)
+
+
 def load_train_config(path, **overrides) -> NNetConfig:
     """Parse `key=value` lines into an NNetConfig; kwargs take precedence."""
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: config key {key!r} is repeated")
-        try:
-            values[key] = _CONFIG_TYPES[key](value.strip())
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: {key} must be of type "
-                              f"{_CONFIG_TYPES[key].__name__}, got {value.strip()!r}") from None
+    values = read_key_values(path, _config_value, "config key", ConfigError)
     values.update({k: v for k, v in overrides.items() if v is not None})
     return NNetConfig(**values)

@@ -7,7 +7,6 @@ set (synthetic, for tests and demos only) ships in ``data/``.
 
 from __future__ import annotations
 
-import csv
 import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, NoNoduleError, NumericError
-from .fileio import write_csv
+from .fileio import read_key_values, read_table, write_csv
 from .tensor import _sigmoid_raw
 
 NODULE_TYPES = ("nonsolid", "part_solid", "solid")
@@ -130,26 +129,10 @@ WEIGHT_FILE_VERSION = 1
 
 
 def load_weights(path) -> PanCanWeights:
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in values:
-            raise FormatError(f"{path}:{lineno}: weight key {key!r} is repeated")
-        try:
-            values[key] = float(value.strip())
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-numeric value for {key!r}") from None
+    values = read_key_values(path, lambda _, value: float(value), "weight key", FormatError)
     version = values.pop("version", None)
-    if version is None:
-        raise FormatError(f"{path}: weight file must declare a version")
     if version != WEIGHT_FILE_VERSION:
-        raise FormatError(f"{path}: unsupported weight file version {version!r}")
+        raise FormatError(f"{path}: weight file version {version!r}, not {WEIGHT_FILE_VERSION}")
     intercept = values.pop("intercept", 0.0)
     return PanCanWeights(values=values, intercept=intercept)
 
@@ -169,30 +152,24 @@ def write_features_csv(path, rows: list[tuple[str, PanCanFeatures]]):
         for scan_id, f in rows))
 
 
+def _feature_row(row) -> tuple[str, PanCanFeatures]:
+    return row["scan_id"], PanCanFeatures(
+        age=float(row["age"]),
+        sex=row["sex"],
+        family_history=bool(int(row["family_history"])),
+        emphysema=bool(int(row["emphysema"])),
+        nodule_count=int(row["nodule_count"]),
+        diameter_mm=float(row["diameter_mm"]),
+        nodule_type=row["nodule_type"],
+        upper_lobe=bool(int(row["upper_lobe"])),
+        spiculation=bool(int(row["spiculation"])),
+    )
+
+
 def read_features_csv(path) -> dict[str, list[PanCanFeatures]]:
     out: dict[str, list[PanCanFeatures]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(FEATURE_COLUMNS) - set(reader.fieldnames or [])
-        if missing:
-            raise FormatError(f"feature file {path} lacks columns {sorted(missing)}")
-        for row in reader:
-            try:
-                f = PanCanFeatures(
-                    age=float(row["age"]),
-                    sex=row["sex"],
-                    family_history=bool(int(row["family_history"])),
-                    emphysema=bool(int(row["emphysema"])),
-                    nodule_count=int(row["nodule_count"]),
-                    diameter_mm=float(row["diameter_mm"]),
-                    nodule_type=row["nodule_type"],
-                    upper_lobe=bool(int(row["upper_lobe"])),
-                    spiculation=bool(int(row["spiculation"])),
-                )
-            except (TypeError, ValueError):
-                raise FormatError(f"feature file {path}, line {reader.line_num}: "
-                                  f"a field is missing or not a number") from None
-            out.setdefault(row["scan_id"], []).append(f)
+    for scan_id, f in read_table(path, "feature", FEATURE_COLUMNS, _feature_row):
+        out.setdefault(scan_id, []).append(f)
     return out
 
 

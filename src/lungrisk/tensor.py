@@ -124,14 +124,12 @@ class BatchNormState:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter, and
-    two scratch rows the size of the largest parameter for `adam_step`."""
+    """Per-parameter first/second moments plus the shared step counter."""
 
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
     step_count: int = 0
     learning_rate: float = 1e-3
-    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 0)), repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +271,7 @@ def batch_norm(x: Tensor, state: BatchNormState) -> Tensor:
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map: out = x @ W + b for x of shape (n,) or (N,n).
-
-    Each row is its own (1,n) @ (n,m) product, so a row's result does not
-    depend on how many rows share the call: scoring patches in one batch
-    gives exactly the scores of scoring them one at a time.
-    """
+    """Affine map: out = x @ W + b for x of shape (n,) or (N,n), row by row."""
     w, b = weights.data, bias.data
     if w.ndim != 2:
         raise DimensionError(f"weights must be 2-D, got {weights.shape}")
@@ -519,8 +512,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
     size, with the operations of
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
         p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
-    in that order. The temporaries are views of `state.scratch`, so a step
-    maps no fresh pages, whatever the allocator's thresholds.
+    in that order.
     """
     missing = [name for name, p in params.items() if p.grad is None]
     if missing:
@@ -530,9 +522,6 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    largest = max((p.data.size for p in params.values()), default=0)
-    if state.scratch.shape[1] < largest:
-        state.scratch = np.empty((2, largest))
     for name, param in params.items():
         p, g = param.data, param.grad
         if g.shape != p.shape:
@@ -545,8 +534,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
             state.first_moment[name] = np.zeros_like(p)
             state.second_moment[name] = np.zeros_like(p)
         m, v = state.first_moment[name], state.second_moment[name]
-        sa, sb = (row[:p.size].reshape(p.shape) for row in state.scratch)
-        np.multiply(g, 1.0 - b1, out=sa)
+        sa = np.multiply(g, 1.0 - b1)
         m *= b1
         m += sa
         np.multiply(g, g, out=sa)
@@ -555,7 +543,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
         v += sa
         np.divide(m, bc1, out=sa)
         sa *= lr
-        np.divide(v, bc2, out=sb)
+        sb = np.divide(v, bc2)
         np.sqrt(sb, out=sb)
         sb += eps
         sa /= sb

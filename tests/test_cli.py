@@ -4,6 +4,7 @@ import ctypes
 import hashlib
 import io
 import os
+import shutil
 import signal
 import struct
 import subprocess
@@ -23,7 +24,7 @@ from lungrisk import cli, fileio, host, nnet, pancan, synthdata
 from lungrisk.errors import ZeroNoduleWarning
 from lungrisk.pancan import placeholder_weights_path
 from lungrisk.preprocess import MetadataStats, build_scan_example
-from writers import save_weights, write_weight_entries
+from writers import save_weights, write_volume_pair, write_weight_entries
 
 
 def run(argv):
@@ -887,22 +888,33 @@ def score_fuzz_inputs(fuzz_inputs, tmp_path_factory):
     return root, data
 
 
+def assert_exits_with_a_documented_code(argv, outs) -> int:
+    """The command's exit code, after checking that it is 0, or a documented
+    code with one `error:` line on stderr, no traceback and none of the
+    `outs` files or directories."""
+    for out in outs:
+        shutil.rmtree(out) if out.is_dir() else out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    assert code in (0, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_IO, cli.EXIT_NUMERIC), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
+            err.getvalue()
+        assert not any(out.exists() for out in outs)
+    return code
+
+
 def assert_score_exits_with_a_documented_code(model, data, out):
     """`score` exits 0 with finite scores, or with a documented code, one
     line on stderr, no traceback and no --out."""
-    out.unlink(missing_ok=True)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroNoduleWarning)
-        code = run(["score", "--model", model, "--data", data, "--out", out])
-    assert code in (0, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_IO, cli.EXIT_NUMERIC), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+        code = assert_exits_with_a_documented_code(
+            ["score", "--model", model, "--data", data, "--out", out], [out])
     if code == 0:
         assert all(np.isfinite(v) for v in fileio.read_scores_csv(out).values())
-    else:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, \
-            err.getvalue()
-        assert not out.exists()
 
 
 @given(data=st.data())
@@ -968,6 +980,125 @@ def test_score_on_a_mangled_candidates_csv_exits_with_a_documented_code(score_fu
                                               root / "candidates.csv.out")
 
 
+def mangled(data, clean: bytes, sep: str) -> bytes:
+    """`clean`, lines of `sep`-separated cells, with one to three cells replaced
+    (written raw or quoted), a cell dropped or added, or up to four bytes XOR-ed."""
+    kind = data.draw(st.sampled_from(["cells", "quoted cells", "dropped cell", "extra cell",
+                                      "bytes"]), label="kind")
+    if kind == "bytes":
+        blob = bytearray(clean)
+        for pos in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4),
+                             label="positions"):
+            blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+        return bytes(blob)
+    rows = [line.split(sep) for line in clean.decode().splitlines()]
+    for _ in range(data.draw(st.integers(1, 3), label="cells") if kind.endswith("cells") else 1):
+        row = rows[data.draw(st.integers(0, len(rows) - 1), label="row")]
+        if kind == "extra cell":
+            row.append(data.draw(MANGLED_CELLS, label="cell"))
+            continue
+        col = data.draw(st.integers(0, len(row) - 1), label="column")
+        if kind == "dropped cell":
+            del row[col]
+        else:
+            row[col] = data.draw(MANGLED_CELLS, label="cell")
+    text = io.StringIO()
+    if kind == "quoted cells":
+        csv.writer(text, delimiter=sep, lineterminator="\n").writerows(rows)
+    else:
+        text.write("".join(sep.join(row) + "\n" for row in rows))
+    return text.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def text_fuzz_inputs(fuzz_inputs, tmp_path_factory):
+    """Clean text inputs for `fuzz_inputs`'s phantoms: the labels, a scores
+    CSV, the PanCan features and weights, a training config, and a copy of
+    the data directory whose volumes are `.mhd`/`.raw` pairs."""
+    data = fuzz_inputs[0] / "data"
+    root = tmp_path_factory.mktemp("text_fuzz")
+    labels = fileio.read_labels_csv(data / "labels.csv")
+    fileio.write_labels_csv(root / "labels.csv", labels)
+    fileio.write_scores_csv(root / "scores.csv",
+                            {sid: 0.1 + 0.2 * i for i, sid in enumerate(labels)})
+    shutil.copy(data / "pancan_features.csv", root / "features.csv")
+    shutil.copy(placeholder_weights_path(), root / "weights.txt")
+    (root / "train.cfg").write_text("# training config\ndropout_rate=0.25\nmetadata_dim=5\n"
+                                    "learning_rate=0.001\nepochs=1\nbatch_size=8\n"
+                                    "projection=slice\n")
+    (root / "mhd" / "volumes").mkdir(parents=True)
+    for name in ("labels.csv", "candidates.csv"):
+        shutil.copy(data / name, root / "mhd" / name)
+    for path in (data / "volumes").iterdir():
+        write_volume_pair(fileio.read_volume_compact(path),
+                          root / "mhd" / "volumes" / f"{path.stem}.mhd")
+    return root
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_eval_and_compare_on_a_mangled_labels_or_scores_csv_exit_with_a_documented_code(
+        text_fuzz_inputs, data):
+    root = text_fuzz_inputs
+    name = data.draw(st.sampled_from(["labels.csv", "scores.csv"]), label="file")
+    (root / "mangled.csv").write_bytes(mangled(data, (root / name).read_bytes(), ","))
+    path = {"labels.csv": root / "labels.csv", "scores.csv": root / "scores.csv",
+            name: root / "mangled.csv"}
+    if data.draw(st.sampled_from(["eval", "compare"]), label="command") == "eval":
+        assert_exits_with_a_documented_code(
+            ["eval", "--scores", path["scores.csv"], "--labels", path["labels.csv"],
+             "--out", root / "rep"], [root / "rep_report.csv", root / "rep_roc.csv"])
+    else:
+        assert_exits_with_a_documented_code(
+            ["compare", "--a", path["scores.csv"], "--b", root / "scores.csv",
+             "--labels", path["labels.csv"], "--perms", 10, "--seed", 0,
+             "--out", root / "compare.csv"], [root / "compare.csv"])
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pancan_on_a_mangled_features_csv_or_weight_file_exits_with_a_documented_code(
+        text_fuzz_inputs, data):
+    root = text_fuzz_inputs
+    name, sep = data.draw(st.sampled_from([("features.csv", ","), ("weights.txt", "=")]),
+                          label="file")
+    (root / "mangled").write_bytes(mangled(data, (root / name).read_bytes(), sep))
+    path = {"features.csv": root / "features.csv", "weights.txt": root / "weights.txt",
+            name: root / "mangled"}
+    assert_exits_with_a_documented_code(
+        ["pancan", "--weights", path["weights.txt"], "--features", path["features.csv"],
+         "--out", root / "pancan.csv"], [root / "pancan.csv"])
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_train_on_a_mangled_config_file_exits_with_a_documented_code(fuzz_inputs,
+                                                                     text_fuzz_inputs, data):
+    root = text_fuzz_inputs
+    (root / "mangled.cfg").write_bytes(mangled(data, (root / "train.cfg").read_bytes(), "="))
+    # --epochs 1 overrides an accepted epochs value of any size, so the run stays short
+    assert_exits_with_a_documented_code(
+        ["train", "--data", fuzz_inputs[0] / "data", "--config", root / "mangled.cfg",
+         "--folds", 1, "--epochs", 1, "--seed", 0, "--out", root / "model"], [root / "model"])
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_score_on_a_mangled_mhd_header_exits_with_a_documented_code(score_fuzz_inputs,
+                                                                    text_fuzz_inputs, data):
+    data_dir = text_fuzz_inputs / "mhd"
+    headers = sorted(p.name for p in (data_dir / "volumes").glob("*.mhd"))
+    name = data.draw(st.sampled_from(headers), label="header")
+    header = data_dir / "volumes" / name
+    clean = header.read_bytes()
+    try:
+        header.write_bytes(mangled(data, clean, "="))
+        assert_score_exits_with_a_documented_code(score_fuzz_inputs[0] / "model", data_dir,
+                                                  text_fuzz_inputs / "mhd.csv")
+    finally:
+        header.write_bytes(clean)
+
+
 # ---------------------------------------------------------------------------
 # eval / compare / pancan
 
@@ -1022,6 +1153,36 @@ def test_compare_p_value_and_reproducibility(small_data, tmp_path, capsys):
          "--labels", small_data / "labels.csv", "--perms", 500, "--seed", 3,
          "--out", tmp_path / "cmp.csv"])
     assert (tmp_path / "cmp.csv").read_text() == first
+
+
+def test_a_compare_out_write_that_fails_leaves_the_old_file_and_no_partial_file(
+        tmp_path, monkeypatch, capsys):
+    labels = write_csv(tmp_path / "labels.csv", "label", GOOD_LABELS)
+    scores = write_csv(tmp_path / "scores.csv", "score", GOOD_SCORES)
+    out = tmp_path / "out" / "compare.csv"
+    out.parent.mkdir()
+    argv = ["compare", "--a", scores, "--b", scores, "--labels", labels, "--seed", 0, "--out", out]
+    assert run(argv + ["--perms", 10]) == 0
+    before = out.read_bytes()
+
+    def disk_full_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if "w" in mode:
+            write = fh.write
+
+            def write_half(text):       # half the text reaches the disk, then it is full
+                write(text[:len(text) // 2])
+                raise OSError(28, "No space left on device")
+            fh.write = write_half
+        return fh
+
+    monkeypatch.setattr(fileio, "open", disk_full_open, raising=False)
+    capsys.readouterr()
+    assert run(argv + ["--perms", 20]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No space" in err and err.count("\n") == 1, err
+    assert out.read_bytes() == before
+    assert [p.name for p in out.parent.iterdir()] == ["compare.csv"]
 
 
 def test_pancan_max_vs_mean_and_single_nodule_identity(small_data, tmp_path):
@@ -1122,7 +1283,9 @@ def candidates_with(x_mm):
 
 
 def write_csv(path, column, rows):
-    path.write_text(f"scan_id,{column}\n" + "".join(f"{k},{v}\n" for k, v in rows.items()))
+    """A `scan_id,<column>` table; a row whose value is None lacks its second cell."""
+    path.write_text(f"scan_id,{column}\n" + "".join(k + ("" if v is None else f",{v}") + "\n"
+                                                   for k, v in rows.items()))
     return path
 
 
@@ -1133,6 +1296,14 @@ def write_csv(path, column, rows):
                  id="compare-label-not-integer"),
     pytest.param("eval", {"b": "high"}, {}, [], {}, cli.EXIT_IO,
                  id="eval-score-not-number"),
+    pytest.param("eval", {}, {"b": None}, [], {}, cli.EXIT_IO, id="eval-label-cell-missing"),
+    pytest.param("eval", {}, {"b": "1" * 200_000}, [], {}, cli.EXIT_IO,
+                 id="eval-label-cell-over-the-csv-field-limit"),
+    pytest.param("compare", {}, {"b": None}, [], {}, cli.EXIT_IO,
+                 id="compare-label-cell-missing"),
+    pytest.param("eval", {"c": None}, {}, [], {}, cli.EXIT_IO, id="eval-score-cell-missing"),
+    pytest.param("compare", {"c": None}, {}, [], {}, cli.EXIT_IO,
+                 id="compare-score-cell-missing"),
     pytest.param("eval", {"b": "nan"}, {}, [], {}, cli.EXIT_NUMERIC, id="eval-score-nan"),
     pytest.param("eval", {"a": "-inf"}, {}, [], {}, cli.EXIT_NUMERIC,
                  id="eval-score-minus-inf"),
@@ -1164,6 +1335,15 @@ def write_csv(path, column, rows):
     pytest.param("score", {}, {}, [],
                  {"volumes/v0.mhd": MHD_2x2x2 + b"ElementDataFile = v0.raw\n"},
                  cli.EXIT_IO, id="score-mhd-data-file-repeated"),
+    pytest.param("score", {}, {}, [], {"volumes/v0.mhd": MHD_2x2x2 + b"BinaryData True\n"},
+                 cli.EXIT_IO, id="score-mhd-line-without-equals"),
+    pytest.param("score", {}, {}, [],
+                 {"volumes/v0.mhd": MHD_2x2x2.replace(b"v0.raw", b"v0\0.raw")},
+                 cli.EXIT_IO, id="score-mhd-data-file-nul"),
+    # 8 * (2**61 + 1) voxels wrap to the raw file's 8 in int64
+    pytest.param("score", {}, {}, [],
+                 {"volumes/v0.mhd": MHD_2x2x2.replace(b"2 2 2", b"2305843009213693953 8 1")},
+                 cli.EXIT_IO, id="score-mhd-dims-overflow-int64"),
     pytest.param("score", {}, {}, [], {"volumes/v0.lrvol": lrvol_2x2x2(spacing=(1.0, np.nan, 1.0))},
                  cli.EXIT_IO, id="score-lrvol-spacing-nan"),
     pytest.param("score", {}, {}, [], {"volumes/v0.lrvol": lrvol_2x2x2(origin=(0.0, 0.0, np.inf))},

@@ -52,6 +52,15 @@ def test_volume_pair_repeated_key_names_it_and_its_line(tmp_path):
         fileio.read_volume_pair(header)
 
 
+def test_volume_pair_line_without_equals_names_its_line(tmp_path):
+    header = tmp_path / "scan.mhd"
+    write_volume_pair(sample_volume(), header)
+    header.write_text("# a comment\n\n" + header.read_text() + "BinaryData True\n")
+    with pytest.raises(FormatError, match=re.escape(f"{header}:9: expected key=value, got "
+                                                    "'BinaryData True'")):
+        fileio.read_volume_pair(header)
+
+
 def test_volume_pair_size_mismatch(tmp_path):
     v = sample_volume()
     header = tmp_path / "scan.mhd"
