@@ -1,8 +1,9 @@
 """From a CT volume to the network's fixed-shape input.
 
 Builds a small anisotropic volume with one bright blob, then walks the
-pipeline: isotropic resampling, 32mm cube extraction, 28mm crop, the three
-orthogonal projections, intensity normalization, and nodule selection.
+pipeline: a 32mm cube cut on the 1 mm grid (only the cube is resampled),
+28mm crop, the three orthogonal projections, intensity normalization, and
+nodule selection.
 """
 
 import numpy as np
@@ -20,12 +21,9 @@ vox[dist2 < 4.0 ** 2] = 60.0
 volume = pp.Volume(vox, spacing=(2.0, 1.0, 1.5), origin=(-10.0, 5.0, 0.0))
 print("raw volume:", volume.dims, "at spacing", volume.spacing)
 
-iso = pp.resample_isotropic(volume)
-print("isotropic:", iso.dims, "at spacing", iso.spacing)
-
 world_center = np.add(volume.origin, np.multiply(center_vox, volume.spacing))
-cube = pp.extract_cube(iso, world_center)
-print("cube:", cube.shape, " min/max HU:", round(cube.min()), round(cube.max()))
+cube = pp.extract_cube(volume, world_center)
+print("1 mm cube:", cube.shape, cube.dtype, " min/max HU:", round(cube.min()), round(cube.max()))
 
 crop = pp.crop28(cube, "infer")
 planes = pp.triplanar(crop)
@@ -42,7 +40,7 @@ chosen = pp.select_top_nodules(candidates)[:3]
 print("top-3 radii:", [c.radius_mm for c in chosen],
       "(ties broken by confidence)")
 
-example = pp.build_scan_example(iso, candidates, label=1, scan_id="demo")
+example = pp.build_scan_example(volume, candidates, label=1, scan_id="demo")
 print("scan example:", len(example.patches), "nodule patches, radii",
       [float(p.metadata[0]) for p in example.patches], "; planes",
       example.patches[0].planes.shape, "; kept cubes", example.cubes[0].shape)

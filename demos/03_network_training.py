@@ -31,7 +31,7 @@ print("loss: epoch 0:", round(history[0], 4),
 # and one batch-invariant pass scores the whole bag
 params, stats = result.params, result.metadata_stats
 bag = [examples[1].patches[0], examples[0].patches[0], examples[3].patches[0]]
-ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, stats)])
+members = [nnet.FoldMember(params, stats)]
 
 
 def bag_risk(plans, patches):
@@ -39,7 +39,7 @@ def bag_risk(plans, patches):
     return nnet.ensemble_predict(plans, [ScanExample(scan_id="bag", patches=patches, label=1)])[0]
 
 
-plans = ensemble.plans()
+plans = [nnet.build_plan(m) for m in members]
 singles = [bag_risk(plans, [p]) for p in bag]
 risk = bag_risk(plans, bag)
 print("branch scores one at a time:", [round(s, 4) for s in singles])
@@ -50,5 +50,5 @@ print("bag risk in one pass:", round(risk, 4), " exactly their max:", risk == ma
 import tempfile
 
 with tempfile.TemporaryDirectory() as td:
-    nnet.save_ensemble(ensemble, td)
+    nnet.save_ensemble(nnet.FoldEnsemble(members), td)
     print("save/load risk identical:", bag_risk(nnet.load_plans(td), bag) == risk)

@@ -19,13 +19,13 @@ from .nnet import (
     FoldEnsemble,
     NNetConfig,
     NNetParams,
+    build_plan,
     ensemble_predict,
     init_params,
     kfold_train,
     load_member,
     load_plans,
     save_params,
-    score_bags,
     train,
 )
 from .pancan import PanCanFeatures, PanCanWeights, nodule_score, patient_score
@@ -38,7 +38,6 @@ from .preprocess import (
     crop28,
     extract_cube,
     normalize_hu,
-    resample_isotropic,
     select_top_nodules,
     triplanar,
 )
@@ -51,11 +50,11 @@ __all__ = [
     "AdamState", "BatchNormState", "FoldEnsemble", "NNetConfig", "NNetParams",
     "NoduleCandidate", "NodulePatch", "PanCanFeatures", "PanCanWeights",
     "PhantomSpec", "ScanExample", "ScoredCohort", "Tensor", "Volume",
-    "adam_step", "auc", "backward", "build_scan_example", "crop28",
+    "adam_step", "auc", "backward", "build_plan", "build_scan_example", "crop28",
     "ensemble_predict", "errors", "evaluate", "extract_cube", "fileio",
     "generate", "host", "init_params", "kfold_train", "load_member", "load_plans", "nnet",
     "nodule_score", "normalize_hu", "pancan", "patient_score",
-    "permutation_test_auc", "preprocess", "resample_isotropic", "roc_curve",
-    "save_params", "score_bags", "select_top_nodules", "synthdata", "tensor",
+    "permutation_test_auc", "preprocess", "roc_curve",
+    "save_params", "select_top_nodules", "synthdata", "tensor",
     "train", "triplanar",
 ]

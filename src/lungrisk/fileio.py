@@ -90,9 +90,13 @@ def read_volume_pair(header_path) -> Volume:
         raise FormatError(f"unsupported element type {element_type!r} in {header_path}")
     if "\0" in data_file:
         raise FormatError(f"ElementDataFile in {header_path} holds a NUL character")
-    dtype = _ELEMENT_TYPES[element_type]
-    raw = np.fromfile(header_path.parent / data_file, dtype=dtype)
-    if raw.size != math.prod(dims):     # in Python ints, which do not wrap
+    dtype, data_path = _ELEMENT_TYPES[element_type], header_path.parent / data_file
+    count = math.prod(dims)     # in Python ints, which do not wrap
+    # checked before the read, which stops at `count`: a header cannot make
+    # it read more than its DimSize names
+    size_ok = os.path.getsize(data_path) == count * dtype.itemsize
+    raw = np.fromfile(data_path, dtype=dtype, count=count) if size_ok else None
+    if raw is None or raw.size != count:
         raise FormatError(f"raw file size does not match DimSize in {header_path}")
     return Volume(raw.reshape(dims[2], dims[1], dims[0]).transpose(2, 1, 0), spacing, origin)
 

@@ -3,7 +3,7 @@
 One shared convolutional/dense stack scores each of a scan's (at most ten)
 nodule branches; the patient risk is the max over its branch scores. Training
 runs the layers below through `tensor`'s autodiff ops; scoring runs each member
-folded into a plain-numpy `_InferencePlan` (see `_build_plan`). Branch layout:
+folded into a plain-numpy `_InferencePlan` (see `build_plan`). Branch layout:
 
     input (3,28,28)
       -> conv+BN+relu  x3        (main path, 8 channels each)
@@ -150,20 +150,16 @@ def init_params(config: NNetConfig, rng: np.random.Generator | None = None) -> N
     rng = rng or np.random.default_rng(config.seed)
     params = NNetParams(config.metadata_dim, config.dropout_rate)
     params.projection = config.projection
-    fan_in = {
-        "conv1.kernels": 3 * 9, "conv2.kernels": N_CHANNELS * 9,
-        "conv3.kernels": N_CHANNELS * 9, "conv_skip.kernels": 3 * 9,
-        "dense1.weights": FLAT_DIM, "dense2.weights": FC_UNITS,
-        "dense_out.weights": FC_UNITS + config.metadata_dim,
-    }
     for name, shape in _param_shapes(config.metadata_dim).items():
-        if name in fan_in:
-            bound = np.sqrt(6.0 / fan_in[name])
+        if name.endswith(".bias"):
+            data = np.zeros(shape)
+        else:
+            # fan-in: a kernel's input channels times its taps, a dense layer's input width
+            fan_in = math.prod(shape[1:]) if name.endswith(".kernels") else shape[0]
+            bound = np.sqrt(6.0 / fan_in)
             if name == "dense_out.weights":
                 bound *= 0.1  # start near sigmoid(0): calibrated initial loss
             data = rng.uniform(-bound, bound, size=shape)
-        else:
-            data = np.zeros(shape)
         params.tensors[name] = tz.Tensor(data, name=name)
     for bn_name in _BN_MAP_NAMES:
         params.bn[bn_name] = tz.BatchNormState.create(N_CHANNELS, name=bn_name)
@@ -202,15 +198,6 @@ def _forward_patch_batch(params: NNetParams, planes: np.ndarray, metadata: np.nd
     h = tz.concat(h, tz.Tensor(metadata, requires_grad=False))
     z = tz.dense(h, p["dense_out.weights"], p["dense_out.bias"])
     return tz.sigmoid(tz.reshape(z, (-1,)))
-
-
-def score_bags(params: NNetParams, planes: np.ndarray, metadata: np.ndarray,
-               segments: np.ndarray, n_bags: int,
-               rng: np.random.Generator | None = None) -> tz.Tensor:
-    """Training risk of each bag: the max branch score over the patches of its
-    segment. `planes` is a channel-major (3,P,28,28) stack, as `_gather_batch` builds."""
-    scores = _forward_patch_batch(params, planes, metadata, rng)
-    return tz.segment_max(scores, segments, n_bags)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +271,9 @@ def train(config: NNetConfig, dataset: list[ScanExample]) -> FoldMember:
             if batch is None:
                 continue
             planes, meta, segments, labels = batch
-            risks = score_bags(params, planes, stats.standardize(meta), segments, labels.size, rng)
+            # a bag's risk is the max branch score over the patches of its segment
+            risks = tz.segment_max(_forward_patch_batch(params, planes, stats.standardize(meta), rng),
+                                   segments, labels.size)
             loss = tz.bce_loss(risks, labels)
             tz.backward(loss)
             tz.adam_step(learnable, adam)
@@ -304,10 +293,6 @@ class FoldEnsemble:
 
     def __post_init__(self):
         _check_agreement([m.params for m in self.members])
-
-    def plans(self) -> list[_InferencePlan]:
-        """Each member folded into the inference plan `ensemble_predict` scores with."""
-        return [_build_plan(m) for m in self.members]
 
 
 def _check_agreement(models: list):
@@ -510,7 +495,7 @@ SCORE_CHUNK_PATCHES = 16
 
 def ensemble_predict(plans: list[_InferencePlan], examples: Iterable[ScanExample]) -> list[float]:
     """Risk of each example, in input order: the mean of the members' risks,
-    from their plans (see `load_plans`, `FoldEnsemble.plans`), each member
+    from their plans (see `load_plans`, `build_plan`), each member
     standardizing the raw metadata with its own statistics. An example
     without patches scores 0.0 and raises a ZeroNoduleWarning; a risk that
     is not finite raises NumericError.
@@ -579,7 +564,7 @@ _InferencePlan = namedtuple("_InferencePlan", "convs tail meta_weights constant 
                                                "metadata_dim projection")
 
 
-def _build_plan(member: FoldMember) -> _InferencePlan:
+def build_plan(member: FoldMember) -> _InferencePlan:
     """Fold a member into a plain-numpy inference plan. When a member scores,
     each batch-norm is a fixed per-channel affine map and dropout is the
     identity, so a conv's batch-norm folds into its kernels and bias (Jacob
@@ -815,8 +800,8 @@ def load_ensemble(directory) -> FoldEnsemble:
 def load_plans(directory) -> list[_InferencePlan]:
     """The inference plan of every `fold*.lrnn` file in the directory, in name
     order. Each file is read and checked by `load_member` and folded by
-    `_build_plan` before the next is read, so one member's arrays are held."""
-    plans = [_build_plan(load_member(p)) for p in _fold_paths(directory)]
+    `build_plan` before the next is read, so one member's arrays are held."""
+    plans = [build_plan(load_member(p)) for p in _fold_paths(directory)]
     _check_agreement(plans)
     return plans
 

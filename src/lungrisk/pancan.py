@@ -8,6 +8,7 @@ set (synthetic, for tests and demos only) ships in ``data/``.
 from __future__ import annotations
 
 import importlib.resources
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,6 +63,8 @@ class PanCanFeatures:
             raise FormatError(f"diameter_mm must be positive, got {self.diameter_mm}")
         if not self.nodule_count >= 1:
             raise FormatError(f"nodule_count must be >= 1, got {self.nodule_count}")
+        if not self.nodule_count <= sys.float_info.max:     # an int can outgrow a float
+            raise FormatError("nodule_count is too large to be a finite number")
 
 
 @dataclass(frozen=True)

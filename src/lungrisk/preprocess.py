@@ -23,9 +23,9 @@ class Volume:
     """A 3-D grid of Hounsfield units with physical spacing and origin.
 
     int16 voxels, as volume files store them, are kept as they are; any
-    other voxels become float64. Resampling promotes int16 to float64, and
-    a cube cut from an int16 volume stays int16 until `normalize_hu`
-    promotes its crop; both promotions are exact.
+    other voxels become float64. A cube resampled off the 1 mm grid is
+    float64, and one cut from an int16 volume on it stays int16 until
+    `normalize_hu` promotes its crop; both promotions are exact.
     """
 
     voxels: np.ndarray                      # (nx, ny, nz) int16 or float64
@@ -120,17 +120,6 @@ class MetadataStats:
 # operations
 
 
-def resample_isotropic(v: Volume) -> Volume:
-    """Trilinear resample onto a 1 mm grid; world positions are preserved.
-
-    A volume already on the 1 mm grid is returned as it is, so the result
-    may share its voxels with the input.
-    """
-    if v.spacing == (1.0, 1.0, 1.0):
-        return v
-    return Volume(_trilinear_gather(v, (0, 0, 0), _grid_dims(v)), (1.0, 1.0, 1.0), v.origin)
-
-
 def _grid_dims(v: Volume) -> tuple[int, int, int]:
     """The dims of the volume's 1 mm grid; FormatError if it is empty."""
     dims = tuple(int(np.floor(n * s + 0.5)) for n, s in zip(v.dims, v.spacing))
@@ -168,21 +157,16 @@ def _trilinear_gather(v: Volume, lo, hi):
 
 
 def extract_cube(v: Volume, center) -> np.ndarray:
-    """Cut a 32^3 block (1 mm grid) around `center`; outside fills with air.
+    """Cut a 32^3 block of the volume's 1 mm grid around `center`, at any
+    spacing; outside the volume it fills with air.
 
-    The block keeps the volume's dtype: int16 voxels, as stored, give an
-    int16 cube of the same integers at a quarter of float64's size; float64
-    voxels give a float64 cube. `normalize_hu` promotes a crop exactly.
-    Raises OutOfBoundsError when the block misses the volume entirely.
+    Only the block is resampled (trilinear, world positions preserved), so
+    its cost grows with neither the volume nor its spacing. On the 1 mm grid
+    the block keeps the volume's dtype: int16 voxels, as stored, give an
+    int16 cube of the same integers at a quarter of float64's size. Any
+    other spacing gives a float64 cube. `normalize_hu` promotes a crop
+    exactly. Raises OutOfBoundsError when the block misses the volume entirely.
     """
-    if v.spacing != (1.0, 1.0, 1.0):
-        raise FormatError("extract_cube expects an isotropically resampled 1 mm volume")
-    return _grid_cube(v, center)
-
-
-def _grid_cube(v: Volume, center) -> np.ndarray:
-    """The bits of `extract_cube(resample_isotropic(v), center)`, resampling
-    the block alone, so its cost grows with neither the volume nor its spacing."""
     dims = _grid_dims(v)
     with np.errstate(over="ignore"):    # a far-off center lies outside, as an inf does
         start = np.floor(np.asarray(center, dtype=np.float64) - v.origin + 0.5) - CUBE_SIDE // 2
@@ -267,7 +251,7 @@ def build_scan_example(v: Volume, candidates: list[NoduleCandidate], label: int,
                        scan_id: str = "") -> ScanExample:
     """Run the full per-scan pipeline on the top nodules of a scan.
 
-    Composes select -> resample and extract (`_grid_cube`) -> center crop ->
+    Composes select -> resample and extract (`extract_cube`) -> center crop ->
     triplanar -> normalize for each of the (at most 10) selected candidates; no
     candidates give an example without patches. Metadata stays raw. The
     example keeps its 32^3 cubes so the training loop can re-draw crops:
@@ -278,7 +262,7 @@ def build_scan_example(v: Volume, candidates: list[NoduleCandidate], label: int,
     patches: list[NodulePatch] = []
     cubes: list[np.ndarray] = []
     for cand in select_top_nodules(candidates):
-        cube = _grid_cube(v, cand.center)
+        cube = extract_cube(v, cand.center)
         planes = normalize_hu(triplanar(crop28(cube, "infer"), projection))
         patches.append(NodulePatch(planes=planes, metadata=candidate_metadata(cand, metadata_dim)))
         cubes.append(cube)

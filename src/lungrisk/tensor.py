@@ -508,8 +508,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
     is updated in place from its `.grad`, which is set to None, so a
     gradient lives from `backward` to here and no longer.
 
-    Each parameter is updated as a whole through two temporaries of its
-    size, with the operations of
+    Each parameter is updated as a whole through two views of its size into
+    one scratch buffer of the call, with the operations of
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
         p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
     in that order.
@@ -522,6 +522,9 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
+    # one buffer per step, not two per parameter: in a process without the
+    # fold workers' malloc settings each large temporary is a fresh mmap
+    scratch = np.empty((2, max((p.data.size for p in params.values()), default=0)))
     for name, param in params.items():
         p, g = param.data, param.grad
         if g.shape != p.shape:
@@ -534,7 +537,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
             state.first_moment[name] = np.zeros_like(p)
             state.second_moment[name] = np.zeros_like(p)
         m, v = state.first_moment[name], state.second_moment[name]
-        sa = np.multiply(g, 1.0 - b1)
+        sa, sb = (row[:p.size].reshape(p.shape) for row in scratch)
+        np.multiply(g, 1.0 - b1, out=sa)
         m *= b1
         m += sa
         np.multiply(g, g, out=sa)
@@ -543,7 +547,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
         v += sa
         np.divide(m, bc1, out=sa)
         sa *= lr
-        sb = np.divide(v, bc2)
+        np.divide(v, bc2, out=sb)
         np.sqrt(sb, out=sb)
         sb += eps
         sa /= sb

@@ -115,7 +115,7 @@ def _branch_score(params, patch):
     # a one-patch scan through a one-member ensemble whose metadata
     # statistics leave the metadata as it is
     identity = MetadataStats(mean=np.zeros(5), std=np.ones(5))
-    plans = nnet.FoldEnsemble(members=[nnet.FoldMember(params, identity)]).plans()
+    plans = [nnet.build_plan(nnet.FoldMember(params, identity))]
     return nnet.ensemble_predict(plans, [ScanExample(scan_id="b", patches=[patch], label=1)])[0]
 
 
@@ -157,8 +157,7 @@ def test_c2_architecture_conformance(layer_shapes):
                for _ in range(10)]
     ex = ScanExample(scan_id="s", patches=patches, label=1)
     identity = MetadataStats(mean=np.zeros(5), std=np.ones(5))
-    ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(params, identity)])
-    (risk,) = nnet.ensemble_predict(ensemble.plans(), [ex])
+    (risk,) = nnet.ensemble_predict([nnet.build_plan(nnet.FoldMember(params, identity))], [ex])
     assert isinstance(risk, float) and 0.0 < risk < 1.0
     report(2, True, "shape trace matches the layer table for metadata_dim 5 and 6")
 
@@ -171,7 +170,7 @@ def test_c3_multi_instance_invariants():
     rng = np.random.default_rng(3)
     params = nnet.init_params(nnet.NNetConfig(seed=7))
     identity = MetadataStats(mean=np.zeros(5), std=np.ones(5))
-    plans = nnet.FoldEnsemble(members=[nnet.FoldMember(params, identity)]).plans()
+    plans = [nnet.build_plan(nnet.FoldMember(params, identity))]
 
     def scan_risk(patches):
         # one batched call scores every patch of the scan

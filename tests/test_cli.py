@@ -1365,6 +1365,9 @@ def write_csv(path, column, rows):
     pytest.param("pancan", {}, {}, [], {"features.csv": FEATURES.replace(b"62.0", b"nan")},
                  cli.EXIT_NUMERIC, id="pancan-age-nan"),
     pytest.param("pancan", {}, {}, [],
+                 {"features.csv": FEATURES.replace(b",1,8.0,", b"," + b"1" * 400 + b",8.0,")},
+                 cli.EXIT_IO, id="pancan-nodule-count-overflows-a-float"),
+    pytest.param("pancan", {}, {}, [],
                  {"weights.txt": WEIGHTS.replace(b"intercept=-6.8", b"intercept=nan")},
                  cli.EXIT_NUMERIC, id="pancan-intercept-nan"),
     pytest.param("simulate", {}, {}, ["--seed", "-1"], {}, cli.EXIT_USAGE,

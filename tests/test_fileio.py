@@ -70,6 +70,21 @@ def test_volume_pair_size_mismatch(tmp_path):
         fileio.read_volume_pair(header)
 
 
+def test_volume_pair_size_is_checked_before_the_raw_file_is_read(tmp_path):
+    header = tmp_path / "scan.mhd"
+    raw = write_volume_pair(Volume(np.zeros((2, 2, 2)), (1, 1, 1), (0, 0, 0)), header)
+    with open(raw, "r+b") as fh:
+        fh.truncate(64 << 20)       # sparse: takes no disk space
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="raw file size does not match DimSize"):
+            fileio.read_volume_pair(header)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_compact_round_trip(tmp_path):
     v = sample_volume()
     path = tmp_path / "scan.lrvol"

@@ -78,16 +78,20 @@ def test_init_bn_identity():
 
 
 # ---------------------------------------------------------------------------
-# score_bags / ensemble_predict
+# bag scores / ensemble_predict
 
 IDENTITY_STATS = MetadataStats(mean=np.zeros(5), std=np.ones(5))
+
+
+def plans(ensemble):
+    """The inference plans `ensemble_predict` scores an ensemble's members with."""
+    return [nnet.build_plan(m) for m in ensemble.members]
 
 
 def scan_risk(p, ex):
     """Risk through the `lungrisk score` path: a one-member ensemble whose
     metadata statistics leave the metadata as it is."""
-    ensemble = nnet.FoldEnsemble(members=[nnet.FoldMember(p, IDENTITY_STATS)])
-    return nnet.ensemble_predict(ensemble.plans(), [ex])[0]
+    return nnet.ensemble_predict([nnet.build_plan(nnet.FoldMember(p, IDENTITY_STATS))], [ex])[0]
 
 
 def bag_risk(p, patches):
@@ -130,7 +134,7 @@ def test_scan_risk_is_max_of_branches():
     assert scan_risk(p, ex) == max(branch_scores)
 
 
-def test_score_bags_scores_each_bag_independently():
+def test_training_scores_each_bag_independently():
     # training pools each bag over its own segment of the batch's branch scores
     rng = np.random.default_rng(9)
     p = small_params(10)
@@ -139,7 +143,7 @@ def test_score_bags_scores_each_bag_independently():
     planes = np.stack([patch.planes for patch in flat], axis=1)
     meta = np.stack([patch.metadata for patch in flat])
     segments = np.repeat(np.arange(3), [3, 1, 5])
-    risks = nnet.score_bags(p, planes, meta, segments, 3).data
+    risks = tz.segment_max(nnet._forward_patch_batch(p, planes, meta), segments, 3).data
     scores = nnet._forward_patch_batch(p, planes, meta).data
     assert risks.tolist() == [scores[segments == b].max() for b in range(3)]
 
@@ -512,7 +516,7 @@ def test_inference_plan_matches_an_unfolded_reference_forward(metadata_dim):
     expected = np.mean([reference_risks(m, examples) for m in ensemble.members], axis=0)
 
     def check():
-        np.testing.assert_allclose(nnet.ensemble_predict(ensemble.plans(), examples), expected,
+        np.testing.assert_allclose(nnet.ensemble_predict(plans(ensemble), examples), expected,
                                    rtol=1e-12, atol=0)
 
     check()
@@ -528,7 +532,7 @@ def test_ensemble_mean_and_identical_members():
     params = small_params(12)
     ens = nnet.FoldEnsemble(members=[nnet.FoldMember(params, stats)] * 5)
     ex = random_example(rng, 2)
-    assert nnet.ensemble_predict(ens.plans(), [ex]) == [bag_risk(params, ex.patches[:2])]
+    assert nnet.ensemble_predict(plans(ens), [ex]) == [bag_risk(params, ex.patches[:2])]
 
 
 def member_mean_of_one_scan(ensemble, ex):
@@ -536,7 +540,7 @@ def member_mean_of_one_scan(ensemble, ex):
     member risks are averaged."""
     if not ex.patches:
         return 0.0
-    return float(np.mean([nnet.ensemble_predict(nnet.FoldEnsemble(members=[m]).plans(), [ex])[0]
+    return float(np.mean([nnet.ensemble_predict([nnet.build_plan(m)], [ex])[0]
                           for m in ensemble.members]))
 
 
@@ -569,7 +573,7 @@ def test_chunked_scorer_equals_one_scan_at_a_time_bit_for_bit(budget, monkeypatc
     monkeypatch.setattr(nnet, "SCORE_CHUNK_PATCHES", budget)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        risks = nnet.ensemble_predict(ensemble.plans(), iter(examples))
+        risks = nnet.ensemble_predict(plans(ensemble), iter(examples))
     chunks = [sum(len(ex.patches) for ex in chunk) for chunk in nnet._chunks(examples)]
     monkeypatch.undo()
     zero_ids = [ex.scan_id for ex in examples if not ex.patches]
@@ -607,7 +611,7 @@ def test_ensemble_predict_pulls_one_chunk_ahead_and_drops_it(monkeypatch):
         patches = []    # weak references to the patches of each example pulled
         alive = []      # chunks pulled and not yet freed, at each pull
         ahead = []      # chunks from the oldest of those to the one being pulled
-        risks = nnet.ensemble_predict(ensemble.plans(), build(patches, alive, ahead))
+        risks = nnet.ensemble_predict(plans(ensemble), build(patches, alive, ahead))
         # a chunk per thread being scored, plus the one being pulled; a
         # scorer that read the iterable out first would hold all 5
         assert max(alive) <= threads + 1, (threads, alive)
@@ -631,7 +635,7 @@ def test_zero_nodule_warnings_come_once_per_scan_on_the_calling_thread(monkeypat
     monkeypatch.setattr(warnings, "warn", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        nnet.ensemble_predict(ensemble.plans(), examples)
+        nnet.ensemble_predict(plans(ensemble), examples)
     monkeypatch.undo()
     zero_ids = [ex.scan_id for ex in examples if not ex.patches]
     assert [category for _, category, _ in warned] == [ZeroNoduleWarning] * len(zero_ids)
@@ -716,8 +720,8 @@ def test_ensemble_save_load_round_trip(tmp_path):
     back = nnet.load_ensemble(tmp_path / "model")
     assert len(back.members) == 3
     ex = random_example(rng, 2)
-    expected = nnet.ensemble_predict(ens.plans(), [ex])
-    assert nnet.ensemble_predict(back.plans(), [ex]) == expected
+    expected = nnet.ensemble_predict(plans(ens), [ex])
+    assert nnet.ensemble_predict(plans(back), [ex]) == expected
     assert nnet.ensemble_predict(nnet.load_plans(tmp_path / "model"), [ex]) == expected
 
 
@@ -806,7 +810,7 @@ def test_ensemble_rejects_members_of_different_projections(tmp_path):
                for proj in ("slice", "mip")]
     with pytest.raises(ConfigError, match="projection"):
         nnet.FoldEnsemble(members=members)
-    assert nnet.FoldEnsemble(members=members[1:]).plans()[0].projection == "mip"
+    assert plans(nnet.FoldEnsemble(members=members[1:]))[0].projection == "mip"
     # the plans of their weight files go through the same check
     for i, member in enumerate(members):
         nnet.save_params(member.params, tmp_path / f"fold{i}.lrnn", stats)

@@ -18,22 +18,44 @@ def make_volume(dims=(20, 20, 20), spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.
     return pp.Volume(vox, spacing, origin)
 
 
+def resampled(v):
+    """Oracle: the whole volume trilinearly resampled onto its 1 mm grid,
+    world positions preserved; a volume already on that grid as it is."""
+    if v.spacing == (1.0, 1.0, 1.0):
+        return v
+    return pp.Volume(pp._trilinear_gather(v, (0, 0, 0), pp._grid_dims(v)), (1.0, 1.0, 1.0),
+                     v.origin)
+
+
+def grid_block(block):
+    """The slices of a cube that hold the volume's grid rather than air."""
+    inside = np.argwhere(block != pp.AIR_HU)
+    return tuple(slice(a, b + 1) for a, b in zip(inside.min(axis=0), inside.max(axis=0)))
+
+
 # ---------------------------------------------------------------------------
-# resample_isotropic
+# resampling: extract_cube off the 1 mm grid
 
 
 def test_resample_identity_for_isotropic_input():
-    v = make_volume()
-    out = pp.resample_isotropic(v)
-    assert np.array_equal(out.voxels, v.voxels)
-    assert out.spacing == (1.0, 1.0, 1.0)
+    v = make_volume(dims=(40, 40, 40))
+    assert np.array_equal(pp.extract_cube(v, center=(20.0, 20.0, 20.0)), v.voxels[4:36, 4:36, 4:36])
+    # the same along the 1 mm axes of an anisotropic volume, and at every
+    # other point of its 2 mm axis; the points between are the midpoints
+    v = make_volume(dims=(40, 20, 40), spacing=(1.0, 2.0, 1.0))
+    block = pp.extract_cube(v, center=(20.0, 20.0, 20.0))
+    assert block.dtype == np.float64
+    assert np.array_equal(block[:, ::2, :], v.voxels[4:36, 2:18, 4:36])
+    np.testing.assert_allclose(block[:, 1::2, :],
+                               (v.voxels[4:36, 2:18, 4:36] + v.voxels[4:36, 3:19, 4:36]) / 2)
 
 
 def test_resample_constant_volume_doubles_dims():
     v = make_volume(dims=(5, 6, 7), spacing=(2.0, 2.0, 2.0), fill=100.0)
-    out = pp.resample_isotropic(v)
-    assert out.dims == (10, 12, 14)
-    np.testing.assert_allclose(out.voxels, 100.0)
+    block = pp.extract_cube(v, center=(5.0, 6.0, 7.0))      # the whole grid and air around it
+    region = grid_block(block)
+    assert block[region].shape == (10, 12, 14)
+    np.testing.assert_allclose(block[region], 100.0)
 
 
 def test_resample_ramp_hits_midpoints():
@@ -41,9 +63,10 @@ def test_resample_ramp_hits_midpoints():
     vox = np.zeros((1, 1, 3))
     vox[0, 0, :] = [0.0, 10.0, 20.0]
     v = pp.Volume(vox, (2.0, 2.0, 2.0), (0.0, 0.0, 0.0))
-    out = pp.resample_isotropic(v)
-    assert out.dims == (2, 2, 6)
-    line = out.voxels[0, 0, :]
+    block = pp.extract_cube(v, center=(1.0, 1.0, 3.0))
+    region = grid_block(block)
+    assert block[region].shape == (2, 2, 6)
+    line = block[region][0, 0, :]
     np.testing.assert_allclose(line[:5], [0.0, 5.0, 10.0, 15.0, 20.0])
 
 
@@ -68,7 +91,7 @@ def _int16_volume(spacing):
 def test_int16_volume_gives_the_bits_of_its_float64_copy(spacing):
     short = _int16_volume(spacing)
     wide = pp.Volume(short.voxels.astype(np.float64), short.spacing, short.origin)
-    a, b = pp.resample_isotropic(short), pp.resample_isotropic(wide)
+    a, b = resampled(short), resampled(wide)
     assert a.dims == b.dims
     np.testing.assert_array_equal(a.voxels, b.voxels)
     centers = [(12.0, 15.0, 25.5), (0.0, 0.0, 7.0), (30.5, 33.0, 50.0)]
@@ -104,15 +127,15 @@ def test_cube_dtype_follows_the_volume(stored_as, tmp_path):
         assert cube.dtype == want and wide.dtype == np.float64
         np.testing.assert_array_equal(cube, wide)
     assert cube[0, 0, 0] == pp.AIR_HU
-    # resampling promotes: its cubes are float64 whatever the volume stored
+    # resampling promotes: cubes off the 1 mm grid are float64 whatever the volume stored
     coarse = pp.Volume(volume.voxels, (1.0, 1.0, 1.5), volume.origin)
-    assert pp.extract_cube(pp.resample_isotropic(coarse), (19.0, 22.5, 25.0)).dtype == np.float64
+    assert pp.extract_cube(coarse, (19.0, 22.5, 25.0)).dtype == np.float64
 
 
 @pytest.mark.parametrize("spacing", [(0.7, 0.8, 1.25), (1.0, 2.5, 1.0), (3.0, 0.5, 0.9)])
 def test_built_cubes_are_those_of_the_resampled_volume_bit_for_bit(spacing):
     v = _int16_volume(spacing)
-    iso = pp.resample_isotropic(v)
+    iso = resampled(v)
     # inside, past the low corner, past the high corner, one voxel in
     centers = [(12.0, 15.0, 25.5), (-4.0, 0.0, 7.0), (30.5, 33.0, 50.0),
                (iso.dims[0] + 14.6 - 5.0, 2.5 - 15.4, 7.0)]
@@ -176,12 +199,6 @@ def test_extract_fully_outside_raises():
         pp.extract_cube(v, center=(100.0, 20.0, 20.0))
 
 
-def test_extract_requires_isotropic_grid():
-    v = make_volume(spacing=(2.0, 1.0, 1.0))
-    with pytest.raises(FormatError):
-        pp.extract_cube(v, center=(5.0, 5.0, 5.0))
-
-
 def test_a_far_off_cube_is_out_of_bounds_without_a_numeric_warning():
     v = make_volume(dims=(40, 40, 40), origin=(-1e308, 0.0, 0.0))
     with warnings.catch_warnings():
@@ -197,7 +214,7 @@ def test_a_volume_without_a_1mm_grid_is_rejected_with_or_without_nodules():
         with pytest.raises(FormatError):
             pp.build_scan_example(v, candidates, 1)
     with pytest.raises(FormatError):
-        pp.resample_isotropic(v)
+        pp.extract_cube(v, (0.0, 2.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
