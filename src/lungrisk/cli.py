@@ -1,6 +1,7 @@
 """Command-line entry point: simulate | train | score | eval | compare | pancan.
 
-Exit codes: 0 success, 2 usage or configuration, 3 data consistency,
+Exit codes: 0 success, 2 usage or configuration (arguments that ask for more
+memory than the machine has included), 3 data consistency,
 4 I/O or file format (a fold worker that dies without its result included),
 5 numeric failure, and 1 for a broken internal invariant, which is a bug.
 Every command that draws random numbers requires an explicit, non-negative
@@ -39,9 +40,10 @@ EXIT_NUMERIC = 5
 # row for a subclass must precede its base's row. Subclasses without a row,
 # such as OutOfBoundsError (a DataConsistencyError) and ChecksumError (a
 # FormatError), take their base's code; a LungRiskError that no earlier row
-# names is a broken invariant. Input text that is not UTF-8 is a format error.
+# names is a broken invariant. Input text that is not UTF-8 is a format error;
+# arguments that ask for more memory than the machine has are a usage error.
 _EXIT_CODES = (
-    (ConfigError, EXIT_USAGE),
+    ((ConfigError, MemoryError), EXIT_USAGE),
     (DataConsistencyError, EXIT_DATA),
     ((FormatError, FoldWorkerError, OSError, UnicodeDecodeError), EXIT_IO),
     (NumericError, EXIT_NUMERIC),
@@ -330,7 +332,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (LungRiskError, OSError, UnicodeDecodeError) as exc:
+    except (LungRiskError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 

@@ -137,7 +137,8 @@ _PERM_CHUNK_ELEMENTS = 32_768
 
 def permutation_test_auc(a: ScoredCohort, b: ScoredCohort, n_perm: int = 10_000,
                          rng: np.random.Generator | None = None) -> float:
-    """One-sided paired permutation test of auc(a) - auc(b) > 0.
+    """One-sided paired permutation test of auc(a) - auc(b) > 0, over cohorts
+    that list the same scans and labels in one order (PairingError otherwise).
 
     Each permutation swaps the two models' scores independently per scan
     with probability 1/2; the p-value uses add-one smoothing:
@@ -146,16 +147,10 @@ def permutation_test_auc(a: ScoredCohort, b: ScoredCohort, n_perm: int = 10_000,
     if n_perm < 1:
         raise ConfigError("n_perm must be at least 1")
     rng = rng or np.random.default_rng(0)
-    if a.scan_ids != b.scan_ids or not np.array_equal(a.labels, b.labels):
-        # try aligning b onto a's ordering before giving up
-        index = {sid: i for i, sid in enumerate(b.scan_ids)}
-        if set(a.scan_ids) != set(b.scan_ids):
-            raise PairingError("cohorts do not cover the same scans")
-        perm = np.array([index[sid] for sid in a.scan_ids])
-        b = ScoredCohort(scan_ids=list(a.scan_ids), scores=b.scores[perm],
-                         labels=b.labels[perm], lungrads=b.lungrads)
-        if not np.array_equal(a.labels, b.labels):
-            raise PairingError("cohorts disagree on labels")
+    if a.scan_ids != b.scan_ids:
+        raise PairingError("cohorts do not list the same scans in the same order")
+    if not np.array_equal(a.labels, b.labels):
+        raise PairingError("cohorts disagree on labels")
     a.check_both_classes()
 
     observed = auc(a) - auc(b)

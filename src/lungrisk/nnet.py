@@ -67,8 +67,10 @@ N_CHANNELS = 8
 FC_UNITS = 64
 FLAT_DIM = N_CHANNELS * CROP_SIDE * CROP_SIDE
 
-_BN_MAP_NAMES = ("bn_conv1", "bn_conv2", "bn_conv3", "bn_skip", "bn_merge", "bn_drop_map")
-_BN_VEC_NAMES = ("bn_fc1", "bn_drop_vec", "bn_fc2")
+# each batch-norm's width: the conv maps' channels, then the dense layers' units
+_BN_WIDTHS = {**dict.fromkeys(("bn_conv1", "bn_conv2", "bn_conv3", "bn_skip", "bn_merge",
+                               "bn_drop_map"), N_CHANNELS),
+              **dict.fromkeys(("bn_fc1", "bn_drop_vec", "bn_fc2"), FC_UNITS)}
 # how LRNN1 files store the plane projection, as a float
 _PROJECTION_CODES = {"slice": 0.0, "mip": 1.0}
 
@@ -101,10 +103,10 @@ class NNetParams:
     """All learnable tensors and batch-norm states, shared across branches,
     and the plane projection the model was trained on."""
 
-    def __init__(self, metadata_dim: int, dropout_rate: float = 0.25):
+    def __init__(self, metadata_dim: int, dropout_rate: float = 0.25, projection: str = "slice"):
         self.metadata_dim = metadata_dim
         self.dropout_rate = dropout_rate
-        self.projection = "slice"
+        self.projection = projection
         self.tensors: dict[str, tz.Tensor] = {}
         self.bn: dict[str, tz.BatchNormState] = {}
 
@@ -148,8 +150,7 @@ def init_params(config: NNetConfig, rng: np.random.Generator | None = None) -> N
     """He-style uniform fan-in init for conv/dense weights, zero biases,
     identity batch-norm; deterministic for a given seed."""
     rng = rng or np.random.default_rng(config.seed)
-    params = NNetParams(config.metadata_dim, config.dropout_rate)
-    params.projection = config.projection
+    params = NNetParams(config.metadata_dim, config.dropout_rate, config.projection)
     for name, shape in _param_shapes(config.metadata_dim).items():
         if name.endswith(".bias"):
             data = np.zeros(shape)
@@ -161,10 +162,8 @@ def init_params(config: NNetConfig, rng: np.random.Generator | None = None) -> N
                 bound *= 0.1  # start near sigmoid(0): calibrated initial loss
             data = rng.uniform(-bound, bound, size=shape)
         params.tensors[name] = tz.Tensor(data, name=name)
-    for bn_name in _BN_MAP_NAMES:
-        params.bn[bn_name] = tz.BatchNormState.create(N_CHANNELS, name=bn_name)
-    for bn_name in _BN_VEC_NAMES:
-        params.bn[bn_name] = tz.BatchNormState.create(FC_UNITS, name=bn_name)
+    for bn_name, width in _BN_WIDTHS.items():
+        params.bn[bn_name] = tz.BatchNormState.create(width, name=bn_name)
     return params
 
 
@@ -707,69 +706,57 @@ def _read_weight_arrays(path) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _stored_shapes(metadata_dim: int) -> dict[str, tuple]:
+    """The name and shape of every array a weight file of this metadata width
+    holds, in the order `load_member` checks them: the config first, since
+    the other shapes follow from `config.metadata_dim`."""
+    shapes = {f"config.{key}": (1,) for key in ("metadata_dim", "dropout_rate", "projection")}
+    shapes.update(_param_shapes(metadata_dim))
+    for bn_name, width in _BN_WIDTHS.items():
+        shapes.update({f"{bn_name}.{part}": (width,)
+                       for part in ("gamma", "beta", "running_mean", "running_var")})
+    shapes["meta_stats.mean"] = shapes["meta_stats.std"] = (metadata_dim,)
+    return shapes
+
+
 def load_member(path) -> FoldMember:
-    """The trained member a weight file holds, from one read: its parameters,
-    inference-only (a forward builds no graph), and the metadata statistics
-    of its training set. A file without those statistics raises VersionError;
-    the loss history is not stored."""
+    """The trained member a weight file holds, from one read: its parameters
+    and the metadata statistics of its training set; the loss history is not
+    stored. A file without those statistics, or lacking or misshaping an
+    entry of `_stored_shapes`, raises VersionError; entries not in it are
+    ignored."""
     arrays = _read_weight_arrays(path)
-    stats = _metadata_stats_from_arrays(arrays, path)
-    params = _params_from_arrays(arrays, path)
-    for t in params.learnable().values():
-        t.requires_grad = False
-    return FoldMember(params=params, metadata_stats=stats)
-
-
-def _config_entry(arrays: dict[str, np.ndarray], name: str, path,
-                  default: float | None = None) -> float:
-    """The one number a `config.*` entry holds; `default` if it is absent."""
-    if name not in arrays and default is not None:
-        return default
-    return float(_entry(arrays, name, (1,), path)[0])
-
-
-def _params_from_arrays(arrays: dict[str, np.ndarray], path) -> NNetParams:
-    metadata_dim = int(_config_entry(arrays, "config.metadata_dim", path))
-    dropout_rate = _config_entry(arrays, "config.dropout_rate", path)
+    if "meta_stats.mean" not in arrays:
+        raise VersionError(f"{path} lacks the metadata statistics of its training fold")
+    dim = arrays.get("config.metadata_dim")
+    # a missing or misshapen config.metadata_dim is the table's first fault
+    metadata_dim = int(dim[0]) if dim is not None and dim.shape == (1,) else 0
+    for name, shape in _stored_shapes(metadata_dim).items():
+        if name not in arrays:
+            raise VersionError(f"{path}: weight file lacks entry {name!r}")
+        if arrays[name].shape != shape:
+            raise VersionError(f"{path}: entry {name!r} has shape {arrays[name].shape}, "
+                               f"expected {shape}")
+    dropout_rate = float(arrays["config.dropout_rate"][0])
     if not 0.0 <= dropout_rate < 1.0:
         raise VersionError(f"{path}: dropout rate {dropout_rate!r} lies outside [0,1)")
-    code = _config_entry(arrays, "config.projection", path, default=0.0)    # older files: slice
+    code = float(arrays["config.projection"][0])
     projection = {c: name for name, c in _PROJECTION_CODES.items()}.get(code)
     if projection is None:
         raise VersionError(f"{path}: unknown projection code {code!r}")
-    params = NNetParams(metadata_dim, dropout_rate)
-    params.projection = projection
-    entry = functools.partial(_entry, arrays, path=path)
-    for name, shape in _param_shapes(metadata_dim).items():
-        params.tensors[name] = tz.Tensor(entry(name, shape), name=name)
-    for bn_name in _BN_MAP_NAMES + _BN_VEC_NAMES:
-        width = (N_CHANNELS if bn_name in _BN_MAP_NAMES else FC_UNITS,)
-        if (entry(f"{bn_name}.running_var", width) < 0).any():
+    params = NNetParams(metadata_dim, dropout_rate, projection)
+    params.tensors = {n: tz.Tensor(arrays[n], name=n) for n in _param_shapes(metadata_dim)}
+    for bn_name in _BN_WIDTHS:
+        if (arrays[f"{bn_name}.running_var"] < 0).any():
             raise NumericError(f"{path}: entry '{bn_name}.running_var' holds a negative variance")
         params.bn[bn_name] = tz.BatchNormState(
-            gamma=tz.Tensor(entry(f"{bn_name}.gamma", width), name=f"{bn_name}.gamma"),
-            beta=tz.Tensor(entry(f"{bn_name}.beta", width), name=f"{bn_name}.beta"),
-            running_mean=entry(f"{bn_name}.running_mean", width),
-            running_var=entry(f"{bn_name}.running_var", width),
+            gamma=tz.Tensor(arrays[f"{bn_name}.gamma"], name=f"{bn_name}.gamma"),
+            beta=tz.Tensor(arrays[f"{bn_name}.beta"], name=f"{bn_name}.beta"),
+            running_mean=arrays[f"{bn_name}.running_mean"],
+            running_var=arrays[f"{bn_name}.running_var"],
         )
-    return params
-
-
-def _metadata_stats_from_arrays(arrays: dict[str, np.ndarray], path) -> MetadataStats:
-    if "meta_stats.mean" not in arrays:
-        raise VersionError(f"{path} lacks the metadata statistics of its training fold")
-    width = (int(_config_entry(arrays, "config.metadata_dim", path)),)
-    return MetadataStats(mean=_entry(arrays, "meta_stats.mean", width, path),
-                         std=_entry(arrays, "meta_stats.std", width, path))
-
-
-def _entry(arrays: dict[str, np.ndarray], name: str, shape: tuple, path) -> np.ndarray:
-    if name not in arrays:
-        raise VersionError(f"{path}: weight file lacks entry {name!r}")
-    if arrays[name].shape != shape:
-        raise VersionError(f"{path}: entry {name!r} has shape {arrays[name].shape}, "
-                           f"expected {shape}")
-    return arrays[name]
+    stats = MetadataStats(mean=arrays["meta_stats.mean"], std=arrays["meta_stats.std"])
+    return FoldMember(params=params, metadata_stats=stats)
 
 
 def save_ensemble(ensemble: FoldEnsemble, directory):

@@ -156,16 +156,18 @@ def write_features_csv(path, rows: list[tuple[str, PanCanFeatures]]):
 
 
 def _feature_row(row) -> tuple[str, PanCanFeatures]:
+    flags = {name: int(row[name]) for name in ("family_history", "emphysema", "upper_lobe",
+                                               "spiculation")}
+    for name, value in flags.items():
+        if value not in (0, 1):
+            raise ValueError(f"{name} must be 0 or 1, got {row[name]!r}")
     return row["scan_id"], PanCanFeatures(
         age=float(row["age"]),
         sex=row["sex"],
-        family_history=bool(int(row["family_history"])),
-        emphysema=bool(int(row["emphysema"])),
         nodule_count=int(row["nodule_count"]),
         diameter_mm=float(row["diameter_mm"]),
         nodule_type=row["nodule_type"],
-        upper_lobe=bool(int(row["upper_lobe"])),
-        spiculation=bool(int(row["spiculation"])),
+        **{name: bool(value) for name, value in flags.items()},
     )
 
 

@@ -49,11 +49,11 @@ class Tensor:
     Leaf tensors (parameters, inputs) have no parents; op results carry a
     closure that scatters the incoming gradient to their parents. A tensor
     made with `requires_grad=False` (an input nothing differentiates with
-    respect to, or an inference-only parameter) never holds a gradient, and
-    ops may skip computing it. An op result requires a gradient when one of
-    its parents does; otherwise it records neither parents nor closure, so
-    a forward over inputs and parameters that all lack one builds no graph
-    and frees each intermediate as soon as the next op has read it.
+    respect to) never holds a gradient, and ops may skip computing it. An op
+    result requires a gradient when one of its parents does; otherwise it
+    records neither parents nor closure, so a forward over inputs and
+    parameters that all lack one builds no graph and frees each
+    intermediate as soon as the next op has read it.
     `backward` consumes the graph it runs through (see there).
     """
 

@@ -1362,6 +1362,8 @@ def write_csv(path, column, rows):
                  id="train-config-lr-inf"),
     pytest.param("pancan", {}, {}, [], {"features.csv": FEATURES.replace(b",0,1,", b",yes,1,")},
                  cli.EXIT_IO, id="pancan-flag-not-integer"),
+    pytest.param("pancan", {}, {}, [], {"features.csv": FEATURES.replace(b",0,1,", b",2,1,")},
+                 cli.EXIT_IO, id="pancan-flag-two"),
     pytest.param("pancan", {}, {}, [], {"features.csv": FEATURES.replace(b"62.0", b"nan")},
                  cli.EXIT_NUMERIC, id="pancan-age-nan"),
     pytest.param("pancan", {}, {}, [],
@@ -1372,6 +1374,11 @@ def write_csv(path, column, rows):
                  cli.EXIT_NUMERIC, id="pancan-intercept-nan"),
     pytest.param("simulate", {}, {}, ["--seed", "-1"], {}, cli.EXIT_USAGE,
                  id="simulate-seed-negative"),
+    # numpy refuses each of these arrays (petabytes) before it allocates any of it
+    pytest.param("simulate", {}, {}, ["--dims", "100000"], {}, cli.EXIT_USAGE,
+                 id="simulate-dims-beyond-memory"),
+    pytest.param("simulate", {}, {}, ["--nodules-max", "1000000000000"], {}, cli.EXIT_USAGE,
+                 id="simulate-nodules-max-beyond-memory"),
     pytest.param("train", {}, {}, ["--seed", "-1"], {"train.cfg": b""}, cli.EXIT_USAGE,
                  id="train-seed-negative"),
     pytest.param("compare", {}, {}, ["--seed", "-1"], {}, cli.EXIT_USAGE,

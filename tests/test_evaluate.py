@@ -207,14 +207,15 @@ def test_permutation_detects_clear_advantage():
     assert p < 0.05
 
 
-def test_permutation_aligns_by_scan_id():
+def test_permutation_rejects_a_reordered_cohort():
+    # `ScoredCohort.from_dicts` sorts its scans, so paired cohorts list them in one order
     labels = np.array([1, 1, 0, 0])
     a = cohort([0.9, 0.8, 0.2, 0.1], labels, ids=["a", "b", "c", "d"])
     b = ev.ScoredCohort(scan_ids=["d", "c", "b", "a"],
                         scores=np.array([0.15, 0.25, 0.75, 0.85]),
                         labels=np.array([0, 0, 1, 1]))
-    p = ev.permutation_test_auc(a, b, n_perm=200, rng=np.random.default_rng(0))
-    assert p == 1.0  # same scores after alignment
+    with pytest.raises(PairingError, match="same order"):
+        ev.permutation_test_auc(a, b, n_perm=200, rng=np.random.default_rng(0))
 
 
 def test_permutation_unpaired_raises():

@@ -725,19 +725,30 @@ def test_ensemble_save_load_round_trip(tmp_path):
     assert nnet.ensemble_predict(nnet.load_plans(tmp_path / "model"), [ex]) == expected
 
 
-def test_projection_round_trips_and_older_files_read_as_slice(tmp_path):
+def load_edited(path, params, name, value):
+    """`load_member` of the file `save_params` writes for `params`, with entry
+    `name` set to `value`, or dropped where `value` is None."""
+    nnet.save_params(params, path, IDENTITY_STATS)
+    arrays = nnet._read_weight_arrays(path)
+    if value is None:
+        del arrays[name]
+    else:
+        arrays[name] = value
+    write_weight_entries(sorted(arrays.items()), path)
+    return nnet.load_member(path)
+
+
+def test_projection_round_trips_and_a_file_without_it_is_rejected(tmp_path):
     params = nnet.init_params(nnet.NNetConfig(projection="mip"))
     assert params.projection == "mip"
     path = tmp_path / "model.lrnn"
     nnet.save_params(params, path, IDENTITY_STATS)
     assert nnet.load_member(path).params.projection == "mip"
-    arrays = nnet._read_weight_arrays(path)
-    np.testing.assert_array_equal(arrays["config.projection"], [1.0])
-    del arrays["config.projection"]
-    assert nnet._params_from_arrays(arrays, path).projection == "slice"
-    arrays["config.projection"] = np.array([2.0])
-    with pytest.raises(VersionError, match="projection"):
-        nnet._params_from_arrays(arrays, path)
+    np.testing.assert_array_equal(nnet._read_weight_arrays(path)["config.projection"], [1.0])
+    with pytest.raises(VersionError, match="lacks entry 'config.projection'"):
+        load_edited(path, params, "config.projection", None)
+    with pytest.raises(VersionError, match="unknown projection code 2.0"):
+        load_edited(path, params, "config.projection", np.array([2.0]))
 
 
 @pytest.mark.parametrize("name, value", [
@@ -746,34 +757,34 @@ def test_projection_round_trips_and_older_files_read_as_slice(tmp_path):
     ("config.dropout_rate", np.zeros(2)),
 ], ids=["empty-projection", "empty-metadata-dim", "two-dropout-rates"])
 def test_malformed_config_entry_raises_version_error(name, value, tmp_path):
-    path = tmp_path / "model.lrnn"
-    nnet.save_params(small_params(), path, IDENTITY_STATS)
-    arrays = {**nnet._read_weight_arrays(path), name: value}
     with pytest.raises(VersionError, match=name):
-        nnet._params_from_arrays(arrays, path)
+        load_edited(tmp_path / "model.lrnn", small_params(), name, value)
 
 
 @pytest.mark.parametrize("name, value", [
-    ("bn_fc1.gamma", None),
-    ("bn_conv1.running_mean", None),
-    ("bn_fc1.running_var", np.ones(nnet.FC_UNITS - 1)),
-    ("bn_conv2.beta", np.zeros((nnet.N_CHANNELS, 1))),
-    ("dense2.bias", None),
-], ids=["missing-gamma", "missing-running-mean", "short-running-var", "two-dim-beta",
-        "missing-dense-bias"])
+    pytest.param("bn_fc1.gamma", None, id="missing-gamma"),
+    pytest.param("bn_conv1.running_mean", None, id="missing-running-mean"),
+    pytest.param("bn_fc1.running_var", np.ones(nnet.FC_UNITS - 1), id="short-running-var"),
+    pytest.param("bn_conv2.beta", np.zeros((nnet.N_CHANNELS, 1)), id="two-dim-beta"),
+    pytest.param("dense2.bias", None, id="missing-dense-bias"),
+] + [pytest.param(name, None, id=f"drop-{name}") for name in nnet._stored_shapes(5)])
 def test_malformed_array_entry_raises_version_error(name, value, tmp_path):
+    # without its mean, a file reads as one written before the statistics were stored
+    match = "metadata statistics" if name == "meta_stats.mean" else f"'{name}'"
+    with pytest.raises(VersionError, match=match):
+        load_edited(tmp_path / "model.lrnn", small_params(), name, value)
+
+
+@pytest.mark.parametrize("metadata_dim", [5, 6])
+def test_a_saved_file_holds_the_stored_shapes(metadata_dim, tmp_path):
     path = tmp_path / "model.lrnn"
-    nnet.save_params(small_params(), path, IDENTITY_STATS)
+    nnet.save_params(small_params(metadata_dim=metadata_dim), path,
+                     MetadataStats(mean=np.zeros(metadata_dim), std=np.ones(metadata_dim)))
     arrays = nnet._read_weight_arrays(path)
-    if value is None:
-        del arrays[name]
-    else:
-        arrays[name] = value
-    with pytest.raises(VersionError, match=name):
-        nnet._params_from_arrays(arrays, path)
+    assert {name: a.shape for name, a in arrays.items()} == nnet._stored_shapes(metadata_dim)
 
 
-def test_load_member_is_inference_only_and_bit_exact(tmp_path):
+def test_load_member_is_bit_exact(tmp_path):
     p = small_params(25)
     for state in p.bn.values():
         state.running_var *= 1.25
@@ -782,7 +793,6 @@ def test_load_member_is_inference_only_and_bit_exact(tmp_path):
     nnet.save_params(p, path, stats)
     member = nnet.load_member(path)
     assert isinstance(member, nnet.FoldMember) and member.loss_history == []
-    assert not any(t.requires_grad for t in member.params.learnable().values())
     loaded = member.params.arrays()
     assert loaded.keys() == p.arrays().keys()
     for name, arr in p.arrays().items():
