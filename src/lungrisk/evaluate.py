@@ -135,8 +135,8 @@ def _auc_rows(score_rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
 _PERM_CHUNK_ELEMENTS = 32_768
 
 
-def permutation_test_auc(a: ScoredCohort, b: ScoredCohort, n_perm: int = 10_000,
-                         rng: np.random.Generator | None = None) -> float:
+def permutation_test_auc(a: ScoredCohort, b: ScoredCohort, n_perm: int = 10_000, *,
+                         rng: np.random.Generator) -> float:
     """One-sided paired permutation test of auc(a) - auc(b) > 0, over cohorts
     that list the same scans and labels in one order (PairingError otherwise).
 
@@ -146,7 +146,6 @@ def permutation_test_auc(a: ScoredCohort, b: ScoredCohort, n_perm: int = 10_000,
     """
     if n_perm < 1:
         raise ConfigError("n_perm must be at least 1")
-    rng = rng or np.random.default_rng(0)
     if a.scan_ids != b.scan_ids:
         raise PairingError("cohorts do not list the same scans in the same order")
     if not np.array_equal(a.labels, b.labels):

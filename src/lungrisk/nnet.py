@@ -737,6 +737,8 @@ def load_member(path) -> FoldMember:
         if arrays[name].shape != shape:
             raise VersionError(f"{path}: entry {name!r} has shape {arrays[name].shape}, "
                                f"expected {shape}")
+    if dim[0] not in (5.0, 6.0):
+        raise VersionError(f"{path}: config.metadata_dim {float(dim[0])!r} is not 5 or 6")
     dropout_rate = float(arrays["config.dropout_rate"][0])
     if not 0.0 <= dropout_rate < 1.0:
         raise VersionError(f"{path}: dropout rate {dropout_rate!r} lies outside [0,1)")

@@ -121,9 +121,10 @@ class MetadataStats:
 
 
 def _grid_dims(v: Volume) -> tuple[int, int, int]:
-    """The dims of the volume's 1 mm grid; FormatError if it is empty."""
+    """The dims of the volume's 1 mm grid; FormatError if it is empty or
+    larger than an index can address."""
     dims = tuple(int(np.floor(n * s + 0.5)) for n, s in zip(v.dims, v.spacing))
-    if min(dims) < 1:
+    if not 1 <= min(dims) <= max(dims) <= np.iinfo(np.intp).max:
         raise FormatError(f"a volume of {v.dims} voxels at spacing {v.spacing} has no 1 mm grid")
     return dims
 

@@ -16,6 +16,7 @@ the exported features carry label signal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,7 +74,7 @@ class PhantomSpec:
             raise ConfigError(f"texture_noise_sigma must be finite and non-negative, "
                               f"got {self.texture_noise_sigma}")
         lo, hi = self.nodules_per_scan
-        if not (1 <= lo <= hi):
+        if not (1 <= lo <= hi < np.iinfo(np.int64).max):
             raise ConfigError(f"invalid nodules_per_scan range {self.nodules_per_scan}")
         dlo, dhi = self.size_range_mm
         if not (0.5 <= dlo <= dhi):
@@ -85,6 +86,9 @@ class PhantomSpec:
         if min(self.volume_dims) < 2 * PLACEMENT_MARGIN_MM + 8:
             raise ConfigError(f"volume_dims {self.volume_dims} too small for the "
                               f"placement margin")
+        if 8 * math.prod(self.volume_dims) > np.iinfo(np.intp).max:
+            raise ConfigError(f"volume_dims {self.volume_dims} exceed the largest array "
+                              f"numpy can make")
 
 
 @dataclass

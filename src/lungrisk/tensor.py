@@ -46,15 +46,11 @@ ADAM_EPSILON = 1e-8
 class Tensor:
     """A node in the reverse-mode graph wrapping a contiguous float64 array.
 
-    Leaf tensors (parameters, inputs) have no parents; op results carry a
-    closure that scatters the incoming gradient to their parents. A tensor
-    made with `requires_grad=False` (an input nothing differentiates with
-    respect to) never holds a gradient, and ops may skip computing it. An op
-    result requires a gradient when one of its parents does; otherwise it
-    records neither parents nor closure, so a forward over inputs and
-    parameters that all lack one builds no graph and frees each
-    intermediate as soon as the next op has read it.
-    `backward` consumes the graph it runs through (see there).
+    Leaf tensors (parameters, inputs) have no parents; every op result
+    records its parents and a closure that scatters the incoming gradient to
+    them. A leaf made with `requires_grad=False` (an input nothing
+    differentiates with respect to) never holds a gradient, and ops may skip
+    computing it. `backward` consumes the graph it runs through (see there).
     """
 
     __slots__ = ("data", "grad", "name", "requires_grad", "_parents", "_backward")
@@ -66,11 +62,9 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.name = name
-        if parents:
-            requires_grad = any(p.requires_grad for p in parents)
         self.requires_grad = requires_grad
-        self._parents = tuple(parents) if requires_grad else ()
-        self._backward = backward if requires_grad else None
+        self._parents = tuple(parents)
+        self._backward = backward
 
     @property
     def shape(self):
@@ -293,12 +287,10 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); a NaN stays NaN, so a non-finite forward stays visible."""
     out = np.maximum(x.data, 0.0)
-    backward = None
-    if x.requires_grad:
-        mask = x.data > 0
+    mask = x.data > 0
 
-        def backward(g):
-            x.accumulate(g * mask)
+    def backward(g):
+        x.accumulate(g * mask)
 
     return Tensor(out, parents=(x,), backward=backward)
 
@@ -363,18 +355,14 @@ def residual_add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def flatten(x: Tensor) -> Tensor:
-    """Collapse all but the leading batch axis; 1-D stays 1-D. A channel-major
-    (C,N,H,W) batch becomes (N, C*H*W) rows, one patch's (C,H,W) map each."""
-    shape = x.data.shape
-    if x.data.ndim == 4:
-        out = x.data.transpose(1, 0, 2, 3).reshape(shape[1], -1)
-    else:
-        out = x.data.reshape(shape[0], -1) if x.data.ndim > 1 else x.data
+    """A channel-major (C,N,H,W) batch as (N, C*H*W) rows, one patch's map each."""
+    if x.data.ndim != 4:
+        raise DimensionError(f"flatten expects a (C,N,H,W) batch, got {x.shape}")
+    c, n, h, w = x.data.shape
+    out = x.data.transpose(1, 0, 2, 3).reshape(n, -1)
 
     def backward(g):
-        if len(shape) == 4:
-            g = g.reshape(shape[1], shape[0], *shape[2:]).transpose(1, 0, 2, 3)
-        x.accumulate(g.reshape(shape).copy())
+        x.accumulate(g.reshape(n, c, h, w).transpose(1, 0, 2, 3).copy())
 
     return Tensor(out, parents=(x,), backward=backward)
 
@@ -469,14 +457,10 @@ def backward(loss: Tensor):
     saved arrays, and any intermediate no caller holds, are freed while the
     pass descends. Results keep their `.data`; leaves keep their gradients
     until `adam_step` consumes them. A second backward through a released
-    result raises MissingGradientError, as does a loss that recorded no
-    graph because nothing it was computed from requires a gradient.
+    result raises MissingGradientError.
     """
     if loss.data.size != 1:
         raise DimensionError("backward expects a scalar loss")
-    if not loss.requires_grad:
-        raise MissingGradientError("the loss has no graph: nothing it was computed from "
-                                   "requires a gradient")
     topo: list[Tensor] = []
     seen = set()
     stack = [(loss, False)]
@@ -577,8 +561,7 @@ def finite_difference_check(loss_fn, tensors: dict[str, Tensor], h: float = 1e-5
 
     `loss_fn()` must rebuild the graph from the current tensor data and
     return the scalar loss Tensor. Checks every coordinate unless
-    `samples_per_tensor` caps it. The perturbed evaluations run with the
-    checked tensors marked `requires_grad=False`, so they build no graph.
+    `samples_per_tensor` caps it.
 
     With `skip_kinks`, the loss is also evaluated at +-h/2. A coordinate
     whose differences at h and h/2 disagree by more than rounding explains
@@ -596,7 +579,6 @@ def finite_difference_check(loss_fn, tensors: dict[str, Tensor], h: float = 1e-5
     analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
                 for name, t in tensors.items()}
     eps = np.finfo(np.float64).eps
-    requires_grad = {name: t.requires_grad for name, t in tensors.items()}
 
     def central(flat, i, step):
         # the central difference at coordinate i, and the larger |loss|
@@ -609,37 +591,31 @@ def finite_difference_check(loss_fn, tensors: dict[str, Tensor], h: float = 1e-5
         return (up - down) / (2.0 * step), max(abs(up), abs(down))
 
     errors = {}
-    try:
-        for t in tensors.values():
-            t.requires_grad = False
-        for name, t in tensors.items():
-            flat = t.data.reshape(-1)
-            n = flat.size
-            if samples_per_tensor is None or samples_per_tensor >= n:
-                idx = np.arange(n)
-            else:
-                idx = rng.choice(n, size=samples_per_tensor, replace=False)
-            worst = 0.0
-            checked = 0
-            for i in idx:
-                numeric, f_max = central(flat, i, h)
-                if skip_kinks:
-                    half, f_half = central(flat, i, h / 2)
-                    gap = numeric - half
-                    tolerance = _KINK_TOLERANCE * eps * max(f_max, f_half) / h
-                    if abs(gap) > tolerance:
-                        quarter, _ = central(flat, i, h / 4)
-                        if abs(half - quarter) > abs(gap) / 2 + tolerance:
-                            continue
-                        numeric = quarter
-                checked += 1
-                a = float(analytic[name].reshape(-1)[i])
-                rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
-                worst = max(worst, rel)
-            if checked == 0:
-                raise NumericError(f"every sampled coordinate of {name!r} straddled a kink")
-            errors[name] = worst
-    finally:
-        for name, t in tensors.items():
-            t.requires_grad = requires_grad[name]
+    for name, t in tensors.items():
+        flat = t.data.reshape(-1)
+        n = flat.size
+        if samples_per_tensor is None or samples_per_tensor >= n:
+            idx = np.arange(n)
+        else:
+            idx = rng.choice(n, size=samples_per_tensor, replace=False)
+        worst = 0.0
+        checked = 0
+        for i in idx:
+            numeric, f_max = central(flat, i, h)
+            if skip_kinks:
+                half, f_half = central(flat, i, h / 2)
+                gap = numeric - half
+                tolerance = _KINK_TOLERANCE * eps * max(f_max, f_half) / h
+                if abs(gap) > tolerance:
+                    quarter, _ = central(flat, i, h / 4)
+                    if abs(half - quarter) > abs(gap) / 2 + tolerance:
+                        continue
+                    numeric = quarter
+            checked += 1
+            a = float(analytic[name].reshape(-1)[i])
+            rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
+            worst = max(worst, rel)
+        if checked == 0:
+            raise NumericError(f"every sampled coordinate of {name!r} straddled a kink")
+        errors[name] = worst
     return errors

@@ -24,7 +24,7 @@ from lungrisk import cli, fileio, host, nnet, pancan, synthdata
 from lungrisk.errors import ZeroNoduleWarning
 from lungrisk.pancan import placeholder_weights_path
 from lungrisk.preprocess import MetadataStats, build_scan_example
-from writers import save_weights, write_volume_pair, write_weight_entries
+from writers import save_weights, weight_file_bytes, write_volume_pair, write_weight_entries
 
 
 def run(argv):
@@ -1282,6 +1282,14 @@ def candidates_with(x_mm):
     return ONE_SCAN["candidates.csv"].replace(b"v0,1.0,", b"v0," + x_mm + b",")
 
 
+def lrnn_of_metadata_dim(dim):
+    """A weight file whose entries are all sized for `config.metadata_dim` = dim."""
+    entries = {name: np.ones(shape) for name, shape in nnet._stored_shapes(dim).items()}
+    entries["config.metadata_dim"] = np.array([float(dim)])
+    entries["config.dropout_rate"] = entries["config.projection"] = np.zeros(1)
+    return weight_file_bytes(sorted(entries.items()))
+
+
 def write_csv(path, column, rows):
     """A `scan_id,<column>` table; a row whose value is None lacks its second cell."""
     path.write_text(f"scan_id,{column}\n" + "".join(k + ("" if v is None else f",{v}") + "\n"
@@ -1348,12 +1356,19 @@ def write_csv(path, column, rows):
                  cli.EXIT_IO, id="score-lrvol-spacing-nan"),
     pytest.param("score", {}, {}, [], {"volumes/v0.lrvol": lrvol_2x2x2(origin=(0.0, 0.0, np.inf))},
                  cli.EXIT_IO, id="score-lrvol-origin-inf"),
+    # the candidate lies 3.7e19 voxels into a 1 mm grid too long to index
+    pytest.param("score", {}, {}, [],
+                 {"volumes/v0.lrvol": lrvol_2x2x2(spacing=(1e300, 1.0, 1.0),
+                                                  origin=(-3.7e19, 0.0, 0.0))},
+                 cli.EXIT_IO, id="score-lrvol-grid-beyond-intp"),
     pytest.param("score", {}, {}, [], {"candidates.csv": candidates_with(b"abc")}, cli.EXIT_IO,
                  id="score-candidate-x-not-number"),
     pytest.param("score", {}, {}, [], {"candidates.csv": candidates_with(b"nan")}, cli.EXIT_IO,
                  id="score-candidate-x-nan"),
     pytest.param("score", {}, {}, [], {"candidates.csv": candidates_with(b"\xff")}, cli.EXIT_IO,
                  id="score-candidates-not-utf8"),
+    pytest.param("score", {}, {}, [], {"model/fold0.lrnn": lrnn_of_metadata_dim(7)},
+                 cli.EXIT_IO, id="score-model-metadata-dim-7"),
     pytest.param("train", {}, {}, [], {"train.cfg": b"epochs=abc\n"}, cli.EXIT_USAGE,
                  id="train-config-epochs-not-number"),
     pytest.param("train", {}, {}, ["--lr", "nan"], {"train.cfg": b""}, cli.EXIT_USAGE,
@@ -1379,6 +1394,16 @@ def write_csv(path, column, rows):
                  id="simulate-dims-beyond-memory"),
     pytest.param("simulate", {}, {}, ["--nodules-max", "1000000000000"], {}, cli.EXIT_USAGE,
                  id="simulate-nodules-max-beyond-memory"),
+    # and numpy cannot represent these sizes at all
+    pytest.param("simulate", {}, {}, ["--dims", "3000000"], {}, cli.EXIT_USAGE,
+                 id="simulate-dims-beyond-intp-bytes"),
+    pytest.param("simulate", {}, {}, ["--dims", "100000000000000000000"], {}, cli.EXIT_USAGE,
+                 id="simulate-dims-beyond-intp"),
+    pytest.param("simulate", {}, {}, ["--nodules-max", "100000000000000000000"], {},
+                 cli.EXIT_USAGE, id="simulate-nodules-max-beyond-int64"),
+    pytest.param("simulate", {}, {}, ["--nodules-min", "100000000000000000000",
+                                      "--nodules-max", "100000000000000000000"], {},
+                 cli.EXIT_USAGE, id="simulate-nodules-min-and-max-beyond-int64"),
     pytest.param("train", {}, {}, ["--seed", "-1"], {"train.cfg": b""}, cli.EXIT_USAGE,
                  id="train-seed-negative"),
     pytest.param("compare", {}, {}, ["--seed", "-1"], {}, cli.EXIT_USAGE,
@@ -1409,7 +1434,9 @@ def test_bad_input_exits_with_documented_code(command, bad_scores, bad_labels, f
         argv = ["pancan", "--weights", data / "weights.txt", "--features", data / "features.csv",
                 "--out", tmp_path / "out.csv"]
     else:
-        argv = ["score", "--model", request.getfixturevalue("small_model"),
+        model = (data / "model" if "model/fold0.lrnn" in files
+                 else request.getfixturevalue("small_model"))
+        argv = ["score", "--model", model,
                 "--data", data if files else request.getfixturevalue("small_data"),
                 "--out", tmp_path / "out.csv"]
     assert run(argv + flags) == expected

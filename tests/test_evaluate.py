@@ -222,10 +222,10 @@ def test_permutation_unpaired_raises():
     a = cohort([0.9, 0.1], [1, 0], ids=["a", "b"])
     b = cohort([0.9, 0.1], [1, 0], ids=["a", "c"])
     with pytest.raises(PairingError):
-        ev.permutation_test_auc(a, b)
+        ev.permutation_test_auc(a, b, rng=np.random.default_rng(0))
     c = cohort([0.9, 0.1], [0, 1], ids=["a", "b"])
     with pytest.raises(PairingError):
-        ev.permutation_test_auc(a, c)
+        ev.permutation_test_auc(a, c, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

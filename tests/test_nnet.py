@@ -725,15 +725,16 @@ def test_ensemble_save_load_round_trip(tmp_path):
     assert nnet.ensemble_predict(nnet.load_plans(tmp_path / "model"), [ex]) == expected
 
 
-def load_edited(path, params, name, value):
-    """`load_member` of the file `save_params` writes for `params`, with entry
-    `name` set to `value`, or dropped where `value` is None."""
+def load_edited(path, params, edits):
+    """`load_member` of the file `save_params` writes for `params`, with each
+    entry of `edits` set to its value, or dropped where the value is None."""
     nnet.save_params(params, path, IDENTITY_STATS)
     arrays = nnet._read_weight_arrays(path)
-    if value is None:
-        del arrays[name]
-    else:
-        arrays[name] = value
+    for name, value in edits.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
     write_weight_entries(sorted(arrays.items()), path)
     return nnet.load_member(path)
 
@@ -746,19 +747,33 @@ def test_projection_round_trips_and_a_file_without_it_is_rejected(tmp_path):
     assert nnet.load_member(path).params.projection == "mip"
     np.testing.assert_array_equal(nnet._read_weight_arrays(path)["config.projection"], [1.0])
     with pytest.raises(VersionError, match="lacks entry 'config.projection'"):
-        load_edited(path, params, "config.projection", None)
+        load_edited(path, params, {"config.projection": None})
     with pytest.raises(VersionError, match="unknown projection code 2.0"):
-        load_edited(path, params, "config.projection", np.array([2.0]))
+        load_edited(path, params, {"config.projection": np.array([2.0])})
 
 
-@pytest.mark.parametrize("name, value", [
-    ("config.projection", np.zeros(0)),
-    ("config.metadata_dim", np.zeros(0)),
-    ("config.dropout_rate", np.zeros(2)),
-], ids=["empty-projection", "empty-metadata-dim", "two-dropout-rates"])
-def test_malformed_config_entry_raises_version_error(name, value, tmp_path):
+def metadata_dim_of(value):
+    """`config.metadata_dim` set to `value`, with dense_out and the metadata
+    statistics sized to match it, so that the value is the file's one fault."""
+    width = int(value)
+    return {"config.metadata_dim": np.array([value]),
+            "dense_out.weights": np.zeros((nnet.FC_UNITS + width, 1)),
+            "meta_stats.mean": np.zeros(width), "meta_stats.std": np.ones(width)}
+
+
+@pytest.mark.parametrize("edits", [
+    {"config.projection": np.zeros(0)},
+    {"config.metadata_dim": np.zeros(0)},
+    {"config.dropout_rate": np.zeros(2)},
+    metadata_dim_of(0.0),
+    metadata_dim_of(5.5),
+    metadata_dim_of(7.0),
+], ids=["empty-projection", "empty-metadata-dim", "two-dropout-rates", "metadata-dim-0",
+        "metadata-dim-5.5", "metadata-dim-7"])
+def test_malformed_config_entry_raises_version_error(edits, tmp_path):
+    name = next(iter(edits))    # the faulty entry
     with pytest.raises(VersionError, match=name):
-        load_edited(tmp_path / "model.lrnn", small_params(), name, value)
+        load_edited(tmp_path / "model.lrnn", small_params(), edits)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -772,7 +787,7 @@ def test_malformed_array_entry_raises_version_error(name, value, tmp_path):
     # without its mean, a file reads as one written before the statistics were stored
     match = "metadata statistics" if name == "meta_stats.mean" else f"'{name}'"
     with pytest.raises(VersionError, match=match):
-        load_edited(tmp_path / "model.lrnn", small_params(), name, value)
+        load_edited(tmp_path / "model.lrnn", small_params(), {name: value})
 
 
 @pytest.mark.parametrize("metadata_dim", [5, 6])

@@ -412,6 +412,12 @@ def test_residual_add_shape_mismatch():
         T.residual_add(t(np.zeros(2)), t(np.zeros(3)))
 
 
+@pytest.mark.parametrize("shape", [(6,), (2, 3), (1, 2, 3)])
+def test_flatten_takes_only_a_channel_major_batch(shape):
+    with pytest.raises(DimensionError):
+        T.flatten(t(np.zeros(shape)))
+
+
 def test_shared_and_reshaped_gradients_are_exact_and_never_aliased():
     # Every view-passing op feeds one tensor twice, so a first gradient kept
     # as a view of its child's would be changed by the second one added in.
@@ -490,25 +496,25 @@ def test_bce_gradient_hand_values():
     np.testing.assert_allclose(x.grad, 0.25, rtol=1e-12)
 
 
-def test_op_results_record_a_graph_only_when_an_input_requires_a_gradient():
+def test_leaves_without_requires_grad_get_no_gradient():
     rng = np.random.default_rng(8)
     x = T.Tensor(rng.normal(size=(2, 3)), requires_grad=False)
     w, b = T.Tensor(rng.normal(size=(3, 1)), requires_grad=False), t([0.5])
-    free = T.relu(T.dense(x, w, T.Tensor([0.5], requires_grad=False)))
-    assert free._parents == () and free._backward is None and not free.requires_grad
-    tracked = T.relu(T.dense(x, w, b))
-    assert tracked.requires_grad and tracked._parents and tracked._backward is not None
-    assert free.data.tobytes() == tracked.data.tobytes()
-    T.backward(T.bce_loss(T.sigmoid(T.reshape(tracked, (2,))), np.array([1.0, 0.0])))
+    frozen = T.relu(T.dense(x, w, T.Tensor([0.5], requires_grad=False)))
+    trained = T.relu(T.dense(x, w, b))
+    assert frozen.data.tobytes() == trained.data.tobytes()
+    T.backward(T.bce_loss(T.sigmoid(T.reshape(trained, (2,))), np.array([1.0, 0.0])))
     assert b.grad is not None and w.grad is None and x.grad is None
 
 
-def test_backward_through_a_result_without_a_graph_raises():
+def test_a_loss_of_leaves_without_requires_grad_gives_no_gradient_to_apply():
     x = T.Tensor([0.3, -0.2], requires_grad=False)
-    loss = T.bce_loss(T.sigmoid(T.relu(x)), np.array([1.0, 0.0]))
-    assert loss._parents == ()
-    with pytest.raises(MissingGradientError):
-        T.backward(loss)
+    w, b = T.Tensor([[0.5], [-1.0]], requires_grad=False), T.Tensor([0.1], requires_grad=False)
+    T.backward(T.bce_loss(T.sigmoid(T.reshape(T.relu(T.dense(x, w, b)), ())), 1.0))
+    assert x.grad is None and w.grad is None and b.grad is None
+    with pytest.raises(MissingGradientError) as caught:
+        T.adam_step({"w": w, "b": b}, T.AdamState())
+    assert "'w'" in str(caught.value) and "'b'" in str(caught.value)
 
 
 def test_backward_releases_the_graph_as_it_descends_and_keeps_leaf_gradients():
@@ -794,7 +800,7 @@ def test_gradcheck_residual_and_segment_max():
 
 def test_gradcheck_concat_flatten():
     rng = np.random.default_rng(19)
-    a = t(rng.uniform(-1, 1, size=(2, 3)))
+    a = t(rng.uniform(-1, 1, size=(1, 2, 1, 3)))     # (C,N,H,W), flattened to (2, 3)
     b = t(rng.uniform(-1, 1, size=(2, 2)))
     labels = rng.integers(0, 2, size=(2, 5)).astype(float)
     _gradcheck(lambda: _bce_head(T.concat(T.flatten(a), b), labels), {"a": a, "b": b})
@@ -852,31 +858,6 @@ def test_gradcheck_rejects_a_small_wrong_gradient_on_a_zero_gradient_coordinate(
     right = T.finite_difference_check(wrong_by(0.0), {"b": b}, h=1e-5, skip_kinks=skip_kinks)
     wrong = T.finite_difference_check(wrong_by(1e-9), {"b": b}, h=1e-5, skip_kinks=skip_kinks)
     assert right["b"] < 1e-4 < wrong["b"], (right, wrong)
-
-
-def test_gradcheck_perturbed_evaluations_build_no_graph_and_restore_the_flags():
-    x, y = t([0.3, -0.2]), T.Tensor(np.array([0.5, 0.1]), requires_grad=False)
-    labels = np.array([1.0, 0.0])
-    recorded = []
-
-    def loss_fn():
-        loss = T.bce_loss(T.sigmoid(T.residual_add(x, y)), labels)
-        recorded.append(loss.requires_grad)
-        return loss
-
-    T.finite_difference_check(loss_fn, {"x": x, "y": y}, h=1e-5)
-    assert recorded == [True] + [False] * 8
-    assert x.requires_grad and not y.requires_grad
-
-    def failing():
-        if len(recorded) > 1:
-            raise NumericError("loss diverged")
-        return loss_fn()
-
-    recorded.clear()
-    with pytest.raises(NumericError):
-        T.finite_difference_check(failing, {"x": x, "y": y}, h=1e-5)
-    assert x.requires_grad and not y.requires_grad
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,15 @@ def save_weights(w: pancan.PanCanWeights, path):
 def write_weight_entries(entries, path):
     """A checksummed LRNN1 weight file of the (name, array) pairs, in their
     order, repeated names included: the layout `nnet.save_params` writes."""
+    Path(path).write_bytes(weight_file_bytes(entries))
+
+
+def weight_file_bytes(entries):
+    """The bytes `write_weight_entries` writes for the same entries."""
     blob = bytearray(nnet.WEIGHTS_MAGIC + struct.pack("<HI", nnet.WEIGHTS_VERSION, len(entries)))
     for name, arr in entries:
         blob += struct.pack("<H", len(name.encode())) + name.encode()
         blob += struct.pack(f"<B{arr.ndim}i", arr.ndim, *arr.shape)
     for _, arr in entries:
         blob += arr.astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(bytes(blob))))
+    return bytes(blob) + struct.pack("<I", zlib.crc32(bytes(blob)))
