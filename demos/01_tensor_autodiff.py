@@ -12,7 +12,7 @@ from lungrisk import tensor as tz
 rng = np.random.default_rng(0)
 
 # --- forward ops ------------------------------------------------------------
-x = tz.Tensor(rng.normal(size=(1, 6, 6)))
+x = tz.Tensor(rng.normal(size=(1, 1, 6, 6)))        # a (C,N,H,W) batch of one map
 kernels = tz.Tensor(rng.normal(size=(8, 1, 3, 3)))
 bias = tz.Tensor(np.zeros(8))
 feature_maps = tz.conv2d_same(x, kernels, bias)
@@ -21,7 +21,7 @@ print("conv2d_same keeps the spatial size:", x.shape, "->", feature_maps.shape)
 bn = tz.BatchNormState.create(8)
 normed = tz.batch_norm(feature_maps, bn)
 print("batch-norm output mean per channel ~0:",
-      np.abs(normed.data.mean(axis=(1, 2))).max() < 1e-12)
+      np.abs(normed.data.mean(axis=(1, 2, 3))).max() < 1e-12)
 
 scores = tz.sigmoid(tz.Tensor(np.array([-2.0, 0.0, np.log(3.0)])))
 print("sigmoid(-2, 0, ln 3) =", np.round(scores.data, 4), "(note 0.75 = 3/4)")

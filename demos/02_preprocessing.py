@@ -25,7 +25,7 @@ world_center = np.add(volume.origin, np.multiply(center_vox, volume.spacing))
 cube = pp.extract_cube(volume, world_center)
 print("1 mm cube:", cube.shape, cube.dtype, " min/max HU:", round(cube.min()), round(cube.max()))
 
-crop = pp.crop28(cube, "infer")
+crop = pp.crop28(cube, pp.CENTER_OFFSET)     # the centred crop scoring takes
 planes = pp.triplanar(crop)
 normalized = pp.normalize_hu(planes)
 print("triplanar channels:", planes.shape, " normalized range:",

@@ -266,12 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prevalence", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dims", type=int, default=96, help="cubic volume side in mm")
-    p.add_argument("--nodules-min", type=int, default=1)
-    p.add_argument("--nodules-max", type=int, default=4)
-    p.add_argument("--size-min", type=float, default=4.0)
-    p.add_argument("--size-max", type=float, default=20.0)
-    p.add_argument("--noise", type=float, default=20.0)
+    spec = synthdata.PhantomSpec        # the class holds its fields' defaults
+    p.add_argument("--dims", type=int, default=spec.volume_dims[0], help="cubic volume side in mm")
+    p.add_argument("--nodules-min", type=int, default=spec.nodules_per_scan[0])
+    p.add_argument("--nodules-max", type=int, default=spec.nodules_per_scan[1])
+    p.add_argument("--size-min", type=float, default=spec.size_range_mm[0])
+    p.add_argument("--size-max", type=float, default=spec.size_range_mm[1])
+    p.add_argument("--noise", type=float, default=spec.texture_noise_sigma)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train the risk network")
@@ -298,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="ROC/AUC and operating-point report")
     p.add_argument("--scores", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--spec", type=float, default=0.80, help="target specificity")
-    p.add_argument("--sens", type=float, default=0.84, help="target sensitivity")
+    p.add_argument("--spec", type=float, default=ev.TARGET_SPECIFICITY, help="target specificity")
+    p.add_argument("--sens", type=float, default=ev.TARGET_SENSITIVITY, help="target sensitivity")
     p.add_argument("--group-by", choices=["lungrads"], default=None)
     p.add_argument("--candidates", default=None,
                    help="candidate CSV carrying lungrads categories")

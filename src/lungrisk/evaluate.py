@@ -14,6 +14,9 @@ import numpy as np
 from .errors import ConfigError, DataConsistencyError, DegenerateCohortError, PairingError
 from .fileio import write_csv
 
+TARGET_SPECIFICITY = 0.80
+TARGET_SENSITIVITY = 0.84
+
 
 @dataclass
 class ScoredCohort:
@@ -135,7 +138,7 @@ def _auc_rows(score_rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
 _PERM_CHUNK_ELEMENTS = 32_768
 
 
-def permutation_test_auc(a: ScoredCohort, b: ScoredCohort, n_perm: int = 10_000, *,
+def permutation_test_auc(a: ScoredCohort, b: ScoredCohort, n_perm: int, *,
                          rng: np.random.Generator) -> float:
     """One-sided paired permutation test of auc(a) - auc(b) > 0, over cohorts
     that list the same scans and labels in one order (PairingError otherwise).
@@ -147,6 +150,10 @@ def permutation_test_auc(a: ScoredCohort, b: ScoredCohort, n_perm: int = 10_000,
     if n_perm < 1:
         raise ConfigError("n_perm must be at least 1")
     if a.scan_ids != b.scan_ids:
+        only_a, only_b = (sorted(set(x.scan_ids) - set(y.scan_ids)) for x, y in ((a, b), (b, a)))
+        if only_a or only_b:
+            raise PairingError(f"cohorts hold different scans: {len(only_a)} only in A "
+                               f"{only_a[:3]}, {len(only_b)} only in B {only_b[:3]}")
         raise PairingError("cohorts do not list the same scans in the same order")
     if not np.array_equal(a.labels, b.labels):
         raise PairingError("cohorts disagree on labels")
@@ -178,7 +185,7 @@ def _check_target(name: str, value: float):
         raise ConfigError(f"target {name} must lie in [0,1], got {value}")
 
 
-def sensitivity_at_specificity(c: ScoredCohort, target_specificity: float = 0.80) -> float:
+def sensitivity_at_specificity(c: ScoredCohort, target_specificity: float) -> float:
     """Sensitivity at the smallest threshold whose specificity meets the target."""
     _check_target("specificity", target_specificity)
     _, tp, fp, n_pos, n_neg = _sweep(c)
@@ -187,7 +194,7 @@ def sensitivity_at_specificity(c: ScoredCohort, target_specificity: float = 0.80
     return float(tp[ok[-1]] / n_pos)
 
 
-def specificity_at_sensitivity(c: ScoredCohort, target_sensitivity: float = 0.84) -> float:
+def specificity_at_sensitivity(c: ScoredCohort, target_sensitivity: float) -> float:
     """Specificity at the largest threshold whose sensitivity meets the target."""
     _check_target("sensitivity", target_sensitivity)
     _, tp, fp, n_pos, n_neg = _sweep(c)
@@ -205,8 +212,8 @@ class GroupMetrics:
     specificity_at_sens: float | None
 
 
-def grouped_metrics(c: ScoredCohort, target_specificity: float = 0.80,
-                    target_sensitivity: float = 0.84) -> list[GroupMetrics]:
+def grouped_metrics(c: ScoredCohort, target_specificity: float = TARGET_SPECIFICITY,
+                    target_sensitivity: float = TARGET_SENSITIVITY) -> list[GroupMetrics]:
     """Operating-point metrics within each Lung-RADS category subset.
 
     Categories whose subset lacks one of the classes report None metrics.
@@ -246,8 +253,9 @@ class EvalReport:
     curve: RocCurve | None = None
 
 
-def evaluate_cohort(c: ScoredCohort, target_specificity: float = 0.80,
-                    target_sensitivity: float = 0.84, group: bool = False) -> EvalReport:
+def evaluate_cohort(c: ScoredCohort, target_specificity: float = TARGET_SPECIFICITY,
+                    target_sensitivity: float = TARGET_SENSITIVITY,
+                    group: bool = False) -> EvalReport:
     report = EvalReport(
         auc=auc(c),
         n=c.labels.size,

@@ -55,6 +55,7 @@ from .errors import (
 from .fileio import read_key_values
 from .preprocess import (
     CROP_SIDE,
+    CUBE_SIDE,
     MetadataStats,
     ScanExample,
     crop28,
@@ -103,7 +104,7 @@ class NNetParams:
     """All learnable tensors and batch-norm states, shared across branches,
     and the plane projection the model was trained on."""
 
-    def __init__(self, metadata_dim: int, dropout_rate: float = 0.25, projection: str = "slice"):
+    def __init__(self, metadata_dim: int, dropout_rate: float, projection: str):
         self.metadata_dim = metadata_dim
         self.dropout_rate = dropout_rate
         self.projection = projection
@@ -217,14 +218,14 @@ def _gather_batch(examples: list[ScanExample], rng, projection: str):
     """Stack the patches of a batch of scans; returns channel-major
     (3,P,28,28) planes, raw metadata, segment ids and labels, or None when
     no scan has a patch. Scans without patches are left out. A scan that keeps
-    its cubes (a training scan) is re-cropped from them at random."""
+    its cubes (a training scan) is re-cropped from them at a random offset."""
     planes, meta, segments, labels = [], [], [], []
     for ex in examples:
         if not ex.patches:
             continue
         for j, patch in enumerate(ex.patches):
             if ex.cubes is not None:
-                cube = crop28(ex.cubes[j], "train", rng)
+                cube = crop28(ex.cubes[j], rng.integers(0, CUBE_SIDE - CROP_SIDE + 1, size=3))
                 planes.append(normalize_hu(triplanar(cube, projection)))
             else:
                 planes.append(patch.planes)
@@ -316,7 +317,7 @@ def stratified_folds(labels: list[int], k: int, rng: np.random.Generator) -> lis
     return [np.sort(np.asarray(f)) for f in folds]
 
 
-def kfold_train(config: NNetConfig, dataset: list[ScanExample], k: int = 5) -> FoldEnsemble:
+def kfold_train(config: NNetConfig, dataset: list[ScanExample], k: int) -> FoldEnsemble:
     """Train k models, each on k-1 stratified folds, for averaged inference.
 
     With k=1 the one model trains on the whole dataset under `config.seed`.

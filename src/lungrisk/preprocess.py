@@ -16,6 +16,7 @@ HU_WINDOW = (-1000.0, 400.0)
 CUBE_SIDE = 32
 CROP_SIDE = 28
 MAX_NODULES = 10
+CENTER_OFFSET = (2, 2, 2)       # the crop of every scored patch, centred in its cube
 
 
 @dataclass
@@ -183,24 +184,15 @@ def extract_cube(v: Volume, center) -> np.ndarray:
     return block
 
 
-def crop28(cube: np.ndarray, mode: str, rng: np.random.Generator | None = None) -> np.ndarray:
-    """28^3 crop of a 32^3 cube: random offsets in train, center (2,2,2) at inference.
+def crop28(cube: np.ndarray, offset) -> np.ndarray:
+    """The 28^3 crop of a 32^3 cube from `offset` (x, y, z), each in 0..4.
 
     The crop is a view into `cube`, not a copy: writing to it writes to the cube.
     """
     if cube.shape != (CUBE_SIDE,) * 3:
         raise DimensionError(f"crop28 expects a {CUBE_SIDE}^3 cube, got {cube.shape}")
-    if mode == "train":
-        if rng is None:
-            raise ConfigError("train-mode crop needs an rng")
-        off = rng.integers(0, CUBE_SIDE - CROP_SIDE + 1, size=3)
-    elif mode == "infer":
-        off = np.array([2, 2, 2])
-    else:
-        raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
-    return cube[off[0]:off[0] + CROP_SIDE,
-                off[1]:off[1] + CROP_SIDE,
-                off[2]:off[2] + CROP_SIDE]
+    x, y, z = offset
+    return cube[x:x + CROP_SIDE, y:y + CROP_SIDE, z:z + CROP_SIDE]
 
 
 def triplanar(cube: np.ndarray, projection: str = "slice") -> np.ndarray:
@@ -264,7 +256,7 @@ def build_scan_example(v: Volume, candidates: list[NoduleCandidate], label: int,
     cubes: list[np.ndarray] = []
     for cand in select_top_nodules(candidates):
         cube = extract_cube(v, cand.center)
-        planes = normalize_hu(triplanar(crop28(cube, "infer"), projection))
+        planes = normalize_hu(triplanar(crop28(cube, CENTER_OFFSET), projection))
         patches.append(NodulePatch(planes=planes, metadata=candidate_metadata(cand, metadata_dim)))
         cubes.append(cube)
     return ScanExample(scan_id=scan_id, patches=patches, label=label, cubes=cubes)

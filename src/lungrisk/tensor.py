@@ -4,8 +4,8 @@ Only the operations the risk network needs are provided: 3x3 same-padded
 convolution, batch normalization, dense layers, relu/sigmoid, inverted
 dropout, residual addition, flatten/concat, a per-segment max used for the
 multi-instance pooling, and binary cross-entropy. Everything runs in 64-bit
-floats on numpy arrays. Feature maps are channel-major: one map is (C,H,W)
-and a batch of N maps is (C,N,H,W), so each channel is one contiguous block.
+floats on numpy arrays. Feature maps are channel-major (C,N,H,W) batches, so
+each channel is one contiguous block, and flat activations are (N,F) rows.
 The ops serve training; scoring runs `nnet`'s folded inference plans instead.
 """
 
@@ -154,8 +154,8 @@ def _columns(maps: np.ndarray) -> Iterator[np.ndarray]:
 def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1 ("same" spatial size).
 
-    `x` is one (C,H,W) map or a channel-major (C,N,H,W) batch; `kernels` is
-    (O,C,3,3), `bias` (O,). The output has the input's layout with O channels.
+    `x` is a channel-major (C,N,H,W) batch; `kernels` is (O,C,3,3), `bias`
+    (O,). The output is the (O,N,H,W) batch.
 
     Each map is unfolded by `_columns`, one strided copy of its padded 3x3
     windows into a one-map column buffer, and its columns feed one GEMM
@@ -165,10 +165,9 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     shape of a single-map call, so a map's output does not depend on the
     batch it came in.
     """
-    single = x.data.ndim == 3
-    xd = x.data[:, None] if single else x.data
+    xd = x.data
     if xd.ndim != 4:
-        raise DimensionError(f"conv input must be (C,H,W) or (C,N,H,W), got {x.shape}")
+        raise DimensionError(f"conv input must be a (C,N,H,W) batch, got {x.shape}")
     k = kernels.data
     if k.ndim != 4 or k.shape[2:] != (3, 3):
         raise DimensionError(f"kernels must be (O,C,3,3), got {kernels.shape}")
@@ -203,17 +202,15 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         dx3 = dx.reshape(c, n, h * w)
         for p, gcols in enumerate(_columns(g.reshape(o, n, h, w))):
             np.matmul(kflip, gcols, out=dx3[:, p])
-        x.accumulate(dx.reshape(x.data.shape))
+        x.accumulate(dx)
 
-    return Tensor(out.reshape((o,) + x.data.shape[1:]), parents=(x, kernels, bias),
-                  backward=backward)
+    return Tensor(out, parents=(x, kernels, bias), backward=backward)
 
 
 def _bn_axes(shape, channels):
-    # A feature map, one (C,H,W) map or a channel-major (C,N,H,W) batch, is
-    # viewed as (C, M) with each channel's values in one contiguous row;
-    # flat (N,F) activations keep their channels on the last axis.
-    if len(shape) in (3, 4) and shape[0] == channels:
+    # A (C,N,H,W) batch is viewed as (C, M), each channel's values one contiguous
+    # row; flat (N,F) activations keep their channels on the last axis.
+    if len(shape) == 4 and shape[0] == channels:
         return (channels, -1), (channels, 1), "cm"
     if len(shape) == 2 and shape[1] == channels:
         return shape, (1, channels), "mc"
@@ -265,20 +262,19 @@ def batch_norm(x: Tensor, state: BatchNormState) -> Tensor:
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map: out = x @ W + b for x of shape (n,) or (N,n), row by row."""
+    """Affine map: out = x @ W + b for (N,n) rows x, row by row."""
     w, b = weights.data, bias.data
     if w.ndim != 2:
         raise DimensionError(f"weights must be 2-D, got {weights.shape}")
-    if x.data.ndim not in (1, 2) or x.data.shape[-1] != w.shape[0]:
+    if x.data.ndim != 2 or x.data.shape[1] != w.shape[0]:
         raise DimensionError(f"dense input {x.shape} incompatible with weights {weights.shape}")
     if b.shape != (w.shape[1],):
         raise DimensionError(f"bias must be ({w.shape[1]},), got {bias.shape}")
-    out = (x.data[..., None, :] @ w)[..., 0, :] + b
+    out = (x.data[:, None, :] @ w)[:, 0, :] + b
 
     def backward(g):
-        rows, grows = x.data.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1])
-        weights.accumulate(rows.T @ grows)
-        bias.accumulate(grows.sum(axis=0))
+        weights.accumulate(x.data.T @ g)
+        bias.accumulate(g.sum(axis=0))
         x.accumulate(g @ w.T)
 
     return Tensor(out, parents=(x, weights, bias), backward=backward)
@@ -561,7 +557,7 @@ def finite_difference_check(loss_fn, tensors: dict[str, Tensor], h: float = 1e-5
 
     `loss_fn()` must rebuild the graph from the current tensor data and
     return the scalar loss Tensor. Checks every coordinate unless
-    `samples_per_tensor` caps it.
+    `samples_per_tensor` caps it; a cap needs `rng` to draw the coordinates.
 
     With `skip_kinks`, the loss is also evaluated at +-h/2. A coordinate
     whose differences at h and h/2 disagree by more than rounding explains
@@ -571,7 +567,8 @@ def finite_difference_check(loss_fn, tensors: dict[str, Tensor], h: float = 1e-5
     where the loss is not differentiable, and the coordinate is skipped.
     Returns the max relative error per tensor name.
     """
-    rng = rng or np.random.default_rng(0)
+    if samples_per_tensor is not None and rng is None:
+        raise ConfigError("samples_per_tensor needs an rng to draw the coordinates")
     for t in tensors.values():
         t.grad = None
     loss = loss_fn()

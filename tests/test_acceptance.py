@@ -48,10 +48,10 @@ def test_c1_gradient_correctness():
 
     # per-op instances (12 of the 20)
     for i in range(3):
-        x = tz.Tensor(rng.uniform(-1, 1, size=(2, 4, 5)))
+        x = tz.Tensor(rng.uniform(-1, 1, size=(2, 1, 4, 5)))
         k = tz.Tensor(rng.uniform(-1, 1, size=(3, 2, 3, 3)))
         b = tz.Tensor(rng.uniform(-1, 1, size=3))
-        y = rng.integers(0, 2, size=(3, 4, 5)).astype(float)
+        y = rng.integers(0, 2, size=(3, 1, 4, 5)).astype(float)
         check(lambda: head(tz.conv2d_same(x, k, b), y), {"x": x, "k": k, "b": b})
 
     for i in range(3):

@@ -1155,6 +1155,21 @@ def test_compare_p_value_and_reproducibility(small_data, tmp_path, capsys):
     assert (tmp_path / "cmp.csv").read_text() == first
 
 
+def test_compare_of_cohorts_holding_different_scans_says_how_many_each_holds_alone(
+        tmp_path, capsys):
+    # `--a` scores 3 of the 6 labelled scans, `--b` all of them
+    labels = {f"s{i}": i % 2 for i in range(6)}
+    fileio.write_labels_csv(tmp_path / "labels.csv", labels)
+    fileio.write_scores_csv(tmp_path / "a.csv", {f"s{i}": 0.1 * i for i in range(3)})
+    fileio.write_scores_csv(tmp_path / "b.csv", {sid: 0.5 for sid in labels})
+    code = run(["compare", "--a", tmp_path / "a.csv", "--b", tmp_path / "b.csv",
+                "--labels", tmp_path / "labels.csv", "--perms", 10, "--seed", 0])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "0 only in A []" in err and "3 only in B ['s3', 's4', 's5']" in err
+    assert "same order" not in err
+
+
 def test_a_compare_out_write_that_fails_leaves_the_old_file_and_no_partial_file(
         tmp_path, monkeypatch, capsys):
     labels = write_csv(tmp_path / "labels.csv", "label", GOOD_LABELS)

@@ -221,11 +221,11 @@ def test_permutation_rejects_a_reordered_cohort():
 def test_permutation_unpaired_raises():
     a = cohort([0.9, 0.1], [1, 0], ids=["a", "b"])
     b = cohort([0.9, 0.1], [1, 0], ids=["a", "c"])
-    with pytest.raises(PairingError):
-        ev.permutation_test_auc(a, b, rng=np.random.default_rng(0))
+    with pytest.raises(PairingError, match=r"1 only in A \['b'\], 1 only in B \['c'\]"):
+        ev.permutation_test_auc(a, b, n_perm=100, rng=np.random.default_rng(0))
     c = cohort([0.9, 0.1], [0, 1], ids=["a", "b"])
     with pytest.raises(PairingError):
-        ev.permutation_test_auc(a, c, rng=np.random.default_rng(0))
+        ev.permutation_test_auc(a, c, n_perm=100, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from lungrisk.preprocess import (
     ScanExample,
     Volume,
     build_scan_example,
+    normalize_hu,
+    triplanar,
 )
 from writers import write_weight_entries
 
@@ -327,6 +329,36 @@ def test_int16_cubes_train_the_bits_of_their_float64_copies(projection):
     wide_arrays = b.params.arrays()
     for name, array in a.params.arrays().items():
         assert array.tobytes() == wide_arrays[name].tobytes(), name
+
+
+def test_gather_batch_train_crops_are_seeded_and_cover_every_offset(monkeypatch):
+    # each patch of a scan that keeps its cubes is re-cropped at an offset
+    # of 0 to 4 on every axis, drawn in patch order from the batch's rng
+    offsets = []
+    crop = nnet.crop28
+
+    def recorded(cube, offset):
+        offsets.append(tuple(int(o) for o in offset))
+        return crop(cube, offset)
+
+    monkeypatch.setattr(nnet, "crop28", recorded)
+    rng = np.random.default_rng(4)
+    cube = rng.normal(-500.0, 400.0, size=(32, 32, 32))
+    ex = ScanExample("s0", [random_patch(rng) for _ in range(10)], 1, cubes=[cube] * 10)
+    runs = []
+    for _ in range(2):
+        offsets.clear()
+        planes = nnet._gather_batch([ex] * 20, np.random.default_rng(7), "slice")[0]
+        runs.append((list(offsets), planes))
+    assert runs[0][0] == runs[1][0] and runs[0][1].tobytes() == runs[1][1].tobytes()
+    replay = np.random.default_rng(7)
+    assert runs[0][0] == [tuple(int(o) for o in replay.integers(0, 5, size=3))
+                          for _ in range(200)]
+    for axis in range(3):
+        assert {o[axis] for o in runs[0][0]} == {0, 1, 2, 3, 4}
+    x, y, z = runs[0][0][-1]
+    np.testing.assert_array_equal(
+        planes[:, -1], normalize_hu(triplanar(cube[x:x + 28, y:y + 28, z:z + 28])))
 
 
 def test_backward_peak_stays_near_the_memory_live_when_it_starts(monkeypatch):

@@ -222,43 +222,35 @@ def test_a_volume_without_a_1mm_grid_is_rejected_with_or_without_nodules():
 
 
 def test_crop_infer_deterministic():
+    # the scoring crop: the 28^3 block centred in the cube
     cube = np.random.default_rng(2).normal(size=(32, 32, 32))
-    a = pp.crop28(cube, "infer")
-    b = pp.crop28(cube, "infer")
-    assert np.array_equal(a, b)
+    a = pp.crop28(cube, pp.CENTER_OFFSET)
     np.testing.assert_array_equal(a, cube[2:30, 2:30, 2:30])
-
-
-def test_crop_train_seeded_reproducible():
-    cube = np.random.default_rng(3).normal(size=(32, 32, 32))
-    a = pp.crop28(cube, "train", np.random.default_rng(7))
-    b = pp.crop28(cube, "train", np.random.default_rng(7))
-    assert np.array_equal(a, b)
+    assert np.shares_memory(a, cube)
 
 
 def test_crop_infer_excludes_corner_marker():
     cube = np.zeros((32, 32, 32))
     cube[0, 0, 0] = 12345.0
-    out = pp.crop28(cube, "infer")
+    out = pp.crop28(cube, pp.CENTER_OFFSET)
     assert not np.any(out == 12345.0)
 
 
 def test_crop_wrong_shape():
     with pytest.raises(DimensionError):
-        pp.crop28(np.zeros((28, 28, 28)), "infer")
+        pp.crop28(np.zeros((28, 28, 28)), pp.CENTER_OFFSET)
 
 
 def test_crop_train_offsets_cover_range():
+    # every offset a training draw can take, 0 to 4 on each axis, is a full
+    # 28^3 window; (4,4,4) is the last one, ending at the cube's far corner
     cube = np.arange(32 ** 3, dtype=float).reshape(32, 32, 32)
-    rng = np.random.default_rng(0)
-    offsets = set()
-    for _ in range(200):
-        out = pp.crop28(cube, "train", rng)
-        # recover the offset from the first element
-        flat = int(out[0, 0, 0])
-        offsets.add((flat // (32 * 32), (flat // 32) % 32, flat % 32))
-    xs = {o[0] for o in offsets}
-    assert xs == {0, 1, 2, 3, 4}
+    for o in range(5):
+        offset = (o, 4 - o, 2)
+        np.testing.assert_array_equal(pp.crop28(cube, offset),
+                                      cube[o:o + 28, 4 - o:32 - o, 2:30])
+    last = pp.crop28(cube, (4, 4, 4))
+    assert last.shape == (28, 28, 28) and last[-1, -1, -1] == cube[-1, -1, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +403,8 @@ def test_build_planes_are_the_center_crop_of_the_kept_cubes(projection):
     for patch, cube, c in zip(ex.patches, ex.cubes, pp.select_top_nodules(cands)):
         np.testing.assert_array_equal(cube, pp.extract_cube(v, c.center))
         np.testing.assert_array_equal(
-            patch.planes, pp.normalize_hu(pp.triplanar(pp.crop28(cube, "infer"), projection)))
+            patch.planes,
+            pp.normalize_hu(pp.triplanar(pp.crop28(cube, pp.CENTER_OFFSET), projection)))
 
 
 def test_build_output_shape_invariant_to_candidate_count():

@@ -25,16 +25,16 @@ def t(x, name=None):
 
 
 def test_conv_zero_input_gives_zero_output():
-    x = t(np.zeros((1, 3, 3)))
+    x = t(np.zeros((1, 1, 3, 3)))
     k = t(np.random.default_rng(0).normal(size=(8, 1, 3, 3)))
     out = T.conv2d_same(x, k, t(np.zeros(8)))
-    assert out.shape == (8, 3, 3)
+    assert out.shape == (8, 1, 3, 3)
     assert np.all(out.data == 0.0)
 
 
 def test_conv_delta_kernel_is_identity():
     rng = np.random.default_rng(1)
-    x = t(rng.normal(size=(1, 4, 4)))
+    x = t(rng.normal(size=(1, 1, 4, 4)))
     k = np.zeros((8, 1, 3, 3))
     k[:, 0, 1, 1] = 1.0  # center tap
     out = T.conv2d_same(x, t(k), t(np.zeros(8)))
@@ -45,15 +45,21 @@ def test_conv_delta_kernel_is_identity():
 def test_conv_all_ones_kernel_hand_value():
     # 2x2 input [[1,2],[3,4]], ones kernel, zero padding: every output tap
     # sees the whole input -> 10 everywhere.
-    x = t([[[1.0, 2.0], [3.0, 4.0]]])
+    x = t([[[[1.0, 2.0], [3.0, 4.0]]]])
     k = t(np.ones((1, 1, 3, 3)))
     out = T.conv2d_same(x, k, t(np.zeros(1)))
-    np.testing.assert_allclose(out.data[0], [[10.0, 10.0], [10.0, 10.0]])
+    np.testing.assert_allclose(out.data[0, 0], [[10.0, 10.0], [10.0, 10.0]])
 
 
 def test_conv_channel_mismatch_raises():
     with pytest.raises(DimensionError):
-        T.conv2d_same(t(np.zeros((2, 4, 4))), t(np.zeros((8, 3, 3, 3))), t(np.zeros(8)))
+        T.conv2d_same(t(np.zeros((2, 1, 4, 4))), t(np.zeros((8, 3, 3, 3))), t(np.zeros(8)))
+
+
+def test_conv_rejects_a_single_map():
+    # a lone (C,H,W) map is rejected; one map is passed as the (C,1,H,W) batch
+    with pytest.raises(DimensionError, match=r"\(C,N,H,W\)"):
+        T.conv2d_same(t(np.zeros((2, 4, 4))), t(np.zeros((8, 2, 3, 3))), t(np.zeros(8)))
 
 
 def test_conv_matches_sliding_window_oracle():
@@ -61,7 +67,7 @@ def test_conv_matches_sliding_window_oracle():
     x = rng.normal(size=(2, 5, 6))
     k = rng.normal(size=(4, 2, 3, 3))
     b = rng.normal(size=4)
-    out = T.conv2d_same(t(x), t(k), t(b)).data
+    out = T.conv2d_same(t(x[:, None]), t(k), t(b)).data[:, 0]
 
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     expected = np.empty((4, 5, 6))
@@ -81,8 +87,8 @@ def test_conv_matches_sliding_window_oracle():
 @settings(max_examples=25, deadline=None)
 def test_conv_linearity(a, b):
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 4, 4))
-    y = rng.normal(size=(2, 4, 4))
+    x = rng.normal(size=(2, 1, 4, 4))
+    y = rng.normal(size=(2, 1, 4, 4))
     k = t(rng.normal(size=(3, 2, 3, 3)))
     zero_b = t(np.zeros(3))
     lhs = T.conv2d_same(t(a * x + b * y), k, zero_b).data
@@ -97,7 +103,7 @@ def test_conv_batched_matches_per_instance():
     b = t(rng.normal(size=5))
     batched = T.conv2d_same(t(xb), k, b).data
     for i in range(3):
-        single = T.conv2d_same(t(xb[:, i]), k, b).data
+        single = T.conv2d_same(t(xb[:, i:i + 1]), k, b).data[:, 0]
         np.testing.assert_array_equal(batched[:, i], single)
 
 
@@ -112,7 +118,8 @@ def test_conv_and_bn_on_channel_major_batch_read_the_channel_axis():
     bn.beta.data[:] = rng.normal(size=4)
     conv = T.conv2d_same(t(xb), k, b).data
     for i in range(4):
-        np.testing.assert_array_equal(conv[:, i], T.conv2d_same(t(xb[:, i]), k, b).data)
+        np.testing.assert_array_equal(conv[:, i:i + 1],
+                                      T.conv2d_same(t(xb[:, i:i + 1]), k, b).data)
     normed = T.batch_norm(t(xb), bn).data
     mu = xb.mean(axis=(1, 2, 3), keepdims=True)
     var = xb.var(axis=(1, 2, 3), keepdims=True)
@@ -129,7 +136,8 @@ def test_conv_of_a_patch_batch_equals_the_per_map_conv_bit_for_bit(n):
     b = t(rng.normal(size=8))
     batched = T.conv2d_same(t(xb), k, b).data
     for i in range(n):
-        np.testing.assert_array_equal(batched[:, i], T.conv2d_same(t(xb[:, i]), k, b).data)
+        np.testing.assert_array_equal(batched[:, i:i + 1],
+                                      T.conv2d_same(t(xb[:, i:i + 1]), k, b).data)
 
 
 def _whole_batch_conv_reference(x, k, b, g):
@@ -186,22 +194,21 @@ def _im2col(arr, cols):
 
 def _nine_slice_conv(xd, k, b, g):
     """Forward and kernel, bias and input gradients of a same-padded 3x3 conv
-    of one (C,H,W) map or a (C,N,H,W) batch, with the per-map GEMMs of
-    `conv2d_same` and every map unfolded by `_im2col`."""
-    x4 = xd[:, None] if xd.ndim == 3 else xd
-    c, n, h, w = x4.shape
+    of a (C,N,H,W) batch, with the per-map GEMMs of `conv2d_same` and every
+    map unfolded by `_im2col`."""
+    c, n, h, w = xd.shape
     o = k.shape[0]
     kmat = k.reshape(o, c * 9)
     cols = np.zeros((c, 3, 3, h, w))
     out = np.empty((o, n, h, w))
     out3 = out.reshape(o, n, h * w)
     for p in range(n):
-        np.matmul(kmat, _im2col(x4[:, p], cols), out=out3[:, p])
+        np.matmul(kmat, _im2col(xd[:, p], cols), out=out3[:, p])
     out3 += b[:, None, None]
     g3 = g.reshape(o, n, h * w)
     gk = np.zeros((o, c * 9))
     for p in range(n):
-        gk += g3[:, p] @ _im2col(x4[:, p], cols).T
+        gk += g3[:, p] @ _im2col(xd[:, p], cols).T
     kflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * 9)
     g4 = g.reshape(o, n, h, w)
     gcols = np.zeros((o, 3, 3, h, w))
@@ -209,15 +216,14 @@ def _nine_slice_conv(xd, k, b, g):
     dx3 = dx.reshape(c, n, h * w)
     for p in range(n):
         np.matmul(kflip, _im2col(g4[:, p], gcols), out=dx3[:, p])
-    return (out.reshape((o,) + xd.shape[1:]), gk.reshape(o, c, 3, 3),
-            g.reshape(o, -1).sum(axis=1), dx.reshape(xd.shape))
+    return out, gk.reshape(o, c, 3, 3), g.reshape(o, -1).sum(axis=1), dx
 
 
-@pytest.mark.parametrize("n", [None, 1, 2, 5, 19], ids=["one-map", "1", "2", "5", "19"])
+@pytest.mark.parametrize("n", [1, 2, 5, 19])
 @pytest.mark.parametrize("c", [3, 8])
 def test_conv_equals_the_nine_slice_unfold_bit_for_bit(c, n):
-    rng = np.random.default_rng(10 * c + (n or 0))
-    shape = (c, 28, 28) if n is None else (c, n, 28, 28)
+    rng = np.random.default_rng(10 * c + n)
+    shape = (c, n, 28, 28)
     xd = rng.normal(size=shape)
     x, k, b = t(xd), t(rng.normal(size=(8, c, 3, 3))), t(rng.normal(size=8))
     g = rng.normal(size=(8,) + shape[1:])
@@ -273,23 +279,10 @@ def test_bn_empty_batch_raises():
         T.batch_norm(t(np.zeros((0, 2))), bn)
 
 
-def test_bn_single_map_matches_batch_of_one():
-    # a channel-first (C,H,W) map normalizes as the (C,1,H,W) batch holding it
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(4, 3, 5))
-    labels = rng.integers(0, 2, size=x.shape).astype(float)
-    runs = []
-    for data in (x, x[:, None]):
-        bn = make_bn(4)
-        bn.running_mean[:] = [0.1, -0.2, 0.3, 0.0]
-        bn.running_var[:] = [1.0, 2.0, 0.5, 3.0]
-        xt = t(data)
-        out = T.batch_norm(xt, bn)
-        T.backward(_bce_head(out, labels.reshape(data.shape)))
-        runs.append([out.data.reshape(x.shape), bn.running_mean, bn.running_var,
-                     xt.grad.reshape(x.shape), bn.gamma.grad, bn.beta.grad])
-    for single, batched in zip(*runs):
-        np.testing.assert_array_equal(single, batched)
+def test_bn_rejects_a_single_map():
+    # a lone (C,H,W) map is rejected; one map is passed as the (C,1,H,W) batch
+    with pytest.raises(DimensionError):
+        T.batch_norm(t(np.ones((4, 3, 5))), make_bn(4))
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +290,19 @@ def test_bn_single_map_matches_batch_of_one():
 
 
 def test_dense_zero_input_gives_bias():
-    out = T.dense(t(np.zeros(3)), t(np.eye(3)), t([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(out.data, [1.0, 2.0, 3.0])
+    out = T.dense(t(np.zeros((1, 3))), t(np.eye(3)), t([1.0, 2.0, 3.0]))
+    np.testing.assert_allclose(out.data, [[1.0, 2.0, 3.0]])
 
 
 def test_dense_identity_weights():
-    x = np.array([0.5, -1.5])
+    x = np.array([[0.5, -1.5]])
     out = T.dense(t(x), t(np.eye(2)), t(np.zeros(2)))
     np.testing.assert_allclose(out.data, x)
 
 
 def test_dense_hand_value():
-    out = T.dense(t([1.0, 2.0]), t([[1.0, 0.0], [0.0, 2.0]]), t([1.0, 1.0]))
-    np.testing.assert_allclose(out.data, [2.0, 5.0])
+    out = T.dense(t([[1.0, 2.0]]), t([[1.0, 0.0], [0.0, 2.0]]), t([1.0, 1.0]))
+    np.testing.assert_allclose(out.data, [[2.0, 5.0]])
 
 
 def test_dense_rows_independent_of_batch_size():
@@ -319,12 +312,17 @@ def test_dense_rows_independent_of_batch_size():
     one_at_a_time = np.stack([T.dense(t(row[None]), w, b).data[0] for row in x])
     for n in (2, 3, 10, 40):
         assert np.array_equal(T.dense(t(x[:n]), w, b).data, one_at_a_time[:n])
-    assert np.array_equal(T.dense(t(x[0]), w, b).data, one_at_a_time[0])
 
 
 def test_dense_dim_mismatch():
+    with pytest.raises(DimensionError, match=r"\(1, 3\) incompatible"):
+        T.dense(t([[1.0, 2.0, 3.0]]), t(np.eye(2)), t(np.zeros(2)))
+
+
+def test_dense_rejects_a_single_vector():
+    # a lone (n,) vector is rejected; one row is passed as the (1,n) batch
     with pytest.raises(DimensionError):
-        T.dense(t([1.0, 2.0, 3.0]), t(np.eye(2)), t(np.zeros(2)))
+        T.dense(t(np.ones(2)), t(np.eye(2)), t(np.zeros(2)))
 
 
 def test_relu_values():
@@ -508,7 +506,7 @@ def test_leaves_without_requires_grad_get_no_gradient():
 
 
 def test_a_loss_of_leaves_without_requires_grad_gives_no_gradient_to_apply():
-    x = T.Tensor([0.3, -0.2], requires_grad=False)
+    x = T.Tensor([[0.3, -0.2]], requires_grad=False)
     w, b = T.Tensor([[0.5], [-1.0]], requires_grad=False), T.Tensor([0.1], requires_grad=False)
     T.backward(T.bce_loss(T.sigmoid(T.reshape(T.relu(T.dense(x, w, b)), ())), 1.0))
     assert x.grad is None and w.grad is None and b.grad is None
@@ -669,10 +667,10 @@ def _gradcheck(loss_fn, tensors, **kw):
 
 def test_gradcheck_conv():
     rng = np.random.default_rng(11)
-    x = t(rng.uniform(-1, 1, size=(2, 4, 5)))
+    x = t(rng.uniform(-1, 1, size=(2, 1, 4, 5)))
     k = t(rng.uniform(-1, 1, size=(3, 2, 3, 3)))
     b = t(rng.uniform(-1, 1, size=3))
-    labels = rng.integers(0, 2, size=(3, 4, 5)).astype(float)
+    labels = rng.integers(0, 2, size=(3, 1, 4, 5)).astype(float)
     _gradcheck(lambda: _bce_head(T.conv2d_same(x, k, b), labels), {"x": x, "k": k, "b": b})
 
 
@@ -822,6 +820,21 @@ def test_gradcheck_skips_exactly_the_coordinates_that_straddle_a_kink():
     with pytest.raises(NumericError):
         T.finite_difference_check(lambda: T.bce_loss(T.sigmoid(T.relu(kinked)), labels[:2]),
                                   {"x": kinked}, h=1e-5, skip_kinks=True)
+
+
+def test_gradcheck_sampling_needs_an_rng():
+    # a cap on the coordinates draws them from the caller's generator, never a hidden one
+    x = t([[0.3, -0.2, 0.5, 0.1]])
+    labels = np.array([[1.0, 0.0, 1.0, 0.0]])
+
+    def loss_fn():
+        return T.bce_loss(T.sigmoid(x), labels)
+
+    with pytest.raises(ConfigError, match="rng"):
+        T.finite_difference_check(loss_fn, {"x": x}, h=1e-5, samples_per_tensor=2)
+    errs = T.finite_difference_check(loss_fn, {"x": x}, h=1e-5, samples_per_tensor=2,
+                                     rng=np.random.default_rng(3))
+    assert errs["x"] < 1e-8
 
 
 def test_gradcheck_checks_strongly_curved_coordinates_instead_of_skipping_them():
