@@ -41,12 +41,11 @@ with tempfile.TemporaryDirectory() as td:
     print("\n=== PanCan baseline on the generative features ===")
     cli.main(["pancan", "--weights", str(pancan.placeholder_weights_path()),
               "--features", str(data / "pancan_features.csv"),
-              "--out", str(root / "pancan.csv")])
+              "--scans", str(root / "test.txt"), "--out", str(root / "pancan.csv")])
 
     test_set = set(test_ids)
     nn = fileio.read_scores_csv(root / "nnet.csv")
-    pan = {k: v for k, v in fileio.read_scores_csv(root / "pancan.csv").items()
-           if k in test_set}
+    pan = fileio.read_scores_csv(root / "pancan.csv")
     bayes = {}
     for line in (data / "ground_truth.csv").read_text().splitlines()[1:]:
         sid, _, risk = line.split(",")

@@ -244,8 +244,12 @@ def cmd_compare(args) -> int:
 def cmd_pancan(args) -> int:
     weights = pancan.load_weights(args.weights)
     features = pancan.read_features_csv(args.features)
-    scores = {scan_id: pancan.patient_score(nodules, weights, agg=args.agg)
-              for scan_id, nodules in features.items()}
+    scan_ids = _read_scan_list(args.scans) if args.scans else sorted(features)
+    missing = sorted(set(scan_ids) - set(features))
+    if missing:
+        raise DataConsistencyError(f"scan list entries without feature rows: {missing}")
+    scores = {scan_id: pancan.patient_score(features[scan_id], weights, agg=args.agg)
+              for scan_id in scan_ids}
     fileio.write_scores_csv(args.out, scores)
     print(f"scored {len(scores)} scans ({args.agg} aggregation) -> {args.out}")
     return 0
@@ -320,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--agg", choices=["max", "mean"], default="max")
+    p.add_argument("--scans", default=None, help="file listing scan_ids to score")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pancan)
 

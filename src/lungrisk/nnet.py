@@ -247,21 +247,35 @@ def train(config: NNetConfig, dataset: list[ScanExample]) -> FoldMember:
     computed from this dataset and the mean per-epoch training loss. Scans
     without patches are skipped.
     """
+    return _train_epochs(config, dataset, None, config.epochs)
+
+
+# A fold's whole training state at an epoch boundary; the metadata statistics
+# are not part of it, since they follow from the training set.
+_FoldState = namedtuple("_FoldState", "params adam rng history")
+
+
+def _train_epochs(config: NNetConfig, dataset: list[ScanExample], state: _FoldState | None,
+                  stop: int) -> _FoldState | FoldMember:
+    """Train from `state` (None: from the start, as `train` does) up to epoch
+    `stop`. Returns the FoldMember once `stop` is `config.epochs`, else the
+    state, from which a later call on the same dataset, in this process or
+    after a pickle round trip, continues bit for bit as if never stopped."""
     if not dataset:
         raise ConfigError("training needs a non-empty dataset")
     label_set = {ex.label for ex in dataset}
     if label_set != {0, 1}:
         raise ConfigError(f"training needs both classes, found labels {sorted(label_set)}")
 
-    rng = np.random.default_rng(config.seed)
     stats = metadata_stats_from_examples(dataset)
-    params = init_params(config, rng)
+    if state is None:
+        rng = np.random.default_rng(config.seed)
+        state = _FoldState(init_params(config, rng), tz.AdamState(learning_rate=config.learning_rate),
+                           rng, [])
+    params, adam, rng, history = state
     learnable = params.learnable()
-    adam = tz.AdamState(learning_rate=config.learning_rate)
-
-    history: list[float] = []
     n = len(dataset)
-    for _ in range(config.epochs):
+    for _ in range(len(history), stop):
         order = rng.permutation(n)
         epoch_loss = 0.0
         n_scored = 0
@@ -280,6 +294,8 @@ def train(config: NNetConfig, dataset: list[ScanExample]) -> FoldMember:
             epoch_loss += float(loss.data) * labels.size
             n_scored += labels.size
         history.append(epoch_loss / n_scored)
+    if stop < config.epochs:
+        return state
     return FoldMember(params=params, metadata_stats=stats, loss_history=history)
 
 
@@ -321,7 +337,8 @@ def kfold_train(config: NNetConfig, dataset: list[ScanExample], k: int) -> FoldE
     """Train k models, each on k-1 stratified folds, for averaged inference.
 
     With k=1 the one model trains on the whole dataset under `config.seed`.
-    The folds train side by side in fold workers (see `_train_in_workers`).
+    The folds train side by side in fold workers (see `_train_in_workers`),
+    and each member is the same bytes whatever the number of usable CPUs.
     """
     if len(dataset) < k:
         raise ConfigError(f"need at least {k} examples for {k}-fold training")
@@ -348,6 +365,13 @@ def kfold_train(config: NNetConfig, dataset: list[ScanExample], k: int) -> FoldE
 # machine at hand. Workers start through `subprocess`, not `multiprocessing`,
 # whose spawn mode re-runs the caller's unguarded `__main__` and whose fork
 # mode inherits the parent's BLAS threads.
+#
+# The folds are dealt to the workers in whole epochs (`_fold_plans`, by
+# McNaughton's wrap-around rule; McNaughton 1959, Management Science 6:1), so
+# 5 folds on 2 CPUs take 2.5 fold-times, not the 3 of whole folds dealt in
+# rounds, whose last round left a core idle. A fold split between two workers
+# is handed over at an epoch boundary as its exact `_FoldState`, by pickle
+# through the parent, so its bytes do not depend on where its epochs ran.
 
 _WORKER_ENTRY = "from lungrisk.nnet import _serve_folds; _serve_folds()"
 _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -366,19 +390,48 @@ def _worker_env() -> dict[str, str]:
     return {**os.environ, **_ONE_BLAS_THREAD, **_REUSE_FREED_MEMORY, "PYTHONPATH": path}
 
 
+def _fold_plans(k: int, epochs: int, workers: int) -> list[list[tuple[int, int, int]]]:
+    """Each worker's (fold, start epoch, stop epoch) pieces, in the order it
+    runs them. Folds are dealt in order, ceil(k*epochs/workers) epochs to a
+    worker. A fold that does not fit in the r epochs left on worker j runs its
+    last r epochs at the end of worker j and its first epochs at the head of
+    worker j+1; since a fold's epochs are no more than a worker's, the head
+    piece ends before the tail piece is due. Workers left without a piece are
+    dropped."""
+    cap = -(-k * epochs // workers)
+    plans: list[list[tuple[int, int, int]]] = [[] for _ in range(workers)]
+    j, room = 0, cap
+    for fold in range(k):
+        if room == 0:
+            j, room = j + 1, cap
+        if epochs <= room:
+            plans[j].append((fold, 0, epochs))
+            room -= epochs
+        else:
+            plans[j].append((fold, epochs - room, epochs))
+            plans[j + 1].append((fold, 0, epochs - room))
+            j, room = j + 1, cap - (epochs - room)
+    return [plan for plan in plans if plan]
+
+
 def _train_in_workers(dataset: list[ScanExample], jobs: list[tuple]) -> list[FoldMember]:
     """Train each (config, holdout indices) job on the dataset less its holdout.
 
-    The jobs run in min(len(jobs), usable CPUs) workers. Each worker gets
-    the dataset once over its stdin, then takes jobs until none are left;
-    results come back over its stdout and are returned in job order. A
-    LungRiskError raised by a job is re-raised here with its class and
-    message, and a worker that ends without its result raises
-    FoldWorkerError; either stops the other workers. When several jobs fail,
-    the error of the first of them is raised.
+    The jobs, which share an epoch count, run in W = min(len(jobs), usable
+    CPUs) workers, each walking its plan from `_fold_plans`. Each worker gets
+    the dataset once over its stdin, then one piece of a fold at a time; a
+    piece that resumes a fold waits until the piece before it has returned
+    the fold's state. Results come back over the workers' stdout and are
+    returned in job order. A LungRiskError raised by a job is re-raised here
+    with its class and message, and a worker that ends without its result
+    raises FoldWorkerError; either stops the other workers and wakes a piece
+    that waits. When several jobs fail, the error of the first of them is
+    raised.
     """
-    pending = iter(enumerate(jobs))
-    lock = threading.Lock()
+    epochs = jobs[0][0].epochs
+    plans = _fold_plans(len(jobs), epochs, min(len(jobs), host.usable_cpus()))
+    handed = threading.Condition()
+    states: dict[int, _FoldState] = {}     # fold -> state handed between workers
     failed = threading.Event()
     results: list[FoldMember | None] = [None] * len(jobs)
     errors: list[tuple[int, LungRiskError]] = []
@@ -387,26 +440,34 @@ def _train_in_workers(dataset: list[ScanExample], jobs: list[tuple]) -> list[Fol
 
     def stop():
         failed.set()
+        with handed:
+            handed.notify_all()
         for worker in workers:
             worker.kill()
 
-    def drive(worker):
-        i = len(jobs)          # no job taken yet
+    def drive(worker, plan):
+        i = len(jobs)          # no piece taken yet
         try:
             pickle.dump(dataset, worker.stdin, protocol=pickle.HIGHEST_PROTOCOL)
-            while not failed.is_set():
-                with lock:
-                    i, job = next(pending, (len(jobs), None))
-                if job is None:
-                    break
-                pickle.dump(job, worker.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+            for i, start, end in plan:
+                with handed:
+                    handed.wait_for(lambda: start == 0 or i in states or failed.is_set())
+                    if failed.is_set():
+                        break
+                    state = states.pop(i, None)
+                pickle.dump((*jobs[i], state, end), worker.stdin, protocol=pickle.HIGHEST_PROTOCOL)
+                del state
                 worker.stdin.flush()
                 ok, payload = pickle.load(worker.stdout)
-                if ok:
-                    results[i] = payload
-                else:
+                if not ok:
                     errors.append((i, payload))
                     stop()
+                elif end < epochs:
+                    with handed:
+                        states[i] = payload
+                        handed.notify_all()
+                else:
+                    results[i] = payload
         except (OSError, EOFError, pickle.UnpicklingError):
             code = worker.wait()
             if not (failed.is_set() and code == -signal.SIGKILL):     # not killed by stop()
@@ -419,12 +480,12 @@ def _train_in_workers(dataset: list[ScanExample], jobs: list[tuple]) -> list[Fol
                 worker.stdin.close()
 
     try:
-        for _ in range(min(len(jobs), host.usable_cpus())):
+        for _ in plans:
             workers.append(subprocess.Popen(
                 [sys.executable, "-c", _WORKER_ENTRY, str(os.getpid())],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=_worker_env()))
-        for worker in workers:
-            threads.append(threading.Thread(target=drive, args=(worker,)))
+        for worker, plan in zip(workers, plans):
+            threads.append(threading.Thread(target=drive, args=(worker, plan)))
             threads[-1].start()
         for thread in threads:
             thread.join()
@@ -453,10 +514,11 @@ def _exit_when_orphaned(parent: int):
 
 def _serve_folds():
     """Fold-worker entry: read the dataset from stdin, then answer each
-    (config, holdout) job with (True, FoldMember) or (False, LungRiskError)
-    on stdout, until stdin ends. The worker ends within about half a second
-    of the death of its parent, whose pid is its first argument, and quietly
-    if a reply finds the parent gone."""
+    (config, holdout, state or None, stop epoch) job with (True, result of
+    `_train_epochs`) or (False, LungRiskError) on stdout, until stdin ends.
+    The worker ends within about half a second of the death of its parent,
+    whose pid is its first argument, and quietly if a reply finds the parent
+    gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent stops its workers
     threading.Thread(target=_exit_when_orphaned, args=(int(sys.argv[1]),), daemon=True).start()
     replies = os.fdopen(os.dup(1), "wb")
@@ -465,12 +527,13 @@ def _serve_folds():
     dataset = pickle.load(requests)
     while True:
         try:
-            config, holdout = pickle.load(requests)
+            config, holdout, state, stop = pickle.load(requests)
         except EOFError:
             return
         held = set(holdout.tolist())
         try:
-            reply = (True, train(config, [ex for j, ex in enumerate(dataset) if j not in held]))
+            reply = (True, _train_epochs(config, [ex for j, ex in enumerate(dataset) if j not in held],
+                                         state, stop))
         except LungRiskError as exc:
             reply = (False, exc)
         try:
@@ -478,6 +541,7 @@ def _serve_folds():
             replies.flush()
         except BrokenPipeError:
             os._exit(1)     # the parent is gone
+        del reply, state    # not held through the next job
 
 
 # `ensemble_predict` scores whole scans in chunks of at least this many

@@ -262,7 +262,7 @@ def batch_norm(x: Tensor, state: BatchNormState) -> Tensor:
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map: out = x @ W + b for (N,n) rows x, row by row."""
+    """Affine map: out = x @ W + b for (N,n) rows x, as one GEMM."""
     w, b = weights.data, bias.data
     if w.ndim != 2:
         raise DimensionError(f"weights must be 2-D, got {weights.shape}")
@@ -270,7 +270,7 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"dense input {x.shape} incompatible with weights {weights.shape}")
     if b.shape != (w.shape[1],):
         raise DimensionError(f"bias must be ({w.shape[1]},), got {bias.shape}")
-    out = (x.data[:, None, :] @ w)[:, 0, :] + b
+    out = x.data @ w + b
 
     def backward(g):
         weights.accumulate(x.data.T @ g)

@@ -431,12 +431,10 @@ def test_c6_end_to_end_synthetic_experiment(tmp_path):
     pancan_csv = tmp_path / "pancan_scores.csv"
     assert run_cli(["pancan", "--weights", pancan.placeholder_weights_path(),
                     "--features", data / "pancan_features.csv",
-                    "--out", pancan_csv]) == 0
+                    "--scans", test_list, "--out", pancan_csv]) == 0
 
-    test_ids = ids[400:]
     nn_scores = fileio.read_scores_csv(nnet_scores_csv)
-    pan_scores = {k: v for k, v in fileio.read_scores_csv(pancan_csv).items()
-                  if k in set(test_ids)}
+    pan_scores = fileio.read_scores_csv(pancan_csv)
     nn_auc = ev.auc(ev.ScoredCohort.from_dicts(nn_scores, labels))
     pan_auc = ev.auc(ev.ScoredCohort.from_dicts(pan_scores, labels))
     elapsed = time.time() - started

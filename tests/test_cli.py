@@ -4,6 +4,7 @@ import ctypes
 import hashlib
 import io
 import os
+import shlex
 import shutil
 import signal
 import struct
@@ -176,45 +177,47 @@ def openblas_core() -> str | None:
 # --dims 64`, `train --folds 3 --epochs 3 --batch-size 8 --seed 4`, `score`
 # (numpy 2.4.6, x86-64), keyed by the OpenBLAS core: GEMM bits differ between
 # cores. SkylakeX ran natively; the other cores were forced on the same
-# machine with OPENBLAS_CORETYPE. The score CSVs are those of the folded
+# machine with OPENBLAS_CORETYPE. Pinned again when `tensor.dense` became one
+# GEMM, which moved every fold's bits. The score CSVs are those of the folded
 # inference plan, whose risks differ from the unfolded forward's by at most
 # 3.3e-16 on these four cores.
 TRAIN_SCORE_GOLDEN = {
     "SkylakeX": {
-        "fold0.lrnn": "dab16b7bd9863b90f10b208b81bb0569e14db0e23a2daf0e3c084b40a0102f96",
-        "fold1.lrnn": "0991ae669a8ddfa455104e56b3a887d49b685bbdff98895558d19457f5b70791",
-        "fold2.lrnn": "d0b00271efbcef152ca8a637c0f933e01dc923b9c8d97cf1d2efedcaaa500a9b",
+        "fold0.lrnn": "744b5a0287a756431de186eda6d70c0a5cfd0257e8ceb9a13720048f93c166cd",
+        "fold1.lrnn": "fb7c8f254e1c1b0e8ac362cd1acaf947155f52b87092471d661942b3ecb8e20e",
+        "fold2.lrnn": "b93e7415008763054ae92823a3778a92f0eeb3da1b29b0fe2b1db790a97bc966",
         "resolved_config.txt": "4cc02e0128af344b08e9db9134d8187a70ab08f376f524b67a5cbb4d8c2e7b25",
-        "training_loss.csv": "cafd7e09433a63526427339f765b479690e29f1bebfa2aa2073b7e476127b8d5",
-        "scores.csv": "27afade31d1191934a63fe570f8d0546e7545bf46bb3fcb1516555c913f11dc9",
+        "training_loss.csv": "4d4ddb13e2cfb92e718a998490381c0519d9575082cd64dc4baf7753d7952d77",
+        "scores.csv": "34742f0af8f83df9551a3bc615a8e08ef3e1f06ea14ffaa2c61e91557f7aaa9d",
     },
     "Haswell": {
-        "fold0.lrnn": "98162a996564e0cab0d4ab67b05e782b07f007ac0639c969a04956609151a632",
-        "fold1.lrnn": "9373af205731390ad1b8549a38f3dc40b9e64a2ed712e34c5ee5c19d6bffdb83",
-        "fold2.lrnn": "7f64dd0f4646b1c0b4b2d30fa4d25e4a4de9bc7b5f714c08eb76a6fbebe318a2",
+        "fold0.lrnn": "737745a52409abd7d052a605a84382046095479733a85a901e5a0f3c9d8fa116",
+        "fold1.lrnn": "118006de5c0fe719191392f6a57fd24dd3b97bc557ecd2a78cfeafee90fddfa5",
+        "fold2.lrnn": "22589f8a520a84ad97b75ac74387b591b55362a7c37de45386431a2316486a84",
         "resolved_config.txt": "4cc02e0128af344b08e9db9134d8187a70ab08f376f524b67a5cbb4d8c2e7b25",
-        "training_loss.csv": "17f0c835294f90ac0432bb66fd41cbe25f2480e4613393b2eea5057795cb1876",
-        "scores.csv": "27fe01f09cd8f156937aeb2e25747f8e484f4ce125fbe714bf88425510b80473",
+        "training_loss.csv": "46d0919666bcb159187ac2a3eb0c9ed97accce4219a0d0129e3f0d50304e6a24",
+        "scores.csv": "d0d67b2d5862a80a9ca968764a4f032b0a0fc79e9ddcbcc50535d3d289a1c1e7",
     },
     "Sandybridge": {
-        "fold0.lrnn": "ee3eb6cc6328a94b8e70bf6fbb49a38f76a3ce664a1a4b9444163adcc6aab511",
-        "fold1.lrnn": "362d92775f5f21f6cd05d87346b8466719d030fb9751aefe80c2b595873f494e",
-        "fold2.lrnn": "7533c2fb672760a3ecd83d1c1f7aa5d4880b81541df604f19ed3d33a2bc774d3",
+        "fold0.lrnn": "6064d7a0c5adf76cdfd18241c2dae7551b323ee69330bfbf612344612e3ce147",
+        "fold1.lrnn": "fa03ad0df120f13319b90ab05c3d8c7b2828e9c0af2317714ea4d711b0e1f3cd",
+        "fold2.lrnn": "67924ac098dd41b51a2e945fa1588749345ae2ee187acc1fdf1467cb2311425b",
         "resolved_config.txt": "4cc02e0128af344b08e9db9134d8187a70ab08f376f524b67a5cbb4d8c2e7b25",
-        "training_loss.csv": "da68aae5af40245b932f4a8b3e68f40c7e44587b89707ff72ff32ff644f0d2a5",
-        "scores.csv": "1aa81908deff3b8d5b8dbb469e189a3dbd262d5f9ece9a47c0a23fa1a147b7c0",
+        "training_loss.csv": "367a9736106807d387c3c5ec240999ed21a66b30802c94c3da796d4d19fea375",
+        "scores.csv": "46af239ca73fb012707dca1deede4361a12835362f5d6a056bdd712043c6008a",
     },
     "Nehalem": {
-        "fold0.lrnn": "36cdeecb92acd51c05b4b973eef101bd561474232af1919698fbb801f3ea685a",
-        "fold1.lrnn": "ff6373d0d80cd7bf3a98c91cce7eb7107510295f57175b4f9d42c13382f2dd9e",
-        "fold2.lrnn": "a2c2f0d1965b46fb66afc34388ee223448882ac1e6ccb39c80f5d83adf55f024",
+        "fold0.lrnn": "ea0ba5f8aec53f7c97b265c8ccaee09ef8ecaa5619962b11ddc2de5469cfd1d3",
+        "fold1.lrnn": "e0a64a1f166fe23d597634e1632dbe8cb774cacd5a4205de8e92e5ea333bbc03",
+        "fold2.lrnn": "0a2e433ff95c75caaca77a0d268f541d01c033857965376bbbd2fb1c30d9f27b",
         "resolved_config.txt": "4cc02e0128af344b08e9db9134d8187a70ab08f376f524b67a5cbb4d8c2e7b25",
-        "training_loss.csv": "68450046278114ce093361a3d0c879fda711be8397a3bc819502ffd83d65f97c",
-        "scores.csv": "4adc3ec9536336b149ab3333aad2662d0337207edb7b106bd64b66e4fae7ce9f",
+        "training_loss.csv": "86d35a8db6e91ce66936eacceb44ba586235a831fa77cf355ab0e4bfeabbb2db",
+        "scores.csv": "037a54a028a93200fa77721220ce937f3d7b2707adc02dd113d1ccb13051f7d8",
     },
 }
-# The SkylakeX risks of that chain. On any core they must hold within
-# TRAIN_SCORE_RISK_TOLERANCE; the four cores above differ by at most 7.6e-12.
+# The SkylakeX risks of that chain, from before `dense` became one GEMM. On
+# any core they must hold within TRAIN_SCORE_RISK_TOLERANCE; the four cores
+# above lie within 4.4e-12 of them and of each other.
 TRAIN_SCORE_RISKS = {
     "scan_00000": 0.8068063355853591, "scan_00001": 0.8339910614968365,
     "scan_00002": 0.861961944751187, "scan_00003": 0.8457972926216049,
@@ -1215,6 +1218,62 @@ def test_pancan_max_vs_mean_and_single_nodule_identity(small_data, tmp_path):
     single = [sid for sid, nods in features.items() if len(nods) == 1]
     assert any(smax[sid] != smean[sid] for sid in multi)
     assert all(smax[sid] == smean[sid] for sid in single)
+
+
+def test_pancan_scores_only_the_listed_scans(small_data, tmp_path, capsys):
+    features_csv = small_data / "pancan_features.csv"
+    every, listed, scans = tmp_path / "every.csv", tmp_path / "listed.csv", tmp_path / "scans.txt"
+    assert run(["pancan", "--weights", placeholder_weights_path(), "--features", features_csv,
+                "--out", every]) == 0
+    scores = fileio.read_scores_csv(every)
+    chosen = sorted(scores)[1::2]
+    scans.write_text("\n".join(chosen) + "\n")
+    assert run(["pancan", "--weights", placeholder_weights_path(), "--features", features_csv,
+                "--scans", scans, "--out", listed]) == 0
+    assert fileio.read_scores_csv(listed) == {sid: scores[sid] for sid in chosen}
+    # a listed scan without feature rows
+    scans.write_text(f"{chosen[0]}\nscan_99999\n")
+    capsys.readouterr()
+    assert run(["pancan", "--weights", placeholder_weights_path(), "--features", features_csv,
+                "--scans", scans, "--out", tmp_path / "none.csv"]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "error: scan list entries without feature rows: ['scan_99999']\n", err
+    assert not (tmp_path / "none.csv").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# the README experiment's sizes, scaled down: a flag's value is replaced
+README_SCALED = {"--n": "60", "--epochs": "1", "--folds": "2", "--perms": "200"}
+
+
+def readme_experiment() -> list[list[str]]:
+    """The commands of the bash block under the README's "end-to-end
+    experiment by hand", one argv each, continuation lines joined."""
+    section = README.read_text().split("## The end-to-end experiment by hand", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.strip() and not line.startswith("#")]
+
+
+def test_the_readme_experiment_runs_scaled_down(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_experiment()
+    # the two shell lines write the split, 4/5 of the sorted scans to train.txt
+    assert [argv[-2:] for argv in commands if argv[0] != "lungrisk"] == [
+        [">", "train.txt"], [">", "test.txt"]]
+    assert [argv[1] for argv in commands if argv[0] == "lungrisk"] == [
+        "simulate", "train", "score", "pancan", "eval", "eval", "compare"]
+    for argv in commands:
+        if argv[0] != "lungrisk":
+            ids = sorted(fileio.read_labels_csv(Path("data/labels.csv")))
+            cut = len(ids) * 4 // 5
+            split = ids[:cut] if argv[-1] == "train.txt" else ids[cut:]
+            Path(argv[-1]).write_text("\n".join(split) + "\n")
+            continue
+        # each argument after "lungrisk", scaled when the flag before it is in README_SCALED
+        args = [README_SCALED.get(flag, arg) for flag, arg in zip(argv, argv[1:])]
+        args = [str(README.parent / a) if a.startswith("src/") else a for a in args]
+        assert cli.main(args) == 0, argv
 
 
 def test_pancan_zero_weight_file_scores_half(small_data, tmp_path):

@@ -1,5 +1,8 @@
+import pickle
 import struct
+import subprocess
 import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -8,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lungrisk import host, nnet, tensor as tz
 from lungrisk.errors import (
@@ -462,6 +467,162 @@ def test_kfold_worker_death_raises_fold_worker_error(entry, expected, one_worker
     rng = np.random.default_rng(9)
     with pytest.raises(FoldWorkerError, match=expected):
         nnet.kfold_train(nnet.NNetConfig(epochs=1), tiny_dataset(rng, n=6), k=3)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fold_plans_split_at_most_one_fold_per_worker_boundary(data):
+    k = data.draw(st.integers(1, 8), label="k")
+    epochs = data.draw(st.integers(1, 60), label="epochs")
+    workers = data.draw(st.integers(1, k), label="workers")
+    cap = -(-k * epochs // workers)
+    plans = nnet._fold_plans(k, epochs, workers)
+    assert 1 <= len(plans) <= workers and all(plans)
+    where = {}      # fold -> [(worker, position, first epoch-time, piece)]
+    for j, plan in enumerate(plans):
+        clock = 0
+        for position, (fold, start, stop) in enumerate(plan):
+            assert 0 <= start < stop <= epochs
+            where.setdefault(fold, []).append((j, position, clock, (start, stop)))
+            clock += stop - start
+        assert clock <= cap
+    assert sorted(where) == list(range(k))
+    split = {fold: pieces for fold, pieces in where.items() if len(pieces) > 1}
+    assert len(split) <= workers - 1
+    for fold, pieces in where.items():
+        ranges = sorted(piece for *_, piece in pieces)
+        assert [r[0] for r in ranges] == [0] + [r[1] for r in ranges[:-1]]
+        assert ranges[-1][1] == epochs
+    for fold, pieces in split.items():
+        assert len(pieces) == 2
+        (tail_j, tail_pos, tail_at, (mid, _)), (head_j, head_pos, head_at, (_, head_stop)) = pieces
+        assert head_j == tail_j + 1 and head_pos == 0 and tail_pos == len(plans[tail_j]) - 1
+        assert head_stop == mid and head_at + head_stop <= tail_at
+
+
+def member_bytes(member):
+    return ({name: a.tobytes() for name, a in member.params.arrays().items()},
+            member.loss_history)
+
+
+def test_kfold_train_bytes_do_not_depend_on_the_cpu_count(monkeypatch):
+    # 5 folds of 3 epochs: one worker; two and three with one fold split;
+    # four with two folds split; five with none
+    rng = np.random.default_rng(10)
+    data = tiny_dataset(rng, n=10)
+    config = nnet.NNetConfig(dropout_rate=0.25, epochs=3, batch_size=4, seed=11)
+    runs = []
+    for cpus in range(1, 6):
+        monkeypatch.setattr(host, "usable_cpus", lambda: cpus)
+        runs.append([member_bytes(m) for m in nnet.kfold_train(config, data, k=5).members])
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_train_stopped_pickled_and_resumed_equals_an_uninterrupted_run():
+    rng = np.random.default_rng(12)
+    data = tiny_dataset(rng, n=8)
+    config = nnet.NNetConfig(dropout_rate=0.25, epochs=3, batch_size=4, seed=13)
+    state = nnet._train_epochs(config, data, None, 1)
+    assert len(state.history) == 1
+    state = pickle.loads(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+    state = nnet._train_epochs(config, data, state, 2)
+    resumed = nnet._train_epochs(config, data, pickle.loads(pickle.dumps(state)), 3)
+    assert member_bytes(resumed) == member_bytes(nnet.train(config, data))
+
+
+def test_kfold_worker_death_during_a_hand_off_stops_every_worker(monkeypatch, tmp_path):
+    # 3 folds of 3 epochs on 2 workers: the second worker runs epoch 0 of
+    # fold 1 first, and it is killed there once the first worker has trained
+    # fold 0 and its driver waits for fold 1's state
+    holding = tmp_path / "holding-the-head-piece"
+    entry = ("import time, lungrisk.nnet as nn; run = nn._train_epochs; "
+             f"hold = lambda: open({str(holding)!r}, 'w').close() or time.sleep(600); "
+             "nn._train_epochs = lambda c, d, s, stop: hold() if stop < c.epochs "
+             "else run(c, d, s, stop); nn._serve_folds()")
+    monkeypatch.setattr(nnet, "_WORKER_ENTRY", entry)
+    monkeypatch.setattr(host, "usable_cpus", lambda: 2)
+    started, popen = [], subprocess.Popen
+    waiting = threading.Event()
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    class Watched(threading.Condition):
+        def wait_for(self, predicate, timeout=None):
+            if not predicate():
+                waiting.set()
+            return super().wait_for(predicate, timeout)
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    monkeypatch.setattr(threading, "Condition", Watched)
+    raised = []
+
+    def train():
+        data = tiny_dataset(np.random.default_rng(14), n=6)
+        with pytest.raises(FoldWorkerError) as info:
+            nnet.kfold_train(nnet.NNetConfig(epochs=3, batch_size=4), data, k=3)
+        raised.append(str(info.value))
+
+    thread = threading.Thread(target=train, daemon=True)
+    thread.start()
+    assert waiting.wait(timeout=120)
+    for _ in range(1200):
+        if holding.exists():
+            break
+        time.sleep(0.1)
+    started[1].kill()
+    thread.join(timeout=120)
+    assert not thread.is_alive(), "the driver waiting for the hand-off hung"
+    assert raised == ["a fold worker was killed by signal 9 before returning fold 1"]
+    assert len(started) == 2 and all(w.poll() is not None for w in started)
+
+
+def _row_by_row_dense(x, weights, bias):
+    # `tensor.dense` as it was before it became one GEMM: each row its own
+    # product, so a row did not depend on the batch
+    w, b = weights.data, bias.data
+    out = (x.data[:, None, :] @ w)[:, 0, :] + b
+
+    def backward(g):
+        weights.accumulate(x.data.T @ g)
+        bias.accumulate(g.sum(axis=0))
+        x.accumulate(g @ w.T)
+
+    return tz.Tensor(out, parents=(x, weights, bias), backward=backward)
+
+
+def test_one_training_step_matches_the_row_by_row_dense_reference(monkeypatch):
+    # every learnable's gradient and every running statistic after one step
+    # on a fixed batch of 6 scans (15 patches), dropout on, within 1e-12 of
+    # the largest entry of its layer: a bias or a beta whose true gradient is
+    # 0 (it feeds a batch-norm) holds rounding noise of about 1e-17 alone
+    rng = np.random.default_rng(15)
+    examples = [random_example(rng, n, label=i % 2, scan_id=f"s{i}")
+                for i, n in enumerate((1, 4, 2, 3, 1, 4))]
+    planes, meta, segments, labels = nnet._gather_batch(examples, None, None)
+
+    def step(dense):
+        params = small_params(16, dropout=0.25)
+        with monkeypatch.context() as m:
+            m.setattr(tz, "dense", dense)
+            scores = nnet._forward_patch_batch(params, planes, meta, np.random.default_rng(17))
+            tz.backward(tz.bce_loss(tz.segment_max(scores, segments, labels.size), labels))
+        grads = {name: t.grad for name, t in params.learnable().items()}
+        running = {f"{name}.{part}": getattr(state, part) for name, state in params.bn.items()
+                   for part in ("running_mean", "running_var")}
+        return grads, running
+
+    (grads, running), (ref_grads, ref_running) = step(tz.dense), step(_row_by_row_dense)
+    assert len(ref_grads) == 32 and len(ref_running) == 18
+    for got, ref in ((grads, ref_grads), (running, ref_running)):
+        assert got.keys() == ref.keys()
+        scale = {}
+        for name, a in ref.items():
+            layer = name.split(".")[0]
+            scale[layer] = max(scale.get(layer, 0.0), np.abs(a).max())
+        for name in ref:
+            assert np.abs(got[name] - ref[name]).max() <= 1e-12 * scale[name.split(".")[0]], name
 
 
 def test_worker_env_sets_one_blas_thread_and_allocator_reuse():

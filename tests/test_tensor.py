@@ -305,13 +305,12 @@ def test_dense_hand_value():
     np.testing.assert_allclose(out.data, [[2.0, 5.0]])
 
 
-def test_dense_rows_independent_of_batch_size():
+def test_dense_is_one_gemm_bit_for_bit():
     rng = np.random.default_rng(21)
-    x = rng.normal(size=(40, 6272))
-    w, b = t(rng.normal(size=(6272, 64))), t(rng.normal(size=64))
-    one_at_a_time = np.stack([T.dense(t(row[None]), w, b).data[0] for row in x])
-    for n in (2, 3, 10, 40):
-        assert np.array_equal(T.dense(t(x[:n]), w, b).data, one_at_a_time[:n])
+    w, b = rng.normal(size=(6272, 64)), rng.normal(size=64)
+    for n in (1, 3, 40):
+        x = rng.normal(size=(n, 6272))
+        assert np.array_equal(T.dense(t(x), t(w), t(b)).data, x @ w + b)
 
 
 def test_dense_dim_mismatch():
