@@ -34,6 +34,7 @@ _ELEMENT_TYPES = {
 
 COMPACT_MAGIC = b"LRVOL1\x00\x00"
 _COMPACT_HEADER = struct.Struct("<8s3i6d4x")  # 72 bytes
+_BLOCK_VOXELS = 1 << 15     # voxels per block of a streamed volume write (256 kB as float64)
 
 
 def read_key_values(path, parse, kind: str, error: type[Exception]) -> dict:
@@ -102,25 +103,35 @@ def read_volume_pair(header_path) -> Volume:
 
 
 def write_volume_compact(v: Volume, path):
-    """Single-file container with int16 HU voxels."""
-    path = Path(path)
+    """Single-file container with int16 HU voxels, written whole or not at
+    all (see `whole_file`). The file's z-major order is streamed in blocks of
+    about `_BLOCK_VOXELS` voxels: int16 voxels go out as stored, any others
+    are rounded a block at a time by `_rounded_hu`, so no copy of the whole
+    volume is made."""
     header = _COMPACT_HEADER.pack(COMPACT_MAGIC, *v.dims, *v.spacing, *v.origin)
-    vox = _rounded_hu(v.voxels)
-    with open(path, "wb") as fh:
+    nx, ny, nz = v.dims
+    step = max(1, _BLOCK_VOXELS // (nx * ny))
+    with whole_file(path, binary=True) as fh:
         fh.write(header)
-        fh.write(vox.transpose(2, 1, 0).tobytes())
+        for z0 in range(0, nz, step):
+            block = v.voxels[:, :, z0:z0 + step]
+            if block.dtype != np.int16:
+                block = _rounded_hu(block)
+            fh.write(np.ascontiguousarray(block.transpose(2, 1, 0), dtype="<i2"))
 
 
-def _rounded_hu(voxels: np.ndarray) -> np.ndarray:
-    """Voxels rounded to the nearest integer and clipped to the int16 range,
-    as int16. Rounds one x-plane at a time into a float64 scratch plane, so
-    no float64 copy of the volume is made."""
-    out = np.empty(voxels.shape, dtype="<i2")
-    scratch = np.empty(voxels.shape[1:])
-    for x, plane in enumerate(voxels):
-        np.rint(plane, out=scratch)
-        np.clip(scratch, -32768, 32767, out=scratch)
-        out[x] = scratch
+def _rounded_hu(voxels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Voxels rounded half to even and clipped to the int16 range, as int16,
+    into `out` when given. A NaN or infinite voxel raises NumericError, as
+    int16 has no value for it. Makes one float64 copy of `voxels`, so callers
+    pass a volume a block at a time."""
+    if not np.isfinite(voxels).all():
+        raise NumericError("a volume voxel is not finite; int16 HU cannot hold it")
+    scratch = np.rint(voxels)
+    np.clip(scratch, -32768, 32767, out=scratch)
+    if out is None:
+        return scratch.astype("<i2")
+    out[...] = scratch
     return out
 
 
@@ -220,13 +231,14 @@ def read_labels_csv(path) -> dict[str, int]:
 
 
 @contextlib.contextmanager
-def whole_file(path):
-    """A text handle on the sibling `<path>.partial-<pid>`, which replaces
-    `path` when the block ends; if the block raises, it is removed instead.
-    Readers see the old file or the whole new one, never a part."""
+def whole_file(path, binary: bool = False):
+    """A text handle (a binary one if `binary`) on the sibling
+    `<path>.partial-<pid>`, which replaces `path` when the block ends; if the
+    block raises, it is removed instead. Readers see the old file or the
+    whole new one, never a part."""
     partial = Path(f"{path}.partial-{os.getpid()}")
     try:
-        with open(partial, "w", newline="") as fh:
+        with open(partial, "wb") if binary else open(partial, "w", newline="") as fh:
             yield fh
         os.replace(partial, path)
     finally:

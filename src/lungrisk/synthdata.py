@@ -24,7 +24,8 @@ import numpy as np
 
 from . import host
 from .errors import ConfigError
-from .fileio import write_candidates_csv, write_csv, write_labels_csv, write_volume_compact
+from .fileio import (_rounded_hu, write_candidates_csv, write_csv, write_labels_csv,
+                     write_volume_compact)
 from .pancan import PanCanFeatures, write_features_csv
 from .preprocess import NoduleCandidate, Volume
 
@@ -34,6 +35,7 @@ SPIKE_LENGTH_MM = 3.0
 SPIKE_COUNT = 8
 SPIKE_COS = np.cos(np.radians(10.0))
 PLACEMENT_MARGIN_MM = 16.0   # keeps every center >= 16 mm inside (cube extraction margin)
+_SLAB_VOXELS = 1 << 16       # a float64 background slab of 512 kB, sized for a core's L2 cache
 
 # documented logistic slopes of the generative malignancy rule; steep enough
 # that the Bayes-optimal score separates labels with AUC well above 0.9, and
@@ -203,10 +205,30 @@ def _place_centers(rng, spec, diam, upper):
     return [c for c, _ in centers]
 
 
-def _render_nodule(vox, rng, center, semi_axes, core_hu, spiculated, noise_sigma):
-    extent = max(semi_axes) + EDGE_WIDTH_MM / 2.0 + (SPIKE_LENGTH_MM if spiculated else 0.0)
+def _nodule_box(center, r_long, spiculated, dims):
+    """Corners `lo` (inclusive) and `hi` (exclusive) of the voxels a nodule may
+    touch: its long semi-axis, half the soft edge and any spikes, clipped to
+    the volume."""
+    extent = r_long + EDGE_WIDTH_MM / 2.0 + (SPIKE_LENGTH_MM if spiculated else 0.0)
     lo = np.maximum(np.floor(np.subtract(center, extent)).astype(int), 0)
-    hi = np.minimum(np.ceil(np.add(center, extent)).astype(int) + 1, vox.shape)
+    hi = np.minimum(np.ceil(np.add(center, extent)).astype(int) + 1, dims)
+    return lo, hi
+
+
+def _copy_overlap(dst, dst_lo, src, src_lo):
+    """Copy into `dst` the voxels of `src` where the two overlap; each array
+    sits in the volume with its (0,0,0) voxel at the corner given."""
+    lo = np.maximum(dst_lo, src_lo)
+    hi = np.minimum(np.add(dst_lo, dst.shape), np.add(src_lo, src.shape))
+    if np.all(hi > lo):
+        dst[tuple(map(slice, lo - dst_lo, hi - dst_lo))] = \
+            src[tuple(map(slice, lo - src_lo, hi - src_lo))]
+
+
+def _render_nodule(region, lo, rng, center, semi_axes, core_hu, spiculated, noise_sigma):
+    """Blend one nodule into `region`, the float64 voxels of its box from
+    corner `lo` (see `_nodule_box`)."""
+    hi = np.add(lo, region.shape)
     dx = (np.arange(lo[0], hi[0]) - center[0])[:, None, None]
     dy = (np.arange(lo[1], hi[1]) - center[1])[None, :, None]
     dz = (np.arange(lo[2], hi[2]) - center[2])[None, None, :]
@@ -229,9 +251,35 @@ def _render_nodule(vox, rng, center, semi_axes, core_hu, spiculated, noise_sigma
         spike_w = np.where(spike, 0.85 * np.clip(1.0 - signed_mm / SPIKE_LENGTH_MM, 0.0, 1.0), 0.0)
         weight = np.maximum(weight, spike_w)
 
-    region = vox[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
     core = core_hu + rng.normal(0.0, noise_sigma / 4.0, size=region.shape)
-    vox[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = region + (core - region) * weight
+    region += (core - region) * weight
+
+
+def _render_background(rng, spec, boxes):
+    """The int16 background of a scan, and a float64 copy of each box of it.
+
+    The noise is drawn in x-slabs of about `_SLAB_VOXELS` voxels, in the
+    volume's C order, so the generator yields the same doubles as one
+    whole-volume draw; `z * sigma + BACKGROUND_HU` is the double
+    `rng.normal(BACKGROUND_HU, sigma)` makes of the same `z`. Each slab gives
+    the boxes their part of it before it is rounded into the volume.
+    """
+    nx, ny, nz = spec.volume_dims
+    gradient = APICAL_GRADIENT_HU * (np.arange(nz) / max(nz - 1, 1) - 0.5)
+    vox = np.empty(spec.volume_dims, dtype=np.int16)
+    regions = [np.empty(np.subtract(hi, lo)) for lo, hi in boxes]
+    step = max(1, _SLAB_VOXELS // (ny * nz))
+    buffer = np.empty((min(step, nx), ny, nz))
+    for x0 in range(0, nx, step):
+        slab = buffer[:min(step, nx - x0)]
+        rng.standard_normal(out=slab)
+        slab *= spec.texture_noise_sigma
+        slab += BACKGROUND_HU
+        slab += gradient
+        for (lo, _), region in zip(boxes, regions):
+            _copy_overlap(region, lo, slab, (x0, 0, 0))
+        _rounded_hu(slab, out=vox[x0:x0 + len(slab)])
+    return vox, regions
 
 
 def _lungrads_from_diameter(d: float) -> int:
@@ -242,6 +290,8 @@ def _lungrads_from_diameter(d: float) -> int:
     return 4
 
 
+# an overflow leaves a non-finite voxel, which `_rounded_hu` rejects with one error
+@np.errstate(over="ignore", invalid="ignore")
 def _generate_scan(scan_id, spec, intercept, seed) -> tuple[ScanRecord, Volume]:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(spec.nodules_per_scan[0], spec.nodules_per_scan[1] + 1))
@@ -253,9 +303,11 @@ def _generate_scan(scan_id, spec, intercept, seed) -> tuple[ScanRecord, Volume]:
     malignant = rng.random(n) < p_mal
     risk = float(1.0 - np.prod(1.0 - p_mal))
 
-    vox = rng.normal(BACKGROUND_HU, spec.texture_noise_sigma, size=spec.volume_dims)
-    nz = spec.volume_dims[2]
-    vox += APICAL_GRADIENT_HU * (np.arange(nz) / max(nz - 1, 1) - 0.5)
+    # max(semi_axes) is r_long = diam / 2, so the boxes are known before the
+    # semi-axes are drawn
+    boxes = [_nodule_box(centers[i], diam[i] / 2.0, bool(spic[i]), spec.volume_dims)
+             for i in range(n)]
+    vox, regions = _render_background(rng, spec, boxes)
     nodules, candidates = [], []
     for i in range(n):
         r_long = diam[i] / 2.0
@@ -266,8 +318,12 @@ def _generate_scan(scan_id, spec, intercept, seed) -> tuple[ScanRecord, Volume]:
         else:
             semi = (r_other, r_long, r_z)   # ... or along y
         name = _TYPE_NAMES[types[i]]
-        _render_nodule(vox, rng, centers[i], semi, _CORE_HU[name], bool(spic[i]),
-                       spec.texture_noise_sigma)
+        # an earlier nodule whose box overlaps this one has already blended
+        # into the overlap; the last box to take a voxel holds its value
+        for j in range(i):
+            _copy_overlap(regions[i], boxes[i][0], regions[j], boxes[j][0])
+        _render_nodule(regions[i], boxes[i][0], rng, centers[i], semi, _CORE_HU[name],
+                       bool(spic[i]), spec.texture_noise_sigma)
         nodules.append(NoduleRecord(
             center=tuple(float(c) for c in centers[i]),
             diameter_mm=float(diam[i]),
@@ -302,6 +358,8 @@ def _generate_scan(scan_id, spec, intercept, seed) -> tuple[ScanRecord, Volume]:
         family_history=bool(rng.random() < 0.2),
         emphysema=bool(rng.random() < 0.3),
     )
+    for (lo, hi), region in zip(boxes, regions):
+        _rounded_hu(region, out=vox[tuple(map(slice, lo, hi))])
     volume = Volume(vox, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     return record, volume
 
@@ -316,9 +374,10 @@ def generate(spec: PhantomSpec, out_dir=None) -> SynthDataset:
     Scans are rendered by `host.ordered_map`, one thread per usable CPU.
     Each scan draws from its own SeedSequence child and records come back
     in scan order, so the bytes do not depend on the thread count. A volume
-    is written as soon as it is rendered and not kept in memory, so at most
-    one per thread is in flight. When a scan raises, no further scan is
-    started and the error reaches the caller.
+    is rendered straight into int16 (see `_render_background`), written as
+    soon as it is rendered and not kept in memory, so at most one per thread
+    is in flight. When a scan raises, no further scan is started and the
+    error reaches the caller.
     """
     intercept = calibrate_intercept(spec)
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_scans)
@@ -333,8 +392,9 @@ def generate(spec: PhantomSpec, out_dir=None) -> SynthDataset:
             write_volume_compact(volume, out_dir / "volumes" / f"{scan_id}.lrvol")
         return record
 
-    # threads, not processes: the 96^3 normal fill, which is most of a scan,
-    # and the volume write both run with the GIL released
+    # threads, not processes: the normal fill, which is most of a scan, and
+    # the volume write run with the GIL released; a thread holds its int16
+    # volume, one float64 slab and the nodule boxes, never a float64 volume
     scans = list(host.ordered_map(render, range(spec.n_scans)))
     dataset = SynthDataset(spec=spec, intercept=intercept, scans=scans)
     if out_dir is not None:

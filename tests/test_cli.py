@@ -1463,6 +1463,8 @@ def write_csv(path, column, rows):
                  cli.EXIT_NUMERIC, id="pancan-intercept-nan"),
     pytest.param("simulate", {}, {}, ["--seed", "-1"], {}, cli.EXIT_USAGE,
                  id="simulate-seed-negative"),
+    pytest.param("simulate", {}, {}, ["--noise", "1e308"], {}, cli.EXIT_NUMERIC,
+                 id="simulate-noise-overflows"),
     # numpy refuses each of these arrays (petabytes) before it allocates any of it
     pytest.param("simulate", {}, {}, ["--dims", "100000"], {}, cli.EXIT_USAGE,
                  id="simulate-dims-beyond-memory"),
@@ -1516,3 +1518,4 @@ def test_bad_input_exits_with_documented_code(command, bad_scores, bad_labels, f
     assert run(argv + flags) == expected
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not any((tmp_path / "sim").rglob("*.lrvol*"))

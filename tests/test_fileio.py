@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lungrisk import fileio
-from lungrisk.errors import DataConsistencyError, FormatError
+from lungrisk.errors import DataConsistencyError, FormatError, NumericError
 from lungrisk.preprocess import NoduleCandidate, Volume
 from writers import write_volume_pair
 
@@ -164,6 +164,37 @@ def test_short_reads_keep_int16_voxels_and_rewrite_the_same_bytes(writer, tmp_pa
     write(back, second / names[0])
     for name in names:
         assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_a_volume_write_that_fails_leaves_the_old_file_and_no_partial_file(tmp_path, monkeypatch):
+    out = tmp_path / "v.lrvol"
+    vox = np.random.default_rng(4).normal(-700, 150, size=(40, 40, 100))
+    fileio.write_volume_compact(Volume(vox, (1, 1, 1), (0, 0, 0)), out)
+    before = out.read_bytes()
+    vox[7, 3, 90] = np.nan          # in one of the last streamed z-blocks
+    during = []
+    rounded_hu = fileio._rounded_hu
+
+    def listed(*args, **kwargs):
+        during.append(sorted(p.name for p in tmp_path.iterdir()))
+        return rounded_hu(*args, **kwargs)
+
+    monkeypatch.setattr(fileio, "_rounded_hu", listed)
+    with pytest.raises(NumericError, match="not finite"):
+        fileio.write_volume_compact(Volume(vox, (1, 1, 1), (0, 0, 0)), out)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["v.lrvol"]
+    # the failing block came after others had gone to a sibling partial file
+    assert len(during) > 1
+    assert during[-1][0] == "v.lrvol" and during[-1][1].startswith("v.lrvol.partial-")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rounding_rejects_a_non_finite_voxel(bad):
+    vox = np.zeros((3, 2, 2))
+    vox[2, 1, 0] = bad
+    with pytest.raises(NumericError, match="not finite"):
+        fileio._rounded_hu(vox)
 
 
 def test_met_float_reads_are_float64(tmp_path):

@@ -1,11 +1,12 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lungrisk import evaluate as ev
-from lungrisk import pancan, synthdata as sd
+from lungrisk import fileio, pancan, synthdata as sd
 from lungrisk.errors import ConfigError
 from lungrisk.fileio import read_candidates_csv, read_labels_csv, read_volume_compact
 
@@ -141,6 +142,123 @@ def test_upper_lobe_flag_matches_z_position():
     for s in ds.scans:
         for nd in s.nodules:
             assert nd.upper_lobe == (nd.center[2] >= split)
+
+
+# ---------------------------------------------------------------------------
+# the slab renderer against the whole-volume oracle
+
+
+def render_nodule_whole(vox, rng, center, semi_axes, core_hu, spiculated, noise_sigma):
+    # the reference: one nodule blended into the whole float64 volume
+    extent = max(semi_axes) + sd.EDGE_WIDTH_MM / 2.0 + (sd.SPIKE_LENGTH_MM if spiculated else 0.0)
+    lo = np.maximum(np.floor(np.subtract(center, extent)).astype(int), 0)
+    hi = np.minimum(np.ceil(np.add(center, extent)).astype(int) + 1, vox.shape)
+    dx = (np.arange(lo[0], hi[0]) - center[0])[:, None, None]
+    dy = (np.arange(lo[1], hi[1]) - center[1])[None, :, None]
+    dz = (np.arange(lo[2], hi[2]) - center[2])[None, None, :]
+    rho = np.sqrt((dx / semi_axes[0]) ** 2 + (dy / semi_axes[1]) ** 2 + (dz / semi_axes[2]) ** 2)
+    r_geo = float(np.cbrt(np.prod(semi_axes)))
+    signed_mm = (rho - 1.0) * r_geo
+    weight = np.clip(0.5 - signed_mm / sd.EDGE_WIDTH_MM, 0.0, 1.0)
+    if spiculated:
+        dirs = rng.normal(size=(sd.SPIKE_COUNT, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        norm = np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
+        norm = np.where(norm == 0, 1.0, norm)
+        best_cos = np.full(rho.shape, -1.0)
+        for d in dirs:
+            best_cos = np.maximum(best_cos, (dx * d[0] + dy * d[1] + dz * d[2]) / norm)
+        spike = ((best_cos > sd.SPIKE_COS) & (signed_mm > -0.5)
+                 & (signed_mm < sd.SPIKE_LENGTH_MM))
+        spike_w = np.where(spike, 0.85 * np.clip(1.0 - signed_mm / sd.SPIKE_LENGTH_MM, 0.0, 1.0),
+                           0.0)
+        weight = np.maximum(weight, spike_w)
+    region = vox[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
+    core = core_hu + rng.normal(0.0, noise_sigma / 4.0, size=region.shape)
+    vox[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = region + (core - region) * weight
+
+
+def oracle_lrvol_bytes(spec, intercept, seed):
+    """The LRVOL1 bytes of a scan rendered whole: one normal draw of the
+    float64 volume, the gradient, each nodule blended into the volume in
+    turn, then the volume rounded and transposed to z-major order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(spec.nodules_per_scan[0], spec.nodules_per_scan[1] + 1))
+    diam, spic, upper = sd._draw_nodule_features(rng, spec, n)
+    types = rng.choice(len(sd._TYPE_NAMES), size=n, p=sd._TYPE_PROBS)
+    centers = sd._place_centers(rng, spec, diam, upper)
+    rng.random(n)                                       # malignancy
+    vox = rng.normal(sd.BACKGROUND_HU, spec.texture_noise_sigma, size=spec.volume_dims)
+    nz = spec.volume_dims[2]
+    vox += sd.APICAL_GRADIENT_HU * (np.arange(nz) / max(nz - 1, 1) - 0.5)
+    for i in range(n):
+        r_long = diam[i] / 2.0
+        r_other = r_long * rng.uniform(0.75, 1.0)
+        r_z = r_long * rng.uniform(0.75, 1.0)
+        semi = (r_long, r_other, r_z) if rng.random() < 0.5 else (r_other, r_long, r_z)
+        render_nodule_whole(vox, rng, centers[i], semi, sd._CORE_HU[sd._TYPE_NAMES[types[i]]],
+                            bool(spic[i]), spec.texture_noise_sigma)
+        rng.normal(0.0, 0.5, size=3)                    # the candidate's jitter,
+        rng.normal(0.0, 0.03)                           # radius
+        rng.normal(0.0, 0.03)                           # and confidence
+    stored = np.clip(np.rint(vox), -32768, 32767).astype("<i2")
+    header = fileio._COMPACT_HEADER.pack(fileio.COMPACT_MAGIC, *spec.volume_dims,
+                                         1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+    return header + stored.transpose(2, 1, 0).tobytes()
+
+
+def boxes_of(record, dims):
+    return [sd._nodule_box(nd.center, nd.diameter_mm / 2.0, nd.spiculation, dims)
+            for nd in record.nodules]
+
+
+def boxes_overlap(boxes):
+    return any(np.all(np.minimum(hi_a, hi_b) > np.maximum(lo_a, lo_b))
+               for i, (lo_a, hi_a) in enumerate(boxes) for lo_b, hi_b in boxes[:i])
+
+
+def clipped_spiculated(record, dims):
+    # a spiculated nodule whose box reaches past a volume face
+    for nd in record.nodules:
+        extent = nd.diameter_mm / 2.0 + sd.EDGE_WIDTH_MM / 2.0 + sd.SPIKE_LENGTH_MM
+        if nd.spiculation and (np.any(np.floor(np.subtract(nd.center, extent)) < 0)
+                               or np.any(np.ceil(np.add(nd.center, extent)) + 1 > dims)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("spec, covers", [
+    (sd.PhantomSpec(n_scans=1, prevalence=0.3), None),
+    (sd.PhantomSpec(n_scans=1, prevalence=0.3, volume_dims=(40, 40, 40),
+                    nodules_per_scan=(10, 10)),
+     lambda record, dims: boxes_overlap(boxes_of(record, dims))),
+    (sd.PhantomSpec(n_scans=1, prevalence=0.3, volume_dims=(40, 41, 42),
+                    nodules_per_scan=(4, 4), size_range_mm=(23.0, 24.5)),
+     clipped_spiculated),
+], ids=["default-96", "overlapping-boxes", "clipped-spiculated"])
+def test_slab_renderer_writes_the_whole_volume_oracle_bytes(spec, covers, tmp_path):
+    covered = 0
+    for k, seed in enumerate(np.random.SeedSequence(8).spawn(4)):
+        record, volume = sd._generate_scan("s", spec, -3.0, seed)
+        assert volume.voxels.dtype == np.int16
+        fileio.write_volume_compact(volume, tmp_path / f"{k}.lrvol")
+        assert (tmp_path / f"{k}.lrvol").read_bytes() == oracle_lrvol_bytes(spec, -3.0, seed)
+        covered += covers is None or covers(record, np.asarray(spec.volume_dims))
+    assert covered >= 1
+
+
+def test_rendering_and_writing_a_scan_holds_no_float64_volume(tmp_path):
+    # a 96^3 float64 volume alone is 7.1 MB
+    spec = sd.PhantomSpec(n_scans=1, prevalence=0.3)
+    for k, seed in enumerate(np.random.SeedSequence(8).spawn(4)):
+        tracemalloc.start()
+        try:
+            _, volume = sd._generate_scan("s", spec, -3.0, seed)
+            fileio.write_volume_compact(volume, tmp_path / f"{k}.lrvol")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, (k, peak)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import struct
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 from lungrisk import fileio, nnet, pancan
 
 
@@ -15,7 +17,11 @@ def write_volume_pair(v, header_path, element_type: str = "MET_SHORT"):
     voxels are rounded half to even and clipped to int16, as LRVOL1 stores them."""
     header_path = Path(header_path)
     raw_path = header_path.with_suffix(".raw")
-    vox = fileio._rounded_hu(v.voxels) if element_type == "MET_SHORT" else v.voxels
+    vox = v.voxels
+    if element_type == "MET_SHORT":
+        vox = np.empty(v.dims, dtype="<i2")
+        for x, plane in enumerate(v.voxels):    # one float64 plane at a time
+            fileio._rounded_hu(plane, out=vox[x])
     # disk order: z slowest, x fastest
     vox.astype(fileio._ELEMENT_TYPES[element_type]).transpose(2, 1, 0).tofile(raw_path)
     lines = [
