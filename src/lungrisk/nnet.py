@@ -52,7 +52,7 @@ from .errors import (
     VersionError,
     ZeroNoduleWarning,
 )
-from .fileio import read_key_values
+from .fileio import read_key_values, whole_file
 from .preprocess import (
     CROP_SIDE,
     CUBE_SIDE,
@@ -694,8 +694,8 @@ WEIGHTS_VERSION = 1
 
 def save_params(params: NNetParams, path, metadata_stats: MetadataStats):
     """Write a member's parameters and the metadata statistics of its
-    training set as a versioned, checksummed weight file; `load_member`
-    reads them back bit-exact."""
+    training set as a versioned, checksummed weight file, whole or not at
+    all (see `fileio.whole_file`); `load_member` reads them back bit-exact."""
     arrays = dict(params.arrays())
     arrays["config.metadata_dim"] = np.array([float(params.metadata_dim)])
     arrays["config.dropout_rate"] = np.array([float(params.dropout_rate)])
@@ -713,8 +713,9 @@ def save_params(params: NNetParams, path, metadata_stats: MetadataStats):
         blob += struct.pack("<B", arr.ndim) + struct.pack(f"<{arr.ndim}i", *arr.shape)
     for name in names:
         blob += np.ascontiguousarray(arrays[name], dtype="<f8").tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
-    Path(path).write_bytes(bytes(blob))
+    blob += struct.pack("<I", zlib.crc32(blob))
+    with whole_file(path, binary=True) as fh:
+        fh.write(blob)
 
 
 def _read_weight_arrays(path) -> dict[str, np.ndarray]:

@@ -232,27 +232,44 @@ def _render_nodule(region, lo, rng, center, semi_axes, core_hu, spiculated, nois
     dx = (np.arange(lo[0], hi[0]) - center[0])[:, None, None]
     dy = (np.arange(lo[1], hi[1]) - center[1])[None, :, None]
     dz = (np.arange(lo[2], hi[2]) - center[2])[None, None, :]
-    rho = np.sqrt((dx / semi_axes[0]) ** 2 + (dy / semi_axes[1]) ** 2 + (dz / semi_axes[2]) ** 2)
+    rho = (dx / semi_axes[0]) ** 2 + (dy / semi_axes[1]) ** 2 + (dz / semi_axes[2]) ** 2
+    np.sqrt(rho, out=rho)
     r_geo = float(np.cbrt(np.prod(semi_axes)))
-    signed_mm = (rho - 1.0) * r_geo
-    weight = np.clip(0.5 - signed_mm / EDGE_WIDTH_MM, 0.0, 1.0)
+    signed_mm = rho
+    signed_mm -= 1.0
+    signed_mm *= r_geo
+    weight = signed_mm / EDGE_WIDTH_MM
+    np.subtract(0.5, weight, out=weight)
+    np.clip(weight, 0.0, 1.0, out=weight)
 
     if spiculated:
+        # box-sized buffers are reused; each value takes the same operations,
+        # in the same order, so the rendered bytes do not depend on it
         dirs = rng.normal(size=(SPIKE_COUNT, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        norm = np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
-        norm = np.where(norm == 0, 1.0, norm)
+        norm = dx ** 2 + dy ** 2 + dz ** 2
+        np.sqrt(norm, out=norm)
+        norm[norm == 0] = 1.0
         best_cos = np.full(rho.shape, -1.0)
+        cos = np.empty(rho.shape)
         for d in dirs:
-            cos = (dx * d[0] + dy * d[1] + dz * d[2]) / norm
-            best_cos = np.maximum(best_cos, cos)
+            np.add(dx * d[0] + dy * d[1], dz * d[2], out=cos)
+            cos /= norm
+            np.maximum(best_cos, cos, out=best_cos)
         spike = ((best_cos > SPIKE_COS) & (signed_mm > -0.5)
                  & (signed_mm < SPIKE_LENGTH_MM))
-        spike_w = np.where(spike, 0.85 * np.clip(1.0 - signed_mm / SPIKE_LENGTH_MM, 0.0, 1.0), 0.0)
-        weight = np.maximum(weight, spike_w)
+        spike_w = np.divide(signed_mm, SPIKE_LENGTH_MM, out=cos)
+        np.subtract(1.0, spike_w, out=spike_w)
+        np.clip(spike_w, 0.0, 1.0, out=spike_w)
+        spike_w *= 0.85
+        spike_w[~spike] = 0.0
+        np.maximum(weight, spike_w, out=weight)
 
-    core = core_hu + rng.normal(0.0, noise_sigma / 4.0, size=region.shape)
-    region += (core - region) * weight
+    core = rng.normal(0.0, noise_sigma / 4.0, size=region.shape)
+    core += core_hu
+    core -= region
+    core *= weight
+    region += core
 
 
 def _render_background(rng, spec, boxes):

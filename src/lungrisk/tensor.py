@@ -11,6 +11,7 @@ The ops serve training; scoring runs `nnet`'s folded inference plans instead.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -41,6 +42,9 @@ BN_MOMENTUM = 0.9
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# Adam updates a parameter this many values at a time: the block's parameter,
+# gradient, moments and two scratch rows (1.5 MB) stay in a core's L2 cache.
+_ADAM_BLOCK = 1 << 15
 
 
 class Tensor:
@@ -219,7 +223,16 @@ def _bn_axes(shape, channels):
 
 def batch_norm(x: Tensor, state: BatchNormState) -> Tensor:
     """Normalize per channel with the batch statistics, and update the
-    running averages that a trained member's inference plan folds in."""
+    running averages that a trained member's inference plan folds in.
+
+    With the batch mean mu, variance var, inv = 1/sqrt(var + eps) and
+    a = gamma*inv, the output is x*a + (beta - mu*a), so the op keeps only
+    per-channel vectors besides `x` and no normalized map. Backward rebuilds
+    the gradients from s1 = sum(g) and s2 = sum(g*x) over the m values of a
+    channel: dbeta = s1, dgamma = (s2 - mu*s1)*inv and
+    dx = a*g + k1*x + k0, with k1 = -a*inv*dgamma/m and k0 = -a*s1/m - k1*mu.
+    It scales its incoming gradient in place.
+    """
     channels = state.gamma.size
     view, bshape, layout = _bn_axes(x.data.shape, channels)
     shape = x.data.shape
@@ -234,10 +247,9 @@ def batch_norm(x: Tensor, state: BatchNormState) -> Tensor:
     mu = np.einsum(red, xd) / m
     var = np.maximum(np.einsum(dot, xd, xd) / m - mu * mu, 0.0)
     inv = 1.0 / np.sqrt(var + BN_EPSILON)
-    xhat = xd - mu.reshape(bshape)
-    xhat *= inv.reshape(bshape)
-    out = xhat * gamma.data.reshape(bshape)
-    out += beta.data.reshape(bshape)
+    a = gamma.data * inv
+    out = xd * a.reshape(bshape)
+    out += (beta.data - mu * a).reshape(bshape)
 
     state.running_mean *= BN_MOMENTUM
     state.running_mean += (1.0 - BN_MOMENTUM) * mu
@@ -245,17 +257,17 @@ def batch_norm(x: Tensor, state: BatchNormState) -> Tensor:
     state.running_var += (1.0 - BN_MOMENTUM) * var
 
     def backward_train(g):
-        # Closed form: dx = gamma*inv*(g - sum(g)/m - xhat*sum(g*xhat)/m),
-        # built from the two reductions gamma and beta need anyway.
         g = g.reshape(view)
-        dgamma = np.einsum(dot, g, xhat)
-        dbeta = np.einsum(red, g)
-        dx = xhat * (-dgamma / m).reshape(bshape)
+        s1 = np.einsum(red, g)
+        dgamma = (np.einsum(dot, g, xd) - mu * s1) * inv
+        k1 = -a * inv * dgamma / m
+        k0 = -a * s1 / m - k1 * mu
+        dx = xd * k1.reshape(bshape)
+        g *= a.reshape(bshape)
         dx += g
-        dx -= (dbeta / m).reshape(bshape)
-        dx *= (gamma.data * inv).reshape(bshape)
+        dx += k0.reshape(bshape)
         gamma.accumulate(dgamma)
-        beta.accumulate(dbeta)
+        beta.accumulate(s1)
         x.accumulate(dx.reshape(shape))
 
     return Tensor(out.reshape(shape), parents=(x, gamma, beta), backward=backward_train)
@@ -313,10 +325,12 @@ def _sigmoid_raw(z):
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero each value with probability `rate` and scale
-    the kept ones by 1/(1-rate); the identity at rate 0.
+    the kept ones by s = 1/(1-rate); the identity at rate 0.
 
-    The mask of a channel-major (C,N,H,W) batch is drawn in patch-major
-    (N,C,H,W) order, so each patch's draws follow one another.
+    The op keeps its boolean mask `keep`: the output is x*keep, then *= s,
+    and the gradient g*keep*s. The mask of a channel-major (C,N,H,W) batch
+    is drawn in patch-major (N,C,H,W) order, so each patch's draws follow
+    one another.
     """
     if not (0.0 <= rate < 1.0):
         raise ConfigError(f"dropout rate must lie in [0,1), got {rate}")
@@ -329,11 +343,14 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> T
         keep = np.ascontiguousarray((rng.random((n, c, h, w)) >= rate).transpose(1, 0, 2, 3))
     else:
         keep = rng.random(x.data.shape) >= rate
-    scaled = keep * (1.0 / (1.0 - rate))    # 1/(1-rate) where kept, 0 where dropped
-    out = x.data * scaled
+    scale = 1.0 / (1.0 - rate)
+    out = x.data * keep
+    out *= scale
 
     def backward(g):
-        x.accumulate(g * scaled)
+        dx = g * keep
+        dx *= scale
+        x.accumulate(dx)
 
     return Tensor(out, parents=(x,), backward=backward)
 
@@ -448,8 +465,9 @@ def backward(loss: Tensor):
     """Accumulate the gradient of a scalar loss into the `.grad` of each leaf
     that requires one, consuming the loss's graph.
 
-    Op results are visited in reverse topological order. Once a result's
-    closure has run, it drops its gradient, closure and parents, so its
+    Op results are visited in reverse topological order. Each closure is
+    passed the result's own gradient, which no other array shares, so it may
+    scale it in place. Once a result's closure has run, it drops its gradient, closure and parents, so its
     saved arrays, and any intermediate no caller holds, are freed while the
     pass descends. Results keep their `.data`; leaves keep their gradients
     until `adam_step` consumes them. A second backward through a released
@@ -488,23 +506,25 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
     is updated in place from its `.grad`, which is set to None, so a
     gradient lives from `backward` to here and no longer.
 
-    Each parameter is updated as a whole through two views of its size into
-    one scratch buffer of the call, with the operations of
+    The bias corrections bc1 = 1-b1^t and bc2 = 1-b2^t fold into the step
+    size and epsilon (Kingma & Ba 2015, end of section 2):
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
-        p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
-    in that order.
+        p -= a_t*m / (sqrt(v) + eps_t),  a_t = lr*sqrt(bc2)/bc1,  eps_t = eps*sqrt(bc2)
+    with the operations in that order. Each parameter is updated in blocks
+    of `_ADAM_BLOCK` values through one cache-sized scratch buffer of the
+    call.
     """
     missing = [name for name, p in params.items() if p.grad is None]
     if missing:
         raise MissingGradientError(f"no gradient reached parameters: {missing}")
     state.step_count += 1
     t = state.step_count
-    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    # one buffer per step, not two per parameter: in a process without the
-    # fold workers' malloc settings each large temporary is a fresh mmap
-    scratch = np.empty((2, max((p.data.size for p in params.values()), default=0)))
+    step = state.learning_rate * math.sqrt(bc2) / bc1
+    eps = ADAM_EPSILON * math.sqrt(bc2)
+    scratch = np.empty((2, _ADAM_BLOCK))
     for name, param in params.items():
         p, g = param.data, param.grad
         if g.shape != p.shape:
@@ -516,22 +536,22 @@ def adam_step(params: dict[str, Tensor], state: AdamState):
         if name not in state.first_moment:
             state.first_moment[name] = np.zeros_like(p)
             state.second_moment[name] = np.zeros_like(p)
-        m, v = state.first_moment[name], state.second_moment[name]
-        sa, sb = (row[:p.size].reshape(p.shape) for row in scratch)
-        np.multiply(g, 1.0 - b1, out=sa)
-        m *= b1
-        m += sa
-        np.multiply(g, g, out=sa)
-        sa *= 1.0 - b2
-        v *= b2
-        v += sa
-        np.divide(m, bc1, out=sa)
-        sa *= lr
-        np.divide(v, bc2, out=sb)
-        np.sqrt(sb, out=sb)
-        sb += eps
-        sa /= sb
-        p -= sa
+        flat = [a.reshape(-1) for a in (p, g, state.first_moment[name], state.second_moment[name])]
+        for lo in range(0, p.size, _ADAM_BLOCK):
+            pb, gb, mb, vb = (a[lo:lo + _ADAM_BLOCK] for a in flat)
+            sa, sb = scratch[:, :pb.size]
+            np.multiply(gb, 1.0 - b1, out=sa)
+            mb *= b1
+            mb += sa
+            np.multiply(gb, gb, out=sa)
+            sa *= 1.0 - b2
+            vb *= b2
+            vb += sa
+            np.multiply(mb, step, out=sa)
+            np.sqrt(vb, out=sb)
+            sb += eps
+            sa /= sb
+            pb -= sa
         param.grad = None
 
 

@@ -1,0 +1,64 @@
+"""Reference forms of training ops whose `lungrisk.tensor` versions compute
+the same math in another order: tests compare the two within a rounding
+bound set from float64."""
+
+import numpy as np
+
+from lungrisk import tensor as tz
+
+
+def xhat_batch_norm(x, state):
+    """Training batch-norm that holds the normalized map x_hat and takes the
+    closed-form gradient from it:
+    dx = gamma*inv*(g - sum(g)/m - x_hat*sum(g*x_hat)/m)."""
+    channels = state.gamma.size
+    view, bshape, layout = tz._bn_axes(x.data.shape, channels)
+    shape = x.data.shape
+    xd = x.data.reshape(view)
+    gamma, beta = state.gamma, state.beta
+    dot, red = f"{layout},{layout}->c", f"{layout}->c"
+    m = xd.size // channels
+    mu = np.einsum(red, xd) / m
+    var = np.maximum(np.einsum(dot, xd, xd) / m - mu * mu, 0.0)
+    inv = 1.0 / np.sqrt(var + tz.BN_EPSILON)
+    xhat = xd - mu.reshape(bshape)
+    xhat *= inv.reshape(bshape)
+    out = xhat * gamma.data.reshape(bshape)
+    out += beta.data.reshape(bshape)
+
+    state.running_mean *= tz.BN_MOMENTUM
+    state.running_mean += (1.0 - tz.BN_MOMENTUM) * mu
+    state.running_var *= tz.BN_MOMENTUM
+    state.running_var += (1.0 - tz.BN_MOMENTUM) * var
+
+    def backward(g):
+        g = g.reshape(view)
+        dgamma = np.einsum(dot, g, xhat)
+        dbeta = np.einsum(red, g)
+        dx = xhat * (-dgamma / m).reshape(bshape)
+        dx += g
+        dx -= (dbeta / m).reshape(bshape)
+        dx *= (gamma.data * inv).reshape(bshape)
+        gamma.accumulate(dgamma)
+        beta.accumulate(dbeta)
+        x.accumulate(dx.reshape(shape))
+
+    return tz.Tensor(out.reshape(shape), parents=(x, gamma, beta), backward=backward)
+
+
+def textbook_adam_step(params, state):
+    """Adam with the bias corrections applied to the moments, over whole
+    arrays: p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)."""
+    state.step_count += 1
+    t = state.step_count
+    b1, b2, lr, eps = tz.ADAM_BETA1, tz.ADAM_BETA2, state.learning_rate, tz.ADAM_EPSILON
+    for name, param in params.items():
+        g = param.grad
+        m = state.first_moment.setdefault(name, np.zeros_like(param.data))
+        v = state.second_moment.setdefault(name, np.zeros_like(param.data))
+        m *= b1
+        m += g * (1.0 - b1)
+        v *= b2
+        v += (g * g) * (1.0 - b2)
+        param.data -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        param.grad = None

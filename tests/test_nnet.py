@@ -1,6 +1,8 @@
+import errno
 import pickle
 import struct
 import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -33,6 +35,7 @@ from lungrisk.preprocess import (
     normalize_hu,
     triplanar,
 )
+from references import textbook_adam_step, xhat_batch_norm
 from writers import write_weight_entries
 
 
@@ -625,6 +628,69 @@ def test_one_training_step_matches_the_row_by_row_dense_reference(monkeypatch):
             assert np.abs(got[name] - ref[name]).max() <= 1e-12 * scale[name.split(".")[0]], name
 
 
+def _assert_within_layer_scale(got, ref, bound):
+    # each array within `bound` of the largest entry of its layer (the name's
+    # first part), so an array whose true value is 0 may hold rounding noise
+    assert got.keys() == ref.keys()
+    scale = {}
+    for name, a in ref.items():
+        layer = name.split(".")[0]
+        scale[layer] = max(scale.get(layer, 0.0), np.abs(a).max())
+    for name in ref:
+        assert np.abs(got[name] - ref[name]).max() <= bound * scale[name.split(".")[0]], name
+
+
+def test_one_training_step_matches_the_normalized_map_and_textbook_adam_references(monkeypatch):
+    # the batch of the dense reference above, once through the ops and once
+    # through the batch-norm that holds its normalized map; then Adam, and
+    # the Adam that divides the bias corrections into the moments, apply
+    # the same gradients
+    rng = np.random.default_rng(15)
+    examples = [random_example(rng, n, label=i % 2, scan_id=f"s{i}")
+                for i, n in enumerate((1, 4, 2, 3, 1, 4))]
+    planes, meta, segments, labels = nnet._gather_batch(examples, None, None)
+
+    def step(batch_norm):
+        params = small_params(16, dropout=0.25)
+        with monkeypatch.context() as m:
+            m.setattr(tz, "batch_norm", batch_norm)
+            scores = nnet._forward_patch_batch(params, planes, meta, np.random.default_rng(17))
+            tz.backward(tz.bce_loss(tz.segment_max(scores, segments, labels.size), labels))
+        running = {f"{name}.{part}": getattr(state, part) for name, state in params.bn.items()
+                   for part in ("running_mean", "running_var")}
+        return params.learnable(), running
+
+    (learnable, running), (ref_learnable, ref_running) = step(tz.batch_norm), step(xhat_batch_norm)
+    assert len(ref_learnable) == 32 and len(ref_running) == 18
+    _assert_within_layer_scale({name: t.grad for name, t in learnable.items()},
+                               {name: t.grad for name, t in ref_learnable.items()}, 1e-12)
+    _assert_within_layer_scale(running, ref_running, 1e-12)
+    for name, t in ref_learnable.items():
+        t.data[:], t.grad = learnable[name].data, learnable[name].grad.copy()
+    tz.adam_step(learnable, tz.AdamState())
+    textbook_adam_step(ref_learnable, tz.AdamState())
+    _assert_within_layer_scale({name: t.data for name, t in learnable.items()},
+                               {name: t.data for name, t in ref_learnable.items()}, 1e-12)
+
+
+def test_a_training_step_holds_no_normalized_maps_or_float_dropout_masks():
+    # at 24 patches the step peaks at 25.6 MB over its inputs and parameters;
+    # a normalized copy of each batch-norm's input and a float64 dropout mask
+    # held 8.3 MB more (33.8 MB)
+    rng = np.random.default_rng(18)
+    planes = rng.random((3, 24, 28, 28))
+    meta = rng.normal(size=(24, 5))
+    params = small_params(19, dropout=0.25)
+    tracemalloc.start()
+    try:
+        scores = nnet._forward_patch_batch(params, planes, meta, np.random.default_rng(20))
+        tz.backward(tz.bce_loss(scores, np.arange(24) % 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 29_000_000, peak
+
+
 def test_worker_env_sets_one_blas_thread_and_allocator_reuse():
     env = nnet._worker_env()
     for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -858,6 +924,32 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.std, stats.std)
     assert loaded.metadata_dim == 5
     assert loaded.dropout_rate == 0.0
+
+
+# Saves a member under a 1 MB file-size limit. With SIGXFSZ ignored, the
+# write of the 3.3 MB file fails part way with EFBIG instead of ending the process.
+SAVE_OVER_A_FILE_SIZE_LIMIT = """
+import resource, signal, sys
+import numpy as np
+from lungrisk import nnet
+from lungrisk.preprocess import MetadataStats
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+nnet.save_params(nnet.init_params(nnet.NNetConfig(seed=2)), sys.argv[1],
+                 MetadataStats(mean=np.zeros(5), std=np.ones(5)))
+"""
+
+
+def test_a_weight_write_that_fails_leaves_the_old_file_and_no_partial_file(tmp_path):
+    path = tmp_path / "fold0.lrnn"
+    nnet.save_params(small_params(1), path, IDENTITY_STATS)
+    before = path.read_bytes()
+    assert len(before) > 3 << 20
+    child = subprocess.run([sys.executable, "-c", SAVE_OVER_A_FILE_SIZE_LIMIT, str(path)],
+                           env=nnet._worker_env(), capture_output=True, timeout=120)
+    assert child.returncode == 1 and f"[Errno {errno.EFBIG}]".encode() in child.stderr, child.stderr
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["fold0.lrnn"]
 
 
 def test_save_load_inference_identical(tmp_path):

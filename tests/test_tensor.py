@@ -14,6 +14,7 @@ from lungrisk.errors import (
     MissingGradientError,
     NumericError,
 )
+from references import textbook_adam_step, xhat_batch_norm
 
 
 def t(x, name=None):
@@ -608,23 +609,30 @@ def test_adam_moments_decay_toward_zero():
     assert abs(state.first_moment["w"][0]) < m1
 
 
-@pytest.mark.parametrize("shape", [(1,), (8191,), (8192,), (8193,), (6272, 64)])
+@pytest.mark.parametrize("shape", [(1,), (T._ADAM_BLOCK - 1,), (T._ADAM_BLOCK,),
+                                   (T._ADAM_BLOCK + 1,), (6272, 64)])
 def test_adam_chunks_equal_the_whole_array_expression(shape):
+    # the moments keep the textbook recurrences' bits; the parameter takes
+    # the folded update, which moves the rounding of the textbook one
     rng = np.random.default_rng(shape[0])
-    w = t(rng.normal(size=shape))
-    ref, m, v = w.data.copy(), np.zeros(shape), np.zeros(shape)
+    w, ref = t(rng.normal(size=shape)), t(np.zeros(shape))
     state = T.AdamState(learning_rate=1e-3)
+    ref_state = T.AdamState(learning_rate=1e-3)
     b1, b2, lr, eps = T.ADAM_BETA1, T.ADAM_BETA2, state.learning_rate, T.ADAM_EPSILON
     for step in range(1, 4):
         g = rng.normal(size=shape)
-        w.grad = g
+        before = w.data.copy()
+        w.grad, ref.grad = g, g.copy()
         T.adam_step({"w": w}, state)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        ref = ref - lr * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
+        textbook_adam_step({"w": ref}, ref_state)
+        m, v = ref_state.first_moment["w"], ref_state.second_moment["w"]
         np.testing.assert_array_equal(state.first_moment["w"], m)
         np.testing.assert_array_equal(state.second_moment["w"], v)
-        np.testing.assert_array_equal(w.data, ref)
+        bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+        folded = lr * np.sqrt(bc2) / bc1 * m / (np.sqrt(v) + eps * np.sqrt(bc2))
+        np.testing.assert_array_equal(w.data, before - folded)
+        textbook = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        assert np.all(np.abs(folded - textbook) <= 1e-12 * np.abs(textbook))
 
 
 def test_adam_consumes_each_gradient_it_applies():
@@ -737,12 +745,39 @@ def test_bn_train_backward_matches_the_nine_pass_formula_and_finite_differences(
     x = t(rng.normal(1.0, 2.0, size=shape))
     g = rng.normal(size=shape)
     out = T.batch_norm(x, bn)
-    out._backward(g)
+    out._backward(g.copy())
     want = _nine_pass_bn_backward(x.data, g, bn.gamma.data.reshape(bshape), T.BN_EPSILON, axis)
     assert np.max(np.abs(x.grad - want)) <= 1e-12 * np.max(np.abs(want))
     labels = rng.integers(0, 2, size=shape).astype(float)
     _gradcheck(lambda: _bce_head(T.batch_norm(x, bn), labels),
                {"x": x, "gamma": bn.gamma, "beta": bn.beta})
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5, 6), (40, 3)], ids=["C,N,H,W", "N,F"])
+def test_bn_without_the_normalized_map_matches_it_on_channels_far_from_zero(shape):
+    # batch-norm rebuilds its gradients from sum(g*x) - mu*sum(g), which
+    # cancels where a channel's mean is 1e3 times its spread
+    rng = np.random.default_rng(34)
+    bshape = (3, 1, 1, 1) if len(shape) == 4 else (1, 3)
+    sigma = rng.uniform(0.5, 2.0, size=3)
+    xd = (1e3 * sigma * np.array([1.0, -1.0, 1.0])).reshape(bshape) \
+        + sigma.reshape(bshape) * rng.normal(size=shape)
+    g = rng.normal(size=shape)
+    gamma, beta = rng.uniform(0.5, 1.5, size=3), rng.uniform(-0.5, 0.5, size=3)
+    results = []
+    for op in (T.batch_norm, xhat_batch_norm):
+        bn = make_bn(3)
+        bn.gamma.data[:], bn.beta.data[:] = gamma, beta
+        x = t(xd)
+        out = op(x, bn)
+        out._backward(g.copy())
+        results.append((out.data, x.grad, bn.gamma.grad, bn.beta.grad,
+                        bn.running_mean, bn.running_var))
+    (*got, mean, var), (*want, ref_mean, ref_var) = results
+    np.testing.assert_array_equal(mean, ref_mean)
+    np.testing.assert_array_equal(var, ref_var)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
 
 
 def test_gradcheck_dense():
