@@ -26,7 +26,7 @@ cube = pp.extract_cube(volume, world_center)
 print("1 mm cube:", cube.shape, cube.dtype, " min/max HU:", round(cube.min()), round(cube.max()))
 
 crop = pp.crop28(cube, pp.CENTER_OFFSET)     # the centred crop scoring takes
-planes = pp.triplanar(crop)
+planes = pp.triplanar(crop, "slice")
 normalized = pp.normalize_hu(planes)
 print("triplanar channels:", planes.shape, " normalized range:",
       round(normalized.min(), 3), "..", round(normalized.max(), 3))
@@ -42,5 +42,5 @@ print("top-3 radii:", [c.radius_mm for c in chosen],
 
 example = pp.build_scan_example(volume, candidates, label=1, scan_id="demo")
 print("scan example:", len(example.patches), "nodule patches, radii",
-      [float(p.metadata[0]) for p in example.patches], "; planes",
-      example.patches[0].planes.shape, "; kept cubes", example.cubes[0].shape)
+      [float(p.metadata[0]) for p in example.patches], "; each keeps its cube",
+      example.patches[0].cube.shape, example.patches[0].cube.dtype)

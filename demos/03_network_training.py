@@ -15,9 +15,10 @@ rng = np.random.default_rng(2)
 examples = []
 for i in range(8):
     label = i % 2
-    planes = rng.random((3, 28, 28)) * 0.25 + 0.55 * label     # positives brighter
+    # a 32^3 int16 cube of HU: -1000..-650 in negatives, brighter in positives
+    cube = np.rint(rng.random((32, 32, 32)) * 350.0 - 1000.0 + 770.0 * label).astype(np.int16)
     meta = rng.normal(size=5) + np.r_[3.0 * label, np.zeros(4)]
-    patches = [NodulePatch(planes=planes, metadata=meta)]
+    patches = [NodulePatch(cube=cube, metadata=meta)]
     examples.append(ScanExample(scan_id=f"toy{i}", patches=patches, label=label))
 
 config = nnet.NNetConfig(dropout_rate=0.0, epochs=300, batch_size=2, seed=3)

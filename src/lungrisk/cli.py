@@ -78,12 +78,10 @@ def _read_scan_list(path) -> list[str]:
     return ids
 
 
-def _build_example(path: Path, scan_id: str, candidates, label: int,
-                   metadata_dim: int, projection: str):
+def _build_example(path: Path, scan_id: str, candidates, label: int, metadata_dim: int):
     """The scan's example, from its volume file at `path` (see `_volume_path`)."""
     return build_scan_example(_read_volume(path), candidates.get(scan_id, []),
-                              label, metadata_dim=metadata_dim, projection=projection,
-                              scan_id=scan_id)
+                              label, metadata_dim=metadata_dim, scan_id=scan_id)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +147,7 @@ def cmd_train(args) -> int:
         raise DataConsistencyError(f"scan list entries without labels: {missing}")
 
     examples = [_build_example(_volume_path(data_dir, sid), sid, candidates, labels[sid],
-                               config.metadata_dim, config.projection) for sid in scan_ids]
+                               config.metadata_dim) for sid in scan_ids]
     out = Path(args.out)
     ensemble = nnet.kfold_train(config, examples, k=args.folds)     # a rejection leaves no --out
     nnet.save_ensemble(ensemble, out)
@@ -184,7 +182,7 @@ def cmd_score(args) -> int:
         scan_ids = sorted(labels)
     # every path is resolved up front, so a missing volume fails before any scoring
     paths = [_volume_path(data_dir, sid) for sid in scan_ids]
-    examples = (_build_example(path, sid, candidates, 0, plans[0].metadata_dim, plans[0].projection)
+    examples = (_build_example(path, sid, candidates, 0, plans[0].metadata_dim)
                 for sid, path in zip(scan_ids, paths))
     scores = dict(zip(scan_ids, nnet.ensemble_predict(plans, examples)))
     fileio.write_scores_csv(args.out, scores)

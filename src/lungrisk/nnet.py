@@ -54,6 +54,7 @@ from .errors import (
 )
 from .fileio import read_key_values, whole_file
 from .preprocess import (
+    CENTER_OFFSET,
     CROP_SIDE,
     CUBE_SIDE,
     MetadataStats,
@@ -217,18 +218,17 @@ class FoldMember:
 def _gather_batch(examples: list[ScanExample], rng, projection: str):
     """Stack the patches of a batch of scans; returns channel-major
     (3,P,28,28) planes, raw metadata, segment ids and labels, or None when
-    no scan has a patch. Scans without patches are left out. A scan that keeps
-    its cubes (a training scan) is re-cropped from them at a random offset."""
+    no scan has a patch. Scans without patches are left out. Each patch's
+    planes are cut from its cube here: at an offset drawn from `rng` in
+    patch order when training, at `CENTER_OFFSET` when scoring (rng=None)."""
     planes, meta, segments, labels = [], [], [], []
     for ex in examples:
         if not ex.patches:
             continue
-        for j, patch in enumerate(ex.patches):
-            if ex.cubes is not None:
-                cube = crop28(ex.cubes[j], rng.integers(0, CUBE_SIDE - CROP_SIDE + 1, size=3))
-                planes.append(normalize_hu(triplanar(cube, projection)))
-            else:
-                planes.append(patch.planes)
+        for patch in ex.patches:
+            offset = (CENTER_OFFSET if rng is None
+                      else rng.integers(0, CUBE_SIDE - CROP_SIDE + 1, size=3))
+            planes.append(normalize_hu(triplanar(crop28(patch.cube, offset), projection)))
             meta.append(patch.metadata)
         segments.extend([len(labels)] * len(ex.patches))
         labels.append(ex.label)
@@ -548,12 +548,14 @@ def _serve_folds():
 # patches. `lungrisk score` through the inference plans on the seed-11
 # `score` inputs (96 scans, 240 patches, 5 members, 2-core VM, two scoring
 # threads, 16 alternating child processes each, medians):
-#   chunk  8: 0.48 s, peak RSS 41.6 MB     chunk 20: 0.44 s, peak RSS 47.2 MB
-#   chunk 12: 0.46 s, peak RSS 43.6 MB     chunk 24: 0.43 s, peak RSS 48.0 MB
-#   chunk 16: 0.42 s, peak RSS 45.4 MB     chunk 32: 0.44 s, peak RSS 51.8 MB
-# 16 read fastest here and in a batch of 12 processes each, though from 16
-# up the times differ by less than their spread; each scoring thread holds
-# its chunk's maps, about 0.2 MB a patch.
+#   chunk  8: 0.53 s, peak RSS 43.0 MB     chunk 20: 0.48 s, peak RSS 50.6 MB
+#   chunk 12: 0.47 s, peak RSS 45.5 MB     chunk 24: 0.50 s, peak RSS 52.0 MB
+#   chunk 16: 0.51 s, peak RSS 48.1 MB     chunk 32: 0.51 s, peak RSS 56.4 MB
+# 16 read fastest when it was chosen; here the times lie within one
+# another's spread (IQRs of about 0.1 s), and the peak grows with the
+# chunk. A chunk holds its int16 cubes, 64 KiB a patch, until
+# `_predict_chunk` returns, and its scoring thread builds the planes and
+# holds the maps, about 0.2 MB a patch.
 SCORE_CHUNK_PATCHES = 16
 
 
@@ -588,14 +590,13 @@ def ensemble_predict(plans: list[_InferencePlan], examples: Iterable[ScanExample
 
 
 def _chunks(examples: Iterable[ScanExample]) -> Iterator[list[ScanExample]]:
-    """Whole examples, without their cubes, in lists of at least
+    """Whole examples in lists of at least
     SCORE_CHUNK_PATCHES patches (the last may hold fewer)."""
     chunk: list[ScanExample] = []
     n_patches = 0
     for example in examples:
-        chunk.append(replace(example, cubes=None))      # scoring never reads the cubes
+        chunk.append(example)
         n_patches += len(example.patches)
-        del example         # frees the cubes before the next example is built
         if n_patches >= SCORE_CHUNK_PATCHES:
             yield chunk
             chunk, n_patches = [], 0
@@ -606,8 +607,10 @@ def _chunks(examples: Iterable[ScanExample]) -> Iterator[list[ScanExample]]:
 def _predict_chunk(plans: list[_InferencePlan],
                    chunk: list[ScanExample]) -> list[tuple[str, float | None]]:
     """(scan id, mean member risk) of each example of one chunk, from one
-    `_plan_scores` call per member; None for an example without patches."""
-    batch = _gather_batch(chunk, rng=None, projection=None)     # `_chunks` dropped the cubes
+    `_plan_scores` call per member; None for an example without patches. The
+    planes are the centre crops of the chunk's cubes, cut on this thread in
+    the members' projection (they agree, by `_check_agreement`)."""
+    batch = _gather_batch(chunk, None, plans[0].projection)
     bag_risks = iter(())
     if batch is not None:
         planes, raw_meta, segments, _ = batch

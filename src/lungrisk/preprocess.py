@@ -77,9 +77,12 @@ class NoduleCandidate:
 
 @dataclass
 class NodulePatch:
-    """Network input for one nodule: three 28x28 planes plus raw metadata."""
+    """One nodule: the 32^3 block around it, in the dtype `extract_cube`
+    gives, plus raw metadata. The network's planes are cut from the cube
+    only where they are read (`nnet._gather_batch`): at a random offset in
+    training, at `CENTER_OFFSET` when scoring."""
 
-    planes: np.ndarray       # (3, 28, 28) in [0,1]
+    cube: np.ndarray         # (32, 32, 32) HU, int16 or float64
     metadata: np.ndarray     # (radius, x, y, z, confidence[, sphericity])
 
 
@@ -88,16 +91,12 @@ class ScanExample:
     """A scan's nodule patches (0 to 10, largest first) plus its label.
 
     The patches hold raw metadata; each model standardizes it with its own
-    training-set statistics. `cubes` keeps the source 32^3 blocks, one per
-    patch, for train-time re-cropping; every built example keeps them, in
-    the dtype of the volume they were cut from (see `extract_cube`). A
-    hand-built example without cubes trains on its planes.
+    training-set statistics.
     """
 
     scan_id: str
     patches: list[NodulePatch]
     label: int
-    cubes: list[np.ndarray] | None = None
 
     def __post_init__(self):
         if len(self.patches) > MAX_NODULES:
@@ -195,11 +194,11 @@ def crop28(cube: np.ndarray, offset) -> np.ndarray:
     return cube[x:x + CROP_SIDE, y:y + CROP_SIDE, z:z + CROP_SIDE]
 
 
-def triplanar(cube: np.ndarray, projection: str = "slice") -> np.ndarray:
+def triplanar(cube: np.ndarray, projection: str) -> np.ndarray:
     """Stack coronal/sagittal/transverse views of a 28^3 cube as channels.
 
-    The default takes the central slice through index 14 on each axis;
-    projection="mip" takes the max-intensity projection along each axis.
+    projection="slice" takes the central slice through index 14 on each
+    axis; projection="mip" takes the max-intensity projection along each axis.
     """
     if cube.shape != (CROP_SIDE,) * 3:
         raise DimensionError(f"triplanar expects a {CROP_SIDE}^3 cube, got {cube.shape}")
@@ -240,26 +239,19 @@ def candidate_metadata(c: NoduleCandidate, metadata_dim: int) -> np.ndarray:
 
 
 def build_scan_example(v: Volume, candidates: list[NoduleCandidate], label: int,
-                       metadata_dim: int = 5, projection: str = "slice",
-                       scan_id: str = "") -> ScanExample:
-    """Run the full per-scan pipeline on the top nodules of a scan.
+                       metadata_dim: int = 5, scan_id: str = "") -> ScanExample:
+    """Run the per-scan pipeline on the top nodules of a scan.
 
-    Composes select -> resample and extract (`extract_cube`) -> center crop ->
-    triplanar -> normalize for each of the (at most 10) selected candidates; no
-    candidates give an example without patches. Metadata stays raw. The
-    example keeps its 32^3 cubes so the training loop can re-draw crops:
-    int16 from an int16 volume on the 1 mm grid, float64 otherwise. The
-    planes are float64 either way, with the same values.
+    Composes select -> resample and extract (`extract_cube`) for each of the
+    (at most 10) selected candidates; no candidates give an example without
+    patches. Each patch keeps its 32^3 cube, int16 from an int16 volume on
+    the 1 mm grid and float64 otherwise, and its raw metadata.
     """
     _grid_dims(v)       # a volume without a 1 mm grid is rejected, nodules or not
-    patches: list[NodulePatch] = []
-    cubes: list[np.ndarray] = []
-    for cand in select_top_nodules(candidates):
-        cube = extract_cube(v, cand.center)
-        planes = normalize_hu(triplanar(crop28(cube, CENTER_OFFSET), projection))
-        patches.append(NodulePatch(planes=planes, metadata=candidate_metadata(cand, metadata_dim)))
-        cubes.append(cube)
-    return ScanExample(scan_id=scan_id, patches=patches, label=label, cubes=cubes)
+    patches = [NodulePatch(cube=extract_cube(v, cand.center),
+                           metadata=candidate_metadata(cand, metadata_dim))
+               for cand in select_top_nodules(candidates)]
+    return ScanExample(scan_id=scan_id, patches=patches, label=label)
 
 
 def metadata_stats_from_examples(examples: list[ScanExample]) -> MetadataStats:

@@ -35,16 +35,18 @@ def test_c1_gradient_correctness():
     started = time.time()
     h = 1e-5
     tol = 1e-4
-    worst = 0.0
+    worst, where = 0.0, ""      # the largest error, and its instance and tensor
     rng = np.random.default_rng(1)
 
     def head(out, labels):
         return tz.bce_loss(tz.sigmoid(out), labels)
 
-    def check(loss_fn, tensors, **kw):
-        nonlocal worst
+    def check(instance, loss_fn, tensors, **kw):
+        nonlocal worst, where
         errs = tz.finite_difference_check(loss_fn, tensors, h=h, **kw)
-        worst = max(worst, max(errs.values()))
+        name = max(errs, key=errs.get)
+        if errs[name] > worst:
+            worst, where = errs[name], f"{instance}, {name}"
 
     # per-op instances (12 of the 20)
     for i in range(3):
@@ -52,14 +54,15 @@ def test_c1_gradient_correctness():
         k = tz.Tensor(rng.uniform(-1, 1, size=(3, 2, 3, 3)))
         b = tz.Tensor(rng.uniform(-1, 1, size=3))
         y = rng.integers(0, 2, size=(3, 1, 4, 5)).astype(float)
-        check(lambda: head(tz.conv2d_same(x, k, b), y), {"x": x, "k": k, "b": b})
+        check(f"conv2d_same {i}", lambda: head(tz.conv2d_same(x, k, b), y),
+              {"x": x, "k": k, "b": b})
 
     for i in range(3):
         x = tz.Tensor(rng.uniform(-1, 1, size=(5, 4)))
         bn = tz.BatchNormState.create(4)
         bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=4)
         y = rng.integers(0, 2, size=(5, 4)).astype(float)
-        check(lambda: head(tz.batch_norm(x, bn), y),
+        check(f"batch_norm {i}", lambda: head(tz.batch_norm(x, bn), y),
               {"x": x, "gamma": bn.gamma, "beta": bn.beta})
 
     for i in range(2):
@@ -67,22 +70,22 @@ def test_c1_gradient_correctness():
         w = tz.Tensor(rng.uniform(-1, 1, size=(6, 4)))
         b = tz.Tensor(rng.uniform(-1, 1, size=4))
         y = rng.integers(0, 2, size=(3, 4)).astype(float)
-        check(lambda: head(tz.dense(x, w, b), y), {"x": x, "w": w, "b": b})
+        check(f"dense {i}", lambda: head(tz.dense(x, w, b), y), {"x": x, "w": w, "b": b})
 
     for i in range(2):
         raw = rng.uniform(-1, 1, size=(4, 5))
         raw += 0.2 * np.sign(raw)
         x = tz.Tensor(raw)
         y = rng.integers(0, 2, size=(4, 5)).astype(float)
-        check(lambda: head(tz.relu(x), y), {"x": x})
+        check(f"relu {i}", lambda: head(tz.relu(x), y), {"x": x})
 
     for i in range(2):
         a = tz.Tensor(rng.uniform(-1, 1, size=6))
         b = tz.Tensor(rng.uniform(-1, 1, size=6))
         seg = np.array([0, 0, 1, 1, 2, 2])
         y = rng.integers(0, 2, size=3).astype(float)
-        check(lambda: head(tz.segment_max(tz.residual_add(a, b), seg, 3), y),
-              {"a": a, "b": b})
+        check(f"residual_add+segment_max {i}",
+              lambda: head(tz.segment_max(tz.residual_add(a, b), seg, 3), y), {"a": a, "b": b})
 
     # full network instances (8 of the 20), dropout disabled
     for i in range(8):
@@ -98,17 +101,21 @@ def test_c1_gradient_correctness():
             scores = nnet._forward_patch_batch(params, planes, meta)
             return tz.bce_loss(tz.segment_max(scores, segments, 2), labels)
 
-        errs = tz.finite_difference_check(loss, tensors, h=h, samples_per_tensor=2,
-                                          rng=np.random.default_rng(i), skip_kinks=True)
-        worst = max(worst, max(errs.values()))
+        check(f"network {i}", loss, tensors, samples_per_tensor=2,
+              rng=np.random.default_rng(i), skip_kinks=True)
 
     elapsed = time.time() - started
     report(1, worst < tol and elapsed < 120,
-           f"max relative error {worst:.3e} (tol {tol}), {elapsed:.0f}s (cap 120s)")
+           f"max relative error {worst:.3e} at {where} (tol {tol}), {elapsed:.0f}s (cap 120s)")
 
 
 # ---------------------------------------------------------------------------
 # criterion 2: architecture conformance
+
+
+def _random_cube(rng):
+    # a patch's int16 32^3 cube, of HU spread over the window [-1000, 400]
+    return rng.integers(-1000, 401, size=(32, 32, 32), dtype=np.int16)
 
 
 def _branch_score(params, patch):
@@ -153,7 +160,7 @@ def test_c2_architecture_conformance(layer_shapes):
     # a scan's 10 branches pool into one scalar risk
     params = nnet.init_params(nnet.NNetConfig(seed=0))
     rng = np.random.default_rng(1)
-    patches = [NodulePatch(planes=rng.random((3, 28, 28)), metadata=rng.normal(size=5))
+    patches = [NodulePatch(cube=_random_cube(rng), metadata=rng.normal(size=5))
                for _ in range(10)]
     ex = ScanExample(scan_id="s", patches=patches, label=1)
     identity = MetadataStats(mean=np.zeros(5), std=np.ones(5))
@@ -181,7 +188,7 @@ def test_c3_multi_instance_invariants():
     for case in range(200):
         n = int(rng.integers(1, 10))
         sizes.add(n)
-        patches = [NodulePatch(planes=rng.random((3, 28, 28)), metadata=rng.normal(size=5))
+        patches = [NodulePatch(cube=_random_cube(rng), metadata=rng.normal(size=5))
                    for _ in range(n)]
         risk = scan_risk(patches)
 
@@ -194,7 +201,7 @@ def test_c3_multi_instance_invariants():
         assert scan_risk([patches[i] for i in rng.permutation(n)]) == risk
 
         # adding one patch: risk == max(old risk, new branch score)
-        new_patch = NodulePatch(planes=rng.random((3, 28, 28)), metadata=rng.normal(size=5))
+        new_patch = NodulePatch(cube=_random_cube(rng), metadata=rng.normal(size=5))
         assert scan_risk(patches + [new_patch]) == max(risk, _branch_score(params, new_patch))
     report(3, sizes == set(range(1, 10)),
            f"batched risk == max of single-patch scores for bag sizes {sorted(sizes)}; "
@@ -312,9 +319,10 @@ def test_c7_overfit_sanity():
     examples = []
     for i in range(8):
         label = i % 2
-        planes = rng.random((3, 28, 28)) * 0.25 + 0.55 * label
+        # HU -1000..-650 in negatives, -230..120 in positives
+        cube = np.rint(rng.random((32, 32, 32)) * 350.0 - 1000.0 + 770.0 * label).astype(np.int16)
         meta = rng.normal(size=5) + np.r_[3.0 * label, np.zeros(4)]
-        patches = [NodulePatch(planes=planes, metadata=meta)]
+        patches = [NodulePatch(cube=cube, metadata=meta)]
         examples.append(ScanExample(scan_id=f"t{i}", patches=patches, label=label))
     config = nnet.NNetConfig(dropout_rate=0.0, learning_rate=1e-2, epochs=500,
                              batch_size=2, seed=77)

@@ -685,13 +685,14 @@ def test_score_uses_the_projection_the_model_was_trained_on(small_data, tmp_path
     assert run(["score", "--model", model, "--data", small_data, "--out", out]) == 0
     scores = fileio.read_scores_csv(out)
     plans = nnet.load_plans(model)
+    assert [plan.projection for plan in plans] == ["mip"]
     candidates = fileio.read_candidates_csv(small_data / "candidates.csv")
 
     def predict(scan_id, projection):
         volume = fileio.read_volume_compact(small_data / "volumes" / f"{scan_id}.lrvol")
-        example = build_scan_example(volume, candidates.get(scan_id, []), 0,
-                                     projection=projection, scan_id=scan_id)
-        return nnet.ensemble_predict(plans, [example])[0]
+        example = build_scan_example(volume, candidates.get(scan_id, []), 0, scan_id=scan_id)
+        return nnet.ensemble_predict([plan._replace(projection=projection) for plan in plans],
+                                     [example])[0]
 
     assert all(score == predict(sid, "mip") for sid, score in scores.items())
     assert not any(score == predict(sid, "slice") for sid, score in scores.items())

@@ -40,7 +40,9 @@ from writers import write_weight_entries
 
 
 def random_patch(rng, metadata_dim=5):
-    return NodulePatch(planes=rng.random((3, 28, 28)), metadata=rng.normal(size=metadata_dim))
+    # an int16 cube of HU a little past the window on both sides, so the crops clip
+    return NodulePatch(cube=rng.integers(-1100, 500, size=(32, 32, 32), dtype=np.int16),
+                       metadata=rng.normal(size=metadata_dim))
 
 
 def random_example(rng, n_patches, label=1, metadata_dim=5, scan_id="s0"):
@@ -148,10 +150,9 @@ def test_training_scores_each_bag_independently():
     # training pools each bag over its own segment of the batch's branch scores
     rng = np.random.default_rng(9)
     p = small_params(10)
-    bags = [[random_patch(rng) for _ in range(n)] for n in (3, 1, 5)]
-    flat = [patch for bag in bags for patch in bag]
-    planes = np.stack([patch.planes for patch in flat], axis=1)
-    meta = np.stack([patch.metadata for patch in flat])
+    bags = [ScanExample(f"s{b}", [random_patch(rng) for _ in range(n)], 1)
+            for b, n in enumerate((3, 1, 5))]
+    planes, meta = nnet._gather_batch(bags, None, "slice")[:2]
     segments = np.repeat(np.arange(3), [3, 1, 5])
     risks = tz.segment_max(nnet._forward_patch_batch(p, planes, meta), segments, 3).data
     scores = nnet._forward_patch_batch(p, planes, meta).data
@@ -207,8 +208,8 @@ def test_shape_trace_matches_manifest(layer_shapes):
         ("concat", (64 + 5,)), ("dense_out", (1,)), ("output", ()),
     ]
     p = small_params()
-    patch = random_patch(np.random.default_rng(0))
-    trace = layer_shapes(p, patch.planes[:, None], patch.metadata[None])
+    ex = ScanExample("s0", [random_patch(np.random.default_rng(0))], 1)
+    trace = layer_shapes(p, *nnet._gather_batch([ex], None, "slice")[:2])
     assert trace == manifest
 
 
@@ -270,9 +271,10 @@ def tiny_dataset(rng, n=8, metadata_dim=5):
     out = []
     for i in range(n):
         label = i % 2
-        planes = rng.random((3, 28, 28)) * 0.2 + 0.6 * label
+        # HU -1000..-720 in negatives, -160..120 in positives
+        cube = np.rint(rng.random((32, 32, 32)) * 280.0 - 1000.0 + 840.0 * label).astype(np.int16)
         meta = rng.normal(size=metadata_dim) + np.r_[3.0 * label, np.zeros(metadata_dim - 1)]
-        patches = [NodulePatch(planes=planes, metadata=meta)]
+        patches = [NodulePatch(cube=cube, metadata=meta)]
         out.append(ScanExample(scan_id=f"s{i}", patches=patches, label=label))
     return out
 
@@ -304,7 +306,7 @@ def test_train_seeded_bit_identical():
         np.testing.assert_array_equal(tns.data, b.params.learnable()[name].data)
 
 
-def int16_volume_examples(projection, n=8):
+def int16_volume_examples(n=8):
     """Examples built from int16 volumes on the 1 mm grid, as LRVOL1 files
     give them: one to three nodules a scan, larger and brighter in positives."""
     rng = np.random.default_rng(41)
@@ -320,16 +322,16 @@ def int16_volume_examples(projection, n=8):
         volume = Volume(np.rint(vox).astype(np.int16), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         candidates = [NoduleCandidate(c, 2.0 + 2.0 * label + j, 0.9)
                       for j, c in enumerate(centers)]
-        out.append(build_scan_example(volume, candidates, label, projection=projection,
-                                      scan_id=f"s{i}"))
+        out.append(build_scan_example(volume, candidates, label, scan_id=f"s{i}"))
     return out
 
 
 @pytest.mark.parametrize("projection", ["slice", "mip"])
 def test_int16_cubes_train_the_bits_of_their_float64_copies(projection):
-    short = int16_volume_examples(projection)
-    assert all(cube.dtype == np.int16 for ex in short for cube in ex.cubes)
-    wide = [replace(ex, cubes=[cube.astype(np.float64) for cube in ex.cubes]) for ex in short]
+    short = int16_volume_examples()
+    assert all(patch.cube.dtype == np.int16 for ex in short for patch in ex.patches)
+    wide = [replace(ex, patches=[replace(patch, cube=patch.cube.astype(np.float64))
+                                 for patch in ex.patches]) for ex in short]
     config = nnet.NNetConfig(dropout_rate=0.25, epochs=3, batch_size=4, seed=5,
                              projection=projection)
     a, b = nnet.train(config, short), nnet.train(config, wide)
@@ -340,7 +342,7 @@ def test_int16_cubes_train_the_bits_of_their_float64_copies(projection):
 
 
 def test_gather_batch_train_crops_are_seeded_and_cover_every_offset(monkeypatch):
-    # each patch of a scan that keeps its cubes is re-cropped at an offset
+    # each patch of a training batch is cropped from its cube at an offset
     # of 0 to 4 on every axis, drawn in patch order from the batch's rng
     offsets = []
     crop = nnet.crop28
@@ -352,7 +354,7 @@ def test_gather_batch_train_crops_are_seeded_and_cover_every_offset(monkeypatch)
     monkeypatch.setattr(nnet, "crop28", recorded)
     rng = np.random.default_rng(4)
     cube = rng.normal(-500.0, 400.0, size=(32, 32, 32))
-    ex = ScanExample("s0", [random_patch(rng) for _ in range(10)], 1, cubes=[cube] * 10)
+    ex = ScanExample("s0", [NodulePatch(cube, rng.normal(size=5)) for _ in range(10)], 1)
     runs = []
     for _ in range(2):
         offsets.clear()
@@ -366,14 +368,14 @@ def test_gather_batch_train_crops_are_seeded_and_cover_every_offset(monkeypatch)
         assert {o[axis] for o in runs[0][0]} == {0, 1, 2, 3, 4}
     x, y, z = runs[0][0][-1]
     np.testing.assert_array_equal(
-        planes[:, -1], normalize_hu(triplanar(cube[x:x + 28, y:y + 28, z:z + 28])))
+        planes[:, -1], normalize_hu(triplanar(cube[x:x + 28, y:y + 28, z:z + 28], "slice")))
 
 
 def test_backward_peak_stays_near_the_memory_live_when_it_starts(monkeypatch):
     # backward frees each op's saved arrays and gradient as it descends, so
     # its peak is the live graph plus about one layer's gradients and the
     # parameter gradients; a pass that kept every gradient read 1.5-1.7x
-    dataset = int16_volume_examples("slice", n=12)
+    dataset = int16_volume_examples(n=12)
     config = nnet.NNetConfig(dropout_rate=0.25, epochs=2, batch_size=12, seed=7)
     ratios = []
     run_backward = tz.backward
@@ -603,7 +605,7 @@ def test_one_training_step_matches_the_row_by_row_dense_reference(monkeypatch):
     rng = np.random.default_rng(15)
     examples = [random_example(rng, n, label=i % 2, scan_id=f"s{i}")
                 for i, n in enumerate((1, 4, 2, 3, 1, 4))]
-    planes, meta, segments, labels = nnet._gather_batch(examples, None, None)
+    planes, meta, segments, labels = nnet._gather_batch(examples, None, "slice")
 
     def step(dense):
         params = small_params(16, dropout=0.25)
@@ -648,7 +650,7 @@ def test_one_training_step_matches_the_normalized_map_and_textbook_adam_referenc
     rng = np.random.default_rng(15)
     examples = [random_example(rng, n, label=i % 2, scan_id=f"s{i}")
                 for i, n in enumerate((1, 4, 2, 3, 1, 4))]
-    planes, meta, segments, labels = nnet._gather_batch(examples, None, None)
+    planes, meta, segments, labels = nnet._gather_batch(examples, None, "slice")
 
     def step(batch_norm):
         params = small_params(16, dropout=0.25)
@@ -705,9 +707,10 @@ def test_kfold_too_few_examples():
         nnet.kfold_train(nnet.NNetConfig(epochs=1), tiny_dataset(rng, n=4), k=5)
 
 
-def varied_member(rng, seed, metadata_dim):
+def varied_member(rng, seed, metadata_dim, projection):
     """A member whose batch-norms are far from the identity."""
-    params = small_params(seed, metadata_dim=metadata_dim)
+    params = nnet.init_params(nnet.NNetConfig(dropout_rate=0.0, metadata_dim=metadata_dim,
+                                              seed=seed, projection=projection))
     for state in params.bn.values():
         state.running_mean[:] = rng.normal(0, 0.5, state.running_mean.size)
         state.running_var[:] = rng.uniform(0.5, 2.0, state.running_var.size)
@@ -739,10 +742,23 @@ def _reference_bn(x, state):
             * state.gamma.data.reshape(shape) + state.beta.data.reshape(shape))
 
 
+def reference_planes(cube, projection):
+    """A scored patch's planes, written out: the centre 28^3 of its 32^3
+    cube, the three views through index 14 (or the maxima along each axis),
+    and the HU window [-1000, 400] mapped onto [0, 1]."""
+    crop = cube[2:30, 2:30, 2:30].astype(np.float64)
+    if projection == "slice":
+        views = [crop[:, 14, :], crop[14, :, :], crop[:, :, 14]]
+    else:
+        views = [crop.max(axis=1), crop.max(axis=0), crop.max(axis=2)]
+    return (np.clip(np.stack(views), -1000.0, 400.0) + 1000.0) / 1400.0
+
+
 def reference_risks(member, examples):
     """Each example's risk from the layer list of `nnet`'s docstring, layer
-    by layer with running statistics and nothing folded; dropout is the
-    identity when scoring."""
+    by layer with running statistics and nothing folded, on planes cut from
+    each patch's cube by `reference_planes`; dropout is the identity when
+    scoring."""
     p, bn = member.params.tensors, member.params.bn
 
     def conv(x, name):
@@ -750,7 +766,8 @@ def reference_risks(member, examples):
 
     risks = []
     for ex in examples:
-        x = np.stack([patch.planes for patch in ex.patches])
+        x = np.stack([reference_planes(patch.cube, member.params.projection)
+                      for patch in ex.patches])
         h = x
         for name in ("conv1", "conv2", "conv3"):
             h = np.maximum(_reference_bn(conv(h, name), bn[f"bn_{name}"]), 0.0)
@@ -767,22 +784,23 @@ def reference_risks(member, examples):
 
 @pytest.mark.parametrize("metadata_dim", [5, 6])
 def test_inference_plan_matches_an_unfolded_reference_forward(metadata_dim):
-    rng = np.random.default_rng(40 + metadata_dim)
-    ensemble = nnet.FoldEnsemble(members=[varied_member(rng, seed, metadata_dim)
-                                          for seed in (41, 42)])
-    examples = [random_example(rng, n, metadata_dim=metadata_dim, scan_id=f"s{i}")
-                for i, n in enumerate((1, 3, 10, 2, 5))]
-    expected = np.mean([reference_risks(m, examples) for m in ensemble.members], axis=0)
+    for projection in ("slice", "mip"):
+        rng = np.random.default_rng(40 + metadata_dim)
+        ensemble = nnet.FoldEnsemble(members=[varied_member(rng, seed, metadata_dim, projection)
+                                              for seed in (41, 42)])
+        examples = [random_example(rng, n, metadata_dim=metadata_dim, scan_id=f"s{i}")
+                    for i, n in enumerate((1, 3, 10, 2, 5))]
+        expected = np.mean([reference_risks(m, examples) for m in ensemble.members], axis=0)
 
-    def check():
-        np.testing.assert_allclose(nnet.ensemble_predict(plans(ensemble), examples), expected,
-                                   rtol=1e-12, atol=0)
+        def check():
+            np.testing.assert_allclose(nnet.ensemble_predict(plans(ensemble), examples),
+                                       expected, rtol=1e-12, atol=0, err_msg=projection)
 
-    check()
-    # one dense1 weight, of the centre pixel of channel 0, moved by 1e-6
-    ensemble.members[0].params.tensors["dense1.weights"].data[14 * 28 + 14, 0] += 1e-6
-    with pytest.raises(AssertionError):
         check()
+        # one dense1 weight, of the centre pixel of channel 0, moved by 1e-6
+        ensemble.members[0].params.tensors["dense1.weights"].data[14 * 28 + 14, 0] += 1e-6
+        with pytest.raises(AssertionError):
+            check()
 
 
 def test_ensemble_mean_and_identical_members():

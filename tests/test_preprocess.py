@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -102,10 +103,9 @@ def test_int16_volume_gives_the_bits_of_its_float64_copy(spacing):
     # on the 1 mm grid the cube keeps the volume's int16, with the float64
     # copy's values; a resampled volume is float64 and so are its cubes
     want = np.int16 if spacing == (1.0, 1.0, 1.0) else np.float64
-    for pa, pb, ca, cb in zip(ex_a.patches, ex_b.patches, ex_a.cubes, ex_b.cubes):
-        assert ca.dtype == want and cb.dtype == np.float64
-        np.testing.assert_array_equal(ca, cb)
-        np.testing.assert_array_equal(pa.planes, pb.planes)
+    for pa, pb in zip(ex_a.patches, ex_b.patches):
+        assert pa.cube.dtype == want and pb.cube.dtype == np.float64
+        np.testing.assert_array_equal(pa.cube, pb.cube)
         np.testing.assert_array_equal(pa.metadata, pb.metadata)
 
 
@@ -141,11 +141,11 @@ def test_built_cubes_are_those_of_the_resampled_volume_bit_for_bit(spacing):
                (iso.dims[0] + 14.6 - 5.0, 2.5 - 15.4, 7.0)]
     candidates = [pp.NoduleCandidate(c, 5.0 - i, 0.9) for i, c in enumerate(centers)]
     ex = pp.build_scan_example(v, candidates, 1)
-    assert len(ex.cubes) == 4
-    for cube, c in zip(ex.cubes, pp.select_top_nodules(candidates)):
+    assert len(ex.patches) == 4
+    for patch, c in zip(ex.patches, pp.select_top_nodules(candidates)):
         want = pp.extract_cube(iso, c.center)
-        assert cube.dtype == want.dtype == np.float64
-        assert cube.tobytes() == want.tobytes()
+        assert patch.cube.dtype == want.dtype == np.float64
+        assert patch.cube.tobytes() == want.tobytes()
 
 
 def test_building_an_example_does_not_resample_the_whole_volume():
@@ -159,7 +159,8 @@ def test_building_an_example_does_not_resample_the_whole_volume():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ex.cubes[0].dtype == np.float64 and (ex.cubes[0] > pp.AIR_HU).any()
+    cube = ex.patches[0].cube
+    assert cube.dtype == np.float64 and (cube > pp.AIR_HU).any()
     assert peak < 8 << 20, peak
 
 
@@ -258,7 +259,7 @@ def test_crop_train_offsets_cover_range():
 
 
 def test_triplanar_constant_cube():
-    out = pp.triplanar(np.full((28, 28, 28), 7.0))
+    out = pp.triplanar(np.full((28, 28, 28), 7.0), "slice")
     assert out.shape == (3, 28, 28)
     np.testing.assert_allclose(out, 7.0)
 
@@ -267,7 +268,7 @@ def test_triplanar_separable_ramp():
     # cube = f(x): sagittal (fixed x) is constant, other two show the ramp
     x = np.arange(28, dtype=float)
     cube = np.broadcast_to(x[:, None, None], (28, 28, 28)).copy()
-    cor, sag, tra = pp.triplanar(cube)
+    cor, sag, tra = pp.triplanar(cube, "slice")
     assert np.ptp(sag) == 0.0
     assert np.ptp(cor) > 0.0 and np.ptp(tra) > 0.0
     np.testing.assert_array_equal(cor[:, 0], x)
@@ -275,8 +276,8 @@ def test_triplanar_separable_ramp():
 
 def test_triplanar_axis_transpose_permutes_channels():
     cube = np.random.default_rng(4).normal(size=(28, 28, 28))
-    cor, sag, tra = pp.triplanar(cube)
-    cor2, sag2, tra2 = pp.triplanar(np.ascontiguousarray(cube.transpose(2, 1, 0)))
+    cor, sag, tra = pp.triplanar(cube, "slice")
+    cor2, sag2, tra2 = pp.triplanar(np.ascontiguousarray(cube.transpose(2, 1, 0)), "slice")
     # swapping x and z: coronal transposes in place, sagittal <-> transverse
     np.testing.assert_array_equal(cor2, cor.T)
     np.testing.assert_array_equal(sag2, tra.T)
@@ -368,7 +369,6 @@ def test_build_zero_candidates_all_masked():
     v = volume_with_nodule()
     ex = pp.build_scan_example(v, [], label=0)
     assert ex.patches == []
-    assert ex.cubes == []
 
 
 def test_build_single_candidate():
@@ -377,9 +377,7 @@ def test_build_single_candidate():
     ex = pp.build_scan_example(v, [c], label=1)
     assert len(ex.patches) == 1
     np.testing.assert_array_equal(ex.patches[0].metadata, [4.0, 30.0, 30.0, 30.0, 0.8])
-    assert ex.patches[0].planes.shape == (3, 28, 28)
-    assert ex.patches[0].planes.min() >= 0.0 and ex.patches[0].planes.max() <= 1.0
-    assert ex.cubes is not None and len(ex.cubes) == 1
+    np.testing.assert_array_equal(ex.patches[0].cube, pp.extract_cube(v, c.center))
 
 
 def test_build_infer_deterministic_and_needs_stats():
@@ -387,24 +385,10 @@ def test_build_infer_deterministic_and_needs_stats():
     c = cand(4.0, center=(30.0, 30.0, 30.0))
     a = pp.build_scan_example(v, [c], 1)
     b = pp.build_scan_example(v, [c], 1)
-    np.testing.assert_array_equal(a.patches[0].planes, b.patches[0].planes)
+    np.testing.assert_array_equal(a.patches[0].cube, b.patches[0].cube)
     np.testing.assert_array_equal(a.patches[0].metadata, b.patches[0].metadata)
-    np.testing.assert_array_equal(a.cubes[0], b.cubes[0])
     # no statistics: the metadata stays raw, each model standardizes it itself
     np.testing.assert_array_equal(a.patches[0].metadata, pp.candidate_metadata(c, 5))
-
-
-@pytest.mark.parametrize("projection", ["slice", "mip"])
-def test_build_planes_are_the_center_crop_of_the_kept_cubes(projection):
-    v = volume_with_nodule()
-    cands = [cand(4.0, center=(30.0, 30.0, 30.0)), cand(3.0, center=(20.0, 33.0, 41.0))]
-    ex = pp.build_scan_example(v, cands, 1, projection=projection)
-    assert len(ex.cubes) == len(ex.patches) == 2
-    for patch, cube, c in zip(ex.patches, ex.cubes, pp.select_top_nodules(cands)):
-        np.testing.assert_array_equal(cube, pp.extract_cube(v, c.center))
-        np.testing.assert_array_equal(
-            patch.planes,
-            pp.normalize_hu(pp.triplanar(pp.crop28(cube, pp.CENTER_OFFSET), projection)))
 
 
 def test_build_output_shape_invariant_to_candidate_count():
@@ -413,7 +397,7 @@ def test_build_output_shape_invariant_to_candidate_count():
         cands = [cand(4.0 + i, center=(30.0, 30.0, 30.0)) for i in range(n)]
         ex = pp.build_scan_example(v, cands, 0)
         assert len(ex.patches) <= 10
-        assert all(p.planes.shape == (3, 28, 28) for p in ex.patches)
+        assert all(p.cube.shape == (32, 32, 32) for p in ex.patches)
         assert all(p.metadata.shape == (5,) for p in ex.patches)
 
 
@@ -425,11 +409,23 @@ def test_build_keeps_the_top_candidates_only():
         assert len(ex.patches) == min(n, 10)
         radii = [p.metadata[0] for p in ex.patches]
         assert radii == [c.radius_mm for c in pp.select_top_nodules(cands)]
-        assert len(ex.cubes) == len(ex.patches)
+
+
+def test_an_example_pickles_as_its_int16_cubes_and_little_more():
+    # a fold worker receives the training set as this pickle: ten patches of
+    # an int16 1 mm volume are their int16 cubes, 64 KiB each, and their
+    # metadata; float64 planes kept beside the cubes added about 184 KiB
+    v = volume_with_nodule()
+    v = pp.Volume(v.voxels.astype(np.int16), v.spacing, v.origin)
+    cands = [cand(2.0 + i, center=(21.0 + 2 * i, 30.0, 30.0)) for i in range(10)]
+    ex = pp.build_scan_example(v, cands, 1)
+    assert len(ex.patches) == 10
+    size = len(pickle.dumps(ex, protocol=pickle.HIGHEST_PROTOCOL))
+    assert size < 10 * 32 ** 3 * 2 + (16 << 10), size
 
 
 def blank_patches(n):
-    return [pp.NodulePatch(planes=np.zeros((3, 28, 28)), metadata=np.zeros(5))
+    return [pp.NodulePatch(cube=np.zeros((32, 32, 32), dtype=np.int16), metadata=np.zeros(5))
             for _ in range(n)]
 
 
