@@ -311,11 +311,15 @@ class FoldEnsemble:
         _check_agreement([m.params for m in self.members])
 
 
-def _check_agreement(models: list):
-    """ConfigError unless there is a model and all (`NNetParams` or plans) agree."""
+# what every member of an ensemble shares: one metadata layout and one projection
+_AGREED = ("metadata_dim", "projection")
+
+
+def _check_agreement(models: list[NNetParams]):
+    """ConfigError unless there is a model and all agree."""
     if not models:
         raise ConfigError("an ensemble needs at least one member")
-    for attr in ("metadata_dim", "projection"):
+    for attr in _AGREED:
         values = {getattr(m, attr) for m in models}
         if len(values) != 1:
             raise ConfigError(f"ensemble members disagree on {attr}: {values}")
@@ -609,7 +613,7 @@ def _predict_chunk(plans: list[_InferencePlan],
     """(scan id, mean member risk) of each example of one chunk, from one
     `_plan_scores` call per member; None for an example without patches. The
     planes are the centre crops of the chunk's cubes, cut on this thread in
-    the members' projection (they agree, by `_check_agreement`)."""
+    the members' projection (they agree: see `load_plans`)."""
     batch = _gather_batch(chunk, None, plans[0].projection)
     bag_risks = iter(())
     if batch is not None:
@@ -858,9 +862,18 @@ def load_ensemble(directory) -> FoldEnsemble:
 def load_plans(directory) -> list[_InferencePlan]:
     """The inference plan of every `fold*.lrnn` file in the directory, in name
     order. Each file is read and checked by `load_member` and folded by
-    `build_plan` before the next is read, so one member's arrays are held."""
-    plans = [build_plan(load_member(p)) for p in _fold_paths(directory)]
-    _check_agreement(plans)
+    `build_plan` before the next is read, so one member's arrays are held. A
+    file whose metadata_dim or projection differs from the first file's
+    raises FormatError naming it: the files are at fault, not a setting."""
+    paths = _fold_paths(directory)
+    plans: list[_InferencePlan] = []
+    for path in paths:
+        plans.append(build_plan(load_member(path)))
+        for attr in _AGREED:
+            first, value = getattr(plans[0], attr), getattr(plans[-1], attr)
+            if value != first:
+                raise FormatError(f"{path}: the member disagrees with {paths[0].name} on "
+                                  f"{attr} ({value!r}, not {first!r})")
     return plans
 
 

@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConfigError,
@@ -139,19 +139,30 @@ def _columns(maps: np.ndarray) -> Iterator[np.ndarray]:
     channel-major batch `maps` in turn: the 3x3 taps over zero padding, as
     one (C*9, H*W) buffer that is rewritten for the next map.
 
-    Each map is copied into the interior of one zeroed (C,H+2,W+2) buffer,
-    whose border stays zero, and its columns are a single strided copy of
-    that buffer's 3x3 windows, viewed as (C,3,3,H,W). Nothing batch-sized
-    is allocated."""
+    Each channel of a map is copied, as one run of H*W values, into a zeroed
+    row buffer after one zero and a zero image row. Tap (i,j) of every
+    position is then the run of H*W values that starts i*W+j after the
+    buffer's start, so the columns are one copy of nine contiguous runs per
+    channel. Where the tap left of column 0 or right of column W-1 falls
+    outside the map, the run reads the other end of a neighbouring row
+    instead, so those H entries of taps (i,0) and (i,2) are then set to
+    zero. Nothing batch-sized is allocated."""
     c, n, h, w = maps.shape
-    padded = np.zeros((c, h + 2, w + 2))
-    interior = padded[:, 1:-1, 1:-1]
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
+    hw = h * w
+    # the highest offset a run reads is 2*W+2 + H*W-1, inside the buffer
+    rows = np.zeros((c, (h + 2) * w + 2))
+    interior = rows[:, w + 1:w + 1 + hw]
+    step_c, step = rows.strides
+    runs = as_strided(rows, shape=(c, 3, 3, hw), strides=(step_c, w * step, step, step),
+                      writeable=False)
     cols = np.empty((c, 3, 3, h, w))
-    flat = cols.reshape(c * 9, h * w)
+    taps = cols.reshape(c, 3, 3, hw)
+    flat = cols.reshape(c * 9, hw)
     for p in range(n):
-        np.copyto(interior, maps[:, p])
-        np.copyto(cols, windows)
+        np.copyto(interior, maps[:, p].reshape(c, hw))
+        np.copyto(taps, runs)
+        cols[:, :, 0, :, 0] = 0.0
+        cols[:, :, 2, :, w - 1] = 0.0
         yield flat
 
 
@@ -161,13 +172,19 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     `x` is a channel-major (C,N,H,W) batch; `kernels` is (O,C,3,3), `bias`
     (O,). The output is the (O,N,H,W) batch.
 
-    Each map is unfolded by `_columns`, one strided copy of its padded 3x3
-    windows into a one-map column buffer, and its columns feed one GEMM
-    written straight into its slot of the output. Backward unfolds each map,
-    and each map of the incoming gradient, again rather than holding the
-    batch's columns. The columns stay cache-sized, and every GEMM has the
-    shape of a single-map call, so a map's output does not depend on the
-    batch it came in.
+    Each map is unfolded by `_columns` into a one-map column buffer, one
+    copy of nine contiguous runs per channel, and its columns feed one GEMM
+    written straight into its slot of the output. Backward unfolds one map
+    per patch again rather than holding the batch's columns: the incoming
+    gradient's when `x` needs a gradient, `x`'s when it is a leaf. The
+    columns stay cache-sized, and every GEMM has the shape of a single-map
+    call, so a map's output does not depend on the batch it came in.
+
+    The kernel gradient of a cross-correlation is the cross-correlation of
+    its input with the output gradient: tap (a,b) of g's columns holds
+    g[o,h+a-1,w+b-1], so x_p @ cols(g_p).T, read as (C,O,3,3), is gk
+    transposed and flipped on both tap axes (a = 2-i, b = 2-j). Zero
+    padding drops the same terms on both sides.
     """
     xd = x.data
     if xd.ndim != 4:
@@ -190,22 +207,28 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     out3 += bias.data[:, None, None]
 
     def backward(g):
-        g3 = g.reshape(o, n, h * w)
-        gk = np.zeros((o, c * 9))
-        for p, cols in enumerate(_columns(xd)):
-            gk += g3[:, p] @ cols.T
-        kernels.accumulate(gk.reshape(o, c, 3, 3))
         bias.accumulate(g.reshape(o, -1).sum(axis=1))
         # The op records this backward whenever the kernels train, also when
-        # `x` needs no gradient: conv1 and conv_skip read the input planes,
-        # a leaf without one. Their dx GEMMs would be thrown away.
+        # `x` needs no gradient: conv1 and conv_skip read the input planes, a
+        # leaf without one. Their dx GEMMs would be thrown away, and the
+        # 27-row columns of their x are cheaper than the 72 rows of g's.
         if not x.requires_grad:
+            g3 = g.reshape(o, n, h * w)
+            gk = np.zeros((o, c * 9))
+            for p, cols in enumerate(_columns(xd)):
+                gk += g3[:, p] @ cols.T
+            kernels.accumulate(gk.reshape(o, c, 3, 3))
             return
+        x3 = xd.reshape(c, n, h * w)
         kflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * 9)
+        gkt = np.zeros((c, o * 9))
         dx = np.empty((c, n, h, w))
         dx3 = dx.reshape(c, n, h * w)
         for p, gcols in enumerate(_columns(g.reshape(o, n, h, w))):
             np.matmul(kflip, gcols, out=dx3[:, p])
+            gkt += x3[:, p] @ gcols.T
+        gk = gkt.reshape(c, o, 3, 3).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        kernels.accumulate(np.ascontiguousarray(gk))
         x.accumulate(dx)
 
     return Tensor(out, parents=(x, kernels, bias), backward=backward)

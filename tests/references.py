@@ -6,6 +6,38 @@ import numpy as np
 
 from lungrisk import tensor as tz
 
+# the op itself, taken before any test can monkeypatch the reference in its place
+_conv2d_same = tz.conv2d_same
+
+
+def two_unfold_conv2d_same(x, kernels, bias):
+    """`tensor.conv2d_same` with a backward that unfolds every map twice when
+    `x` needs a gradient: `x`'s columns again for the kernel gradient,
+    gk += g_p @ cols(x_p).T, and the gradient's for dx = kflip @ cols(g_p)."""
+    out = _conv2d_same(x, kernels, bias)
+    xd, k = x.data, kernels.data
+    c, n, h, w = xd.shape
+    o = k.shape[0]
+
+    def backward(g):
+        g3 = g.reshape(o, n, h * w)
+        gk = np.zeros((o, c * 9))
+        for p, cols in enumerate(tz._columns(xd)):
+            gk += g3[:, p] @ cols.T
+        kernels.accumulate(gk.reshape(o, c, 3, 3))
+        bias.accumulate(g.reshape(o, -1).sum(axis=1))
+        if not x.requires_grad:
+            return
+        kflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * 9)
+        dx = np.empty((c, n, h, w))
+        dx3 = dx.reshape(c, n, h * w)
+        for p, gcols in enumerate(tz._columns(g.reshape(o, n, h, w))):
+            np.matmul(kflip, gcols, out=dx3[:, p])
+        x.accumulate(dx)
+
+    out._backward = backward
+    return out
+
 
 def xhat_batch_norm(x, state):
     """Training batch-norm that holds the normalized map x_hat and takes the

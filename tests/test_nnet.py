@@ -21,6 +21,7 @@ from lungrisk.errors import (
     ChecksumError,
     ConfigError,
     FoldWorkerError,
+    FormatError,
     TruncatedFileError,
     VersionError,
     ZeroNoduleWarning,
@@ -35,7 +36,7 @@ from lungrisk.preprocess import (
     normalize_hu,
     triplanar,
 )
-from references import textbook_adam_step, xhat_batch_norm
+from references import textbook_adam_step, two_unfold_conv2d_same, xhat_batch_norm
 from writers import write_weight_entries
 
 
@@ -675,6 +676,33 @@ def test_one_training_step_matches_the_normalized_map_and_textbook_adam_referenc
                                {name: t.data for name, t in ref_learnable.items()}, 1e-12)
 
 
+def test_one_training_step_matches_the_two_unfold_conv_reference(monkeypatch):
+    # the batch of the dense reference above, once through the conv that
+    # takes conv2's and conv3's kernel gradients from the unfolded output
+    # gradient and once through the one that unfolds their input again
+    rng = np.random.default_rng(15)
+    examples = [random_example(rng, n, label=i % 2, scan_id=f"s{i}")
+                for i, n in enumerate((1, 4, 2, 3, 1, 4))]
+    planes, meta, segments, labels = nnet._gather_batch(examples, None, "slice")
+
+    def step(conv):
+        params = small_params(16, dropout=0.25)
+        with monkeypatch.context() as m:
+            m.setattr(tz, "conv2d_same", conv)
+            scores = nnet._forward_patch_batch(params, planes, meta, np.random.default_rng(17))
+            tz.backward(tz.bce_loss(tz.segment_max(scores, segments, labels.size), labels))
+        grads = {name: t.grad for name, t in params.learnable().items()}
+        running = {f"{name}.{part}": getattr(state, part) for name, state in params.bn.items()
+                   for part in ("running_mean", "running_var")}
+        return grads, running
+
+    (grads, running), (ref_grads, ref_running) = (step(tz.conv2d_same),
+                                                  step(two_unfold_conv2d_same))
+    assert len(ref_grads) == 32 and len(ref_running) == 18
+    _assert_within_layer_scale(grads, ref_grads, 1e-12)
+    _assert_within_layer_scale(running, ref_running, 1e-12)
+
+
 def test_a_training_step_holds_no_normalized_maps_or_float_dropout_masks():
     # at 24 patches the step peaks at 25.6 MB over its inputs and parameters;
     # a normalized copy of each batch-norm's input and a float64 dropout mask
@@ -1142,7 +1170,7 @@ def test_ensemble_rejects_members_of_different_projections(tmp_path):
     # the plans of their weight files go through the same check
     for i, member in enumerate(members):
         nnet.save_params(member.params, tmp_path / f"fold{i}.lrnn", stats)
-    with pytest.raises(ConfigError, match="disagree on projection"):
+    with pytest.raises(FormatError, match="fold1.lrnn.*disagrees with fold0.lrnn on projection"):
         nnet.load_plans(tmp_path)
 
 

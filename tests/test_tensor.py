@@ -14,7 +14,7 @@ from lungrisk.errors import (
     MissingGradientError,
     NumericError,
 )
-from references import textbook_adam_step, xhat_batch_norm
+from references import textbook_adam_step, two_unfold_conv2d_same, xhat_batch_norm
 
 
 def t(x, name=None):
@@ -193,10 +193,12 @@ def _im2col(arr, cols):
     return cols.reshape(c * 9, h * w)
 
 
-def _nine_slice_conv(xd, k, b, g):
+def _nine_slice_conv(xd, k, b, g, leaf):
     """Forward and kernel, bias and input gradients of a same-padded 3x3 conv
     of a (C,N,H,W) batch, with the per-map GEMMs of `conv2d_same` and every
-    map unfolded by `_im2col`."""
+    map unfolded by `_im2col`. A `leaf` `xd` gets no dx, and its kernel
+    gradient comes from its own columns; otherwise dx and the kernel gradient
+    both come from the columns of `g`."""
     c, n, h, w = xd.shape
     o = k.shape[0]
     kmat = k.reshape(o, c * 9)
@@ -206,18 +208,24 @@ def _nine_slice_conv(xd, k, b, g):
     for p in range(n):
         np.matmul(kmat, _im2col(xd[:, p], cols), out=out3[:, p])
     out3 += b[:, None, None]
-    g3 = g.reshape(o, n, h * w)
-    gk = np.zeros((o, c * 9))
-    for p in range(n):
-        gk += g3[:, p] @ _im2col(xd[:, p], cols).T
+    gb = g.reshape(o, -1).sum(axis=1)
+    if leaf:
+        g3 = g.reshape(o, n, h * w)
+        gk = np.zeros((o, c * 9))
+        for p in range(n):
+            gk += g3[:, p] @ _im2col(xd[:, p], cols).T
+        return out, gk.reshape(o, c, 3, 3), gb, None
     kflip = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * 9)
     g4 = g.reshape(o, n, h, w)
     gcols = np.zeros((o, 3, 3, h, w))
+    gkt = np.zeros((c, o * 9))
     dx = np.empty((c, n, h, w))
     dx3 = dx.reshape(c, n, h * w)
     for p in range(n):
         np.matmul(kflip, _im2col(g4[:, p], gcols), out=dx3[:, p])
-    return out, gk.reshape(o, c, 3, 3), g.reshape(o, -1).sum(axis=1), dx
+        gkt += xd[:, p].reshape(c, h * w) @ gcols.reshape(o * 9, h * w).T
+    gk = gkt.reshape(c, o, 3, 3).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    return out, gk, gb, dx
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 19])
@@ -226,13 +234,71 @@ def test_conv_equals_the_nine_slice_unfold_bit_for_bit(c, n):
     rng = np.random.default_rng(10 * c + n)
     shape = (c, n, 28, 28)
     xd = rng.normal(size=shape)
-    x, k, b = t(xd), t(rng.normal(size=(8, c, 3, 3))), t(rng.normal(size=8))
+    kd, bd = rng.normal(size=(8, c, 3, 3)), rng.normal(size=8)
     g = rng.normal(size=(8,) + shape[1:])
+    for leaf in (False, True):
+        x, k, b = T.Tensor(xd, requires_grad=not leaf), t(kd), t(bd)
+        out = T.conv2d_same(x, k, b)
+        out._backward(g.copy())
+        for got, want in zip((out.data, k.grad, b.grad, x.grad),
+                             _nine_slice_conv(xd, kd, bd, g, leaf)):
+            np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.integers(1, 9), o=st.integers(1, 9), n=st.integers(1, 4), h=st.integers(1, 6),
+       w=st.integers(1, 6), leaf=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_conv_backward_matches_the_whole_batch_and_two_unfold_references(c, o, n, h, w, leaf,
+                                                                        seed):
+    # a side of 1 puts the zero padding on both edges of one tap at once
+    rng = np.random.default_rng(seed)
+    xd = rng.normal(size=(c, n, h, w))
+    kd, bd = rng.normal(size=(o, c, 3, 3)), rng.normal(size=o)
+    g = rng.normal(size=(o, n, h, w))
+    results = []
+    for op in (T.conv2d_same, two_unfold_conv2d_same):
+        x, k, b = T.Tensor(xd, requires_grad=not leaf), t(kd), t(bd)
+        out = op(x, k, b)
+        out._backward(g.copy())
+        results.append((out.data, k.grad, b.grad, x.grad))
+    (out, gk, gb, dx), (_, ref_gk, _, ref_dx) = results
+    whole = _whole_batch_conv_reference(xd, kd, bd, g)
+    for got, want in zip((out, gk, gb, dx), whole):
+        if got is None:
+            assert leaf
+            continue
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(gk - ref_gk)) <= 1e-12 * np.max(np.abs(ref_gk))
+    if leaf:
+        assert dx is None and ref_dx is None
+    else:
+        np.testing.assert_array_equal(dx, ref_dx)
+
+
+@pytest.mark.parametrize("leaf", [False, True])
+def test_conv_unfolds_each_map_once_a_pass(leaf, monkeypatch):
+    # a conv whose input needs a gradient unfolds x forward and g backward;
+    # one on a leaf (conv1, conv_skip) unfolds x both ways, its 27-row
+    # columns cheaper than the gradient's 72
+    rng = np.random.default_rng(33)
+    n = 5
+    x = T.Tensor(rng.normal(size=(3, n, 7, 6)), requires_grad=not leaf)
+    k, b = t(rng.normal(size=(8, 3, 3, 3))), t(rng.normal(size=8))
+    g = rng.normal(size=(8, n, 7, 6))
+    unfold = T._columns
+    counts = {"x": 0, "g": 0}
+
+    def counted(maps):
+        kind = "x" if maps is x.data else "g" if np.shares_memory(maps, g) else "other"
+        for cols in unfold(maps):
+            counts[kind] = counts.get(kind, 0) + 1
+            yield cols
+
+    monkeypatch.setattr(T, "_columns", counted)
     out = T.conv2d_same(x, k, b)
+    assert counts == {"x": n, "g": 0}
     out._backward(g)
-    for got, want in zip((out.data, k.grad, b.grad, x.grad),
-                         _nine_slice_conv(xd, k.data, b.data, g)):
-        np.testing.assert_array_equal(got, want)
+    assert counts == ({"x": 2 * n, "g": 0} if leaf else {"x": n, "g": n})
 
 
 def test_conv_forward_and_backward_hold_no_batch_sized_columns():
